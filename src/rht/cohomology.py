@@ -86,13 +86,10 @@ class DegreeCohomology:
         """
         vec = self.coords_of_terms(terms)
         reduced = linalg.reduce_against(vec, self.boundary_rows, self.boundary_pivots)
-        coords = [_ZERO] * self.rank
-        for i, (row, p) in enumerate(zip(self.rep_rows, self.rep_pivots)):
-            if reduced[p]:
-                f = reduced[p]
-                coords[i] = f
-                reduced = [a - f * b for a, b in zip(reduced, row)]
-        if any(reduced):
+        # the representative rows are in reduced form, so each coordinate is
+        # the entry at its pivot before any of them is subtracted
+        coords = [reduced[p] for p in self.rep_pivots]
+        if any(linalg.reduce_against(reduced, self.rep_rows, self.rep_pivots)):
             raise ValueError("element is not a cocycle of this degree")
         return coords
 

@@ -1,10 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from rht import FreeCdga
-from rht.verify import load_fixture
+from rht.verify import load_fixture, random_homogeneous  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -21,22 +20,6 @@ def s2_model_algebra() -> FreeCdga:
 @pytest.fixture(scope="session")
 def cp2_model_algebra() -> FreeCdga:
     return load_fixture("cp2_model.cdga")
-
-
-def random_homogeneous(alg, rng, degrees, max_terms=3):
-    """Random nonzero homogeneous element, or the unit if a degree is empty."""
-    for _ in range(8):
-        deg = rng.choice(degrees)
-        basis = alg.basis(deg)
-        if basis:
-            terms = {}
-            for _ in range(rng.randint(1, max_terms)):
-                mon = basis[rng.randrange(len(basis))]
-                terms[mon] = terms.get(mon, 0) + Fraction(rng.randint(-4, 4))
-            e = alg.element(terms)
-            if e:
-                return e
-    return alg.unit()
 
 
 @pytest.fixture

@@ -47,3 +47,37 @@ def test_symmetric_inertia_diagonal_and_hyperbolic():
     assert linalg.symmetric_inertia([[0, 1], [1, 0]]) == (1, 1, 0)
     assert linalg.symmetric_inertia([[0, 0], [0, 0]]) == (0, 0, 2)
     assert linalg.symmetric_inertia([[1, 1], [1, 1]]) == (1, 0, 1)
+
+
+def test_rref_and_rank_of_empty_and_zero_inputs():
+    for rows in ([], [[]], [[], []], [[0, 0], [F(0), 0]]):
+        assert linalg.rref(rows) == ([], [])
+        assert linalg.rank(rows) == 0
+    assert linalg.reduce_against([0, 2], [], []) == [F(0), F(2)]
+
+
+def test_kernel_of_columns_without_rows_or_columns():
+    assert linalg.kernel_of_columns([], 3) == []
+    cols = [[F(1), F(2)], [F(3), F(4)]]
+    assert linalg.kernel_of_columns(cols, 0) == [[F(1), F(0)], [F(0), F(1)]]
+
+
+def test_solve_columns_zero_target():
+    cols = [[F(1), F(2)], [F(2), F(4)]]
+    sol = linalg.solve_columns(cols, 2, [0, F(0)])
+    assert sol == [F(0), F(0)] and all(type(x) is F for x in sol)
+    assert linalg.solve_columns([], 2, [0, 0]) == []
+    assert linalg.solve_columns([], 2, [0, 1]) is None
+
+
+def test_kernel_and_solve_leave_inputs_untouched():
+    cols = [[F(1), 0], [F(2), F(0)], [0, F(5)]]
+    target = [F(3), 1]
+    linalg.kernel_of_columns(cols, 2)
+    linalg.solve_columns(cols, 2, target)
+    assert cols == [[F(1), 0], [F(2), F(0)], [0, F(5)]]
+    assert target == [F(3), 1]
+    red, piv = linalg.rref([[1, 0, 2], [0, 1, 3]])
+    vec = [F(2), 1, 0]
+    linalg.reduce_against(vec, red, piv)
+    assert vec == [F(2), 1, 0] and red == [[1, 0, 2], [0, 1, 3]]
