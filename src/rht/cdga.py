@@ -477,6 +477,21 @@ class FreeCdga(GradedAlgebra):
         self._basis_cache[degree] = out
         return out
 
+    def basis_size(self, degree):
+        """len(basis(degree)), counted from the generator degrees alone.
+
+        Coefficient of t^degree in the product of 1/(1 - t^d) over even
+        generators and (1 + t^d) over odd ones; nothing is enumerated.
+        """
+        if degree < 0:
+            return 0
+        counts = [1] + [0] * degree
+        for d, odd in zip(self._degrees, self._odd):
+            steps = range(degree, d - 1, -1) if odd else range(d, degree + 1)
+            for k in steps:
+                counts[k] += counts[k - d]
+        return counts[degree]
+
     def format_key(self, mon):
         if not mon:
             return "1"
@@ -623,11 +638,11 @@ class DgaMorphism:
         if cached is not None:
             return cached
         tgt = self.target
-        out = {UNIT: _ONE}
+        out = None
         for i, e in mon:
             gterms = self.images[self.source.gens[i].name].terms
             for _ in range(e):
-                out = tgt.mul_terms(out, gterms)
+                out = dict(gterms) if out is None else tgt.mul_terms(out, gterms)
         self._key_cache[mon] = out
         return out
 

@@ -335,18 +335,19 @@ def decide_omega(n, r) -> Decision:
     complementary index sets); for larger r the 2r independent degree-n
     classes outrun dim Lambda^n R^(2n), and the internal Poincare duality
     lets any embedding be restricted to a 2n-dimensional subspace, so none
-    exists.
+    exists.  The bound is checked before any ring is built: the certificate
+    needs only the count, and the ring is built on the witness path alone.
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be positive")
     bound = comb(2 * n, n) // 2
-    ring = omega_ring(n, r)
     if r > bound:
         cert = DimensionCountRefutation(
             f"2r = {2 * r} independent degree-{n} classes exceed "
             f"dim Lambda^{n} R^{2 * n} = {comb(2 * n, n)}",
             2 * r, comb(2 * n, n))
         return Decision("omega", n, r, False, bound, refutation=cert)
+    ring = omega_ring(n, r)
     ext = exterior_algebra(2 * n)
     total = range(1, 2 * n + 1)
     images = {}
@@ -369,11 +370,12 @@ def decide_sigma(n, r) -> Decision:
     a_i -> dx_I + s_I dx_(I^c) with the sign chosen so every square is
     2 * volume.  Beyond that bound the images would give an identity-matrix
     minor of rank r inside a form of inertia (C/2, C/2), which is impossible.
+    The bound is checked before any ring is built; the ring is built on the
+    witness path alone.
     """
     if n % 2 == 1 or n < 2:
         raise ValueError("sigma decision needs even n >= 2")
     bound = comb(2 * n, n) // 2
-    ring = sigma_ring(n, r)
     if r > bound:
         sig = wedge_pairing_signature(n)
         cert = InertiaRefutation(
@@ -382,6 +384,7 @@ def decide_sigma(n, r) -> Decision:
             f"({sig.positive}, {sig.negative})",
             sig.positive, sig.negative, r)
         return Decision("sigma", n, r, False, bound, refutation=cert)
+    ring = sigma_ring(n, r)
     ext = exterior_algebra(2 * n)
     total = range(1, 2 * n + 1)
     images = {}
@@ -457,6 +460,11 @@ def decide_pi(n, r) -> Decision:
 # connected sums
 
 
+# Largest top-degree ambient basis on which ConnectedSumRing also runs the
+# generic duality check; above it the blockwise argument stands alone.
+_DUALITY_CHECK_MONOMIALS = 200
+
+
 class ConnectedSumRing(RingPresentation):
     """Presentation of a connected sum with identified fundamental classes.
 
@@ -464,7 +472,14 @@ class ConnectedSumRing(RingPresentation):
     orientations are +-1 per atom and a reversed atom's top class enters with
     coefficient -1.  Duality holds blockwise by construction (cross products
     vanish by relation, each atom's internal pairing is +-1-nonsingular);
-    for small presentations the generic determinant check is run as well.
+    for presentations with at most 200 ambient monomials in the top degree
+    the generic determinant check is run as well, and ``duality_verified``
+    records whether it ran.
+
+    Relations are written directly as term dicts over the generators declared
+    here, which are the ambient's generators in the same order: every key is
+    a single power or a product g_p * g_q with p < q, so no Koszul sign
+    arises.
     """
 
     def __init__(self, atoms, orientations=None, *, name=None):
@@ -482,6 +497,9 @@ class ConnectedSumRing(RingPresentation):
             if kind == "sphere_product":
                 return atom[1] + atom[2]
             if kind == "projective":
+                if atom[1] % 2 and atom[2] > 1:
+                    raise ValueError(f"projective summand {atom} has an odd "
+                                     f"generator, so its powers vanish")
                 return atom[1] * atom[2]
             raise ValueError(f"unknown summand kind {kind!r}")
 
@@ -491,51 +509,34 @@ class ConnectedSumRing(RingPresentation):
         fund = degrees.pop()
 
         gens = []
-        atom_gens = []
+        atom_index = []          # ambient indices of each summand's generators
         for i, atom in enumerate(atoms, start=1):
             if atom[0] == "sphere_product":
                 _k, n, m = atom
-                if n <= m:
-                    names = [(f"a{i}", n), (f"b{i}", m)]
-                else:
-                    names = [(f"a{i}", m), (f"b{i}", n)]
-                gens.extend(names)
-                atom_gens.append(tuple(nm for nm, _d in names))
+                names = [(f"a{i}", min(n, m)), (f"b{i}", max(n, m))]
             else:
-                _k, d, _p = atom
-                gens.append((f"x{i}", d))
-                atom_gens.append((f"x{i}",))
-        amb = FreeCdga(gens)
-
-        def top_element(i):
-            atom = atoms[i - 1]
-            if atom[0] == "sphere_product":
-                ga, gb = atom_gens[i - 1]
-                return amb[ga] * amb[gb]
-            (g,) = atom_gens[i - 1]
-            return amb[g] ** atom[2]
+                names = [(f"x{i}", atom[1])]
+            atom_index.append(tuple(range(len(gens), len(gens) + len(names))))
+            gens.extend(names)
+        even = [d % 2 == 0 for _nm, d in gens]
 
         rels = []
-        for i in range(1, len(atoms) + 1):
-            atom = atoms[i - 1]
+        tops = []
+        for atom, idx in zip(atoms, atom_index):
             if atom[0] == "sphere_product":
-                ga, gb = atom_gens[i - 1]
-                for e in (amb[ga] ** 2, amb[gb] ** 2):
-                    if not e.is_zero():
-                        rels.append(e)
+                rels.extend({((p, 2),): 1} for p in idx if even[p])
+                tops.append(tuple((p, 1) for p in idx))
             else:
-                (g,) = atom_gens[i - 1]
-                rels.append(amb[g] ** (atom[2] + 1))
-        for i in range(1, len(atoms) + 1):
-            for j in range(i + 1, len(atoms) + 1):
-                for gi in atom_gens[i - 1]:
-                    for gj in atom_gens[j - 1]:
-                        e = amb[gi] * amb[gj]
-                        if not e.is_zero():
-                            rels.append(e)
-        mu1 = orientations[0] * top_element(1)
-        for i in range(2, len(atoms) + 1):
-            rels.append(orientations[i - 1] * top_element(i) - mu1)
+                (p,) = idx
+                if even[p]:
+                    rels.append({((p, atom[2] + 1),): 1})
+                tops.append(((p, atom[2]),))
+        for i, left in enumerate(atom_index):
+            for right in atom_index[i + 1:]:
+                rels.extend({((p, 1), (q, 1)): 1} for p in left for q in right)
+        mu, sign = tops[0], orientations[0]
+        for top, o in zip(tops[1:], orientations[1:]):
+            rels.append({top: o, mu: -sign})
 
         super().__init__(gens, rels,
                          name=name or "#".join(_atom_label(a, o)
@@ -543,13 +544,13 @@ class ConnectedSumRing(RingPresentation):
                          fundamental_degree=fund, duality=True)
         self.atoms = tuple(atoms)
         self.orientations = tuple(orientations)
-        self.atom_generators = tuple(atom_gens)
-        mu_terms = (orientations[0] * top_element(1)).terms
-        ((mu_key, mu_coeff),) = mu_terms.items()
-        self.fundamental_monomial = mu_key
-        self.fundamental_monomial_sign = mu_coeff
-        if len(self.ambient.basis(fund)) <= 200:
-            self.verify_duality()
+        self.atom_generators = tuple(tuple(gens[p][0] for p in idx)
+                                     for idx in atom_index)
+        self.fundamental_monomial = mu
+        self.fundamental_monomial_sign = Fraction(sign)
+        self.duality_verified = False
+        if self.ambient.basis_size(fund) <= _DUALITY_CHECK_MONOMIALS:
+            self.duality_verified = self.verify_duality()
 
 
 def _atom_label(atom, orientation):
@@ -687,6 +688,15 @@ class Wedge:
     parts: tuple
 
 
+def _dimension(t: str, prefix: str) -> int:
+    """The positive whole number after ``prefix`` in a token such as S3 or CP2."""
+    digits = t[len(prefix):]
+    if not digits.isdecimal() or int(digits) < 1:
+        raise ValueError(f"bad space descriptor {t!r}: expected {prefix} "
+                         f"followed by a positive whole number, as in {prefix}2")
+    return int(digits)
+
+
 def _parse_atom(token: str) -> Atom:
     t = token.strip()
     if "x" in t:
@@ -697,14 +707,12 @@ def _parse_atom(token: str) -> Atom:
         return Atom("sphere_product", (la.params[0], ra.params[0]))
     for prefix, gd in (("CP", 2), ("HP", 4), ("OP", 8)):
         if t.startswith(prefix):
-            power = int(t[len(prefix):])
-            if power < 1:
-                raise ValueError(f"bad projective space {token!r}")
+            power = _dimension(t, prefix)
             if prefix in ("HP", "OP") and power != 2:
                 raise ValueError(f"only {prefix}2 is supported, got {token!r}")
             return Atom("projective", (gd, power))
     if t.startswith("S"):
-        return Atom("sphere", (int(t[1:]),))
+        return Atom("sphere", (_dimension(t, "S"),))
     raise ValueError(f"unsupported space descriptor {token!r}")
 
 
@@ -742,10 +750,13 @@ def parse_descriptor(text: str):
                     count = 1
                     if "*" in arg:
                         cnt, _, rest = arg.partition("*")
-                        count = int(cnt.strip())
+                        cnt = cnt.strip()
+                        if not cnt.isdecimal() or int(cnt) < 1:
+                            raise ValueError(
+                                f"summand multiplicity must be a positive "
+                                f"whole number, got {cnt!r} in {arg!r}")
+                        count = int(cnt)
                         arg = rest.strip()
-                    if count < 1:
-                        raise ValueError("summand multiplicity must be positive")
                     parts.append((count, _parse_summand(arg)))
                 return CSum(tuple(parts))
             return cls(tuple(parse_descriptor(a) for a in args))
@@ -847,14 +858,16 @@ def _classify_csum(node: CSum, text) -> Classification:
     kinds = {(atom.kind, atom.params) for _c, atom in node.parts}
     total = sum(c for c, _a in node.parts)
 
+    if total > 1 and all(kind == "sphere" or (kind == "projective" and p[1] == 1)
+                         for kind, p in kinds):
+        raise ValueError("connected sums of bare spheres (CP1 is S2) are not "
+                         "supported")
     if {k for k, _p in kinds} == {"sphere"}:
-        if total == 1 and len(kinds) == 1:
-            (_, (k,)) = kinds.pop()
-            return Classification(text, SCALABLE,
-                                  f"the {k}-sphere is scalable (verified "
-                                  f"volume-form witness)",
-                                  witness=_sphere_witness(k))
-        raise ValueError("connected sums of bare spheres are not supported")
+        (_, (k,)) = kinds.pop()
+        return Classification(text, SCALABLE,
+                              f"the {k}-sphere is scalable (verified "
+                              f"volume-form witness)",
+                              witness=_sphere_witness(k))
 
     if {k for k, _p in kinds} == {"projective"}:
         params = {p for _k, p in kinds}

@@ -91,6 +91,23 @@ def test_apply_zero_image_morphism_kills_decomposables():
     assert zero.apply(A.unit()) == A.unit()
 
 
+def test_morphism_key_images_match_unit_products():
+    """Key images equal the products started from the unit, as dict copies."""
+    A = FreeCdga([("a", 2), ("b", 3), ("c", 3)])
+    images = {"a": -A["a"], "b": A["b"], "c": 3 * A["c"] - A["b"]}
+    phi = DgaMorphism(A, A, images)
+    keys = [(), ((0, 1),), ((1, 1),), ((2, 1),), ((0, 3),), ((0, 1), (2, 1)),
+            ((1, 1), (2, 1))]
+    for key in keys:
+        expect = {(): Fraction(1)}
+        for i, e in key:
+            for _ in range(e):
+                expect = A.mul_terms(expect, images[A.gens[i].name].terms)
+        assert list(phi._image_of_key(key).items()) == list(expect.items())
+    for g in A.gens:
+        assert phi._image_of_key(A.gen_key(g.name)) is not images[g.name].terms
+
+
 def test_morphism_chain_condition_enforced():
     S2 = FreeCdga.define([("a", 2), ("b", 3)], d=lambda A: {"b": A["a"] ** 2})
     with pytest.raises(ValueError, match="chain map"):
@@ -120,6 +137,13 @@ def test_graded_basis_matches_exhaustive_enumeration(wedge_table):
     assert len(got) == len(expect) == 4
     names = {W.format_key(k) for k in got}
     assert names == {"a*c", "a*u_b", "b*c", "b*u_b"}
+
+
+def test_basis_size_counts_without_enumerating(wedge_table):
+    mixed = FreeCdga([("a", 2), ("b", 3), ("c", 3), ("d", 4), ("e", 5)])
+    for alg in (wedge_table, mixed, FreeCdga([("x", 2)]), FreeCdga([])):
+        for k in range(-1, 21):
+            assert alg.basis_size(k) == len(alg.basis(k))
 
 
 def test_basis_deterministic_and_cached(wedge_table):

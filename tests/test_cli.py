@@ -99,6 +99,19 @@ def test_scalable_command_exit_codes(capsys):
     assert Report.parse(out).get("verdict") == "Unknown"
 
 
+def test_scalable_command_names_bad_input(capsys):
+    for descriptor, message in (
+            ("S", "bad space descriptor 'S'"),
+            ("S2xS", "bad space descriptor 'S'"),
+            ("csum(2*CP1)", "connected sums of bare spheres (CP1 is S2)")):
+        code, out, err = run_cli(capsys, "scalable", descriptor, "--machine")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert message in err
+        assert "int()" not in err and "pi decision" not in err
+
+
 def test_pair_command_scaling(capsys):
     code, out, _ = run_cli(capsys, "pair", data_path("wedge335_model.cdga"),
                            "--class", "z", "--bracket", "[[a,c],[a,[a,b]]]",

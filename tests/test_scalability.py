@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from math import comb
 
@@ -9,9 +10,9 @@ from rht import (EmbeddingWitness, FreeCdga, SetFamily, classify,
                  exterior_algebra, family_local_forms, intersection_complete,
                  rank_bound_check, verify_witness, wedge_pairing_signature)
 from rht.presentations import RingPresentation
-from rht.scalability import (Atom, CSum, Prod, Wedge, omega_ring,
-                             parse_descriptor, sigma_ring, SCALABLE,
-                             NOT_SCALABLE, UNKNOWN)
+from rht.scalability import (Atom, CSum, DimensionCountRefutation, Prod,
+                             Wedge, omega_ring, parse_descriptor, sigma_ring,
+                             SCALABLE, NOT_SCALABLE, UNKNOWN)
 
 F = Fraction
 
@@ -61,6 +62,47 @@ def test_omega_small_cases():
         (key,) = img.terms
         subsets.append(tuple(sorted(idx + 1 for idx, _e in key)))
     assert subsets == [(1, 2), (1, 3), (1, 4)]
+
+
+def _no_rings(monkeypatch):
+    import rht.scalability as sc
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a certificate needs no ring")
+
+    monkeypatch.setattr(sc, "omega_ring", refuse)
+    monkeypatch.setattr(sc, "sigma_ring", refuse)
+    monkeypatch.setattr(sc.ConnectedSumRing, "__init__", refuse)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_omega_certificate_builds_no_ring(monkeypatch, n):
+    _no_rings(monkeypatch)
+    bad = decide_omega(n, comb(2 * n, n) // 2 + 1)
+    assert bad.embeddable is False and bad.witness is None
+    assert bad.refutation.check()
+
+
+def test_sigma_certificate_builds_no_ring(monkeypatch):
+    _no_rings(monkeypatch)
+    bad = decide_sigma(4, 60)
+    assert bad.embeddable is False and bad.refutation.check()
+    assert bad.refutation.required == 60
+
+
+def test_classify_large_sum_certificate_builds_no_ring(monkeypatch):
+    _no_rings(monkeypatch)
+    got = classify("csum(400*(S2xS2))")
+    assert got.verdict == NOT_SCALABLE and got.refutation.check()
+
+
+def test_classify_huge_sum_is_a_cheap_certificate():
+    start = time.perf_counter()
+    got = classify("csum(10000*(S2xS2))")
+    assert time.perf_counter() - start < 5
+    assert got.verdict == NOT_SCALABLE
+    assert isinstance(got.refutation, DimensionCountRefutation)
+    assert got.refutation.check()
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -198,8 +240,97 @@ def test_connected_sum_duality_verified_structurally():
     big = connected_sum_ring([("projective", 4, 2)] * 36)
     assert big.duality
     assert big.fundamental_monomial is not None
+    assert not big.duality_verified
     small = connected_sum_ring([("projective", 2, 2)] * 3)
+    assert small.duality_verified
     assert small.verify_duality()
+
+
+@pytest.mark.parametrize("r,monomials,checked", [(10, 190, True),
+                                                 (11, 231, False)])
+def test_connected_sum_duality_check_limit(monkeypatch, r, monomials, checked):
+    ran = []
+    real = RingPresentation.verify_duality
+
+    def spy(ring):
+        ran.append(ring)
+        return real(ring)
+
+    monkeypatch.setattr(RingPresentation, "verify_duality", spy)
+    ring = omega_ring(3, r)
+    assert len(ring.ambient.basis(6)) == monomials
+    assert ring.duality_verified is checked
+    assert ran == ([ring] if checked else [])
+
+
+def _element_product_relations(atoms, orientations):
+    """The connected-sum relations built as Element products in a separate
+    free algebra on the same generators (the construction that preceded the
+    direct term dicts)."""
+    gens = []
+    atom_gens = []
+    for i, atom in enumerate(atoms, start=1):
+        if atom[0] == "sphere_product":
+            _k, n, m = atom
+            names = ([(f"a{i}", n), (f"b{i}", m)] if n <= m
+                     else [(f"a{i}", m), (f"b{i}", n)])
+            gens.extend(names)
+            atom_gens.append(tuple(nm for nm, _d in names))
+        else:
+            gens.append((f"x{i}", atom[1]))
+            atom_gens.append((f"x{i}",))
+    amb = FreeCdga(gens)
+
+    def top_element(i):
+        atom = atoms[i - 1]
+        if atom[0] == "sphere_product":
+            ga, gb = atom_gens[i - 1]
+            return amb[ga] * amb[gb]
+        (g,) = atom_gens[i - 1]
+        return amb[g] ** atom[2]
+
+    rels = []
+    for i, atom in enumerate(atoms, start=1):
+        if atom[0] == "sphere_product":
+            ga, gb = atom_gens[i - 1]
+            rels.extend(e for e in (amb[ga] ** 2, amb[gb] ** 2) if not e.is_zero())
+        else:
+            (g,) = atom_gens[i - 1]
+            rels.append(amb[g] ** (atom[2] + 1))
+    for i in range(1, len(atoms) + 1):
+        for j in range(i + 1, len(atoms) + 1):
+            for gi in atom_gens[i - 1]:
+                for gj in atom_gens[j - 1]:
+                    e = amb[gi] * amb[gj]
+                    if not e.is_zero():
+                        rels.append(e)
+    mu1 = orientations[0] * top_element(1)
+    for i in range(2, len(atoms) + 1):
+        rels.append(orientations[i - 1] * top_element(i) - mu1)
+    return [e for e in rels if not e.is_zero()], mu1
+
+
+@pytest.mark.parametrize("atoms,orientations", [
+    ([("sphere_product", 3, 3), ("sphere_product", 2, 4),
+      ("sphere_product", 1, 5)], [1, -1, 1]),
+    ([("sphere_product", 5, 1), ("sphere_product", 4, 2)], [-1, -1]),
+    ([("projective", 2, 2), ("projective", 2, 2), ("projective", 2, 2)],
+     [1, 1, -1]),
+    ([("projective", 3, 1), ("projective", 3, 1)], [-1, 1]),
+])
+def test_connected_sum_relations_match_element_products(atoms, orientations):
+    ring = connected_sum_ring(atoms, orientations)
+    want, mu1 = _element_product_relations(atoms, orientations)
+    assert [list(r.terms.items()) for r in ring.relations] == \
+        [list(e.terms.items()) for e in want]
+    assert [repr(r) for r in ring.relations] == [repr(e) for e in want]
+    assert ring.generator_names() == want[0].alg.generator_names()
+    assert {ring.fundamental_monomial: ring.fundamental_monomial_sign} == mu1.terms
+
+
+def test_connected_sum_rejects_odd_projective_power():
+    with pytest.raises(ValueError, match="odd generator"):
+        connected_sum_ring([("projective", 3, 2)])
 
 
 # -- set families ----------------------------------------------------------------------
@@ -327,3 +458,27 @@ def test_unsupported_descriptors_rejected():
         classify("csum(2*S3)")
     with pytest.raises(ValueError):
         classify("HP3")
+
+
+@pytest.mark.parametrize("descriptor,token", [
+    ("S", "'S'"), ("S2xS", "'S'"), ("CP", "'CP'"), ("S-1", "'S-1'"),
+    ("S0", "'S0'"), ("CP0", "'CP0'"), ("csum(2*(S2xS))", "'S'")])
+def test_bad_atom_tokens_are_named(descriptor, token):
+    with pytest.raises(ValueError, match=f"bad space descriptor {token}"):
+        classify(descriptor)
+
+
+@pytest.mark.parametrize("descriptor,cnt", [
+    ("csum(x*S2)", "'x'"), ("csum(*S2)", "''"), ("csum(0*CP2)", "'0'"),
+    ("csum(-1*CP2)", "'-1'")])
+def test_bad_multiplicities_are_named(descriptor, cnt):
+    with pytest.raises(ValueError, match=f"positive whole number, got {cnt}"):
+        classify(descriptor)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "csum(2*CP1)", "csum(CP1,rev(CP1))", "csum(1*CP1,1*S2)"])
+def test_cp1_sums_rejected_as_sphere_sums(descriptor):
+    with pytest.raises(ValueError, match="bare spheres"):
+        classify(descriptor)
+    assert classify("CP1").verdict == SCALABLE
