@@ -6,6 +6,10 @@ generators square to zero.  The differential is given on generators, raises
 degree by one, and extends by the graded Leibniz rule; d(d(v)) = 0 is checked
 at construction.  All values are immutable after construction and every
 operation is a pure function, so instances are safe to share across threads.
+
+Every stored coefficient is an exact, nonzero ``Fraction``.  The public
+``Element`` constructor establishes that once, from any int/Fraction mapping;
+the algebra's own arithmetic keeps it without re-checking (see ``Element``).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ UNIT: Monomial = ()
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,34 @@ def _as_generators(gens):
     return tuple(out)
 
 
+def accumulate(out, terms, c=_ONE):
+    """Add ``c * terms`` into the term dict ``out`` in place.
+
+    ``c`` and the values of ``terms`` are nonzero.  A new key takes its value
+    as is; a key whose sum cancels is dropped.
+    """
+    for k, x in terms.items():
+        if c is not _ONE:
+            x = x * c
+        v = out.get(k)
+        if v is None:
+            out[k] = x
+        elif v := v + x:
+            out[k] = v
+        else:
+            del out[k]
+
+
 class Element:
-    """Exact rational linear combination of monomial keys of one algebra."""
+    """Exact rational linear combination of monomial keys of one algebra.
+
+    Invariant: every value of ``terms`` is a nonzero ``Fraction`` and no other
+    element or caller holds the ``terms`` dict.  The constructor establishes
+    it: it copies ``terms``, coerces ints to ``Fraction`` and drops zeros.
+    ``Element._wrap`` takes a dict as it is; use it only for a dict just built
+    from clean coefficients (sums with zeros dropped, negations, products of
+    nonzero values) that the caller hands over and does not keep.
+    """
 
     __slots__ = ("alg", "terms")
 
@@ -58,11 +89,20 @@ class Element:
         clean = {}
         if terms:
             for k, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     clean[k] = c
         self.alg = alg
         self.terms = clean
+
+    @staticmethod
+    def _wrap(alg, terms):
+        """Element owning ``terms`` as given: no copy, no coercion."""
+        e = object.__new__(Element)
+        e.alg = alg
+        e.terms = terms
+        return e
 
     # -- structure ---------------------------------------------------------
 
@@ -101,27 +141,34 @@ class Element:
             self._check_same(other)
             out = dict(self.terms)
             for k, c in other.terms.items():
-                v = out.get(k, _ZERO) + c
-                if v:
+                v = out.get(k)
+                if v is None:
+                    out[k] = c
+                elif v := v + c:
                     out[k] = v
-                elif k in out:
+                else:
                     del out[k]
-            return Element(self.alg, out)
+            return Element._wrap(self.alg, out)
         return NotImplemented
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Element(self.alg, {k: -c for k, c in self.terms.items()})
+        return Element._wrap(self.alg, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
-            return Element(self.alg, self.alg.mul_terms(self.terms, other.terms))
+            return Element._wrap(self.alg, self.alg.mul_terms(self.terms, other.terms))
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Element(self.alg, {k: c * f for k, c in self.terms.items()})
+            if not other:
+                return Element._wrap(self.alg, {})
+            if other == 1:
+                return Element._wrap(self.alg, dict(self.terms))
+            if other == -1:
+                return -self
+            return Element._wrap(self.alg, {k: c * other for k, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -144,7 +191,7 @@ class Element:
 
     def d(self):
         """Differential, extended from generators by the graded Leibniz rule."""
-        return Element(self.alg, self.alg.d_terms(self.terms))
+        return Element._wrap(self.alg, self.alg.d_terms(self.terms))
 
     # -- comparison / display ------------------------------------------------
 
@@ -194,26 +241,43 @@ class GradedAlgebra:
 
     # -- term arithmetic -----------------------------------------------------
 
+    # The two loops below are the hot path of every product and differential:
+    # a new key takes its value as is, signs +-1 negate instead of
+    # multiplying, and c1 * c2 is formed only for products that survive
+    # (most exterior-algebra products vanish).
+
     def mul_terms(self, t1, t2):
         out = {}
+        mul_keys = self.mul_keys
         for k1, c1 in t1.items():
             for k2, c2 in t2.items():
-                for k, s in self.mul_keys(k1, k2).items():
-                    v = out.get(k, _ZERO) + c1 * c2 * s
-                    if v:
+                prod = mul_keys(k1, k2)
+                if not prod:
+                    continue
+                p = c1 * c2
+                for k, s in prod.items():
+                    x = p if s is _ONE else -p if s is _MINUS_ONE else p * s
+                    v = out.get(k)
+                    if v is None:
+                        out[k] = x
+                    elif v := v + x:
                         out[k] = v
-                    elif k in out:
+                    else:
                         del out[k]
         return out
 
     def d_terms(self, t):
         out = {}
+        d_key = self.d_key
         for k, c in t.items():
-            for dk, dc in self.d_key(k).items():
-                v = out.get(dk, _ZERO) + c * dc
-                if v:
+            for dk, dc in d_key(k).items():
+                x = c if dc is _ONE else -c if dc is _MINUS_ONE else c * dc
+                v = out.get(dk)
+                if v is None:
+                    out[dk] = x
+                elif v := v + x:
                     out[dk] = v
-                elif dk in out:
+                else:
                     del out[dk]
         return out
 
@@ -374,7 +438,7 @@ class FreeCdga(GradedAlgebra):
                          for b in range(a + 1, len(odd_seq))
                          if odd_seq[a] > odd_seq[b])
         key = tuple(sorted(exps.items()))
-        return (_ONE if inversions % 2 == 0 else -_ONE), key
+        return (_ONE if inversions % 2 == 0 else _MINUS_ONE), key
 
     def monomial_element(self, factors, coeff=1) -> Element:
         sign, key = self.monomial(factors)
@@ -411,7 +475,7 @@ class FreeCdga(GradedAlgebra):
             out = {}
         else:
             key = tuple(sorted(merged.items()))
-            out = {key: _ONE if swaps % 2 == 0 else -_ONE}
+            out = {key: _ONE if swaps % 2 == 0 else _MINUS_ONE}
         self._mul_cache[(m1, m2)] = out
         return out
 
@@ -429,13 +493,11 @@ class FreeCdga(GradedAlgebra):
                 coeff = Fraction(e if prefix_deg % 2 == 0 else -e)
                 for dm, dc in dgen.items():
                     for k1, c1 in self.mul_keys(left, dm).items():
-                        for k2, c2 in self.mul_keys(k1, right).items():
-                            v = out.get(k2, _ZERO) + coeff * dc * c1 * c2
-                            if v:
-                                out[k2] = v
-                            elif k2 in out:
-                                del out[k2]
+                        accumulate(out, self.mul_keys(k1, right), coeff * dc * c1)
             prefix_deg += self._degrees[i] * e
+        # unit coefficients as the shared +-1 objects, which d_terms tests for
+        out = {k: _ONE if c == 1 else _MINUS_ONE if c == -1 else c
+               for k, c in out.items()}
         self._d_cache[mon] = out
         return out
 
@@ -647,15 +709,9 @@ class DgaMorphism:
         return out
 
     def apply_terms(self, terms):
-        tgt = self.target
         out = {}
         for mon, c in terms.items():
-            for k, v in self._image_of_key(mon).items():
-                s = out.get(k, _ZERO) + c * v
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+            accumulate(out, self._image_of_key(mon), c)
         return out
 
     def apply(self, x: Element) -> Element:

@@ -150,11 +150,7 @@ class MappingCone(GradedAlgebra):
             for k2, c in self.phi.source.d_key(k).items():
                 out[("s", k2)] = c
             for k2, c in self.phi.apply_terms({k: _ONE}).items():
-                v = out.get(("t", k2), _ZERO) + c
-                if v:
-                    out[("t", k2)] = v
-                elif ("t", k2) in out:
-                    del out[("t", k2)]
+                out[("t", k2)] = c
         else:
             for k2, c in self.phi.target.d_key(k).items():
                 out[("t", k2)] = -c

@@ -29,6 +29,24 @@ class PresentationError(ValueError):
         super().__init__(message)
 
 
+# Nesting depth every parser accepts; deeper input would exhaust the
+# interpreter's recursion limit instead of getting an error message.
+MAX_NESTING = 100
+
+
+def check_nesting(text, what, line=None):
+    """Reject ``text`` if its parentheses nest deeper than MAX_NESTING."""
+    depth = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise PresentationError(
+                    f"{what} nested deeper than {MAX_NESTING} levels", line)
+        elif ch == ")":
+            depth -= 1
+
+
 # -- expression parser --------------------------------------------------------
 
 
@@ -75,6 +93,7 @@ def _tokenize(text, line):
 
 def parse_expression(text, algebra, line=None) -> Element:
     """Parse an expression into an element of ``algebra`` (or its ambient)."""
+    check_nesting(text, "expression", line=line)
     tokens = _tokenize(text, line)
     pos = 0
 

@@ -29,6 +29,7 @@ from math import comb
 from . import linalg
 from .cdga import DgaMorphism, Element
 from .cohomology import CohomologyClass, DegreeCohomology, MappingCone
+from .fileformat import MAX_NESTING, PresentationError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -116,9 +117,10 @@ class HomotopyElement:
 
     def _parity_twist(self, element: Element) -> Element:
         """Multiply each homogeneous term by (-1)^degree (moving it past dt)."""
-        return Element(element.alg,
-                       {k: (c if self.alg.key_degree(k) % 2 == 0 else -c)
-                        for k, c in element.terms.items()})
+        key_degree = self.alg.key_degree
+        return Element._wrap(element.alg,
+                             {k: (c if key_degree(k) % 2 == 0 else -c)
+                              for k, c in element.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -214,9 +216,7 @@ def integrate_0_t(u: HomotopyElement) -> HomotopyElement:
     """Formal fiberwise integral from 0 to t; body annihilated."""
     dt = {}
     for i, e in u.dt_part.items():
-        coeff = Element(e.alg, {k: (c if u.alg.key_degree(k) % 2 == 0 else -c)
-                                * Fraction(1, i + 1)
-                                for k, c in e.terms.items()})
+        coeff = _signed_integral(e, i)
         if coeff:
             dt[i + 1] = coeff
     return HomotopyElement(u.alg, dt, None, u.t_cap)
@@ -226,10 +226,16 @@ def integrate_0_1(u: HomotopyElement) -> Element:
     """Formal fiberwise integral from 0 to 1; lands back in the algebra."""
     out = u.alg.zero()
     for i, e in u.dt_part.items():
-        out = out + Element(e.alg, {k: (c if u.alg.key_degree(k) % 2 == 0 else -c)
-                                    * Fraction(1, i + 1)
-                                    for k, c in e.terms.items()})
+        out = out + _signed_integral(e, i)
     return out
+
+
+def _signed_integral(e: Element, i) -> Element:
+    """(-1)^deg(c) c / (i+1) on each term c of e: the integral of e t^i dt."""
+    key_degree = e.alg.key_degree
+    inv = Fraction(1, i + 1)
+    return Element._wrap(e.alg, {k: (c if key_degree(k) % 2 == 0 else -c) * inv
+                                 for k, c in e.terms.items()})
 
 
 class DgaHomotopy:
@@ -487,21 +493,28 @@ BracketExpression = Leaf | Node
 
 
 def parse_bracket(text: str) -> BracketExpression:
-    """Parse `name`, `N*name`, or `[expr,expr]` (whitespace tolerated)."""
+    """Parse `name`, `N*name`, or `[expr,expr]` (whitespace tolerated).
+
+    Each bracket and each multiplier is one level of nesting; input deeper
+    than MAX_NESTING levels raises PresentationError.
+    """
     s = text.strip()
 
-    def parse(i):
+    def parse(i, depth):
+        if depth > MAX_NESTING:
+            raise PresentationError(
+                f"bracket expression nested deeper than {MAX_NESTING} levels")
         while i < len(s) and s[i].isspace():
             i += 1
         if i >= len(s):
             raise ValueError("unexpected end of bracket expression")
         if s[i] == "[":
-            left, i = parse(i + 1)
+            left, i = parse(i + 1, depth + 1)
             while i < len(s) and s[i].isspace():
                 i += 1
             if i >= len(s) or s[i] != ",":
                 raise ValueError("expected ',' inside bracket")
-            right, i = parse(i + 1)
+            right, i = parse(i + 1, depth + 1)
             while i < len(s) and s[i].isspace():
                 i += 1
             if i >= len(s) or s[i] != "]":
@@ -516,13 +529,13 @@ def parse_bracket(text: str) -> BracketExpression:
         while j < len(s) and s[j].isspace():
             j += 1
         if j < len(s) and s[j] == "*":
-            name_expr, j2 = parse(j + 1)
+            name_expr, j2 = parse(j + 1, depth + 1)
             if not isinstance(name_expr, Leaf) or name_expr.multiplier != 1:
                 raise ValueError("multiplier must prefix a plain name")
             return Leaf(name_expr.name, Fraction(token)), j2
         return Leaf(token, Fraction(1)), j
 
-    expr, i = parse(0)
+    expr, i = parse(0, 0)
     if s[i:].strip():
         raise ValueError(f"trailing input after bracket expression: {s[i:]!r}")
     return expr

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .cdga import Element, FreeCdga, GradedAlgebra
+from .cdga import Element, FreeCdga, GradedAlgebra, accumulate
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -98,18 +98,9 @@ class RingPresentation(GradedAlgebra):
             for k, c in part.items():
                 repl = reduction.get(k)
                 if repl is None:
-                    v = out.get(k, _ZERO) + c
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
+                    accumulate(out, {k: c})
                 else:
-                    for k2, c2 in repl.items():
-                        v = out.get(k2, _ZERO) + c * c2
-                        if v:
-                            out[k2] = v
-                        elif k2 in out:
-                            del out[k2]
+                    accumulate(out, repl, c)
         return out
 
     # -- GradedAlgebra interface ----------------------------------------------

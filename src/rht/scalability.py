@@ -21,6 +21,7 @@ from math import comb
 
 from . import linalg
 from .cdga import Element, FreeCdga
+from .fileformat import check_nesting
 from .presentations import RingPresentation, projective_ring, sphere_ring
 
 _ZERO = Fraction(0)
@@ -373,6 +374,8 @@ def decide_sigma(n, r) -> Decision:
     The bound is checked before any ring is built; the ring is built on the
     witness path alone.
     """
+    if n < 1 or r < 1:
+        raise ValueError("n and r must be positive")
     if n % 2 == 1 or n < 2:
         raise ValueError("sigma decision needs even n >= 2")
     bound = comb(2 * n, n) // 2
@@ -701,6 +704,8 @@ def _parse_atom(token: str) -> Atom:
     t = token.strip()
     if "x" in t:
         left, _, right = t.partition("x")
+        if "x" in right:
+            raise ValueError(f"unsupported product atom {token!r}")
         la, ra = _parse_atom(left), _parse_atom(right)
         if la.kind != "sphere" or ra.kind != "sphere":
             raise ValueError(f"unsupported product atom {token!r}")
@@ -717,8 +722,13 @@ def _parse_atom(token: str) -> Atom:
 
 
 def parse_descriptor(text: str):
-    """Parse the space grammar: atoms, rev(), csum(), prod(), wedge()."""
+    """Parse the space grammar: atoms, rev(), csum(), prod(), wedge().
+
+    Input whose parentheses nest deeper than MAX_NESTING raises
+    PresentationError.
+    """
     s = text.strip()
+    check_nesting(s, "space descriptor")
 
     def split_args(body):
         args = []

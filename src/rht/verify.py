@@ -74,7 +74,7 @@ def random_homogeneous(alg, rng, degrees, max_terms=3):
             terms = {}
             for _ in range(rng.randint(1, max_terms)):
                 mon = basis[rng.randrange(len(basis))]
-                terms[mon] = terms.get(mon, 0) + Fraction(rng.randint(-4, 4))
+                terms[mon] = terms.get(mon, 0) + rng.randint(-4, 4)
             e = alg.element(terms)
             if e:
                 return e

@@ -5,6 +5,7 @@ from importlib import resources
 
 import rht.homotopy
 from rht.cli import main
+from rht.fileformat import MAX_NESTING
 from rht.report import Report
 
 
@@ -110,6 +111,39 @@ def test_scalable_command_names_bad_input(capsys):
         assert err.startswith("error: ")
         assert message in err
         assert "int()" not in err and "pi decision" not in err
+
+
+def test_deeply_nested_input_exits_2(capsys, tmp_path):
+    """Nesting past MAX_NESTING is a user error in all three parsers, not a
+    RecursionError; nesting up to the limit still parses."""
+    deep = MAX_NESTING + 1
+    model = tmp_path / "deep.cdga"
+    model.write_text("cdga t\ngen x 2\ngen y 3\nd y = "
+                     + "(" * 3000 + "x*x" + ")" * 3000 + "\n", encoding="utf-8")
+    for argv, message in (
+            (["scalable", "(" * 3000 + "S2" + ")" * 3000], "space descriptor"),
+            (["scalable", "prod(" * 600 + "S2" + ")" * 600], "space descriptor"),
+            (["scalable", "rev(" * deep + "S2" + ")" * deep], "space descriptor"),
+            (["scalable", "x".join(["S2"] * 3000)], "unsupported product atom"),
+            (["cohomology", str(model)], "line 4: expression"),
+            (["pair", data_path("wedge335_model.cdga"), "--class", "z",
+              "--bracket", "[" * 1500 + "a" + ",a]" * 1500],
+             "bracket expression"),
+            (["pair", data_path("wedge335_model.cdga"), "--class", "z",
+              "--bracket", "1*" * 1500 + "a"], "bracket expression")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv[:2]
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Recursion" not in err
+
+    code, out, _ = run_cli(capsys, "scalable",
+                           "prod(" * MAX_NESTING + "S2" + ")" * MAX_NESTING)
+    assert code == 0
+    model.write_text("cdga t\ngen x 2\ngen y 3\nd y = " + "(" * MAX_NESTING
+                     + "x*x" + ")" * MAX_NESTING + "\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "cohomology", str(model), "--degree", "4")
+    assert code == 0
 
 
 def test_pair_command_scaling(capsys):

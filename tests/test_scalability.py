@@ -120,6 +120,12 @@ def test_sigma_rejects_odd_degree():
         decide_sigma(3, 2)
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_sigma_rejects_nonpositive_r(r):
+    with pytest.raises(ValueError, match="n and r must be positive"):
+        decide_sigma(4, r)
+
+
 @pytest.mark.parametrize("n,dim", [(2, 1), (3, 0), (4, 0), (5, 0), (6, 0)])
 def test_pi_nullspace_dimensions(n, dim):
     assert decide_pi(n, 2).nullspace_dim == dim
