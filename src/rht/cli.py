@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: cohomology, model, distortion, scalable, pair, verify-paper.
-Exit codes: 0 for a clean pass, 1 for a computational fail/refuted verdict,
-2 for usage or parse errors.  ``--machine`` switches every command to the
-stable key-value report; the RHT_CAP environment variable supplies a default
-truncation cap.
+Exit codes: 0 for a clean pass, 1 for a computational fail/refuted verdict
+or a failed internal self-check, 2 for usage or parse errors.  ``--machine``
+switches every command to the stable key-value report; the RHT_CAP
+environment variable supplies a default truncation cap.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import fileformat, verify
 from .cohomology import cohomology
@@ -166,7 +165,7 @@ def cmd_pair(args) -> int:
     report.add("bracket", args.bracket)
     report.add("value", value)
     if args.scale is not None:
-        n = Fraction(args.scale)
+        n = fileformat.rational(args.scale)
         scaled = scale_leaves(expr, lambda leaf: n ** obj.degree_of(leaf.name))
         report.add("scale", args.scale)
         report.add("scaled_value", whitehead_pair(model, args.cls, scaled))
@@ -253,12 +252,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except PresentationError as exc:
+    except ValueError as exc:  # PresentationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,13 @@
 """Exact cohomology of graded differential algebras and of morphisms.
 
 Everything here is degreewise linear algebra over the rationals on the basis
-provided by the algebra object (free, truncated, ring presentation, or cell
-attachment; mapping cones are wrapped to expose the same interface).
+provided by the algebra object (free, truncated, ring presentation, cell
+attachment, or mapping cone).  Four helpers hold that linear algebra, and
+every caller in the package goes through them rather than building its own
+matrices: ``coords`` (a term dict as a dense vector), ``d_columns`` (the
+matrix of d from one degree to the next), ``cycles_mod_boundaries`` (kernel
+modulo image, in reduced form) and ``primitive`` (solve dx = y).  They are
+dense and rebuild their matrices on every call; nothing is cached.
 Representatives are pinned by deterministic pivoting, so repeated runs and
 golden reports agree byte for byte.
 
@@ -23,6 +28,53 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+# -- degreewise linear algebra ---------------------------------------------------
+
+def coords(terms, pos):
+    """Dense vector of ``terms`` over the key->position map ``pos``."""
+    vec = [_ZERO] * len(pos)
+    for k, c in terms.items():
+        vec[pos[k]] = c
+    return vec
+
+
+def d_columns(alg, keys, up):
+    """Columns of d on ``keys``, each a dense vector over the keys ``up``."""
+    pos = {k: i for i, k in enumerate(up)}
+    return [coords(alg.d_key(k), pos) for k in keys]
+
+
+def cycles_mod_boundaries(cols, nrows, boundary_rows):
+    """Cycles of the map with columns ``cols``, reduced modulo boundaries.
+
+    ``boundary_rows`` span the boundaries in the coordinates of the columns.
+    Returns (boundary rows, boundary pivots, representative rows,
+    representative pivots), both row sets in reduced row echelon form; the
+    representatives are the kernel vectors reduced against the boundaries.
+    """
+    kernel = linalg.kernel_of_columns(cols, nrows)
+    brows, bpiv = linalg.rref(boundary_rows)
+    reduced = [linalg.reduce_against(v, brows, bpiv) for v in kernel]
+    reps, rpiv = linalg.rref(reduced)
+    return brows, bpiv, reps, rpiv
+
+
+def primitive(alg, terms, degree, keys=None):
+    """Deterministic x with dx = ``terms`` (of ``degree``), as terms, or None.
+
+    x is sought over ``keys`` (by default the whole basis one degree down)
+    with the free variables of the solve set to zero; zero has primitive 0.
+    """
+    if keys is None:
+        keys = alg.basis(degree - 1)
+    up = alg.basis(degree)
+    sol = linalg.solve_columns(d_columns(alg, keys, up), len(up),
+                               coords(terms, {k: i for i, k in enumerate(up)}))
+    if sol is None:
+        return None
+    return {k: c for k, c in zip(keys, sol) if c}
+
+
 @dataclass(frozen=True)
 class CohomologyClass:
     degree: int
@@ -40,61 +92,41 @@ class DegreeCohomology:
         self.complex = complex_like
         self.degree = degree
         self.keys = list(complex_like.basis(degree))
-        up = list(complex_like.basis(degree + 1))
-        up_pos = {k: i for i, k in enumerate(up)}
-        dn = list(complex_like.basis(degree - 1)) if degree > 0 else []
-
-        def d_column(key, pos_map, size):
-            col = [_ZERO] * size
-            for k, c in complex_like.d_key(key).items():
-                col[pos_map[k]] = col[pos_map[k]] + c
-            return col
-
-        cols = [d_column(k, up_pos, len(up)) for k in self.keys]
-        kernel = linalg.kernel_of_columns(cols, len(up))
-        pos = {k: i for i, k in enumerate(self.keys)}
-        img_rows = []
-        for k in dn:
-            row = [_ZERO] * len(self.keys)
-            for k2, c in complex_like.d_key(k).items():
-                row[pos[k2]] = row[pos[k2]] + c
-            img_rows.append(row)
-        self.boundary_rows, self.boundary_pivots = linalg.rref(img_rows)
-        reduced = [linalg.reduce_against(v, self.boundary_rows, self.boundary_pivots)
-                   for v in kernel]
-        self.rep_rows, self.rep_pivots = linalg.rref(reduced)
+        self.pos = {k: i for i, k in enumerate(self.keys)}
+        up = complex_like.basis(degree + 1)
+        down = complex_like.basis(degree - 1) if degree > 0 else ()
+        (self.boundary_rows, self.boundary_pivots,
+         self.rep_rows, self.rep_pivots) = cycles_mod_boundaries(
+            d_columns(complex_like, self.keys, up), len(up),
+            d_columns(complex_like, down, self.keys))
         self.rank = len(self.rep_rows)
-        self._pos = pos
 
     def representatives(self):
         return [list(r) for r in self.rep_rows]
 
-    def element_of(self, vec) -> Element:
-        return Element(self.complex,
-                       {k: c for k, c in zip(self.keys, vec) if c})
+    def terms_of(self, vec):
+        """Term dict of a coordinate vector over ``keys``."""
+        return {k: c for k, c in zip(self.keys, vec) if c}
 
-    def coords_of_terms(self, terms):
-        vec = [_ZERO] * len(self.keys)
-        for k, c in terms.items():
-            vec[self._pos[k]] = vec[self._pos[k]] + c
-        return vec
+    def element_of(self, vec) -> Element:
+        return Element(self.complex, self.terms_of(vec))
 
     def class_coords(self, terms):
         """Coordinates of a cocycle's class over the representative basis.
 
         Raises if the vector is not in the span of cocycles (not closed).
         """
-        vec = self.coords_of_terms(terms)
+        vec = coords(terms, self.pos)
         reduced = linalg.reduce_against(vec, self.boundary_rows, self.boundary_pivots)
         # the representative rows are in reduced form, so each coordinate is
         # the entry at its pivot before any of them is subtracted
-        coords = [reduced[p] for p in self.rep_pivots]
+        out = [reduced[p] for p in self.rep_pivots]
         if any(linalg.reduce_against(reduced, self.rep_rows, self.rep_pivots)):
             raise ValueError("element is not a cocycle of this degree")
-        return coords
+        return out
 
     def is_exact(self, terms):
-        vec = self.coords_of_terms(terms)
+        vec = coords(terms, self.pos)
         reduced = linalg.reduce_against(vec, self.boundary_rows, self.boundary_pivots)
         return not any(reduced)
 
@@ -204,8 +236,7 @@ def relative_cohomology(phi, degree, coefficients=1) -> RelativeCohomologyResult
     dc = DegreeCohomology(cone, degree)
     pairs = []
     for vec in dc.representatives():
-        terms = {k: c for k, c in zip(dc.keys, vec) if c}
-        pairs.append(cone.pair_of(terms))
+        pairs.append(cone.pair_of(dc.terms_of(vec)))
     return RelativeCohomologyResult(phi, degree, dc.rank, pairs, dim, dim * dc.rank)
 
 
@@ -219,8 +250,7 @@ def induced_map_on_cohomology(phi, degree):
     tgt = DegreeCohomology(phi.target, degree)
     rows = []
     for vec in src.representatives():
-        terms = {k: c for k, c in zip(src.keys, vec) if c}
-        rows.append(tgt.class_coords(phi.apply_terms(terms)))
+        rows.append(tgt.class_coords(phi.apply_terms(src.terms_of(vec))))
     return rows, src.rank, tgt.rank
 
 

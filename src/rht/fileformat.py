@@ -47,6 +47,14 @@ def check_nesting(text, what, line=None):
             depth -= 1
 
 
+def rational(text):
+    """Fraction(text), rejecting a zero denominator with a PresentationError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise PresentationError(f"zero denominator in {text!r}") from None
+
+
 # -- expression parser --------------------------------------------------------
 
 
@@ -70,7 +78,11 @@ def _tokenize(text, line):
                 m = k
                 while m < len(text) and text[m].isdigit():
                     m += 1
-                tokens.append(("num", Fraction(num, int(text[k:m]))))
+                den = int(text[k:m])
+                if not den:
+                    raise PresentationError(
+                        f"zero denominator in {text[i:m]!r}", line)
+                tokens.append(("num", Fraction(num, den)))
                 i = m
             else:
                 tokens.append(("num", Fraction(num)))

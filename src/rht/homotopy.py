@@ -28,11 +28,10 @@ from math import comb
 
 from . import linalg
 from .cdga import DgaMorphism, Element
-from .cohomology import CohomologyClass, DegreeCohomology, MappingCone
-from .fileformat import MAX_NESTING, PresentationError
+from .cohomology import CohomologyClass, DegreeCohomology, MappingCone, primitive
+from .fileformat import MAX_NESTING, PresentationError, rational
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 DEFAULT_T_CAP = 16
 
@@ -408,25 +407,11 @@ def obstruction_class(f: DgaMorphism, g: DgaMorphism, h: DgaMorphism,
             all_vanish = False
     primitives = None
     if all_vanish:
-        keys_n = cone.basis(n)
-        keys_n1 = cone.basis(n + 1)
-        pos = {k: i for i, k in enumerate(keys_n1)}
-        cols = []
-        for key in keys_n:
-            col = [_ZERO] * len(keys_n1)
-            for k2, c in cone.d_key(key).items():
-                col[pos[k2]] += c
-            cols.append(col)
         primitives = {}
         for name in v_names:
-            b_part, c_part = cocycle[name]
-            target_vec = [_ZERO] * len(keys_n1)
-            for k, c in cone.terms_of_pair(b_part, c_part).items():
-                target_vec[pos[k]] += c
-            sol = linalg.solve_columns(cols, len(keys_n1), target_vec)
-            if sol is None:
+            terms = primitive(cone, cone.terms_of_pair(*cocycle[name]), n + 1)
+            if terms is None:
                 raise AssertionError("vanishing class without a primitive")
-            terms = {k: c for k, c in zip(keys_n, sol) if c}
             primitives[name] = cone.pair_of(terms)
     rows = [class_coords[name] for name in v_names]
     rank = linalg.rank(rows) if dc.rank else 0
@@ -532,7 +517,7 @@ def parse_bracket(text: str) -> BracketExpression:
             name_expr, j2 = parse(j + 1, depth + 1)
             if not isinstance(name_expr, Leaf) or name_expr.multiplier != 1:
                 raise ValueError("multiplier must prefix a plain name")
-            return Leaf(name_expr.name, Fraction(token)), j2
+            return Leaf(name_expr.name, rational(token)), j2
         return Leaf(token, Fraction(1)), j
 
     expr, i = parse(0, 0)
@@ -627,29 +612,6 @@ def _as_class(algebra, x):
     raise TypeError("expected a CohomologyClass or a closed Element")
 
 
-def _primitive(algebra, element: Element, label: str) -> Element:
-    """Deterministic primitive of an exact element; zero maps to zero."""
-    if element.is_zero():
-        return algebra.zero()
-    deg = element.degree
-    keys = list(algebra.basis(deg - 1))
-    up = list(algebra.basis(deg))
-    pos = {k: i for i, k in enumerate(up)}
-    cols = []
-    for k in keys:
-        col = [_ZERO] * len(up)
-        for k2, c in algebra.d_key(k).items():
-            col[pos[k2]] += c
-        cols.append(col)
-    target = [_ZERO] * len(up)
-    for k, c in element.terms.items():
-        target[pos[k]] += c
-    sol = linalg.solve_columns(cols, len(up), target)
-    if sol is None:
-        raise ValueError(f"{label} is not exact; Massey product undefined")
-    return Element(algebra, {k: c for k, c in zip(keys, sol) if c})
-
-
 def massey_triple(algebra, x, y, z) -> MasseyResult:
     """Triple product <x, y, z> with its indeterminacy subspace.
 
@@ -668,15 +630,13 @@ def massey_triple(algebra, x, y, z) -> MasseyResult:
     dx, dy, dz = ex.degree, ey.degree, ez.degree
     deg = dx + dy + dz - 1
 
-    dc_xy = DegreeCohomology(algebra, dx + dy)
-    if not dc_xy.is_exact((ex * ey).terms):
+    xi = primitive(algebra, (ex * ey).terms, dx + dy)
+    if xi is None:
         raise ValueError("[x][y] does not vanish; Massey product undefined")
-    dc_yz = DegreeCohomology(algebra, dy + dz)
-    if not dc_yz.is_exact((ey * ez).terms):
+    eta = primitive(algebra, (ey * ez).terms, dy + dz)
+    if eta is None:
         raise ValueError("[y][z] does not vanish; Massey product undefined")
-    xi = _primitive(algebra, ex * ey, "x*y")
-    eta = _primitive(algebra, ey * ez, "y*z")
-    w = xi * ez - ((-1) ** dx) * (ex * eta)
+    w = Element(algebra, xi) * ez - ((-1) ** dx) * (ex * Element(algebra, eta))
     dc = DegreeCohomology(algebra, deg)
     coords = dc.class_coords(w.terms)
 

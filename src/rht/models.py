@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from . import linalg
 from .cdga import DgaMorphism, Element, FreeCdga, Generator, GradedAlgebra, UNIT
-from .cohomology import (DegreeCohomology, MappingCone, induced_map_on_cohomology,
+from .cohomology import (DegreeCohomology, MappingCone, cycles_mod_boundaries,
+                         d_columns, induced_map_on_cohomology,
                          is_quasi_isomorphism)
 
 _ZERO = Fraction(0)
@@ -186,6 +187,13 @@ def _check_target_connectivity(target, what):
         raise ValueError(f"{what} must be simply connected (H^1 = 0)")
 
 
+def _extended(rho, new_gens, new_diff, new_images):
+    """Stage map ``rho`` extended by new generators, re-checked as a chain map."""
+    model = rho.source.extend(new_gens, new_diff)
+    return DgaMorphism(model, rho.target, {**rho.images, **new_images},
+                       check=True)
+
+
 def minimal_model(target, cap, *, name=None) -> MinimalModel:
     """Sullivan model of any finite-type graded differential algebra.
 
@@ -196,8 +204,7 @@ def minimal_model(target, cap, *, name=None) -> MinimalModel:
         raise ValueError("cap must be at least 2")
     _check_target_connectivity(target, "minimal_model target")
     model = FreeCdga([], None, name=name or f"M({getattr(target, 'name', '?')})")
-    images = {}
-    rho = DgaMorphism(model, target, images, check=False)
+    rho = DgaMorphism(model, target, {}, check=False)
     for k in range(2, cap + 1):
         cone = MappingCone(rho)
         dc = DegreeCohomology(cone, k + 1)
@@ -205,16 +212,15 @@ def minimal_model(target, cap, *, name=None) -> MinimalModel:
             continue
         new_gens = []
         new_diff = {}
+        new_images = {}
         for i, vec in enumerate(dc.representatives()):
-            terms = {key: c for key, c in zip(dc.keys, vec) if c}
-            z, w = cone.pair_of(terms)
+            z, w = cone.pair_of(dc.terms_of(vec))
             gname = f"v{k}_{i}"
             new_gens.append(Generator(gname, k))
             new_diff[gname] = z.terms
-            images[gname] = w
-        model = model.extend(new_gens, new_diff)
-        images = {g.name: images[g.name] for g in model.gens}
-        rho = DgaMorphism(model, target, images, check=True)
+            new_images[gname] = w
+        rho = _extended(rho, new_gens, new_diff, new_images)
+    model = rho.source
     out = MinimalModel(model, cap, rho, target,
                        trivial_warning=not model.gens)
     if not is_quasi_isomorphism(rho, cap):
@@ -241,12 +247,10 @@ def bigraded_model(ring, cap, *, name=None) -> MinimalModel:
     _check_target_connectivity(ring, "bigraded_model ring")
 
     model = FreeCdga([], None, name=name or f"M({getattr(ring, 'name', '?')})")
-    images = {}
-    rho = DgaMorphism(model, ring, images, check=False)
-    stage_of = {}
+    rho = DgaMorphism(model, ring, {}, check=False)
 
     def monomial_stage(mon):
-        return sum(e * stage_of[model.gens[i].name] for i, e in mon)
+        return sum(e * model.gens[i].stage for i, e in mon)
 
     for k in range(2, cap + 1):
         # cokernel step: closed stage-0 generators hitting missing classes
@@ -256,75 +260,49 @@ def bigraded_model(ring, cap, *, name=None) -> MinimalModel:
         tgt_dc = DegreeCohomology(ring, k)
         reps = tgt_dc.representatives()
         new_gens = []
-        new_diff = {}
-        idx0 = 0
+        new_images = {}
         for j in range(trank):
             if j in hit:
                 continue
-            gname = f"v{k}_0_{idx0}"
-            idx0 += 1
+            gname = f"v{k}_0_{len(new_gens)}"
             new_gens.append(Generator(gname, k, 0))
-            new_diff[gname] = {}
-            images[gname] = tgt_dc.element_of(reps[j])
-            stage_of[gname] = 0
+            new_images[gname] = tgt_dc.element_of(reps[j])
         if new_gens:
-            model = model.extend(new_gens, new_diff)
-            images = {g.name: images[g.name] for g in model.gens}
-            rho = DgaMorphism(model, ring, images, check=True)
+            rho = _extended(rho, new_gens, {}, new_images)
+            model = rho.source
 
         # kernel step: per lower-degree component, kill closed elements of
-        # M^(k+1) that map to zero in the ring
+        # M^(k+1) that map to zero in the ring.  A cycle of the cone of rho
+        # on a source key is closed in M and maps to zero in the ring.
         comp = {}
         for mon in model.basis(k + 1):
             comp.setdefault(monomial_stage(mon), []).append(mon)
-        up = list(model.basis(k + 2))
-        up_pos = {m: i for i, m in enumerate(up)}
-        ring_basis = list(ring.basis(k + 1))
-        ring_pos = {m: i for i, m in enumerate(ring_basis)}
         down_by_stage = {}
         for mon in model.basis(k):
             down_by_stage.setdefault(monomial_stage(mon), []).append(mon)
+        cone = MappingCone(rho)
+        up = cone.basis(k + 2)
 
         new_gens = []
         new_diff = {}
+        new_images = {}
         for s in sorted(comp):
             keys = comp[s]
-            pos = {m: i for i, m in enumerate(keys)}
-            cols = []
-            for mon in keys:
-                col = [_ZERO] * (len(up) + len(ring_basis))
-                for m2, c in model.d_key(mon).items():
-                    col[up_pos[m2]] += c
-                for m2, c in rho.apply_terms({mon: _ONE}).items():
-                    col[len(up) + ring_pos[m2]] += c
-                cols.append(col)
-            kernel = linalg.kernel_of_columns(cols, len(up) + len(ring_basis))
-            if not kernel:
-                continue
-            boundary_rows = []
-            for mon in down_by_stage.get(s + 1, ()):
-                dterms = model.d_key(mon)
-                row = [_ZERO] * len(keys)
-                for m2, c in dterms.items():
-                    if m2 not in pos:
-                        raise AssertionError("stage purity broken in boundaries")
-                    row[pos[m2]] += c
-                boundary_rows.append(row)
-            bred, bpiv = linalg.rref(boundary_rows)
-            reduced = [linalg.reduce_against(v, bred, bpiv) for v in kernel]
-            rep_rows, _ = linalg.rref(reduced)
-            idx = 0
-            for vec in rep_rows:
+            down = down_by_stage.get(s + 1, ())
+            key_set = set(keys)
+            if any(not model.d_key(mon).keys() <= key_set for mon in down):
+                raise AssertionError("stage purity broken in boundaries")
+            _b, _p, rep_rows, _r = cycles_mod_boundaries(
+                d_columns(cone, [("s", m) for m in keys], up), len(up),
+                d_columns(model, down, keys))
+            for idx, vec in enumerate(rep_rows):
                 gname = f"v{k}_{s + 1}_{idx}"
-                idx += 1
                 new_gens.append(Generator(gname, k, s + 1))
                 new_diff[gname] = {m: c for m, c in zip(keys, vec) if c}
-                images[gname] = ring.element({})
-                stage_of[gname] = s + 1
+                new_images[gname] = ring.element({})
         if new_gens:
-            model = model.extend(new_gens, new_diff)
-            images = {g.name: images[g.name] for g in model.gens}
-            rho = DgaMorphism(model, ring, images, check=True)
+            rho = _extended(rho, new_gens, new_diff, new_images)
+            model = rho.source
 
     out = MinimalModel(model, cap, rho, ring, bigraded=True,
                        trivial_warning=not model.gens)

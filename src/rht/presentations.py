@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cdga import Element, FreeCdga, GradedAlgebra, accumulate
+from .cohomology import coords
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -70,12 +71,8 @@ class RingPresentation(GradedAlgebra):
                 continue
             for mon in self.ambient.basis(degree - rdeg):
                 prod = self.ambient.mul_terms({mon: _ONE}, rel.terms)
-                if not prod:
-                    continue
-                row = [_ZERO] * len(amb)
-                for k, c in prod.items():
-                    row[pos[k]] = c
-                rows.append(row)
+                if prod:
+                    rows.append(coords(prod, pos))
         red, pivots = linalg.rref(rows)
         pivot_set = set(pivots)
         basis = tuple(k for i, k in enumerate(amb) if i not in pivot_set)

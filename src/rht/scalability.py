@@ -21,6 +21,7 @@ from math import comb
 
 from . import linalg
 from .cdga import Element, FreeCdga
+from .cohomology import coords
 from .fileformat import check_nesting
 from .presentations import RingPresentation, projective_ring, sphere_ring
 
@@ -420,32 +421,19 @@ def decide_pi(n, r) -> Decision:
         raise ValueError("r must be positive")
     pairs = list(itertools.combinations(range(1, 2 * n + 1), 2))
     sympl = {(2 * i + 1, 2 * i + 2) for i in range(n)}
-    rows = []
-    for idx, (k, l) in enumerate(pairs):
-        if (k, l) not in sympl:
-            row = [_ZERO] * len(pairs)
-            row[idx] = _ONE
-            rows.append(row)
-    diag = [i for i, p in enumerate(pairs) if p in sympl]
-    for a in range(len(diag)):
-        for b in range(a + 1, len(diag)):
-            row = [_ZERO] * len(pairs)
-            row[diag[a]] = _ONE
-            row[diag[b]] = _ONE
-            rows.append(row)
+    pair_pos = {p: i for i, p in enumerate(pairs)}
+    rows = [coords({p: _ONE}, pair_pos) for p in pairs if p not in sympl]
+    diag = [p for p in pairs if p in sympl]
+    rows += [coords({p: _ONE, q: _ONE}, pair_pos)
+             for p, q in itertools.combinations(diag, 2)]
     dim = len(pairs) - linalg.rank(rows)
     if n >= 3:
         ext = exterior_algebra(2 * n)
         omega = symplectic_form(ext, n)
         four = ext.basis(4)
         pos = {k: i for i, k in enumerate(four)}
-        cols = []
-        for (i, j) in pairs:
-            prod = omega * subset_monomial(ext, [i, j])
-            col = [_ZERO] * len(four)
-            for k, c in prod.terms.items():
-                col[pos[k]] = c
-            cols.append(col)
+        cols = [coords((omega * subset_monomial(ext, [i, j])).terms, pos)
+                for (i, j) in pairs]
         wedge_dim = len(linalg.kernel_of_columns(cols, len(four)))
         if wedge_dim != dim:
             raise AssertionError("reduced system disagrees with omega ^ eta = 0")

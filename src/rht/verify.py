@@ -21,16 +21,13 @@ from math import comb
 
 from . import fileformat
 from . import homotopy as homotopy_mod
-from . import linalg
 from . import models as models_mod
 from . import scalability as scal_mod
-from .cohomology import DegreeCohomology
+from .cohomology import DegreeCohomology, primitive
 from .cohomology import cohomology as cohomology_of
 from .cdga import DgaMorphism, Element, FreeCdga, TruncatedCdga
 from .presentations import (RingPresentation, projective_ring, sphere_ring,
                             wedge_of_spheres_ring)
-
-_ZERO = Fraction(0)
 
 
 @dataclass
@@ -275,23 +272,10 @@ def embed_table_in_model(table: FreeCdga, model) -> dict:
             for i, e in mon:
                 piece = piece * psi[table.gens[i].name] ** e
             target = target + c * piece
-        deg = table.degree_of(name)
-        keys = list(alg.basis(deg))
-        up = list(alg.basis(deg + 1))
-        pos = {k: i for i, k in enumerate(up)}
-        cols = []
-        for k in keys:
-            col = [_ZERO] * len(up)
-            for k2, c in alg.d_key(k).items():
-                col[pos[k2]] += c
-            cols.append(col)
-        vec = [_ZERO] * len(up)
-        for k, c in target.terms.items():
-            vec[pos[k]] += c
-        sol = linalg.solve_columns(cols, len(up), vec)
-        if sol is None:
+        terms = primitive(alg, target.terms, table.degree_of(name) + 1)
+        if terms is None:
             raise AssertionError(f"no model element solves d(psi({name}))")
-        psi[name] = Element(alg, {k: c for k, c in zip(keys, sol) if c})
+        psi[name] = Element(alg, terms)
 
     for name in ("u_b", "u_c", "v_b", "w_b", "v_c", "w_c", "z"):
         solve(name)
@@ -343,18 +327,7 @@ def run_wedge_table():
     # certificate: psi(dz) is not the differential of anything decomposable,
     # so some degree-13 generator carries the bracket-detecting class
     keys = [m for m in alg.basis(13) if sum(e for _i, e in m) >= 2]
-    up = list(alg.basis(14))
-    pos = {k: i for i, k in enumerate(up)}
-    cols = []
-    for k in keys:
-        col = [_ZERO] * len(up)
-        for k2, c in alg.d_key(k).items():
-            col[pos[k2]] += c
-        cols.append(col)
-    vec = [_ZERO] * len(up)
-    for k, c in dz_image.terms.items():
-        vec[pos[k]] += c
-    if linalg.solve_columns(cols, len(up), vec) is not None:
+    if primitive(alg, dz_image.terms, 14, keys) is not None:
         return CheckResult("wedge-table", 4, False,
                            "psi(dz) bounds a decomposable element; V_13 "
                            "generators are not needed", time.time() - t0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from importlib import resources
 
 import rht.homotopy
+import rht.models
 from rht.cli import main
 from rht.fileformat import MAX_NESTING
 from rht.report import Report
@@ -144,6 +145,36 @@ def test_deeply_nested_input_exits_2(capsys, tmp_path):
                      + "x*x" + ")" * MAX_NESTING + "\n", encoding="utf-8")
     code, out, _ = run_cli(capsys, "cohomology", str(model), "--degree", "4")
     assert code == 0
+
+
+def test_zero_denominator_literals_exit_2(capsys, tmp_path):
+    """A p/0 literal is a user error in all three places that read one."""
+    bad = tmp_path / "f.cdga"
+    bad.write_text("cdga f\ngen x 2\ngen y 3\nd y = 1/0*x^2\n",
+                   encoding="utf-8")
+    pair = ["pair", data_path("wedge335_model.cdga")]
+    for argv, message in (
+            (["cohomology", str(bad)], "line 4: zero denominator in '1/0'"),
+            (pair + ["--class", "u_b", "--bracket", "[1/0*a,b]"],
+             "zero denominator in '1/0'"),
+            (pair + ["--class", "z", "--bracket", "[[a,c],[a,[a,b]]]",
+                     "--scale", "1/0"], "zero denominator in '1/0'")):
+        code, out, err = run_cli(capsys, *argv, "--machine")
+        assert code == 2, argv[:2]
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and "ZeroDivisionError" not in err
+
+
+def test_failed_self_audit_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(rht.models, "is_quasi_isomorphism",
+                        lambda phi, cap: False)
+    code, out, err = run_cli(capsys, "model", data_path("cp2.ring"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: internal check failed: ")
+    assert "quasi-isomorphism audit" in err
+    assert "Traceback" not in err
 
 
 def test_pair_command_scaling(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from rht import (DgaMorphism, FreeCdga, cohomology, is_quasi_isomorphism,
                  relative_cohomology)
-from rht.cohomology import DegreeCohomology, MappingCone
+from rht.cohomology import DegreeCohomology, MappingCone, coords
 from rht.presentations import projective_ring
 from rht import linalg
 
@@ -48,7 +48,7 @@ def test_representatives_are_reduced_cocycles(s2, wedge_table):
             dc = DegreeCohomology(alg, k)
             for cls in res.classes:
                 assert cls.representative.d().is_zero()
-                vec = dc.coords_of_terms(cls.representative.terms)
+                vec = coords(cls.representative.terms, dc.pos)
                 reduced = linalg.reduce_against(vec, dc.boundary_rows,
                                                 dc.boundary_pivots)
                 assert reduced == vec

@@ -1,0 +1,73 @@
+"""``--machine`` reports compared byte for byte with recorded text.
+
+These reports print cohomology representatives and every model generator's
+name and differential, so they pin the refactoring contract: a change to the
+linear algebra underneath must reproduce them exactly.  Paths to the
+packaged data are written as ``$DATA`` and battery timings as ``(N.NNs)``.
+
+``python tests/test_golden_reports.py`` prints the current reports in the
+format of ``golden_reports.txt``.
+"""
+
+import contextlib
+import io
+import re
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from rht.cli import main
+
+DATA = str(resources.files("rht").joinpath("data"))
+GOLDEN = Path(__file__).with_name("golden_reports.txt")
+
+COMMANDS = {
+    "readme-cohomology": ["cohomology", "$DATA/s2_model.cdga", "--through", "7"],
+    "readme-bigraded": ["model", "$DATA/cp2.ring", "--bigraded",
+                        "--through", "12"],
+    "readme-distortion": ["distortion", "$DATA/cp2_model.cdga", "--class", "y"],
+    "readme-scalable": ["scalable", "csum(4*CP2)"],
+    "readme-pair": ["pair", "$DATA/wedge335_model.cdga", "--class", "z",
+                    "--bracket", "[[a,c],[a,[a,b]]]", "--scale", "2"],
+    "model-wedge335-seed": ["model", "$DATA/wedge335_seed.cdga", "--through", "9"],
+    "model-cp2": ["model", "$DATA/cp2.ring", "--through", "12"],
+    "bigraded-wedge335": ["model", "$DATA/wedge335.ring", "--bigraded",
+                          "--through", "11"],
+    "verify-obstruction-massey": ["verify-paper", "--only", "obstruction",
+                                  "massey"],
+}
+
+
+def header(argv):
+    return "== " + " ".join(argv) + "\n"
+
+
+def render(argv):
+    """Header, masked ``--machine`` report and exit code of one command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([a.replace("$DATA", DATA) for a in argv] + ["--machine"])
+    text = out.getvalue().replace(DATA, "$DATA")
+    text = re.sub(r"\(\d+\.\d\ds\)", "(N.NNs)", text)
+    return f"{header(argv)}{text}exit = {code}\n"
+
+
+def recorded():
+    """The blocks of golden_reports.txt, keyed by their header lines."""
+    blocks = re.split(r"(?m)^(?=== )", GOLDEN.read_text())
+    return {b.split("\n", 1)[0] + "\n": b for b in blocks if b}
+
+
+def test_every_command_is_recorded():
+    assert list(recorded()) == [header(argv) for argv in COMMANDS.values()]
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+def test_machine_report_matches_recorded_text(argv):
+    assert render(argv) == recorded()[header(argv)]
+
+
+if __name__ == "__main__":
+    for argv in COMMANDS.values():
+        print(render(argv), end="")

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from rht import (DgaMorphism, FreeCdga, MinimalModel, attach_cell_model,
                  is_quasi_isomorphism, minimal_model, u0_surjectivity)
 from rht.presentations import projective_ring, sphere_ring, wedge_of_spheres_ring
 from rht.verify import (EXPECTED_WEDGE_DIMS, build_wedge_model,
-                        embed_table_in_model, free_lie_generator_counts)
+                        embed_table_in_model, free_lie_generator_counts,
+                        load_fixture)
 
 F = Fraction
 
@@ -180,6 +182,35 @@ def test_bigraded_rejects_nonzero_differential(s2_model):
 
 
 # -- grading automorphisms ----------------------------------------------------
+
+
+def generators_per_degree(model):
+    return Counter(g.degree for g in model.algebra.gens)
+
+
+FORMAL_RINGS = {
+    "S2": lambda: sphere_ring(2),
+    "S3": lambda: sphere_ring(3),
+    "S4": lambda: sphere_ring(4),
+    "CP2": lambda: projective_ring(2, 2),
+    "P(2,3)": lambda: projective_ring(2, 3),
+    "HP2": lambda: projective_ring(4, 2),
+    "S2vS2": lambda: wedge_of_spheres_ring([2, 2]),
+    "S2vS3": lambda: wedge_of_spheres_ring([2, 3]),
+    "S3vS3vS5": lambda: wedge_of_spheres_ring([3, 3, 5]),
+    "s2s2.ring": lambda: load_fixture("s2s2.ring"),
+    "cp2.ring": lambda: load_fixture("cp2.ring"),
+}
+
+
+@pytest.mark.parametrize("make_ring", FORMAL_RINGS.values(),
+                         ids=FORMAL_RINGS.keys())
+def test_minimal_and_bigraded_models_agree_per_degree(make_ring):
+    """Two independent constructions of the model of a formal ring have the
+    same number of generators in every degree."""
+    ring = make_ring()
+    assert generators_per_degree(minimal_model(ring, 8)) == \
+        generators_per_degree(bigraded_model(ring, 8))
 
 
 def test_grading_automorphism_values():
