@@ -123,13 +123,6 @@ class Element:
     def is_homogeneous(self):
         return len({self.alg.key_degree(k) for k in self.terms}) <= 1
 
-    def coefficient(self, key):
-        return self.terms.get(key, _ZERO)
-
-    def homogeneous_part(self, degree):
-        return Element(self.alg, {k: c for k, c in self.terms.items()
-                                  if self.alg.key_degree(k) == degree})
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_same(self, other):
@@ -182,11 +175,20 @@ class Element:
         return NotImplemented
 
     def __pow__(self, n):
+        """Square-and-multiply: about log2(n) products, and zero as soon as a
+        repeated square vanishes (every remaining factor is then zero)."""
         if n < 0:
             raise ValueError("negative powers are not defined")
         out = self.alg.unit()
-        for _ in range(n):
-            out = out * self
+        square = self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
+                if not square.terms:
+                    return square
         return out
 
     def d(self):
@@ -280,24 +282,6 @@ class GradedAlgebra:
                 else:
                     del out[dk]
         return out
-
-    # -- coordinates ---------------------------------------------------------
-
-    def coords(self, element: Element, degree: int):
-        """Coordinate vector of a homogeneous element over basis(degree)."""
-        keys = self.basis(degree)
-        pos = {k: i for i, k in enumerate(keys)}
-        vec = [_ZERO] * len(keys)
-        for k, c in element.terms.items():
-            if self.key_degree(k) != degree:
-                raise ValueError(f"term of degree {self.key_degree(k)} in a "
-                                 f"degree-{degree} coordinate request")
-            vec[pos[k]] = c
-        return vec
-
-    def from_coords(self, degree: int, vec) -> Element:
-        keys = self.basis(degree)
-        return Element(self, {k: Fraction(c) for k, c in zip(keys, vec) if c})
 
     # -- display -------------------------------------------------------------
 
@@ -439,12 +423,6 @@ class FreeCdga(GradedAlgebra):
                          if odd_seq[a] > odd_seq[b])
         key = tuple(sorted(exps.items()))
         return (_ONE if inversions % 2 == 0 else _MINUS_ONE), key
-
-    def monomial_element(self, factors, coeff=1) -> Element:
-        sign, key = self.monomial(factors)
-        if key is None:
-            return self.zero()
-        return Element(self, {key: sign * Fraction(coeff)})
 
     def mul_keys(self, m1, m2):
         if not m1:

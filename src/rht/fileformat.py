@@ -13,6 +13,7 @@ and d*d = 0; parse and validation errors carry the 1-based line number.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .cdga import Element, FreeCdga
@@ -47,8 +48,15 @@ def check_nesting(text, what, line=None):
             depth -= 1
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def rational(text):
-    """Fraction(text), rejecting a zero denominator with a PresentationError."""
+    """A signed integer or p/q literal; anything else Fraction would read
+    (1e3000, 1.5, 1_000) and a zero denominator raise PresentationError."""
+    if not _RATIONAL.fullmatch(text):
+        raise PresentationError(f"malformed rational literal {text!r}: "
+                                "expected an integer or p/q")
     try:
         return Fraction(text)
     except ZeroDivisionError:

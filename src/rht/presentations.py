@@ -29,6 +29,10 @@ class RingPresentation(GradedAlgebra):
     given generators.  ``fundamental_degree`` marks the top degree of a
     Poincare-duality presentation; ``verify_duality()`` checks nonsingularity
     of the induced pairing by exact determinant ranks.
+    ``fundamental_monomial`` is an ambient monomial known to represent the
+    fundamental class, set by builders that know one (connected sums, the
+    equal-powers rings) and None otherwise; ``top_basis_key()`` finds one by
+    computing the top-degree quotient.
     """
 
     def __init__(self, generators, relations=(), *, name="R",
@@ -48,6 +52,7 @@ class RingPresentation(GradedAlgebra):
             rels.append(e)
         self.relations = tuple(rels)
         self.fundamental_degree = fundamental_degree
+        self.fundamental_monomial = None
         self.duality = duality
         self.orientation_note = orientation_note
         self._slices = {}

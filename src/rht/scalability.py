@@ -10,6 +10,12 @@ intersection-complete family machinery, and a descriptor-level classifier.
 Every refutation carries a machine-checkable certificate (a dimension count,
 an exact inertia computation, or a solved linear system); every positive
 verdict carries a witness that round-trips through verify_witness.
+
+Witnesses take one path.  Their images are complementary pairs
+dx_I, s_I dx_(I^c) from ``_complementary_pairs`` (alone, summed or
+subtracted), or a volume or symplectic form, and every builder hands them
+to ``_verified``, which runs verify_witness and raises AssertionError on a
+failed check (an explicit raise, so ``python -O`` keeps it).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .cdga import Element, FreeCdga
+from .cdga import DgaMorphism, Element, FreeCdga
 from .cohomology import coords
 from .fileformat import check_nesting
 from .presentations import RingPresentation, projective_ring, sphere_ring
@@ -45,22 +51,22 @@ def subset_monomial(ext: FreeCdga, subset) -> Element:
     return Element(ext, {key: _ONE})
 
 
-def complement_sign(ext: FreeCdga, subset, total) -> Fraction:
-    """Sign s with dx_subset ^ dx_complement = s * volume."""
-    comp = [i for i in total if i not in subset]
-    prod = subset_monomial(ext, subset) * subset_monomial(ext, comp)
-    vol = subset_monomial(ext, total)
-    key = next(iter(vol.terms))
-    return prod.terms.get(key, _ZERO)
+def _complementary_pairs(ext: FreeCdga, subsets, total):
+    """(dx_I, s_I * dx_(I^c)) for each index set I, where I^c is taken in
+    ``total`` and the sign s_I makes dx_I ^ s_I dx_(I^c) the volume form."""
+    pairs = []
+    for subset in subsets:
+        comp = [i for i in total if i not in subset]
+        swaps = sum(1 for i in subset for j in comp if j < i)
+        pairs.append((subset_monomial(ext, subset),
+                      (-1) ** swaps * subset_monomial(ext, comp)))
+    return pairs
 
 
 def symplectic_form(ext: FreeCdga, n, *, first_index=1) -> Element:
     """dx1^dx2 + dx3^dx4 + ... + dx(2n-1)^dx(2n)."""
-    out = ext.zero()
-    for i in range(n):
-        lo = first_index + 2 * i
-        out = out + subset_monomial(ext, [lo, lo + 1])
-    return out
+    return ext.sum(subset_monomial(ext, [lo, lo + 1])
+                   for lo in range(first_index, first_index + 2 * n, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +90,6 @@ class EmbeddingWitness:
                     f"witness image of {name!r} is not homogeneous of degree {want}")
 
     def morphism(self):
-        from .cdga import DgaMorphism
         return DgaMorphism(self.ring.ambient, self.target, self.images, check=True)
 
 
@@ -110,7 +115,9 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
             return WitnessReport(False, failing_relation=repr(rel),
                                  message=f"relation {rel} maps to {img}")
     if ring.duality:
-        mu = fundamental_class_monomial(ring)
+        mu = ring.fundamental_monomial
+        if mu is None:
+            mu = ring.top_basis_key()
         img = phi.apply(Element(ring.ambient, {mu: _ONE}))
         if img.is_zero():
             return WitnessReport(False, failing_degree=ring.fundamental_degree,
@@ -123,10 +130,8 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
         basis = ring.basis(k)
         if not basis:
             continue
-        rows = []
-        for mon in basis:
-            img = phi.apply(Element(ring.ambient, {mon: _ONE}))
-            rows.append(witness.target.coords(img, k))
+        pos = {key: i for i, key in enumerate(witness.target.basis(k))}
+        rows = [coords(phi.apply_terms({mon: _ONE}), pos) for mon in basis]
         if linalg.rank(rows) != len(basis):
             return WitnessReport(False, failing_degree=k,
                                  message=f"images of the degree-{k} basis are "
@@ -134,16 +139,15 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
     return WitnessReport(True, message="relations and degreewise independence verified")
 
 
-def fundamental_class_monomial(ring):
-    """Ambient monomial representing the fundamental class.
-
-    Connected-sum rings expose one directly (no quotient computation); other
-    presentations fall back to the rank-1 top-degree basis.
-    """
-    mono = getattr(ring, "fundamental_monomial", None)
-    if mono is not None:
-        return mono
-    return ring.top_basis_key()
+def _verified(ring, ext, images, what, note=None) -> EmbeddingWitness:
+    """The witness sending generators to ``images``, checked by
+    verify_witness; a witness that fails is an internal error and raises."""
+    witness = EmbeddingWitness(ring, ext, images, note=note)
+    report = verify_witness(ring, witness)
+    if not report.passed:
+        raise AssertionError(f"{what} witness failed verification: "
+                             f"{report.message}")
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -272,38 +276,34 @@ def omega_ring(n, r, *, name=None) -> RingPresentation:
     return connected_sum_ring([("sphere_product", n, n)] * r, name=name)
 
 
+def _equal_powers_ring(r, degree, power, name) -> RingPresentation:
+    """r generators a_i of one even degree with zero cross products and
+    a_i^power = a_1^power; a_1^power is the fundamental monomial.  The
+    relations live in a free algebra that RingPresentation re-homes."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    amb = FreeCdga([(f"a{i}", degree) for i in range(1, r + 1)])
+    gens = [amb[g.name] for g in amb.gens]
+    top = gens[0] ** power
+    rels = [x * y for x, y in itertools.combinations(gens, 2)]
+    rels += [x ** power - top for x in gens[1:]]
+    ring = RingPresentation([(g.name, degree) for g in amb.gens], rels,
+                            name=name, fundamental_degree=degree * power,
+                            duality=True)
+    ring.fundamental_monomial = next(iter(top.terms))
+    return ring
+
+
 def sigma_ring(n, r, *, name=None) -> RingPresentation:
     """r generators of even degree n with equal squares and zero cross products."""
     if n % 2 == 1:
         raise ValueError("sigma family needs even generator degree")
-    gens = [(f"a{i}", n) for i in range(1, r + 1)]
-    amb = FreeCdga(gens)
-    rels = []
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            rels.append(amb[f"a{i}"] * amb[f"a{j}"])
-    for i in range(2, r + 1):
-        rels.append(amb[f"a{i}"] ** 2 - amb["a1"] ** 2)
-    ring = RingPresentation(gens, rels, name=name or f"Sigma({n},{r})",
-                            fundamental_degree=2 * n, duality=True)
-    ring.fundamental_monomial = next(iter((amb["a1"] ** 2).terms))
-    return ring
+    return _equal_powers_ring(r, n, 2, name or f"Sigma({n},{r})")
 
 
 def pi_ring(n, r, *, name=None) -> RingPresentation:
     """r degree-2 generators with equal n-th powers and zero cross products."""
-    gens = [(f"a{i}", 2) for i in range(1, r + 1)]
-    amb = FreeCdga(gens)
-    rels = []
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            rels.append(amb[f"a{i}"] * amb[f"a{j}"])
-    for i in range(2, r + 1):
-        rels.append(amb[f"a{i}"] ** n - amb["a1"] ** n)
-    ring = RingPresentation(gens, rels, name=name or f"Pi({n},{r})",
-                            fundamental_degree=2 * n, duality=True)
-    ring.fundamental_monomial = next(iter((amb["a1"] ** n).terms))
-    return ring
+    return _equal_powers_ring(r, 2, n, name or f"Pi({n},{r})")
 
 
 @dataclass
@@ -330,6 +330,13 @@ def _subsets_containing_first(n, r, total, first):
     return out
 
 
+def _middle_pairs(ext, n, r):
+    """Complementary pairs of Lambda^n R^(2n) for the first r size-n subsets
+    of {1..2n} containing 1; no two of them share an index set."""
+    return _complementary_pairs(ext, _subsets_containing_first(n, r, 2 * n, 1),
+                                range(1, 2 * n + 1))
+
+
 def decide_omega(n, r) -> Decision:
     """Embeddability of the #r(S^n x S^n) ring in an exterior algebra.
 
@@ -349,19 +356,11 @@ def decide_omega(n, r) -> Decision:
             f"dim Lambda^{n} R^{2 * n} = {comb(2 * n, n)}",
             2 * r, comb(2 * n, n))
         return Decision("omega", n, r, False, bound, refutation=cert)
-    ring = omega_ring(n, r)
     ext = exterior_algebra(2 * n)
-    total = range(1, 2 * n + 1)
     images = {}
-    for i, subset in enumerate(_subsets_containing_first(n, r, 2 * n, 1), start=1):
-        comp = [x for x in total if x not in subset]
-        sign = complement_sign(ext, subset, total)
-        images[f"a{i}"] = subset_monomial(ext, subset)
-        images[f"b{i}"] = sign * subset_monomial(ext, comp)
-    witness = EmbeddingWitness(ring, ext, images)
-    report = verify_witness(ring, witness)
-    if not report.passed:
-        raise AssertionError(f"omega witness failed verification: {report.message}")
+    for i, (first, second) in enumerate(_middle_pairs(ext, n, r), start=1):
+        images[f"a{i}"], images[f"b{i}"] = first, second
+    witness = _verified(omega_ring(n, r), ext, images, "omega")
     return Decision("omega", n, r, True, bound, witness=witness)
 
 
@@ -388,18 +387,10 @@ def decide_sigma(n, r) -> Decision:
             f"({sig.positive}, {sig.negative})",
             sig.positive, sig.negative, r)
         return Decision("sigma", n, r, False, bound, refutation=cert)
-    ring = sigma_ring(n, r)
     ext = exterior_algebra(2 * n)
-    total = range(1, 2 * n + 1)
-    images = {}
-    for i, subset in enumerate(_subsets_containing_first(n, r, 2 * n, 1), start=1):
-        comp = [x for x in total if x not in subset]
-        sign = complement_sign(ext, subset, total)
-        images[f"a{i}"] = subset_monomial(ext, subset) + sign * subset_monomial(ext, comp)
-    witness = EmbeddingWitness(ring, ext, images)
-    report = verify_witness(ring, witness)
-    if not report.passed:
-        raise AssertionError(f"sigma witness failed verification: {report.message}")
+    images = {f"a{i}": first + second
+              for i, (first, second) in enumerate(_middle_pairs(ext, n, r), start=1)}
+    witness = _verified(sigma_ring(n, r), ext, images, "sigma")
     return Decision("sigma", n, r, True, bound, witness=witness)
 
 
@@ -586,9 +577,6 @@ class SetFamily:
             norm.append(fs)
         object.__setattr__(self, "members", tuple(norm))
 
-    def complement(self, member):
-        return frozenset(range(self.ground)) - member
-
 
 def intersection_complete(family: SetFamily):
     """All four intersections of I or I^c with J or J^c are nonempty,
@@ -627,29 +615,23 @@ def family_local_forms(family: SetFamily) -> FamilyForms:
                          f"and {J} have empty {quadrant}")
     k1 = family.ground
     ext = exterior_algebra(k1, first_index=0)
-    total = range(0, k1)
+    pairs = _complementary_pairs(ext, [sorted(m) for m in family.members],
+                                 range(k1))
     atoms = []
     images = {}
     caveat = None
-    for i, member in enumerate(family.members, start=1):
+    for i, (member, (first, second)) in enumerate(zip(family.members, pairs),
+                                                  start=1):
         size = len(member)
         atoms.append(("sphere_product", size, k1 - size))
         if min(size, k1 - size) == 1:
             caveat = ("some summands have circle factors; the ring witness "
                       "ignores the simple-connectivity hypothesis")
-        comp = sorted(family.complement(member))
-        sign = complement_sign(ext, sorted(member), total)
-        first = subset_monomial(ext, sorted(member))
-        second = sign * subset_monomial(ext, comp)
-        if size <= k1 - size:
-            images[f"a{i}"], images[f"b{i}"] = first, second
-        else:
-            images[f"a{i}"], images[f"b{i}"] = second, first
+        if size > k1 - size:
+            first, second = second, first
+        images[f"a{i}"], images[f"b{i}"] = first, second
     ring = connected_sum_ring(atoms, name=f"X({family.ground};{len(atoms)})")
-    witness = EmbeddingWitness(ring, ext, images, note=caveat)
-    report = verify_witness(ring, witness)
-    if not report.passed:
-        raise AssertionError(f"family witness failed verification: {report.message}")
+    witness = _verified(ring, ext, images, "family", note=caveat)
     return FamilyForms(family, ring, witness, caveat)
 
 
@@ -827,29 +809,24 @@ def _classify_node(node, text) -> Classification:
 
 
 def _sphere_witness(k):
-    ring = sphere_ring(k)
+    """The k-sphere's generator goes to the volume form of R^k."""
     ext = exterior_algebra(k)
     images = {"x": subset_monomial(ext, range(1, k + 1))}
-    witness = EmbeddingWitness(ring, ext, images)
-    report = verify_witness(ring, witness)
-    assert report.passed
-    return witness
+    return _verified(sphere_ring(k), ext, images, "sphere")
 
 
 def _projective_witness(gen_degree, power):
-    ring = projective_ring(gen_degree, power)
-    half = gen_degree // 2 if gen_degree % 2 == 0 else None
+    """CP^power: the symplectic form of R^(2 power); a projective plane on
+    a generator of degree d > 2: dx_(1..d) + dx_(d+1..2d)."""
     if gen_degree == 2:
         ext = exterior_algebra(2 * power)
         img = symplectic_form(ext, power)
     else:
         ext = exterior_algebra(2 * gen_degree)
-        img = (subset_monomial(ext, range(1, gen_degree + 1))
-               + subset_monomial(ext, range(gen_degree + 1, 2 * gen_degree + 1)))
-    witness = EmbeddingWitness(ring, ext, {"x": img})
-    report = verify_witness(ring, witness)
-    assert report.passed, report.message
-    return witness
+        ((first, second),) = _middle_pairs(ext, gen_degree, 1)
+        img = first + second
+    return _verified(projective_ring(gen_degree, power), ext, {"x": img},
+                     "projective")
 
 
 def _classify_csum(node: CSum, text) -> Classification:
@@ -958,23 +935,9 @@ def _plane_sum_witness(gd, plus, minus):
     ring = connected_sum_ring([("projective", gd, 2)] * (plus + minus),
                               [1] * plus + [-1] * minus)
     ext = exterior_algebra(2 * gd)
-    total = range(1, 2 * gd + 1)
-    subsets = _subsets_containing_first(gd, max(plus, minus), 2 * gd, 1)
-    images = {}
-    for i in range(1, plus + 1):
-        subset = subsets[i - 1]
-        comp = [x for x in total if x not in subset]
-        sign = complement_sign(ext, subset, total)
-        images[f"x{i}"] = (subset_monomial(ext, subset)
-                           + sign * subset_monomial(ext, comp))
-    for j in range(1, minus + 1):
-        subset = subsets[j - 1]
-        comp = [x for x in total if x not in subset]
-        sign = complement_sign(ext, subset, total)
-        images[f"x{plus + j}"] = (subset_monomial(ext, subset)
-                                  - sign * subset_monomial(ext, comp))
-    witness = EmbeddingWitness(ring, ext, images)
-    report = verify_witness(ring, witness)
-    if not report.passed:
-        raise AssertionError(f"plane-sum witness failed: {report.message}")
-    return witness
+    pairs = _middle_pairs(ext, gd, max(plus, minus))
+    images = {f"x{i}": first + second
+              for i, (first, second) in enumerate(pairs[:plus], start=1)}
+    images.update({f"x{plus + j}": first - second
+                   for j, (first, second) in enumerate(pairs[:minus], start=1)})
+    return _verified(ring, ext, images, "plane-sum")

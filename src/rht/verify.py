@@ -248,6 +248,18 @@ def build_wedge_model(cap=13):
         wedge_of_spheres_ring([3, 3, 5], name="wedge335"), cap)
 
 
+def _mapped_differential(table: FreeCdga, alg, psi, name):
+    """psi(d name): the table differential of ``name`` with every table
+    generator replaced by its image under ``psi``, in the model ``alg``."""
+    out = alg.zero()
+    for mon, c in table.differential_of(name).terms.items():
+        piece = alg.unit()
+        for i, e in mon:
+            piece = piece * psi[table.gens[i].name] ** e
+        out = out + c * piece
+    return out
+
+
 def embed_table_in_model(table: FreeCdga, model) -> dict:
     """Solve a chain-map embedding of the fixture table into the model.
 
@@ -264,21 +276,12 @@ def embed_table_in_model(table: FreeCdga, model) -> dict:
         raise AssertionError("wedge model lacks the expected closed generators")
     psi = {"a": alg[closed3[0]], "b": alg[closed3[1]], "c": alg[closed5[0]]}
 
-    def solve(name):
-        dv = table.differential_of(name)
-        target = alg.zero()
-        for mon, c in dv.terms.items():
-            piece = alg.unit()
-            for i, e in mon:
-                piece = piece * psi[table.gens[i].name] ** e
-            target = target + c * piece
+    for name in ("u_b", "u_c", "v_b", "w_b", "v_c", "w_c", "z"):
+        target = _mapped_differential(table, alg, psi, name)
         terms = primitive(alg, target.terms, table.degree_of(name) + 1)
         if terms is None:
             raise AssertionError(f"no model element solves d(psi({name}))")
         psi[name] = Element(alg, terms)
-
-    for name in ("u_b", "u_c", "v_b", "w_b", "v_c", "w_c", "z"):
-        solve(name)
     return psi
 
 
@@ -314,12 +317,7 @@ def run_wedge_table():
                                time.time() - t0)
     psi = embed_table_in_model(table, model)
     alg = model.algebra
-    dz_image = alg.zero()
-    for mon, c in table.differential_of("z").terms.items():
-        piece = alg.unit()
-        for i, e in mon:
-            piece = piece * psi[table.gens[i].name] ** e
-        dz_image = dz_image + c * piece
+    dz_image = _mapped_differential(table, alg, psi, "z")
     if psi["z"].d() != dz_image or dz_image.is_zero():
         return CheckResult("wedge-table", 4, False,
                            "table embedding does not satisfy d(psi z) = psi(dz)",

@@ -166,6 +166,22 @@ def test_zero_denominator_literals_exit_2(capsys, tmp_path):
         assert "Traceback" not in err and "ZeroDivisionError" not in err
 
 
+def test_non_integer_literals_exit_2(capsys):
+    """--scale and bracket multipliers take integers and p/q only: exponent
+    notation would otherwise scale the pairing by an unbounded number."""
+    pair = ["pair", data_path("wedge335_model.cdga"), "--class", "u_b"]
+    cases = [["--bracket", f"[{lit}*a,b]"]
+             for lit in ("1e3000", "1e5", "1_000", "0x10", "2/-3")]
+    cases += [["--bracket", "[a,b]", "--scale", lit]
+              for lit in ("1e3000", "1e5", "1.5", "1_000", " 2", "2/-3")]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *pair, *argv, "--machine")
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and "malformed rational literal" in err
+        assert "Traceback" not in err
+
+
 def test_failed_self_audit_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(rht.models, "is_quasi_isomorphism",
                         lambda phi, cap: False)

@@ -1,8 +1,12 @@
+import time
+
 import pytest
 
 from rht import FreeCdga, RingPresentation
+from rht.cli import main
 from rht.fileformat import (PresentationError, dumps, load, loads,
                             parse_expression, same_presentation)
+from rht.report import Report
 
 
 S2_TEXT = """\
@@ -97,3 +101,16 @@ def test_load_from_path(tmp_path):
     p.write_text(S2_TEXT, encoding="utf-8")
     alg = load(p)
     assert alg.name == "s2"
+
+
+@pytest.mark.parametrize("degree,ranks", [(2, "1,0,1,0,1"), (3, "1,0,0,1,0")])
+def test_huge_exponent_loads_quickly(tmp_path, capsys, degree, ranks):
+    """x^N costs about log2(N) products, and an odd x^N is zero at once."""
+    p = tmp_path / "big.ring"
+    p.write_text(f"ring big\ngen x {degree}\nrel x^99999999999\n",
+                 encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["cohomology", str(p), "--through", "4", "--machine"])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert Report.parse(capsys.readouterr().out).get("ranks") == ranks

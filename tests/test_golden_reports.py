@@ -36,6 +36,14 @@ COMMANDS = {
                           "--through", "11"],
     "verify-obstruction-massey": ["verify-paper", "--only", "obstruction",
                                   "massey"],
+    # one positive verdict per witness builder: sphere, symplectic power,
+    # complementary pair, omega, plane sum with both signs, set family
+    "scalable-sphere": ["scalable", "S3"],
+    "scalable-symplectic": ["scalable", "CP3"],
+    "scalable-pair": ["scalable", "HP2"],
+    "scalable-omega": ["scalable", "csum(3*(S2xS2))"],
+    "scalable-plane-sum": ["scalable", "csum(2*CP2,rev(CP2))"],
+    "scalable-family": ["scalable", "csum(2*(S2xS4))"],
 }
 
 

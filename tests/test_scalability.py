@@ -1,17 +1,24 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import rht
 from rht import (EmbeddingWitness, FreeCdga, SetFamily, classify,
                  connected_sum_ring, decide_omega, decide_pi, decide_sigma,
                  exterior_algebra, family_local_forms, intersection_complete,
                  rank_bound_check, verify_witness, wedge_pairing_signature)
 from rht.presentations import RingPresentation
 from rht.scalability import (Atom, CSum, DimensionCountRefutation, Prod,
-                             Wedge, omega_ring, parse_descriptor, sigma_ring,
+                             Wedge, omega_ring, parse_descriptor, pi_ring,
+                             sigma_ring,
                              SCALABLE, NOT_SCALABLE, UNKNOWN)
 
 F = Fraction
@@ -124,6 +131,24 @@ def test_sigma_rejects_odd_degree():
 def test_sigma_rejects_nonpositive_r(r):
     with pytest.raises(ValueError, match="n and r must be positive"):
         decide_sigma(4, r)
+    for build in (sigma_ring, pi_ring):
+        with pytest.raises(ValueError, match="r must be positive"):
+            build(4, r)
+
+
+def test_equal_powers_witness_and_relations_are_pinned():
+    """Witness images, relation order and fundamental monomials, as printed."""
+    images = decide_sigma(2, 3).witness.images
+    assert {k: repr(v) for k, v in images.items()} == {
+        "a1": "dx1*dx2 + dx3*dx4", "a2": "dx1*dx3 - dx2*dx4",
+        "a3": "dx1*dx4 + dx2*dx3"}
+    sigma, pi = sigma_ring(2, 3), pi_ring(3, 3)
+    assert [repr(r) for r in sigma.relations] == [
+        "a1*a2", "a1*a3", "a2*a3", "-a1^2 + a2^2", "-a1^2 + a3^2"]
+    assert [repr(r) for r in pi.relations] == [
+        "a1*a2", "a1*a3", "a2*a3", "-a1^3 + a2^3", "-a1^3 + a3^3"]
+    assert sigma.fundamental_monomial == ((0, 2),)
+    assert pi.fundamental_monomial == ((0, 3),)
 
 
 @pytest.mark.parametrize("n,dim", [(2, 1), (3, 0), (4, 0), (5, 0), (6, 0)])
@@ -457,6 +482,30 @@ def test_every_scalable_verdict_carries_verified_witness():
         assert got.verdict == SCALABLE
         assert got.witness is not None
         assert verify_witness(got.witness.ring, got.witness).passed
+
+
+def test_failed_witness_check_raises_under_optimized_python():
+    """A witness that fails verify_witness is never returned, even with -O."""
+    script = textwrap.dedent("""
+        import rht.scalability as sc
+        sc.verify_witness = lambda ring, witness: sc.WitnessReport(
+            False, message="forced failure")
+        for descriptor in ("S3", "CP3"):
+            try:
+                sc.classify(descriptor)
+            except AssertionError as exc:
+                print(descriptor, "raised", exc)
+            else:
+                print(descriptor, "returned")
+    """)
+    src = str(Path(rht.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.splitlines() == [
+        "S3 raised sphere witness failed verification: forced failure",
+        "CP3 raised projective witness failed verification: forced failure"]
 
 
 def test_unsupported_descriptors_rejected():
