@@ -14,6 +14,7 @@ and d*d = 0; parse and validation errors carry the 1-based line number.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .cdga import Element, FreeCdga
@@ -51,12 +52,25 @@ def check_nesting(text, what, line=None):
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _check_digits(digits, line=None):
+    """Reject a digit run longer than the interpreter's int-string limit
+    (``sys.get_int_max_str_digits()``, 0 for none), before int() sees it."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        shown = f"{digits[:12]}...{digits[-4:]}"
+        raise PresentationError(f"numeric literal {shown!r} has {len(digits)} "
+                                f"digits; at most {limit} are accepted", line)
+
+
 def rational(text):
     """A signed integer or p/q literal; anything else Fraction would read
-    (1e3000, 1.5, 1_000) and a zero denominator raise PresentationError."""
+    (1e3000, 1.5, 1_000), a part longer than the int-string limit and a
+    zero denominator raise PresentationError."""
     if not _RATIONAL.fullmatch(text):
         raise PresentationError(f"malformed rational literal {text!r}: "
                                 "expected an integer or p/q")
+    for digits in text.lstrip("+-").split("/"):
+        _check_digits(digits)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -78,6 +92,7 @@ def _tokenize(text, line):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            _check_digits(text[i:j], line)
             num = int(text[i:j])
             if j < len(text) and text[j] == "/":
                 k = j + 1
@@ -86,6 +101,7 @@ def _tokenize(text, line):
                 m = k
                 while m < len(text) and text[m].isdigit():
                     m += 1
+                _check_digits(text[k:m], line)
                 den = int(text[k:m])
                 if not den:
                     raise PresentationError(

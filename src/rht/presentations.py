@@ -47,7 +47,8 @@ class RingPresentation(GradedAlgebra):
                 e = self.ambient.adopt(e)
             if e.is_zero():
                 continue
-            if not e.is_homogeneous():
+            # a single monomial is homogeneous; only sums need the check
+            if len(e.terms) > 1 and not e.is_homogeneous():
                 raise ValueError(f"relation {e} is not homogeneous")
             rels.append(e)
         self.relations = tuple(rels)

@@ -16,6 +16,14 @@ dx_I, s_I dx_(I^c) from ``_complementary_pairs`` (alone, summed or
 subtracted), or a volume or symplectic form, and every builder hands them
 to ``_verified``, which runs verify_witness and raises AssertionError on a
 failed check (an explicit raise, so ``python -O`` keeps it).
+
+Witness targets are exterior algebras, free on degree-1 generators, so a
+target monomial is a set of generator indices.  verify_witness turns each
+generator's image into a {bitmask: coefficient} dict once and maps every
+relation in full on masks: overlapping masks multiply to zero, and disjoint
+ones to their union with the sign of the inversions between them.  Each
+relation is checked once, and only a failing one is mapped again, through
+the morphism, to render the report.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .cdga import DgaMorphism, Element, FreeCdga
+from .cdga import DgaMorphism, Element, FreeCdga, accumulate
 from .cohomology import coords
 from .fileformat import check_nesting
 from .presentations import RingPresentation, projective_ring, sphere_ring
@@ -75,7 +83,13 @@ def symplectic_form(ext: FreeCdga, n, *, first_index=1) -> Element:
 
 @dataclass
 class EmbeddingWitness:
-    """Assignment of presentation generators to exterior-algebra elements."""
+    """Assignment of presentation generators to exterior-algebra elements.
+
+    The target must be an exterior algebra: a ``FreeCdga`` whose generators
+    all have degree 1, so that every monomial is a set of generator indices.
+    verify_witness relies on this to multiply images as bitmasks; any other
+    target raises ValueError.
+    """
 
     ring: RingPresentation
     target: FreeCdga
@@ -83,6 +97,10 @@ class EmbeddingWitness:
     note: str | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.target, FreeCdga)
+                and all(g.degree == 1 for g in self.target.gens)):
+            raise ValueError("witness target must be an exterior algebra: a "
+                             "FreeCdga whose generators all have degree 1")
         for name, img in self.images.items():
             want = self.ring.degree_of(name)
             if img and not (img.is_homogeneous() and img.degree == want):
@@ -101,17 +119,86 @@ class WitnessReport:
     message: str = ""
 
 
+def _masks(terms):
+    """Exterior-algebra terms as {mask: coefficient}: bit i of a mask stands
+    for target generator i, and a monomial is its set of indices."""
+    out = {}
+    for key, c in terms.items():
+        mask = 0
+        for i, _e in key:
+            mask |= 1 << i
+        out[mask] = c
+    return out
+
+
+def _wedge_masks(t1, t2):
+    """Exterior product of two mask dicts.  Overlapping masks give zero;
+    otherwise the sign is the parity of the inversions between the index
+    sets, the pairs i in m1, j in m2 with i > j."""
+    out = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            if m1 & m2:
+                continue
+            swaps = 0
+            rest = m2
+            while rest:
+                low = rest & -rest
+                swaps += (m1 & -(low << 1)).bit_count()
+                rest ^= low
+            x = -c1 * c2 if swaps & 1 else c1 * c2
+            m = m1 | m2
+            v = out.get(m)
+            if v is None:
+                out[m] = x
+            elif v := v + x:
+                out[m] = v
+            else:
+                del out[m]
+    return out
+
+
+def _relation_image(terms, gen_masks, cache):
+    """Image of ambient terms as a mask dict, given each generator's image
+    as a mask dict; ``cache`` keeps the image of each ambient key."""
+    out = {}
+    for key, c in terms.items():
+        img = cache.get(key)
+        if img is None:
+            for i, e in key:
+                for _ in range(e):
+                    img = (gen_masks[i] if img is None
+                           else _wedge_masks(img, gen_masks[i]))
+            if img is None:          # the unit key
+                img = {0: _ONE}
+            cache[key] = img
+        if img:
+            accumulate(out, img, c)
+    return out
+
+
 def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> WitnessReport:
     """Relations map to zero and the presented basis stays independent.
+
+    ``witness.morphism()`` checks the chain-map condition.  Every relation is
+    then mapped in full and tested for zero, once, on bitmasks: each
+    generator's image becomes a {mask: coefficient} dict (the exterior
+    target makes a monomial a set of indices) and products run through
+    _wedge_masks.  The first relation whose image is nonzero is rendered
+    through the morphism for the report.
 
     With the duality flag set, independence reduces to nonvanishing of the
     image of the fundamental class: multiplicativity plus a nonsingular
     pairing force every nonzero element to survive.
     """
+    if ring.ambient is not witness.ring.ambient:
+        raise ValueError("the witness belongs to another presentation")
     phi = witness.morphism()
+    gen_masks = [_masks(phi.images[g.name].terms) for g in ring.ambient.gens]
+    cache = {}
     for rel in ring.relations:
-        img = phi.apply(rel)
-        if not img.is_zero():
+        if _relation_image(rel.terms, gen_masks, cache):
+            img = phi.apply(rel)
             return WitnessReport(False, failing_relation=repr(rel),
                                  message=f"relation {rel} maps to {img}")
     if ring.duality:
@@ -506,19 +593,20 @@ class ConnectedSumRing(RingPresentation):
         tops = []
         for atom, idx in zip(atoms, atom_index):
             if atom[0] == "sphere_product":
-                rels.extend({((p, 2),): 1} for p in idx if even[p])
+                rels.extend({((p, 2),): _ONE} for p in idx if even[p])
                 tops.append(tuple((p, 1) for p in idx))
             else:
                 (p,) = idx
                 if even[p]:
-                    rels.append({((p, atom[2] + 1),): 1})
+                    rels.append({((p, atom[2] + 1),): _ONE})
                 tops.append(((p, atom[2]),))
         for i, left in enumerate(atom_index):
             for right in atom_index[i + 1:]:
-                rels.extend({((p, 1), (q, 1)): 1} for p in left for q in right)
+                rels.extend({((p, 1), (q, 1)): _ONE}
+                            for p in left for q in right)
         mu, sign = tops[0], orientations[0]
         for top, o in zip(tops[1:], orientations[1:]):
-            rels.append({top: o, mu: -sign})
+            rels.append({top: Fraction(o), mu: Fraction(-sign)})
 
         super().__init__(gens, rels,
                          name=name or "#".join(_atom_label(a, o)

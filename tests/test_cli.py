@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
+import pytest
+
 import rht.homotopy
 import rht.models
 from rht.cli import main
@@ -275,3 +277,21 @@ def test_cli_subprocess_smoke():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verdict = Scalable" in proc.stdout
+
+
+def test_overlong_scale_literal_exits_2(capsys):
+    """--scale and bracket multipliers longer than the int-string limit get
+    a message about the literal, not about the interpreter."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no int-string limit")
+    ones = "1" * (limit + 700)
+    pair = ["pair", data_path("wedge335_model.cdga"), "--class", "u_b"]
+    for argv in (["--bracket", "[a,b]", "--scale", ones],
+                 ["--bracket", f"[{ones}*a,b]"]):
+        code, out, err = run_cli(capsys, *pair, *argv, "--machine")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: numeric literal '111111111111...1111' "
+                              f"has {limit + 700} digits; at most {limit}")
+        assert "Exceeds the limit" not in err and "Traceback" not in err

@@ -1,11 +1,13 @@
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from rht import FreeCdga, RingPresentation
 from rht.cli import main
 from rht.fileformat import (PresentationError, dumps, load, loads,
-                            parse_expression, same_presentation)
+                            parse_expression, rational, same_presentation)
 from rht.report import Report
 
 
@@ -114,3 +116,35 @@ def test_huge_exponent_loads_quickly(tmp_path, capsys, degree, ranks):
     assert time.perf_counter() - start < 5
     assert code == 0
     assert Report.parse(capsys.readouterr().out).get("ranks") == ranks
+
+
+def test_overlong_literal_is_a_presentation_error(tmp_path, capsys):
+    """A coefficient longer than the int-string limit is named with its line
+    before int() sees it; a literal exactly at the limit still loads."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no int-string limit")
+    long = "7" * (limit + 700)
+    for text, line in ((f"ring big\ngen x 2\nrel {long}*x^2\n", 3),
+                       (f"ring big\ngen x 2\n\nrel x^2 - 1/{long}*x^2\n", 4),
+                       (f"ring big\ngen x 2\nrel x^{long}\n", 3)):
+        with pytest.raises(PresentationError) as exc:
+            loads(text)
+        assert exc.value.line == line
+        assert f"has {limit + 700} digits; at most {limit}" in str(exc.value)
+        assert "777777777777...7777" in str(exc.value)
+    p = tmp_path / "big.ring"
+    p.write_text(f"ring big\ngen x 2\nrel {long}*x^2\n", encoding="utf-8")
+    assert main(["cohomology", str(p), "--through", "4", "--machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 3: numeric literal")
+    at_limit = "7" * limit
+    ring = loads(f"ring edge\ngen x 2\nrel {at_limit}/{at_limit[1:]}*x^2\n")
+    (rel,) = ring.relations
+    assert rel.terms == {((0, 2),): Fraction(int(at_limit), int(at_limit[1:]))}
+    assert rational(at_limit) == int(at_limit)
+    assert rational(f"-1/{at_limit}") == Fraction(-1, int(at_limit))
+    for text in (long, f"-{long}", f"1/{long}", f"{long}/3"):
+        with pytest.raises(PresentationError, match="digits; at most"):
+            rational(text)

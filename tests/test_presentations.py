@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from rht import FreeCdga, RingPresentation, cohomology
+from rht import FreeCdga, RingPresentation, cohomology, connected_sum_ring
 from rht.presentations import projective_ring, sphere_ring, wedge_of_spheres_ring
+from rht.scalability import sigma_ring
 
 F = Fraction
 
@@ -58,3 +59,38 @@ def test_reduction_is_linear_over_degrees():
     e = 2 * x ** 3 - x ** 2 * 5
     assert e == 2 * (x ** 3) - 5 * (x ** 2)
     assert (x ** 4).is_zero()
+
+
+# -- relation intake ----------------------------------------------------------
+
+
+def test_multi_term_inhomogeneous_relations_rejected():
+    """Only one-term relations skip the degree check, and one monomial is
+    always homogeneous."""
+    amb = FreeCdga([("x", 2), ("y", 3), ("z", 4)])
+    gens = [("x", 2), ("y", 3), ("z", 4)]
+    for rel in (amb["x"] ** 2 + amb["y"] * amb["x"],
+                amb["z"] - amb["x"] ** 2 + amb["y"],
+                {((0, 1),): 1, ((1, 1),): F(2)}):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            RingPresentation(gens, [rel])
+    ring = RingPresentation(gens, [{((0, 1), (1, 1)): 3}, amb["z"] - amb["x"] ** 2])
+    assert [r.degree for r in ring.relations] == [5, 4]
+
+
+def test_stored_coefficients_are_clean_fractions():
+    """Int, Fraction and Element relations, re-homed ones and the direct
+    term dicts of connected sums are all stored as nonzero Fractions."""
+    amb = FreeCdga([("x", 2), ("y", 2)])
+    rings = [RingPresentation([("x", 2), ("y", 2)],
+                              [{((0, 2),): 2, ((1, 2),): F(-1, 3)},
+                               {((0, 1), (1, 1)): 0}, amb["x"] * amb["y"]]),
+             connected_sum_ring([("sphere_product", 2, 2)] * 2
+                                + [("projective", 2, 2)], [1, -1, -1]),
+             sigma_ring(2, 3), projective_ring(2, 3)]
+    for ring in rings:
+        assert ring.relations
+        for rel in ring.relations:
+            assert rel.alg is ring.ambient
+            assert all(type(c) is Fraction and c != 0
+                       for c in rel.terms.values())

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,11 +16,16 @@ from rht import (EmbeddingWitness, FreeCdga, SetFamily, classify,
                  connected_sum_ring, decide_omega, decide_pi, decide_sigma,
                  exterior_algebra, family_local_forms, intersection_complete,
                  rank_bound_check, verify_witness, wedge_pairing_signature)
+from rht.cdga import TruncatedCdga
 from rht.presentations import RingPresentation
 from rht.scalability import (Atom, CSum, DimensionCountRefutation, Prod,
-                             Wedge, omega_ring, parse_descriptor, pi_ring,
-                             sigma_ring,
+                             Wedge, WitnessReport, omega_ring,
+                             parse_descriptor, pi_ring, sigma_ring,
                              SCALABLE, NOT_SCALABLE, UNKNOWN)
+from rht.scalability import (_masks, _middle_pairs, _plane_sum_witness,
+                             _projective_witness, _relation_image,
+                             _subsets_containing_first, _verified,
+                             _wedge_masks)
 
 F = Fraction
 
@@ -348,12 +354,16 @@ def _element_product_relations(atoms, orientations):
     ([("projective", 2, 2), ("projective", 2, 2), ("projective", 2, 2)],
      [1, 1, -1]),
     ([("projective", 3, 1), ("projective", 3, 1)], [-1, 1]),
+    ([("projective", 4, 2), ("projective", 4, 2)], [-1, -1]),
+    ([("sphere_product", 2, 2), ("sphere_product", 1, 3)], [-1, 1]),
 ])
 def test_connected_sum_relations_match_element_products(atoms, orientations):
     ring = connected_sum_ring(atoms, orientations)
     want, mu1 = _element_product_relations(atoms, orientations)
     assert [list(r.terms.items()) for r in ring.relations] == \
         [list(e.terms.items()) for e in want]
+    assert all(type(c) is Fraction and c != 0
+               for r in ring.relations for c in r.terms.values())
     assert [repr(r) for r in ring.relations] == [repr(e) for e in want]
     assert ring.generator_names() == want[0].alg.generator_names()
     assert {ring.fundamental_monomial: ring.fundamental_monomial_sign} == mu1.terms
@@ -537,3 +547,209 @@ def test_cp1_sums_rejected_as_sphere_sums(descriptor):
     with pytest.raises(ValueError, match="bare spheres"):
         classify(descriptor)
     assert classify("CP1").verdict == SCALABLE
+
+
+# -- the bitmask relation kernel of verify_witness ---------------------------------
+
+
+def _mask_key(mask):
+    """The exterior-algebra monomial key of an index bitmask."""
+    return tuple((i, 1) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def kernel_relation_images(ring, witness):
+    """Each relation's image as verify_witness computes it, on masks,
+    mapped back to term dicts of the target."""
+    gen_masks = [_masks(witness.images[g.name].terms) for g in ring.ambient.gens]
+    cache = {}
+    return [{_mask_key(m): c
+             for m, c in _relation_image(rel.terms, gen_masks, cache).items()}
+            for rel in ring.relations]
+
+
+def oracle_relation_images(ring, witness):
+    """Each relation's image through DgaMorphism.apply, one Element at a
+    time: the relation check verify_witness ran before the mask kernel."""
+    phi = witness.morphism()
+    return [phi.apply(rel) for rel in ring.relations]
+
+
+def oracle_failure(ring, images):
+    """(failing_relation, message) of the first relation whose oracle image
+    is nonzero, as verify_witness reports it, or None."""
+    for rel, img in zip(ring.relations, images):
+        if not img.is_zero():
+            return repr(rel), f"relation {rel} maps to {img}"
+    return None
+
+
+def check_kernel_against_oracle(ring, witness):
+    got = kernel_relation_images(ring, witness)
+    want = oracle_relation_images(ring, witness)
+    assert got == [img.terms for img in want]
+    assert all(type(c) is Fraction and c for img in got for c in img.values())
+    report = verify_witness(ring, witness)
+    failure = oracle_failure(ring, want)
+    if failure is None:
+        assert report.failing_relation is None
+    else:
+        assert not report.passed
+        assert (report.failing_relation, report.message) == failure
+
+
+def _family_witness():
+    members = _subsets_containing_first(2, 5, 6, 0)
+    return family_local_forms(SetFamily(6, tuple(map(frozenset, members)))).witness
+
+
+KERNEL_WITNESSES = {
+    **{f"omega_{n}_{r}": (lambda n=n, r=r: decide_omega(n, r).witness)
+       for n, r in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 4), (3, 10))},
+    "sigma_2_3": lambda: decide_sigma(2, 3).witness,
+    "sigma_4_35": lambda: decide_sigma(4, 35).witness,
+    "plane_sum_CP2_2_1": lambda: _plane_sum_witness(2, 2, 1),
+    "plane_sum_CP2_0_3": lambda: _plane_sum_witness(2, 0, 3),
+    "plane_sum_HP2_3_2": lambda: _plane_sum_witness(4, 3, 2),
+    "CP3": lambda: _projective_witness(2, 3),
+    "HP2": lambda: _projective_witness(4, 2),
+    "family_6_5": _family_witness,
+    "csum_3_S2xS4": lambda: classify("csum(3*(S2xS4))").witness,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_WITNESSES))
+def test_kernel_matches_oracle_on_every_witness(name):
+    witness = KERNEL_WITNESSES[name]()
+    assert witness.ring.relations
+    check_kernel_against_oracle(witness.ring, witness)
+    assert verify_witness(witness.ring, witness).passed
+
+
+def random_candidate(ring, ext, choose_terms):
+    """The witness sending each generator of ``ring`` to the sum of c * mon
+    over ``choose_terms(basis)``, a list of (monomial, coefficient) pairs
+    drawn from the degree-matching basis of ``ext``."""
+    images = {g.name: ext.element(dict(choose_terms(ext.basis(g.degree))))
+              for g in ring.gens}
+    return EmbeddingWitness(ring, ext, images)
+
+
+def random_terms(rng):
+    """Two to five distinct monomials with coefficients in -2..2, not 0."""
+    def choose(basis):
+        mons = rng.sample(basis, rng.randint(2, min(5, len(basis))))
+        return [(mon, F(rng.choice((-2, -1, 1, 2)))) for mon in mons]
+    return choose
+
+
+@pytest.mark.parametrize("make_ring,ext_dim", [
+    (lambda: sigma_ring(2, 4), 4), (lambda: pi_ring(3, 2), 6)],
+    ids=["sigma_2_4", "pi_3_2"])
+def test_kernel_matches_oracle_on_random_candidates(rng, make_ring, ext_dim):
+    ring, ext = make_ring(), exterior_algebra(ext_dim)
+    choose = random_terms(rng)
+    for _ in range(2000):
+        check_kernel_against_oracle(ring, random_candidate(ring, ext, choose))
+
+
+def test_kernel_matches_oracle_on_unit_and_power_relations():
+    gens = [("x", 2), ("y", 2)]
+    amb = FreeCdga(gens)
+    x, y = amb["x"], amb["y"]
+    ring = RingPresentation(gens, [x * y - y * y, x ** 2 * y, 3 * x ** 2,
+                                   amb.scalar(F(-2, 3))])
+    ext = exterior_algebra(4)
+    images = {"x": ext.element({((0, 1), (1, 1)): 1, ((2, 1), (3, 1)): 1}),
+              "y": ext.element({((0, 1), (2, 1)): 1, ((1, 1), (3, 1)): -2})}
+    witness = EmbeddingWitness(ring, ext, images)
+    check_kernel_against_oracle(ring, witness)
+    assert [bool(img) for img in kernel_relation_images(ring, witness)] == \
+        [True, False, True, True]
+
+
+def test_wedge_masks_signs_match_mul_keys():
+    """Every pair of monomials of Lambda R^5: product and sign as mul_keys."""
+    ext = exterior_algebra(5, first_index=0)
+    keys = [k for d in range(6) for k in ext.basis(d)]
+    for k1 in keys:
+        for k2 in keys:
+            got = _wedge_masks(_masks({k1: F(1)}), _masks({k2: F(1)}))
+            assert {_mask_key(m): c for m, c in got.items()} == \
+                ext.mul_keys(k1, k2)
+
+
+# -- failure reports -----------------------------------------------------------------
+
+
+def _broken_omega(n, r, first, second):
+    witness = decide_omega(n, r).witness
+    images = dict(witness.images)
+    images[first], images[second] = images[second], images[first]
+    return witness.ring, witness.target, images
+
+
+def _broken_sigma():
+    witness = decide_sigma(2, 3).witness
+    ((first, second),) = _middle_pairs(witness.target, 2, 3)[1:2]
+    images = dict(witness.images, a2=first - second)
+    return witness.ring, witness.target, images
+
+
+@pytest.mark.parametrize("build,relation,message", [
+    (lambda: _broken_omega(2, 3, "a1", "a2"), "a1*b2",
+     "relation a1*b2 maps to dx1*dx2*dx3*dx4"),
+    (lambda: _broken_omega(3, 10, "a3", "a7"), "a3*b7",
+     "relation a3*b7 maps to dx1*dx2*dx3*dx4*dx5*dx6"),
+    (_broken_sigma, "-a1^2 + a2^2",
+     "relation -a1^2 + a2^2 maps to -4*dx1*dx2*dx3*dx4"),
+], ids=["omega_2_3", "omega_3_10", "sigma_2_3"])
+def test_broken_witness_reports_are_pinned(build, relation, message):
+    ring, ext, images = build()
+    witness = EmbeddingWitness(ring, ext, images)
+    report = verify_witness(ring, witness)
+    assert report == WitnessReport(False, failing_relation=relation,
+                                   message=message)
+    assert oracle_failure(ring, oracle_relation_images(ring, witness)) == \
+        (relation, message)
+    with pytest.raises(AssertionError, match="omega witness failed "
+                       "verification: " + re.escape(message)):
+        _verified(ring, ext, images, "omega")
+
+
+def test_broken_witness_raises_under_optimized_python():
+    script = textwrap.dedent("""
+        import rht.scalability as sc
+        w = sc.decide_omega(2, 3).witness
+        images = dict(w.images, a1=w.images["a2"], a2=w.images["a1"])
+        try:
+            sc._verified(w.ring, w.target, images, "omega")
+        except AssertionError as exc:
+            print("raised", exc)
+        else:
+            print("returned")
+    """)
+    src = str(Path(rht.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.splitlines() == [
+        "raised omega witness failed verification: relation a1*b2 maps to "
+        "dx1*dx2*dx3*dx4"]
+
+
+def test_witness_target_must_be_exterior():
+    ring = sigma_ring(2, 1)
+    target = FreeCdga([("dx1", 1), ("y", 2)])
+    with pytest.raises(ValueError, match="degree 1"):
+        EmbeddingWitness(ring, target, {"a1": target["y"]})
+    base = exterior_algebra(4)
+    truncated = TruncatedCdga(base, 4)
+    with pytest.raises(ValueError, match="exterior algebra"):
+        EmbeddingWitness(ring, truncated, {"a1": truncated.zero()})
+
+
+def test_witness_for_another_presentation_rejected():
+    witness = decide_sigma(2, 3).witness
+    with pytest.raises(ValueError, match="another presentation"):
+        verify_witness(sigma_ring(2, 3), witness)
