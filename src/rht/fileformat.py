@@ -13,6 +13,7 @@ and d*d = 0; parse and validation errors carry the 1-based line number.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -49,10 +50,44 @@ def check_nesting(text, what, line=None):
             depth -= 1
 
 
+# Most monomials a power of a sum may expand to.  Squaring and multiplying
+# (x+y)^n costs about n^2 coefficient products, so a larger bound would
+# stall the parser instead of giving an error message.
+MAX_POWER_TERMS = 500
+
+
+def _power(base, n, line=None):
+    """base ** n, refused with a PresentationError when it could not be
+    expanded quickly.  A base of t terms has at most comb(n + t - 1, t - 1)
+    monomials in its n-th power: that bound is built factor by factor, stops
+    as soon as it passes MAX_POWER_TERMS, and is waived when the square of
+    the base vanishes, so one-term bases and square-zero bases stay cheap at
+    any n.  A coefficient p/q grows to about n * log10(max(|p|, q)) digits,
+    which may not exceed the int-string limit that literals obey."""
+    if n < 2:
+        return base ** n
+    limit = sys.get_int_max_str_digits()
+    bits = max((max(abs(c.numerator), c.denominator).bit_length() - 1
+                for c in base.terms.values()), default=0)
+    if limit and n * bits > limit * math.log2(10):
+        raise PresentationError(f"power to exponent {n} has coefficients of "
+                                f"more than {limit} digits", line)
+    bound = 1
+    for j in range(1, len(base.terms)):
+        bound = bound * (n + j) // j
+        if bound > MAX_POWER_TERMS:
+            if (base * base).terms:
+                raise PresentationError(
+                    f"power of a {len(base.terms)}-term sum to exponent {n} "
+                    f"may expand to more than {MAX_POWER_TERMS} monomials", line)
+            break
+    return base ** n
+
+
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _check_digits(digits, line=None):
+def check_digits(digits, line=None):
     """Reject a digit run longer than the interpreter's int-string limit
     (``sys.get_int_max_str_digits()``, 0 for none), before int() sees it."""
     limit = sys.get_int_max_str_digits()
@@ -70,7 +105,7 @@ def rational(text):
         raise PresentationError(f"malformed rational literal {text!r}: "
                                 "expected an integer or p/q")
     for digits in text.lstrip("+-").split("/"):
-        _check_digits(digits)
+        check_digits(digits)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -88,20 +123,20 @@ def _tokenize(text, line):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
-            _check_digits(text[i:j], line)
+            check_digits(text[i:j], line)
             num = int(text[i:j])
             if j < len(text) and text[j] == "/":
                 k = j + 1
-                if k >= len(text) or not text[k].isdigit():
+                if k >= len(text) or not text[k].isdecimal():
                     raise PresentationError("malformed rational literal", line)
                 m = k
-                while m < len(text) and text[m].isdigit():
+                while m < len(text) and text[m].isdecimal():
                     m += 1
-                _check_digits(text[k:m], line)
+                check_digits(text[k:m], line)
                 den = int(text[k:m])
                 if not den:
                     raise PresentationError(
@@ -170,7 +205,7 @@ def parse_expression(text, algebra, line=None) -> Element:
             exp = tok[1]
             if exp.denominator != 1 or exp < 0:
                 raise PresentationError("exponent must be a nonnegative integer", line)
-            return base ** int(exp)
+            return _power(base, int(exp), line)
         return base
 
     def parse_product():
@@ -307,7 +342,7 @@ def dumps(obj) -> str:
         for g in obj.gens:
             lines.append(f"gen {g.name} {g.degree}")
         for rel in obj.relations:
-            lines.append(f"rel {_render_element(rel)}")
+            lines.append(f"rel {rel!r}")
     elif isinstance(obj, FreeCdga):
         lines.append(f"cdga {obj.name}")
         for g in obj.gens:
@@ -315,14 +350,10 @@ def dumps(obj) -> str:
         for g in obj.gens:
             dv = obj.differential_of(g.name)
             if not dv.is_zero():
-                lines.append(f"d {g.name} = {_render_element(dv)}")
+                lines.append(f"d {g.name} = {dv!r}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     return "\n".join(lines) + "\n"
-
-
-def _render_element(e: Element) -> str:
-    return repr(e)
 
 
 def same_presentation(a, b) -> bool:

@@ -36,6 +36,12 @@ _ZERO = Fraction(0)
 DEFAULT_T_CAP = 16
 
 
+def _add_at(store, i, e):
+    """store[i] += e, for an Element e; a zero e leaves store as it is."""
+    if e:
+        store[i] = store[i] + e if i in store else e
+
+
 class HomotopyElement:
     """Element of B (x) Q<t, dt> with exact coefficients in the algebra B.
 
@@ -91,10 +97,10 @@ class HomotopyElement:
         self._check(other)
         body = dict(self.body)
         for i, e in other.body.items():
-            body[i] = body.get(i, e.alg.zero()) + e
+            _add_at(body, i, e)
         dt = dict(self.dt_part)
         for i, e in other.dt_part.items():
-            dt[i] = dt.get(i, e.alg.zero()) + e
+            _add_at(dt, i, e)
         return HomotopyElement(self.alg, body, dt, max(self.t_cap, other.t_cap))
 
     def __neg__(self):
@@ -128,19 +134,14 @@ class HomotopyElement:
         cap = max(self.t_cap, other.t_cap)
         body = {}
         dt = {}
-
-        def acc(store, i, e):
-            if e:
-                store[i] = store.get(i, self.alg.zero()) + e
-
         for i, e1 in self.body.items():
             for j, e2 in other.body.items():
-                acc(body, i + j, e1 * e2)
+                _add_at(body, i + j, e1 * e2)
             for j, e2 in other.dt_part.items():
-                acc(dt, i + j, e1 * e2)
+                _add_at(dt, i + j, e1 * e2)
         for i, e1 in self.dt_part.items():
             for j, e2 in other.body.items():
-                acc(dt, i + j, e1 * self._parity_twist(e2))
+                _add_at(dt, i + j, e1 * self._parity_twist(e2))
             # dt * dt = 0
         return HomotopyElement(self.alg, body, dt, cap)
 
@@ -150,17 +151,11 @@ class HomotopyElement:
         body = {}
         dt = {}
         for i, e in self.body.items():
-            de = e.d()
-            if de:
-                body[i] = body.get(i, self.alg.zero()) + de
+            _add_at(body, i, e.d())
             if i > 0:
-                tw = i * self._parity_twist(e)
-                if tw:
-                    dt[i - 1] = dt.get(i - 1, self.alg.zero()) + tw
+                _add_at(dt, i - 1, i * self._parity_twist(e))
         for i, e in self.dt_part.items():
-            de = e.d()
-            if de:
-                dt[i] = dt.get(i, self.alg.zero()) + de
+            _add_at(dt, i, e.d())
         return HomotopyElement(self.alg, body, dt, self.t_cap)
 
     def at(self, t_value) -> Element:
@@ -180,14 +175,10 @@ class HomotopyElement:
         dt = {}
         for i, e in self.body.items():
             for k in range(i + 1):
-                c = Fraction(comb(i, k) * (-1) ** k)
-                if c:
-                    body[k] = body.get(k, self.alg.zero()) + c * e
+                _add_at(body, k, Fraction(comb(i, k) * (-1) ** k) * e)
         for i, e in self.dt_part.items():
             for k in range(i + 1):
-                c = Fraction(comb(i, k) * (-1) ** (k + 1))
-                if c:
-                    dt[k] = dt.get(k, self.alg.zero()) + c * e
+                _add_at(dt, k, Fraction(comb(i, k) * (-1) ** (k + 1)) * e)
         return HomotopyElement(self.alg, body, dt, self.t_cap)
 
     def __eq__(self, other):

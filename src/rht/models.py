@@ -63,12 +63,6 @@ class MinimalModel:
             out.setdefault(g.degree, []).append(g.name)
         return out
 
-    def generator_degree(self, name):
-        return self.algebra.degree_of(name)
-
-    def stage_of(self, name):
-        return self.algebra.gens[self.algebra.index[name]].stage
-
     def depths(self):
         if self._depths is None:
             self._depths = compute_generator_depths(self.algebra)

@@ -8,16 +8,12 @@ what the golden tests pin.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 SCHEMA = "rht.report.v1"
 
 
 def render_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 

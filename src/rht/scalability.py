@@ -36,7 +36,7 @@ from math import comb
 from . import linalg
 from .cdga import DgaMorphism, Element, FreeCdga, accumulate
 from .cohomology import coords
-from .fileformat import check_nesting
+from .fileformat import check_digits, check_nesting
 from .presentations import RingPresentation, projective_ring, sphere_ring
 
 _ZERO = Fraction(0)
@@ -88,7 +88,10 @@ class EmbeddingWitness:
     The target must be an exterior algebra: a ``FreeCdga`` whose generators
     all have degree 1, so that every monomial is a set of generator indices.
     verify_witness relies on this to multiply images as bitmasks; any other
-    target raises ValueError.
+    target raises ValueError.  The images are checked once, at construction,
+    as the checked DgaMorphism that morphism() returns: a missing image, an
+    image of the wrong degree or one that is not a chain map raises
+    ValueError.
     """
 
     ring: RingPresentation
@@ -101,14 +104,11 @@ class EmbeddingWitness:
                 and all(g.degree == 1 for g in self.target.gens)):
             raise ValueError("witness target must be an exterior algebra: a "
                              "FreeCdga whose generators all have degree 1")
-        for name, img in self.images.items():
-            want = self.ring.degree_of(name)
-            if img and not (img.is_homogeneous() and img.degree == want):
-                raise ValueError(
-                    f"witness image of {name!r} is not homogeneous of degree {want}")
+        self._morphism = DgaMorphism(self.ring.ambient, self.target,
+                                     self.images, check=True)
 
     def morphism(self):
-        return DgaMorphism(self.ring.ambient, self.target, self.images, check=True)
+        return self._morphism
 
 
 @dataclass
@@ -180,12 +180,12 @@ def _relation_image(terms, gen_masks, cache):
 def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> WitnessReport:
     """Relations map to zero and the presented basis stays independent.
 
-    ``witness.morphism()`` checks the chain-map condition.  Every relation is
-    then mapped in full and tested for zero, once, on bitmasks: each
-    generator's image becomes a {mask: coefficient} dict (the exterior
-    target makes a monomial a set of indices) and products run through
-    _wedge_masks.  The first relation whose image is nonzero is rendered
-    through the morphism for the report.
+    ``witness.morphism()`` was checked as a chain map when the witness was
+    built.  Every relation is then mapped in full and tested for zero, once,
+    on bitmasks: each generator's image becomes a {mask: coefficient} dict
+    (the exterior target makes a monomial a set of indices) and products run
+    through _wedge_masks.  The first relation whose image is nonzero is
+    rendered through the morphism for the report.
 
     With the duality flag set, independence reduces to nonvanishing of the
     image of the fundamental class: multiplicativity plus a nonsingular
@@ -752,10 +752,12 @@ class Wedge:
 def _dimension(t: str, prefix: str) -> int:
     """The positive whole number after ``prefix`` in a token such as S3 or CP2."""
     digits = t[len(prefix):]
-    if not digits.isdecimal() or int(digits) < 1:
-        raise ValueError(f"bad space descriptor {t!r}: expected {prefix} "
-                         f"followed by a positive whole number, as in {prefix}2")
-    return int(digits)
+    if digits.isdecimal():
+        check_digits(digits)
+        if int(digits) >= 1:
+            return int(digits)
+    raise ValueError(f"bad space descriptor {t!r}: expected {prefix} "
+                     f"followed by a positive whole number, as in {prefix}2")
 
 
 def _parse_atom(token: str) -> Atom:
@@ -819,6 +821,8 @@ def parse_descriptor(text: str):
                     if "*" in arg:
                         cnt, _, rest = arg.partition("*")
                         cnt = cnt.strip()
+                        if cnt.isdecimal():
+                            check_digits(cnt)
                         if not cnt.isdecimal() or int(cnt) < 1:
                             raise ValueError(
                                 f"summand multiplicity must be a positive "

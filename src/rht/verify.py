@@ -8,15 +8,24 @@ suite runs the same batteries with per-criterion time budgets.
 The batteries call library entry points through their modules, so a test
 harness can inject a fault (for example a sign flip in an integration
 operator) and watch the corresponding battery fail by name.
+
+A battery is a function decorated with ``@_battery(name, criterion)``.  Its
+body returns the detail reported on a pass and fails through
+``_require(ok, detail)``, which raises with the failure detail when ``ok``
+is false (an explicit raise, so ``python -O`` keeps every check).  The
+decorator registers the battery in BATTERIES, in definition order, and
+turns each run into a timed CheckResult.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 from math import comb
 
 from . import fileformat
@@ -37,6 +46,36 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
+
+
+BATTERIES = {}
+
+
+class _Failed(Exception):
+    """A battery check failed; the one argument is the reported detail."""
+
+
+def _require(ok, detail):
+    """Fail the running battery with ``detail`` unless ``ok``."""
+    if not ok:
+        raise _Failed(detail)
+
+
+def _battery(name, criterion):
+    """Register a battery under ``name``; the registered function times the
+    body and reports its returned detail, or the detail it failed with."""
+    def register(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs):
+            t0 = time.time()
+            try:
+                passed, detail = True, body(*args, **kwargs)
+            except _Failed as failure:
+                passed, detail = False, failure.args[0]
+            return CheckResult(name, criterion, passed, detail, time.time() - t0)
+        BATTERIES[name] = run
+        return run
+    return register
 
 
 def _data_text(filename):
@@ -108,8 +147,8 @@ def free_lie_generator_counts(loop_degrees, top):
 # battery 1: algebra laws
 
 
+@_battery("cdga-laws", 1)
 def run_cdga_laws(iterations=1000, seed=0xC0F1):
-    t0 = time.time()
     rng = random.Random(seed)
     algebras = fixture_algebras()
     degrees = list(range(1, 13))
@@ -120,19 +159,11 @@ def run_cdga_laws(iterations=1000, seed=0xC0F1):
             dx_deg = x.degree or 0
             dy_deg = y.degree or 0
             sign = -1 if (dx_deg * dy_deg) % 2 else 1
-            if x * y != sign * (y * x):
-                return CheckResult("cdga-laws", 1, False,
-                                   f"graded commutativity fails in {alg.name}",
-                                   time.time() - t0)
-            lhs = (x * y).d()
-            rhs = x.d() * y + (-1) ** dx_deg * (x * y.d())
-            if lhs != rhs:
-                return CheckResult("cdga-laws", 1, False,
-                                   f"Leibniz rule fails in {alg.name}",
-                                   time.time() - t0)
-            if x.d().d():
-                return CheckResult("cdga-laws", 1, False,
-                                   f"d*d != 0 in {alg.name}", time.time() - t0)
+            _require(x * y == sign * (y * x),
+                     f"graded commutativity fails in {alg.name}")
+            _require((x * y).d() == x.d() * y + (-1) ** dx_deg * (x * y.d()),
+                     f"Leibniz rule fails in {alg.name}")
+            _require(not x.d().d(), f"d*d != 0 in {alg.name}")
     # monomial normalization: order independence against stepwise products
     for alg in algebras:
         if not isinstance(alg, FreeCdga):
@@ -148,32 +179,25 @@ def run_cdga_laws(iterations=1000, seed=0xC0F1):
                 factors.extend([(i, 1)] * e)
             rng.shuffle(factors)
             sign, key = alg.monomial(factors)
-            if key != mon:
-                return CheckResult("cdga-laws", 1, False,
-                                   "normalization changed the monomial",
-                                   time.time() - t0)
+            _require(key == mon, "normalization changed the monomial")
             stepwise = alg.unit()
             for i, _e in factors:
                 stepwise = stepwise * alg[alg.gens[i].name]
-            if stepwise != alg.element({mon: sign}):
-                return CheckResult("cdga-laws", 1, False,
-                                   "normalization sign disagrees with "
-                                   "stepwise multiplication", time.time() - t0)
-    detail = (f"{iterations} randomized Koszul/Leibniz/d2 checks on "
-              f"{len(algebras)} algebras, plus 200 normalization round-trips each")
-    return CheckResult("cdga-laws", 1, True, detail, time.time() - t0)
+            _require(stepwise == alg.element({mon: sign}),
+                     "normalization sign disagrees with stepwise multiplication")
+    return (f"{iterations} randomized Koszul/Leibniz/d2 checks on "
+            f"{len(algebras)} algebras, plus 200 normalization round-trips each")
 
 
 # ---------------------------------------------------------------------------
 # battery 2: integration identities
 
 
+@_battery("integration", 2)
 def run_integration(iterations=1000, seed=0xC0F2):
-    t0 = time.time()
     rng = random.Random(seed)
     algebras = [load_fixture("wedge335_model.cdga"), load_fixture("s2_model.cdga")]
     degrees = list(range(1, 10))
-    count = 0
     for _ in range(iterations):
         alg = algebras[rng.randrange(len(algebras))]
         body = {}
@@ -187,53 +211,35 @@ def run_integration(iterations=1000, seed=0xC0F2):
                 dt[i] = dt.get(i, alg.zero()) + e
         u = homotopy_mod.HomotopyElement(alg, body, dt)
         lhs = homotopy_mod.integrate_0_t(u).d() + homotopy_mod.integrate_0_t(u.d())
-        rhs = u - homotopy_mod.HomotopyElement.constant(u.at(0))
-        if lhs != rhs:
-            return CheckResult("integration", 2, False,
-                               "interval integration identity (0..t) fails",
-                               time.time() - t0)
+        _require(lhs == u - homotopy_mod.HomotopyElement.constant(u.at(0)),
+                 "interval integration identity (0..t) fails")
         lhs1 = homotopy_mod.integrate_0_1(u).d() + homotopy_mod.integrate_0_1(u.d())
-        if lhs1 != u.at(1) - u.at(0):
-            return CheckResult("integration", 2, False,
-                               "endpoint integration identity (0..1) fails",
-                               time.time() - t0)
-        count += 1
-    return CheckResult("integration", 2, True,
-                       f"{count} randomized homotopy elements, both identities exact",
-                       time.time() - t0)
+        _require(lhs1 == u.at(1) - u.at(0),
+                 "endpoint integration identity (0..1) fails")
+    return f"{iterations} randomized homotopy elements, both identities exact"
 
 
 # ---------------------------------------------------------------------------
 # battery 3: the 2-sphere model
 
 
+@_battery("s2-model", 3)
 def run_s2_model():
-    t0 = time.time()
     model = models_mod.minimal_model(sphere_ring(2), 7)
     degs = sorted(g.degree for g in model.algebra.gens)
-    if degs != [2, 3]:
-        return CheckResult("s2-model", 3, False,
-                           f"expected generators in degrees [2, 3], got {degs}",
-                           time.time() - t0)
+    _require(degs == [2, 3], f"expected generators in degrees [2, 3], got {degs}")
     a = next(g.name for g in model.algebra.gens if g.degree == 2)
     b = next(g.name for g in model.algebra.gens if g.degree == 3)
     db = model.algebra.differential_of(b)
     a2 = model.algebra[a] ** 2
-    if db != a2 and db != -a2:
-        return CheckResult("s2-model", 3, False,
-                           f"d({b}) = {db} is not +-{a}^2", time.time() - t0)
+    _require(db == a2 or db == -a2, f"d({b}) = {db} is not +-{a}^2")
     depths = model.depths()
-    if depths[a] != 0 or depths[b] != 1:
-        return CheckResult("s2-model", 3, False,
-                           f"depths {depths} differ from (0, 1)", time.time() - t0)
+    _require(depths[a] == 0 and depths[b] == 1,
+             f"depths {depths} differ from (0, 1)")
     report = models_mod.distortion_exponent(model, b)
-    if report.exponent != 4 or report.sharpness != "sharp-if-scalable":
-        return CheckResult("s2-model", 3, False,
-                           f"distortion report {report} is not exponent 4",
-                           time.time() - t0)
-    return CheckResult("s2-model", 3, True,
-                       f"generators ({a}:2, {b}:3), d{b} = {db}, depths (0,1), "
-                       "exponent 4", time.time() - t0)
+    _require(report.exponent == 4 and report.sharpness == "sharp-if-scalable",
+             f"distortion report {report} is not exponent 4")
+    return f"generators ({a}:2, {b}:3), d{b} = {db}, depths (0,1), exponent 4"
 
 
 # ---------------------------------------------------------------------------
@@ -285,24 +291,19 @@ def embed_table_in_model(table: FreeCdga, model) -> dict:
     return psi
 
 
+@_battery("wedge-table", 4)
 def run_wedge_table():
-    t0 = time.time()
     table = load_fixture("wedge335_model.cdga")
-    z = table["z"]
-    if z.d().d():
-        return CheckResult("wedge-table", 4, False,
-                           "fixture table fails d*d = 0 on z", time.time() - t0)
+    _require(not table["z"].d().d(), "fixture table fails d*d = 0 on z")
     oracle = free_lie_generator_counts([2, 2, 4], 12)
-    if oracle != EXPECTED_WEDGE_DIMS:
-        return CheckResult("wedge-table", 4, False,
-                           f"series oracle {oracle} disagrees with the frozen "
-                           f"dimensions {EXPECTED_WEDGE_DIMS}", time.time() - t0)
+    _require(oracle == EXPECTED_WEDGE_DIMS,
+             f"series oracle {oracle} disagrees with the frozen "
+             f"dimensions {EXPECTED_WEDGE_DIMS}")
     model = build_wedge_model(13)
     dims = {k: model.v_dim(k) for k in EXPECTED_WEDGE_DIMS}
-    if dims != EXPECTED_WEDGE_DIMS:
-        return CheckResult("wedge-table", 4, False,
-                           f"V_k dimensions {dims} differ from the series "
-                           f"oracle {EXPECTED_WEDGE_DIMS}", time.time() - t0)
+    _require(dims == EXPECTED_WEDGE_DIMS,
+             f"V_k dimensions {dims} differ from the series "
+             f"oracle {EXPECTED_WEDGE_DIMS}")
     depths = model.depths()
     listed = {(3, 0): 2, (5, 0): 1, (5, 1): 1, (7, 1): 1, (7, 2): 1,
               (9, 2): 1, (9, 3): 1, (11, 3): 1, (13, 4): 1}
@@ -311,152 +312,112 @@ def run_wedge_table():
         key = (g.degree, depths[g.name])
         counts[key] = counts.get(key, 0) + 1
     for key, minimum in listed.items():
-        if counts.get(key, 0) < minimum:
-            return CheckResult("wedge-table", 4, False,
-                               f"no generator at degree/depth {key}",
-                               time.time() - t0)
+        _require(counts.get(key, 0) >= minimum,
+                 f"no generator at degree/depth {key}")
     psi = embed_table_in_model(table, model)
     alg = model.algebra
     dz_image = _mapped_differential(table, alg, psi, "z")
-    if psi["z"].d() != dz_image or dz_image.is_zero():
-        return CheckResult("wedge-table", 4, False,
-                           "table embedding does not satisfy d(psi z) = psi(dz)",
-                           time.time() - t0)
+    _require(psi["z"].d() == dz_image and not dz_image.is_zero(),
+             "table embedding does not satisfy d(psi z) = psi(dz)")
     # certificate: psi(dz) is not the differential of anything decomposable,
     # so some degree-13 generator carries the bracket-detecting class
     keys = [m for m in alg.basis(13) if sum(e for _i, e in m) >= 2]
-    if primitive(alg, dz_image.terms, 14, keys) is not None:
-        return CheckResult("wedge-table", 4, False,
-                           "psi(dz) bounds a decomposable element; V_13 "
-                           "generators are not needed", time.time() - t0)
-    gen_part = {m: c for m, c in psi["z"].terms.items()
-                if sum(e for _i, e in m) == 1}
-    if not gen_part:
-        return CheckResult("wedge-table", 4, False,
-                           "psi(z) has no generator component", time.time() - t0)
-    return CheckResult("wedge-table", 4, True,
-                       f"fixture d2 = 0; V dims {dims} match the series oracle; "
-                       "table embeds by exact solves and psi(z) needs V_13 "
-                       "generators", time.time() - t0)
+    _require(primitive(alg, dz_image.terms, 14, keys) is None,
+             "psi(dz) bounds a decomposable element; V_13 generators are "
+             "not needed")
+    _require(any(sum(e for _i, e in m) == 1 for m in psi["z"].terms),
+             "psi(z) has no generator component")
+    return (f"fixture d2 = 0; V dims {dims} match the series oracle; "
+            "table embeds by exact solves and psi(z) needs V_13 generators")
 
 
 # ---------------------------------------------------------------------------
 # battery 5: bracket pairings
 
 
+@_battery("whitehead", 5)
 def run_whitehead():
-    t0 = time.time()
     table = load_fixture("wedge335_model.cdga")
     p1 = homotopy_mod.whitehead_pair(table, "u_b", homotopy_mod.parse_bracket("[a,b]"))
     p2 = homotopy_mod.whitehead_pair(table, "v_b",
                                      homotopy_mod.parse_bracket("[a,[a,b]]"))
-    if abs(p1) != 1 or abs(p2) != 1:
-        return CheckResult("whitehead", 5, False,
-                           f"unit pairings came out as {p1}, {p2}",
-                           time.time() - t0)
+    _require(abs(p1) == 1 and abs(p2) == 1,
+             f"unit pairings came out as {p1}, {p2}")
     expr = homotopy_mod.parse_bracket("[[a,c],[a,[a,b]]]")
     base = homotopy_mod.whitehead_pair(table, "z", expr)
-    if base == 0:
-        return CheckResult("whitehead", 5, False,
-                           "base-level bracket pairing with z vanishes",
-                           time.time() - t0)
+    _require(base != 0, "base-level bracket pairing with z vanishes")
     for n in range(1, 6):
         scaled = homotopy_mod.scale_leaves(
             expr, lambda leaf: Fraction(n) ** table.degree_of(leaf.name))
         value = homotopy_mod.whitehead_pair(table, "z", scaled)
-        if value != Fraction(n) ** 17 * base:
-            return CheckResult("whitehead", 5, False,
-                               f"scaling by {n} gives {value}, not n^17 * base",
-                               time.time() - t0)
-    return CheckResult("whitehead", 5, True,
-                       f"|<u_b,[a,b]>| = |<v_b,[a,[a,b]]>| = 1, "
-                       f"<z,.> = {base} scaling as N^17 for N = 1..5",
-                       time.time() - t0)
+        _require(value == Fraction(n) ** 17 * base,
+                 f"scaling by {n} gives {value}, not n^17 * base")
+    return (f"|<u_b,[a,b]>| = |<v_b,[a,[a,b]]>| = 1, "
+            f"<z,.> = {base} scaling as N^17 for N = 1..5")
 
 
 # ---------------------------------------------------------------------------
 # battery 6: signatures and family decisions
 
 
+@_battery("signatures", 6)
 def run_signatures():
-    t0 = time.time()
     for n, expect in ((2, 3), (4, 35), (8, 6435)):
         sig = scal_mod.wedge_pairing_signature(n)
-        if sig.as_tuple() != (expect, expect):
-            return CheckResult("signatures", 6, False,
-                               f"signature for n = {n} is {sig.as_tuple()}",
-                               time.time() - t0)
+        _require(sig.as_tuple() == (expect, expect),
+                 f"signature for n = {n} is {sig.as_tuple()}")
     d3 = scal_mod.decide_sigma(2, 3)
     d4 = scal_mod.decide_sigma(2, 4)
-    if not (d3.embeddable and scal_mod.verify_witness(d3.witness.ring,
-                                                      d3.witness).passed):
-        return CheckResult("signatures", 6, False,
-                           "equal-squares witness at r = 3 failed",
-                           time.time() - t0)
-    if d4.embeddable or not d4.refutation.check():
-        return CheckResult("signatures", 6, False,
-                           "equal-squares family not refuted at r = 4",
-                           time.time() - t0)
+    _require(d3.embeddable and scal_mod.verify_witness(d3.witness.ring,
+                                                       d3.witness).passed,
+             "equal-squares witness at r = 3 failed")
+    _require(not d4.embeddable and d4.refutation.check(),
+             "equal-squares family not refuted at r = 4")
     for n in (1, 2, 3):
         bound = comb(2 * n, n) // 2
         good = scal_mod.decide_omega(n, bound)
         bad = scal_mod.decide_omega(n, bound + 1)
-        if not good.embeddable or bad.embeddable:
-            return CheckResult("signatures", 6, False,
-                               f"sphere-product decision does not flip at "
-                               f"{bound} for n = {n}", time.time() - t0)
-        if not scal_mod.verify_witness(good.witness.ring, good.witness).passed:
-            return CheckResult("signatures", 6, False,
-                               f"witness round-trip failed at n = {n}",
-                               time.time() - t0)
-        if not bad.refutation.check():
-            return CheckResult("signatures", 6, False,
-                               f"refutation certificate fails at n = {n}",
-                               time.time() - t0)
+        _require(good.embeddable and not bad.embeddable,
+                 f"sphere-product decision does not flip at {bound} for n = {n}")
+        _require(scal_mod.verify_witness(good.witness.ring, good.witness).passed,
+                 f"witness round-trip failed at n = {n}")
+        _require(bad.refutation.check(),
+                 f"refutation certificate fails at n = {n}")
     expected_null = {2: 1, 3: 0, 4: 0, 5: 0, 6: 0}
     for n, dim in expected_null.items():
         d = scal_mod.decide_pi(n, 2)
-        if d.nullspace_dim != dim:
-            return CheckResult("signatures", 6, False,
-                               f"nullspace dimension {d.nullspace_dim} for "
-                               f"n = {n}, expected {dim}", time.time() - t0)
-    return CheckResult("signatures", 6, True,
-                       "signatures (3,3)/(35,35)/(6435,6435); decisions flip "
-                       "at the half-binomial bounds; nullspace dims 1,0,0,0,0",
-                       time.time() - t0)
+        _require(d.nullspace_dim == dim,
+                 f"nullspace dimension {d.nullspace_dim} for n = {n}, "
+                 f"expected {dim}")
+    return ("signatures (3,3)/(35,35)/(6435,6435); decisions flip at the "
+            "half-binomial bounds; nullspace dims 1,0,0,0,0")
 
 
 # ---------------------------------------------------------------------------
 # battery 7: cup-square invariants
 
 
+@_battery("hopf", 7)
 def run_hopf():
-    t0 = time.time()
     cp2 = load_fixture("cp2.ring")
     cp2.fundamental_degree = 4
-    if homotopy_mod.hopf_invariant(cp2, "x") != 1:
-        return CheckResult("hopf", 7, False, "projective-plane invariant is not 1",
-                           time.time() - t0)
+    _require(homotopy_mod.hopf_invariant(cp2, "x") == 1,
+             "projective-plane invariant is not 1")
     s2s2 = load_fixture("s2s2.ring")
     s2s2.fundamental_degree = 4
     for g in ("w1", "w2"):
-        if homotopy_mod.hopf_invariant(s2s2, g) != 0:
-            return CheckResult("hopf", 7, False,
-                               f"product-of-spheres invariant of {g} is not 0",
-                               time.time() - t0)
+        _require(homotopy_mod.hopf_invariant(s2s2, g) == 0,
+                 f"product-of-spheres invariant of {g} is not 0")
     amb = FreeCdga([("w", 2), ("b", 4)])
     for k in (1, 2, 3):
         ring = RingPresentation(
             [("w", 2), ("b", 4)],
             [amb["w"] ** 2 - k * k * amb["b"], amb["w"] * amb["b"], amb["b"] ** 2],
             name=f"selfmap{k}", fundamental_degree=4)
-        if homotopy_mod.hopf_invariant(ring, "w") != k * k:
-            return CheckResult("hopf", 7, False,
-                               f"degree-{k} self-map square is not {k * k}",
-                               time.time() - t0)
-    return CheckResult("hopf", 7, True,
-                       "cup squares: 1 (projective plane), 0/0 (sphere "
-                       "product), k^2 for k = 1, 2, 3", time.time() - t0)
+        _require(homotopy_mod.hopf_invariant(ring, "w") == k * k,
+                 f"degree-{k} self-map square is not {k * k}")
+    return ("cup squares: 1 (projective plane), 0/0 (sphere product), k^2 "
+            "for k = 1, 2, 3")
 
 
 # ---------------------------------------------------------------------------
@@ -484,53 +445,36 @@ def nonformal_cell_fixture():
     return w33, cell, a3
 
 
+@_battery("massey", 8)
 def run_massey():
-    t0 = time.time()
     for model in formal_model_fixtures():
         alg = model.algebra
-        reps = {}
-        for k in range(2, model.cap + 1):
-            reps[k] = cohomology_of(alg, k, model.cap).classes
+        reps = {k: cohomology_of(alg, k, model.cap).classes
+                for k in range(2, model.cap + 1)}
         degs = [k for k in reps if reps[k]]
-        for dx in degs:
-            for dy in degs:
-                for dz in degs:
-                    if dx + dy + dz - 1 > model.cap:
-                        continue
-                    for cx in reps[dx]:
-                        for cy in reps[dy]:
-                            for cz in reps[dz]:
-                                xy = cx.representative * cy.representative
-                                yz = cy.representative * cz.representative
-                                if (not DegreeCohomology(
-                                        alg, dx + dy).is_exact(xy.terms)
-                                        or not DegreeCohomology(
-                                        alg, dy + dz).is_exact(yz.terms)):
-                                    continue
-                                res = homotopy_mod.massey_triple(
-                                    alg, cx, cy, cz)
-                                if not res.vanishes_mod_indeterminacy:
-                                    return CheckResult(
-                                        "massey", 8, False,
-                                        f"nonvanishing triple product on the "
-                                        f"formal model {alg.name}",
-                                        time.time() - t0)
+        for dx, dy, dz in product(degs, repeat=3):
+            if dx + dy + dz - 1 > model.cap:
+                continue
+            for cx, cy, cz in product(reps[dx], reps[dy], reps[dz]):
+                xy = cx.representative * cy.representative
+                yz = cy.representative * cz.representative
+                if not (DegreeCohomology(alg, dx + dy).is_exact(xy.terms)
+                        and DegreeCohomology(alg, dy + dz).is_exact(yz.terms)):
+                    continue
+                res = homotopy_mod.massey_triple(alg, cx, cy, cz)
+                _require(res.vanishes_mod_indeterminacy,
+                         f"nonvanishing triple product on the formal model "
+                         f"{alg.name}")
     _w33, cell, a3 = nonformal_cell_fixture()
     res = homotopy_mod.massey_triple(cell, cell[a3[0]], cell[a3[0]], cell[a3[1]])
-    if res.vanishes_mod_indeterminacy or res.indeterminacy_dim != 0:
-        return CheckResult("massey", 8, False,
-                           "cell-attachment triple product did not certify "
-                           "non-formality", time.time() - t0)
+    _require(not res.vanishes_mod_indeterminacy and res.indeterminacy_dim == 0,
+             "cell-attachment triple product did not certify non-formality")
     flags = models_mod.u0_surjectivity(cell, 8)
-    if flags[8] or not all(flags[k] for k in range(8)):
-        return CheckResult("massey", 8, False,
-                           f"closed-generator surjectivity flags wrong: {flags}",
-                           time.time() - t0)
-    return CheckResult("massey", 8, True,
-                       "triple products vanish mod indeterminacy on all formal "
-                       "fixtures; the 8-cell attachment gives a nonzero class "
-                       "with zero indeterminacy and fails surjectivity in "
-                       "degree 8", time.time() - t0)
+    _require(not flags[8] and all(flags[k] for k in range(8)),
+             f"closed-generator surjectivity flags wrong: {flags}")
+    return ("triple products vanish mod indeterminacy on all formal fixtures; "
+            "the 8-cell attachment gives a nonzero class with zero "
+            "indeterminacy and fails surjectivity in degree 8")
 
 
 # ---------------------------------------------------------------------------
@@ -553,45 +497,35 @@ CLASSIFICATION_CASES = [
 ]
 
 
+@_battery("classification", 9)
 def run_classification():
-    t0 = time.time()
     for descriptor, expected in CLASSIFICATION_CASES:
         got = scal_mod.classify(descriptor)
-        if got.verdict != expected:
-            return CheckResult("classification", 9, False,
-                               f"{descriptor} classified {got.verdict}, "
-                               f"expected {expected}", time.time() - t0)
+        _require(got.verdict == expected,
+                 f"{descriptor} classified {got.verdict}, expected {expected}")
         if expected == scal_mod.SCALABLE:
-            bad = _find_unverified_witness(got)
-            if bad is not None:
-                return CheckResult("classification", 9, False,
-                                   f"{descriptor}: {bad}", time.time() - t0)
+            _require_witnesses(got, descriptor)
         if expected == scal_mod.NOT_SCALABLE:
             cert = got.refutation
-            if cert is None or not cert.check():
-                return CheckResult("classification", 9, False,
-                                   f"{descriptor} lacks a checkable refutation",
-                                   time.time() - t0)
-    return CheckResult("classification", 9, True,
-                       f"{len(CLASSIFICATION_CASES)} descriptors classified "
-                       "with verified witnesses or checkable refutations",
-                       time.time() - t0)
+            _require(cert is not None and cert.check(),
+                     f"{descriptor} lacks a checkable refutation")
+    return (f"{len(CLASSIFICATION_CASES)} descriptors classified with "
+            "verified witnesses or checkable refutations")
 
 
-def _find_unverified_witness(classification):
+def _require_witnesses(classification, descriptor):
+    """Every leaf of a scalable classification has a witness that passes
+    verify_witness."""
+    for part in classification.parts:
+        _require_witnesses(part, descriptor)
     if classification.parts:
-        for part in classification.parts:
-            bad = _find_unverified_witness(part)
-            if bad is not None:
-                return bad
-        return None
+        return
     witness = classification.witness
-    if witness is None:
-        return "scalable verdict without a witness"
+    _require(witness is not None,
+             f"{descriptor}: scalable verdict without a witness")
     report = scal_mod.verify_witness(witness.ring, witness)
-    if not report.passed:
-        return f"witness failed verification: {report.message}"
-    return None
+    _require(report.passed,
+             f"{descriptor}: witness failed verification: {report.message}")
 
 
 # ---------------------------------------------------------------------------
@@ -646,56 +580,25 @@ def obstruction_fixtures():
     return out
 
 
+@_battery("obstruction", 10)
 def run_obstruction():
-    t0 = time.time()
     for label, ob in obstruction_fixtures():
         if label.endswith("!"):
-            if ob.vanishes or ob.rank < 1:
-                return CheckResult("obstruction", 10, False,
-                                   f"{label}: expected a nonvanishing class",
-                                   time.time() - t0)
+            _require(not ob.vanishes and ob.rank >= 1,
+                     f"{label}: expected a nonvanishing class")
             continue
-        if not ob.vanishes:
-            return CheckResult("obstruction", 10, False,
-                               f"{label}: class unexpectedly nonzero",
-                               time.time() - t0)
+        _require(ob.vanishes, f"{label}: class unexpectedly nonzero")
         try:
             f_ext, H_ext = homotopy_mod.extend_with_witness(ob)
         except ValueError as exc:
-            return CheckResult("obstruction", 10, False,
-                               f"{label}: extension rejected: {exc}",
-                               time.time() - t0)
+            raise _Failed(f"{label}: extension rejected: {exc}") from None
         for name in ob.v_names:
-            if H_ext.images[name].at(0) != ob.g.images[name]:
-                return CheckResult("obstruction", 10, False,
-                                   f"{label}: extended homotopy misses g at t=0",
-                                   time.time() - t0)
-            if H_ext.images[name].at(1) != ob.h.apply(f_ext.images[name]):
-                return CheckResult("obstruction", 10, False,
-                                   f"{label}: extended homotopy misses h(f~) "
-                                   "at t=1", time.time() - t0)
-    return CheckResult("obstruction", 10, True,
-                       "all vanishing fixtures extend with valid chain-map "
-                       "homotopies; the shifted-target fixture stays obstructed",
-                       time.time() - t0)
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-BATTERIES = {
-    "cdga-laws": run_cdga_laws,
-    "integration": run_integration,
-    "s2-model": run_s2_model,
-    "wedge-table": run_wedge_table,
-    "whitehead": run_whitehead,
-    "signatures": run_signatures,
-    "hopf": run_hopf,
-    "massey": run_massey,
-    "classification": run_classification,
-    "obstruction": run_obstruction,
-}
+            _require(H_ext.images[name].at(0) == ob.g.images[name],
+                     f"{label}: extended homotopy misses g at t=0")
+            _require(H_ext.images[name].at(1) == ob.h.apply(f_ext.images[name]),
+                     f"{label}: extended homotopy misses h(f~) at t=1")
+    return ("all vanishing fixtures extend with valid chain-map homotopies; "
+            "the shifted-target fixture stays obstructed")
 
 
 def run_all(only=None):

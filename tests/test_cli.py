@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -8,7 +9,7 @@ import pytest
 import rht.homotopy
 import rht.models
 from rht.cli import main
-from rht.fileformat import MAX_NESTING
+from rht.fileformat import MAX_NESTING, MAX_POWER_TERMS
 from rht.report import Report
 
 
@@ -166,6 +167,44 @@ def test_zero_denominator_literals_exit_2(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err and "ZeroDivisionError" not in err
+
+
+def test_power_blow_up_exits_2_quickly(capsys, tmp_path):
+    """A power of a sum is refused, with its line, before it is expanded
+    past MAX_POWER_TERMS monomials, in rel and d lines alike; so is a power
+    whose coefficient outgrows the int-string limit.  Powers at the bound,
+    one-term powers and powers whose base squares to zero still load."""
+    cases = (
+        ("ring big\ngen x 2\ngen y 2\nrel (x+y)^99999999\n",
+         "line 4: power of a 2-term sum to exponent 99999999 may expand to "
+         f"more than {MAX_POWER_TERMS} monomials"),
+        ("cdga big\ngen x 2\ngen y 2\ngen u 1\n\nd u = (x+y)^99999999\n",
+         "line 6: power of a 2-term sum"),
+        ("ring big\ngen x 2\ngen y 2\ngen z 2\nrel (x-y+2*z)^31\n",
+         "line 5: power of a 3-term sum to exponent 31"),
+    )
+    if sys.get_int_max_str_digits():
+        cases += (("ring big\ngen x 2\nrel (2*x)^99999999\n", "line 3: power "
+                   "to exponent 99999999 has coefficients of more than"),)
+    path = tmp_path / "big.ring"
+    for text, message in cases:
+        path.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "cohomology", str(path),
+                                 "--through", "4", "--machine")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    # comb(30 + 2, 2) = 496 monomials at most, comb(31 + 2, 2) = 528 above
+    for rel in ("(x-y+2*z)^30", "x^99999999", "(a+b)^99999999"):
+        path.write_text("ring ok\ngen x 2\ngen y 2\ngen z 2\ngen a 3\n"
+                        f"gen b 3\nrel {rel}\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "cohomology", str(path),
+                               "--through", "4", "--machine")
+        assert code == 0, rel
+        assert Report.parse(out).get("ranks") == "1,0,3,2,6", rel
 
 
 def test_non_integer_literals_exit_2(capsys):

@@ -44,6 +44,7 @@ COMMANDS = {
     "scalable-omega": ["scalable", "csum(3*(S2xS2))"],
     "scalable-plane-sum": ["scalable", "csum(2*CP2,rev(CP2))"],
     "scalable-family": ["scalable", "csum(2*(S2xS4))"],
+    "verify-paper": ["verify-paper"],
 }
 
 

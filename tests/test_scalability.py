@@ -749,6 +749,22 @@ def test_witness_target_must_be_exterior():
         EmbeddingWitness(ring, truncated, {"a1": truncated.zero()})
 
 
+def test_witness_image_of_wrong_degree_rejected_at_construction():
+    ring = sigma_ring(2, 1)
+    ext = exterior_algebra(4)
+    with pytest.raises(ValueError, match="not homogeneous of degree 2"):
+        EmbeddingWitness(ring, ext, {"a1": ext["dx1"]})
+    with pytest.raises(ValueError, match="not homogeneous of degree 2"):
+        EmbeddingWitness(ring, ext, {"a1": ext["dx1"] + ext["dx1"] * ext["dx2"]})
+
+
+def test_witness_morphism_is_the_checked_one():
+    witness = decide_sigma(2, 3).witness
+    assert witness.morphism() is witness.morphism()
+    assert witness.morphism().images == {g.name: witness.images[g.name]
+                                         for g in witness.ring.gens}
+
+
 def test_witness_for_another_presentation_rejected():
     witness = decide_sigma(2, 3).witness
     with pytest.raises(ValueError, match="another presentation"):
