@@ -12,11 +12,11 @@ from .cdga import (DgaMorphism, Element, FreeCdga, Generator, Monomial,
                    TruncatedCdga)
 from .cohomology import (CohomologyClass, MappingCone, cohomology,
                          is_quasi_isomorphism, relative_cohomology)
-from .homotopy import (DgaHomotopy, HomotopyElement, Leaf, MasseyResult, Node,
+from .homotopy import (DgaHomotopy, IntervalAlgebra, Leaf, MasseyResult, Node,
                        ObstructionClass, bracket_degree, extend_with_witness,
                        hopf_invariant, integrate_0_1, integrate_0_t,
-                       massey_triple, obstruction_class, parse_bracket,
-                       scale_leaves, whitehead_pair)
+                       interval_algebra, massey_triple, obstruction_class,
+                       parse_bracket, scale_leaves, whitehead_pair)
 from .models import (CellAttachmentModel, DepthFiltration, DistortionReport,
                      MinimalModel, attach_cell_model, bigraded_model,
                      compute_generator_depths, depth_filtration,

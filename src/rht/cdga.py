@@ -203,7 +203,7 @@ class Element:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return not self.terms
-            return self.terms == {UNIT: Fraction(other)}
+            return self.terms == {self.alg.unit_key: Fraction(other)}
         return NotImplemented
 
     __hash__ = None
@@ -216,10 +216,12 @@ class GradedAlgebra:
     """Shared element arithmetic for key-indexed graded algebras.
 
     Concrete algebras provide ``key_degree``, ``mul_keys``, ``d_key``,
-    ``basis`` and ``format_key``.  The unit key is the empty tuple.
+    ``basis`` and ``format_key``.  The unit key is the empty tuple unless an
+    algebra sets ``unit_key``.
     """
 
     name = "A"
+    unit_key = UNIT
 
     # -- constructors --------------------------------------------------------
 
@@ -230,10 +232,10 @@ class GradedAlgebra:
         return Element(self, {})
 
     def unit(self) -> Element:
-        return Element(self, {UNIT: _ONE})
+        return Element(self, {self.unit_key: _ONE})
 
     def scalar(self, c) -> Element:
-        return Element(self, {UNIT: Fraction(c)})
+        return Element(self, {self.unit_key: Fraction(c)})
 
     def sum(self, elems) -> Element:
         out = self.zero()
@@ -485,52 +487,58 @@ class FreeCdga(GradedAlgebra):
         """All monomials of the given degree, deterministically ordered.
 
         Order: exponent of the earliest declared generator descending, then
-        recursively on later generators.
+        recursively on later generators.  The walk keeps an explicit stack,
+        so the generator count is not bounded by the recursion limit.
         """
         if degree < 0:
             return ()
         cached = self._basis_cache.get(degree)
         if cached is not None:
             return cached
+        degrees, odd = self._degrees, self._odd
+        # floor[i]: smallest degree among generators i, i+1, ...; a branch
+        # whose remaining degree is below it cannot be completed
+        floor = [degree + 1] * (len(degrees) + 1)
+        for i in range(len(degrees) - 1, -1, -1):
+            floor[i] = min(degrees[i], floor[i + 1])
         out = []
-
-        def rec(start, remaining, acc):
+        stack = [(0, degree, ())]
+        while stack:
+            start, remaining, acc = stack.pop()
             if remaining == 0:
-                out.append(tuple(acc))
-                return
-            if start >= len(self.gens):
-                return
-            deg = self._degrees[start]
+                out.append(acc)
+                continue
+            if remaining < floor[start]:
+                continue
+            deg = degrees[start]
             top = remaining // deg
-            if self._odd[start]:
+            if odd[start]:
                 top = min(top, 1)
-            for e in range(top, -1, -1):
-                if e:
-                    acc.append((start, e))
-                    rec(start + 1, remaining - e * deg, acc)
-                    acc.pop()
-                else:
-                    rec(start + 1, remaining, acc)
-
-        rec(0, degree, [])
+            # pushed so that the largest exponent is popped first
+            stack.append((start + 1, remaining, acc))
+            for e in range(1, top + 1):
+                stack.append((start + 1, remaining - e * deg, acc + ((start, e),)))
         out = tuple(out)
         self._basis_cache[degree] = out
         return out
 
     def basis_size(self, degree):
-        """len(basis(degree)), counted from the generator degrees alone.
+        """len(basis(degree)), counted from the generator degrees alone."""
+        return self.basis_sizes(degree)[degree] if degree >= 0 else 0
 
-        Coefficient of t^degree in the product of 1/(1 - t^d) over even
-        generators and (1 + t^d) over odd ones; nothing is enumerated.
+    def basis_sizes(self, top):
+        """[len(basis(n)) for n in range(top + 1)], in one pass costing
+        about len(gens) * top steps.
+
+        Coefficients of the product of 1/(1 - t^d) over even generators
+        and (1 + t^d) over odd ones; nothing is enumerated.
         """
-        if degree < 0:
-            return 0
-        counts = [1] + [0] * degree
+        counts = [1] + [0] * top
         for d, odd in zip(self._degrees, self._odd):
-            steps = range(degree, d - 1, -1) if odd else range(d, degree + 1)
+            steps = range(top, d - 1, -1) if odd else range(d, top + 1)
             for k in steps:
                 counts[k] += counts[k - d]
-        return counts[degree]
+        return counts
 
     def format_key(self, mon):
         if not mon:
@@ -634,9 +642,9 @@ class DgaMorphism:
     """Algebra map defined on generators and commuting with differentials.
 
     The source is a free CDGA; the target may be any key-indexed graded
-    algebra (free, truncated, ring presentation, cell attachment).  Both the
-    degree-preservation and the chain-map condition phi(dv) = d(phi(v)) are
-    checked at construction.
+    algebra (free, truncated, ring presentation, cell attachment, or the
+    interval algebra of a homotopy).  Both the degree-preservation and the
+    chain-map condition phi(dv) = d(phi(v)) are checked at construction.
     """
 
     def __init__(self, source, target, images, *, check=True):
@@ -651,18 +659,20 @@ class DgaMorphism:
                 raise ValueError(f"image of {g.name!r} lives in the wrong algebra")
             imgs[g.name] = e
         self.images = imgs
-        self._key_cache = {UNIT: {UNIT: _ONE}}
+        self._key_cache = {UNIT: target.unit().terms}
         if check:
             self._check()
 
     def _check(self):
         for g in self.source.gens:
             img = self.images[g.name]
-            if img and not (img.is_homogeneous() and img.degree == g.degree):
+            # degree is None unless every term has one common degree
+            if img and img.degree != g.degree:
                 raise ValueError(
                     f"image of {g.name!r} is not homogeneous of degree {g.degree}")
         for g in self.source.gens:
-            lhs = self.apply(self.source.differential_of(g.name))
+            dv = self.source.differential_of(g.name)
+            lhs = self.apply(dv) if dv else self.target.zero()
             rhs = self.images[g.name].d()
             if lhs != rhs:
                 raise ValueError(

@@ -84,6 +84,31 @@ def _power(base, n, line=None):
     return base ** n
 
 
+def _product(left, right, line=None):
+    """left * right, refused with a PresentationError when it may expand to
+    more than MAX_POWER_TERMS monomials.  The product of a t1-term and a
+    t2-term factor has at most t1 * t2 monomials, and at most as many as
+    the ambient basis has in the degrees it can reach.  Counting that basis
+    takes about len(gens) * top steps for the top degree reached; it is only
+    done when that is at most the t1 * t2 products it could save, so a
+    factor of huge degree is refused on t1 * t2 alone."""
+    t1, t2 = len(left.terms), len(right.terms)
+    if t1 * t2 > MAX_POWER_TERMS:
+        alg = left.alg
+        degrees = {alg.key_degree(k) for k in right.terms}
+        reach = {alg.key_degree(k) + d for k in left.terms for d in degrees}
+        top = max(reach)
+        fits = top * len(alg.gens) <= t1 * t2
+        if fits:
+            counts = alg.basis_sizes(top)
+            fits = sum(counts[d] for d in reach) <= MAX_POWER_TERMS
+        if not fits:
+            raise PresentationError(
+                f"product of a {t1}-term and a {t2}-term factor may expand "
+                f"to more than {MAX_POWER_TERMS} monomials", line)
+    return left * right
+
+
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -212,7 +237,7 @@ def parse_expression(text, algebra, line=None) -> Element:
         out = parse_power()
         while peek() == "*":
             take("*")
-            out = out * parse_power()
+            out = _product(out, parse_power(), line)
         return out
 
     def parse_signed():

@@ -1,9 +1,12 @@
 """Homotopies over the polynomial interval, obstruction operators, pairings.
 
-A homotopy element lives in B (x) Q<t, dt>: finitely many body coefficients
-b_i (x) t^i plus dt-coefficients c_j (x) t^j dt, with dt squaring to zero.
-The two integration operators annihilate the body part and act on the
-dt part by
+B (x) Q<t, dt> is itself a graded algebra, ``interval_algebra(B)``: its key
+(i, e, k) stands for k (x) t^i dt^e, with t of degree 0, dt of degree 1
+squaring to zero, d(t) = dt, and dt written to the right of the coefficient.
+A homotopy element is an ordinary ``Element`` of it, and a homotopy of
+algebra maps is a ``DgaMorphism`` into it.  The t-degree is capped at T_CAP;
+overflow raises instead of truncating.  The two integration operators
+annihilate the terms without dt and act on the others by
 
     int_0^t  c (x) t^i dt = (-1)^deg(c) c (x) t^(i+1)/(i+1)
     int_0^1  c (x) t^i dt = (-1)^deg(c) c / (i+1)
@@ -17,7 +20,7 @@ Homotopies of algebra maps are oriented here with the composite at t = 1:
 H|_{t=0} is the extendee g restricted to the base and H|_{t=1} is h o f.
 That orientation is forced by requiring the obstruction assignment
 O(v) = (f(dv), g(v) + int_0^1 H(dv)) to be a relative cocycle; the reversed
-convention is available as an explicit involution of homotopy elements.
+convention is available as the involution ``reverse``.
 """
 
 from __future__ import annotations
@@ -27,212 +30,139 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .cdga import DgaMorphism, Element
+from .cdga import DgaMorphism, Element, GradedAlgebra, accumulate
 from .cohomology import CohomologyClass, DegreeCohomology, MappingCone, primitive
 from .fileformat import MAX_NESTING, PresentationError, rational
 
 _ZERO = Fraction(0)
 
-DEFAULT_T_CAP = 16
+# Largest power of t an interval element may carry.
+T_CAP = 16
 
 
-def _add_at(store, i, e):
-    """store[i] += e, for an Element e; a zero e leaves store as it is."""
-    if e:
-        store[i] = store[i] + e if i in store else e
+def _capped(i):
+    if i > T_CAP:
+        raise ValueError(f"t-degree {i} exceeds the cap {T_CAP}")
+    return i
 
 
-class HomotopyElement:
-    """Element of B (x) Q<t, dt> with exact coefficients in the algebra B.
+class IntervalAlgebra(GradedAlgebra):
+    """B (x) Q<t, dt> over a graded algebra B; build it with interval_algebra.
 
-    ``body`` maps t-exponents to coefficients of t^i; ``dt_part`` maps
-    t-exponents to coefficients of t^i dt.  The t-degree is capped (default
-    16) and overflow raises instead of truncating.
+    Key (i, e, k) is k (x) t^i dt^e with e in {0, 1}.  Moving dt past a
+    coefficient of degree p costs (-1)^p, and
+    d(k (x) t^i) = dk (x) t^i + (-1)^deg(k) i k (x) t^(i-1) dt.
     """
 
-    __slots__ = ("alg", "body", "dt_part", "t_cap")
+    def __init__(self, base):
+        self.base = base
+        self.name = f"{base.name}[t,dt]"
+        self.unit_key = (0, 0, base.unit_key)
 
-    def __init__(self, alg, body=None, dt_part=None, t_cap=DEFAULT_T_CAP):
-        self.alg = alg
-        self.t_cap = t_cap
-        self.body = {i: e for i, e in (body or {}).items() if e}
-        self.dt_part = {i: e for i, e in (dt_part or {}).items() if e}
-        worst = max([*self.body, *self.dt_part, 0])
-        if worst > t_cap:
-            raise ValueError(f"t-degree {worst} exceeds the cap {t_cap}")
+    def lift(self, element: Element, i=0, *, dt=False) -> Element:
+        """element (x) t^i, times dt when ``dt`` is set."""
+        if element.alg is not self.base:
+            raise ValueError("element does not belong to the interval base")
+        i, e = _capped(i), int(dt)
+        return Element._wrap(self, {(i, e, k): c for k, c in element.terms.items()})
 
-    # -- constructors --------------------------------------------------------
+    def key_degree(self, key):
+        return self.base.key_degree(key[2]) + key[1]
 
-    @classmethod
-    def constant(cls, element: Element, t_cap=DEFAULT_T_CAP):
-        return cls(element.alg, {0: element}, None, t_cap)
+    def mul_keys(self, k1, k2):
+        i1, e1, b1 = k1
+        i2, e2, b2 = k2
+        if e1 and e2:
+            return {}
+        prod = self.base.mul_keys(b1, b2)
+        if not prod:
+            return {}
+        i, e = _capped(i1 + i2), e1 + e2
+        if e1 and self.base.key_degree(b2) % 2:
+            return {(i, e, k): -s for k, s in prod.items()}
+        return {(i, e, k): s for k, s in prod.items()}
 
-    @classmethod
-    def t_power(cls, element: Element, i, *, dt=False, t_cap=DEFAULT_T_CAP):
-        if dt:
-            return cls(element.alg, None, {i: element}, t_cap)
-        return cls(element.alg, {i: element}, None, t_cap)
+    def d_key(self, key):
+        i, e, b = key
+        out = {(i, e, k): c for k, c in self.base.d_key(b).items()}
+        if i and not e:
+            c = Fraction(i)
+            out[(i - 1, 1, b)] = -c if self.base.key_degree(b) % 2 else c
+        return out
 
-    def is_zero(self):
-        return not self.body and not self.dt_part
+    def format_key(self, key):
+        i, e, b = key
+        parts = [] if b == self.base.unit_key else [self.base.format_key(b)]
+        if i:
+            parts.append("t" if i == 1 else f"t^{i}")
+        if e:
+            parts.append("dt")
+        return "*".join(parts) or "1"
 
-    def degree(self):
-        """Common total degree (dt counts 1); None if zero or mixed."""
-        degs = set()
-        for e in self.body.values():
-            degs.update({self.alg.key_degree(k) for k in e.terms})
-        for e in self.dt_part.values():
-            degs.update({self.alg.key_degree(k) + 1 for k in e.terms})
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+    def key_sort_token(self, key):
+        return (key[0], key[1], self.base.key_sort_token(key[2]))
 
-    # -- arithmetic ------------------------------------------------------------
 
-    def _check(self, other):
-        if other.alg is not self.alg:
-            raise ValueError("homotopy elements over different algebras")
+def interval_algebra(base) -> IntervalAlgebra:
+    """The one IntervalAlgebra over ``base``, kept on the base.
 
-    def __add__(self, other):
-        self._check(other)
-        body = dict(self.body)
-        for i, e in other.body.items():
-            _add_at(body, i, e)
-        dt = dict(self.dt_part)
-        for i, e in other.dt_part.items():
-            _add_at(dt, i, e)
-        return HomotopyElement(self.alg, body, dt, max(self.t_cap, other.t_cap))
+    ``setdefault`` keeps it one even when two threads ask at once: images
+    built over a second instance would not belong to the first.
+    """
+    found = base.__dict__.get("_interval")
+    if found is None:
+        found = base.__dict__.setdefault("_interval", IntervalAlgebra(base))
+    return found
 
-    def __neg__(self):
-        return HomotopyElement(self.alg,
-                               {i: -e for i, e in self.body.items()},
-                               {i: -e for i, e in self.dt_part.items()},
-                               self.t_cap)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return HomotopyElement(self.alg,
-                                   {i: c * e for i, e in self.body.items()},
-                                   {i: c * e for i, e in self.dt_part.items()},
-                                   self.t_cap)
-        return NotImplemented
-
-    def _parity_twist(self, element: Element) -> Element:
-        """Multiply each homogeneous term by (-1)^degree (moving it past dt)."""
-        key_degree = self.alg.key_degree
-        return Element._wrap(element.alg,
-                             {k: (c if key_degree(k) % 2 == 0 else -c)
-                              for k, c in element.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return other * self
-        self._check(other)
-        cap = max(self.t_cap, other.t_cap)
-        body = {}
-        dt = {}
-        for i, e1 in self.body.items():
-            for j, e2 in other.body.items():
-                _add_at(body, i + j, e1 * e2)
-            for j, e2 in other.dt_part.items():
-                _add_at(dt, i + j, e1 * e2)
-        for i, e1 in self.dt_part.items():
-            for j, e2 in other.body.items():
-                _add_at(dt, i + j, e1 * self._parity_twist(e2))
-            # dt * dt = 0
-        return HomotopyElement(self.alg, body, dt, cap)
-
-    def d(self):
-        """Differential with d(t) = dt: d(b (x) t^i) = db (x) t^i +
-        (-1)^deg(b) i b (x) t^(i-1) dt and d(c (x) t^i dt) = dc (x) t^i dt."""
-        body = {}
-        dt = {}
-        for i, e in self.body.items():
-            _add_at(body, i, e.d())
-            if i > 0:
-                _add_at(dt, i - 1, i * self._parity_twist(e))
-        for i, e in self.dt_part.items():
-            _add_at(dt, i, e.d())
-        return HomotopyElement(self.alg, body, dt, self.t_cap)
-
-    def at(self, t_value) -> Element:
-        """Restriction at t = t_value, dt = 0 (0 or 1)."""
-        if t_value == 0:
-            return self.body.get(0, self.alg.zero())
-        if t_value == 1:
-            out = self.alg.zero()
-            for e in self.body.values():
-                out = out + e
-            return out
+def at(u: Element, t_value) -> Element:
+    """Restriction of an interval element at t = t_value, dt = 0 (0 or 1)."""
+    if t_value not in (0, 1):
         raise ValueError("only the endpoints t = 0 and t = 1 are meaningful")
-
-    def reversed(self):
-        """Time reversal t -> 1 - t, dt -> -dt."""
-        body = {}
-        dt = {}
-        for i, e in self.body.items():
-            for k in range(i + 1):
-                _add_at(body, k, Fraction(comb(i, k) * (-1) ** k) * e)
-        for i, e in self.dt_part.items():
-            for k in range(i + 1):
-                _add_at(dt, k, Fraction(comb(i, k) * (-1) ** (k + 1)) * e)
-        return HomotopyElement(self.alg, body, dt, self.t_cap)
-
-    def __eq__(self, other):
-        if isinstance(other, HomotopyElement):
-            return (self.alg is other.alg and self.body == other.body
-                    and self.dt_part == other.dt_part)
-        if isinstance(other, int) and other == 0:
-            return self.is_zero()
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        parts = []
-        for i in sorted(self.body):
-            coeff = repr(self.body[i])
-            parts.append(coeff if i == 0 else f"({coeff})*t^{i}")
-        for i in sorted(self.dt_part):
-            coeff = repr(self.dt_part[i])
-            parts.append(f"({coeff})*dt" if i == 0 else f"({coeff})*t^{i}dt")
-        return " + ".join(parts) if parts else "0"
+    out = {}
+    for (i, e, k), c in u.terms.items():
+        if not e and (t_value or not i):
+            accumulate(out, {k: c})
+    return Element._wrap(u.alg.base, out)
 
 
-def integrate_0_t(u: HomotopyElement) -> HomotopyElement:
-    """Formal fiberwise integral from 0 to t; body annihilated."""
-    dt = {}
-    for i, e in u.dt_part.items():
-        coeff = _signed_integral(e, i)
-        if coeff:
-            dt[i + 1] = coeff
-    return HomotopyElement(u.alg, dt, None, u.t_cap)
+def reverse(u: Element) -> Element:
+    """Time reversal t -> 1 - t, dt -> -dt."""
+    out = {}
+    for (i, e, k), c in u.terms.items():
+        accumulate(out, {(j, e, k): c * (comb(i, j) * (-1) ** (j + e))
+                         for j in range(i + 1)})
+    return Element._wrap(u.alg, out)
 
 
-def integrate_0_1(u: HomotopyElement) -> Element:
-    """Formal fiberwise integral from 0 to 1; lands back in the algebra."""
-    out = u.alg.zero()
-    for i, e in u.dt_part.items():
-        out = out + _signed_integral(e, i)
-    return out
+def integrate_0_t(u: Element) -> Element:
+    """Formal fiberwise integral from 0 to t; terms without dt vanish."""
+    return Element._wrap(u.alg, {(_capped(i + 1), 0, k): c * _integral_factor(u, k, i)
+                                 for (i, e, k), c in u.terms.items() if e})
 
 
-def _signed_integral(e: Element, i) -> Element:
-    """(-1)^deg(c) c / (i+1) on each term c of e: the integral of e t^i dt."""
-    key_degree = e.alg.key_degree
+def integrate_0_1(u: Element) -> Element:
+    """Formal fiberwise integral from 0 to 1; lands back in the base."""
+    out = {}
+    for (i, e, k), c in u.terms.items():
+        if e:
+            accumulate(out, {k: c * _integral_factor(u, k, i)})
+    return Element._wrap(u.alg.base, out)
+
+
+def _integral_factor(u, k, i):
+    """(-1)^deg(k) / (i+1): the integral of k (x) t^i dt, per unit of k."""
     inv = Fraction(1, i + 1)
-    return Element._wrap(e.alg, {k: (c if key_degree(k) % 2 == 0 else -c) * inv
-                                 for k, c in e.terms.items()})
+    return -inv if u.alg.base.key_degree(k) % 2 else inv
 
 
-class DgaHomotopy:
-    """Homotopy between two algebra maps, given on generators.
+class DgaHomotopy(DgaMorphism):
+    """Homotopy between two algebra maps: a map into the interval algebra.
 
-    ``start`` and ``end`` are the restrictions at t = 0 and t = 1; the
-    generator images must satisfy H(dv) = d(H(v)), checked at construction.
+    ``start`` and ``end`` are the restrictions at t = 0 and t = 1.  The
+    generator images live in ``interval_algebra(start.target)``; with
+    ``check`` the endpoints are compared first, then the chain-map condition
+    H(dv) = d(H(v)) of every DgaMorphism.
     """
 
     def __init__(self, start: DgaMorphism, end: DgaMorphism, images, *, check=True):
@@ -240,53 +170,25 @@ class DgaHomotopy:
             raise ValueError("homotopy endpoints must share source and target")
         self.start = start
         self.end = end
-        self.source = start.source
-        self.target = start.target
-        self.images = dict(images)
-        self._key_cache = {}
+        interval = interval_algebra(start.target)
         if check:
-            self._check()
+            for g in start.source.gens:
+                h = images.get(g.name)
+                if h is None:
+                    raise ValueError(f"no homotopy image for generator {g.name!r}")
+                if h.alg is not interval:
+                    raise ValueError(f"image of {g.name!r} lives in the wrong algebra")
+                if at(h, 0) != start.images[g.name]:
+                    raise ValueError(f"H({g.name}) at t=0 differs from the start map")
+                if at(h, 1) != end.images[g.name]:
+                    raise ValueError(f"H({g.name}) at t=1 differs from the end map")
+        super().__init__(start.source, interval, images, check=check)
 
     @classmethod
-    def constant(cls, phi: DgaMorphism, t_cap=DEFAULT_T_CAP):
-        imgs = {g.name: HomotopyElement.constant(phi.images[g.name], t_cap)
-                for g in phi.source.gens}
+    def constant(cls, phi: DgaMorphism):
+        interval = interval_algebra(phi.target)
+        imgs = {g.name: interval.lift(phi.images[g.name]) for g in phi.source.gens}
         return cls(phi, phi, imgs, check=False)
-
-    def _check(self):
-        for g in self.source.gens:
-            h = self.images.get(g.name)
-            if h is None:
-                raise ValueError(f"no homotopy image for generator {g.name!r}")
-            if h.at(0) != self.start.images[g.name]:
-                raise ValueError(f"H({g.name}) at t=0 differs from the start map")
-            if h.at(1) != self.end.images[g.name]:
-                raise ValueError(f"H({g.name}) at t=1 differs from the end map")
-        for g in self.source.gens:
-            lhs = self.apply(self.source.differential_of(g.name))
-            rhs = self.images[g.name].d()
-            if lhs != rhs:
-                raise ValueError(f"homotopy is not a chain map on {g.name!r}")
-
-    def _image_of_key(self, mon) -> HomotopyElement:
-        cached = self._key_cache.get(mon)
-        if cached is not None:
-            return cached
-        out = HomotopyElement.constant(self.target.unit())
-        for i, e in mon:
-            h = self.images[self.source.gens[i].name]
-            for _ in range(e):
-                out = out * h
-        self._key_cache[mon] = out
-        return out
-
-    def apply(self, x: Element) -> HomotopyElement:
-        if x.alg is not self.source:
-            raise ValueError("element does not belong to the homotopy source")
-        out = HomotopyElement(self.target, None, None)
-        for mon, c in x.terms.items():
-            out = out + c * self._image_of_key(mon)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +272,8 @@ def obstruction_class(f: DgaMorphism, g: DgaMorphism, h: DgaMorphism,
                 raise ValueError("g|_A differs from h o f; a homotopy is required")
         homotopy = DgaHomotopy.constant(restricted)
     else:
-        if homotopy.source is not f.source or homotopy.target is not g.target:
+        if (homotopy.source is not f.source
+                or homotopy.target is not interval_algebra(g.target)):
             raise ValueError("homotopy does not fit the extension square")
         for gen in f.source.gens:
             if homotopy.start.images[gen.name] != restricted.images[gen.name]:
@@ -434,17 +337,13 @@ def extend_with_witness(obstruction: ObstructionClass):
     f_ext = DgaMorphism(g.source, f.target, images_f, check=True)
     h_f_ext = h.compose(f_ext)
 
-    images_H = {}
-    for gen in f.source.gens:
-        images_H[gen.name] = H.images[gen.name]
+    interval = H.target
+    images_H = dict(H.images)
     for name, (_b_v, c_v) in obstruction.primitives.items():
         dv = Element(f.source, dict(g.source.differential_of(name).terms))
-        tail = HomotopyElement.t_power(c_v, 1).d() + integrate_0_t(H.apply(dv))
-        images_H[name] = HomotopyElement.constant(g.images[name]) + tail
-    g_full = DgaMorphism(g.source, g.target,
-                         {gen.name: g.images[gen.name] for gen in g.source.gens},
-                         check=False)
-    H_ext = DgaHomotopy(g_full, h_f_ext, images_H, check=True)
+        tail = interval.lift(c_v, 1).d() + integrate_0_t(H.apply(dv))
+        images_H[name] = interval.lift(g.images[name]) + tail
+    H_ext = DgaHomotopy(g, h_f_ext, images_H, check=True)
     return f_ext, H_ext
 
 

@@ -36,8 +36,7 @@ class RingPresentation(GradedAlgebra):
     """
 
     def __init__(self, generators, relations=(), *, name="R",
-                 fundamental_degree=None, duality=False,
-                 orientation_note=None):
+                 fundamental_degree=None, duality=False):
         self.name = name
         self.ambient = FreeCdga(generators, None, name=f"{name}~ambient")
         rels = []
@@ -55,7 +54,6 @@ class RingPresentation(GradedAlgebra):
         self.fundamental_degree = fundamental_degree
         self.fundamental_monomial = None
         self.duality = duality
-        self.orientation_note = orientation_note
         self._slices = {}
         if duality:
             if fundamental_degree is None:

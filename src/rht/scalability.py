@@ -284,7 +284,7 @@ class SignatureResult:
         return (self.positive, self.negative)
 
 
-def wedge_pairing_signature(n: int, *, dense_check=None) -> SignatureResult:
+def wedge_pairing_signature(n: int) -> SignatureResult:
     """Signature of the wedge form on middle-degree forms of R^(2n), n even.
 
     dx_I pairs only with dx_(I^c), so the Gram matrix splits into 2x2
@@ -299,8 +299,7 @@ def wedge_pairing_signature(n: int, *, dense_check=None) -> SignatureResult:
         raise ValueError("n must be at least 2")
     total = comb(2 * n, n)
     pairs = total // 2
-    if dense_check is None:
-        dense_check = n <= 3
+    dense_check = n <= 3
     if dense_check:
         ext = exterior_algebra(2 * n)
         subsets = list(itertools.combinations(range(1, 2 * n + 1), n))
@@ -614,8 +613,6 @@ class ConnectedSumRing(RingPresentation):
                          fundamental_degree=fund, duality=True)
         self.atoms = tuple(atoms)
         self.orientations = tuple(orientations)
-        self.atom_generators = tuple(tuple(gens[p][0] for p in idx)
-                                     for idx in atom_index)
         self.fundamental_monomial = mu
         self.fundamental_monomial_sign = Fraction(sign)
         self.duality_verified = False

@@ -200,22 +200,18 @@ def run_integration(iterations=1000, seed=0xC0F2):
     degrees = list(range(1, 10))
     for _ in range(iterations):
         alg = algebras[rng.randrange(len(algebras))]
-        body = {}
-        dt = {}
+        interval = homotopy_mod.interval_algebra(alg)
+        u = interval.zero()
         for _ in range(rng.randint(1, 3)):
             e = random_homogeneous(alg, rng, degrees)
             i = rng.randint(0, 5)
-            if rng.random() < 0.5:
-                body[i] = body.get(i, alg.zero()) + e
-            else:
-                dt[i] = dt.get(i, alg.zero()) + e
-        u = homotopy_mod.HomotopyElement(alg, body, dt)
+            u = u + interval.lift(e, i, dt=rng.random() >= 0.5)
+        at0, at1 = homotopy_mod.at(u, 0), homotopy_mod.at(u, 1)
         lhs = homotopy_mod.integrate_0_t(u).d() + homotopy_mod.integrate_0_t(u.d())
-        _require(lhs == u - homotopy_mod.HomotopyElement.constant(u.at(0)),
+        _require(lhs == u - interval.lift(at0),
                  "interval integration identity (0..t) fails")
         lhs1 = homotopy_mod.integrate_0_1(u).d() + homotopy_mod.integrate_0_1(u.d())
-        _require(lhs1 == u.at(1) - u.at(0),
-                 "endpoint integration identity (0..1) fails")
+        _require(lhs1 == at1 - at0, "endpoint integration identity (0..1) fails")
     return f"{iterations} randomized homotopy elements, both identities exact"
 
 
@@ -572,10 +568,10 @@ def obstruction_fixtures():
     g3 = DgaMorphism(AV, C3, {"a": C3["e"], "v": C3["s"]})
     start3 = DgaMorphism(A, C3, {"a": C3["e"]})
     end3 = h3.compose(f)
+    interval3 = homotopy_mod.interval_algebra(C3)
     H3 = homotopy_mod.DgaHomotopy(
         start3, end3,
-        {"a": homotopy_mod.HomotopyElement.constant(C3["e"])
-              + homotopy_mod.HomotopyElement.t_power(C3["q"], 1).d()})
+        {"a": interval3.lift(C3["e"]) + interval3.lift(C3["q"], 1).d()})
     out.append(("nonconstant-H", homotopy_mod.obstruction_class(f, g3, h3, H3)))
     return out
 
@@ -593,9 +589,10 @@ def run_obstruction():
         except ValueError as exc:
             raise _Failed(f"{label}: extension rejected: {exc}") from None
         for name in ob.v_names:
-            _require(H_ext.images[name].at(0) == ob.g.images[name],
+            image = H_ext.images[name]
+            _require(homotopy_mod.at(image, 0) == ob.g.images[name],
                      f"{label}: extended homotopy misses g at t=0")
-            _require(H_ext.images[name].at(1) == ob.h.apply(f_ext.images[name]),
+            _require(homotopy_mod.at(image, 1) == ob.h.apply(f_ext.images[name]),
                      f"{label}: extended homotopy misses h(f~) at t=1")
     return ("all vanishing fixtures extend with valid chain-map homotopies; "
             "the shifted-target fixture stays obstructed")

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,55 @@ def test_basis_size_counts_without_enumerating(wedge_table):
 def test_basis_deterministic_and_cached(wedge_table):
     assert wedge_table.basis(13) == wedge_table.basis(13)
     assert wedge_table.basis(13) is wedge_table.basis(13)
+
+
+def recursive_basis(alg, degree):
+    """The recursive walk FreeCdga.basis made before it kept an explicit
+    stack: one call per generator.  The order oracle for the stack walk."""
+    out = []
+
+    def rec(start, remaining, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        if start >= len(alg.gens):
+            return
+        deg = alg.gens[start].degree
+        top = remaining // deg
+        if deg % 2:
+            top = min(top, 1)
+        for e in range(top, -1, -1):
+            if e:
+                acc.append((start, e))
+                rec(start + 1, remaining - e * deg, acc)
+                acc.pop()
+            else:
+                rec(start + 1, remaining, acc)
+
+    rec(0, degree, [])
+    return tuple(out)
+
+
+def test_basis_matches_recursive_order_on_fixtures():
+    for alg in fixture_algebras():
+        for k in range(19):
+            assert alg.basis(k) == recursive_basis(alg, k), (alg.name, k)
+
+
+def test_basis_matches_recursive_order_on_random_generators():
+    rng = random.Random(7101)
+    for _ in range(60):
+        gens = [(f"g{i}", rng.randint(1, 6)) for i in range(rng.randint(0, 9))]
+        rng.shuffle(gens)
+        alg = FreeCdga(gens)
+        for k in range(16):
+            assert alg.basis(k) == recursive_basis(alg, k), (gens, k)
+
+
+def test_basis_of_1200_generators_does_not_recurse():
+    alg = FreeCdga([(f"g{i}", 2) for i in range(1200)])
+    basis = alg.basis(2)
+    assert basis == tuple(((i, 1),) for i in range(1200))
 
 
 def test_monomial_normalization_idempotent_order_independent(wedge_table, rng):

@@ -207,6 +207,53 @@ def test_power_blow_up_exits_2_quickly(capsys, tmp_path):
         assert Report.parse(out).get("ranks") == "1,0,3,2,6", rel
 
 
+def test_product_blow_up_exits_2_quickly(capsys, tmp_path):
+    """A product is refused, with its line, before it is multiplied past
+    MAX_POWER_TERMS monomials: expanding four 496-term factors would take
+    about a minute.  A product with many term pairs but few monomials in
+    its degree still loads, and so does every packaged fixture."""
+    path = tmp_path / "big.ring"
+    gens = "gen x 2\ngen y 2\ngen z 2\n"
+    path.write_text(f"ring big\n{gens}rel " + "*".join(["(x+y+z)^30"] * 4)
+                    + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "cohomology", str(path),
+                             "--through", "4", "--machine")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err == ("error: line 5: product of a 496-term and a 496-term "
+                   f"factor may expand to more than {MAX_POWER_TERMS} "
+                   "monomials\n")
+
+    # a factor of huge degree is refused on its term pairs, uncounted
+    path.write_text(f"ring deep\n{gens}rel x^99999999*(x+y+z)^30*(x+y)\n",
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "cohomology", str(path),
+                             "--through", "4", "--machine")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err == ("error: line 5: product of a 496-term and a 2-term "
+                   f"factor may expand to more than {MAX_POWER_TERMS} "
+                   "monomials\n")
+
+    # 66 * 66 term pairs, but degree 40 holds comb(22, 2) = 231 monomials
+    path.write_text(f"ring ok\n{gens}rel (x+y+z)^10*(x-y+z)^10\n",
+                    encoding="utf-8")
+    code, out, _ = run_cli(capsys, "cohomology", str(path),
+                           "--through", "4", "--machine")
+    assert code == 0 and Report.parse(out).get("ranks") == "1,0,3,0,6"
+
+    data = resources.files("rht").joinpath("data")
+    fixtures = sorted(p.name for p in data.iterdir()
+                      if p.name.endswith((".cdga", ".ring")))
+    assert len(fixtures) >= 7
+    for name in fixtures:
+        code, out, err = run_cli(capsys, "cohomology", data_path(name),
+                                 "--through", "4", "--machine")
+        assert code == 0 and err == "", name
+
+
 def test_non_integer_literals_exit_2(capsys):
     """--scale and bracket multipliers take integers and p/q only: exponent
     notation would otherwise scale the pairing by an unbounded number."""

@@ -75,24 +75,28 @@ def check_ring_ops(alg, x, y):
     assert_matches(x.d(), oracle.d(alg, x.terms), x)
 
 
+def random_interval_element(alg, rng, elems, *, max_t=5):
+    """A sum of lifts c (x) t^i, a third of them times dt."""
+    interval = homotopy.interval_algebra(alg)
+    u = interval.zero()
+    for _ in range(rng.randint(1, 4)):
+        u = u + interval.lift(rng.choice(elems), rng.randint(0, max_t),
+                              dt=rng.random() < 0.34)
+    return u
+
+
 def check_integrals(alg, rng, elems):
-    body = {rng.randint(0, 4): rng.choice(elems)}
-    dt = {}
+    """One lift without dt and one to three with it, so the integrals
+    have a dt part to act on."""
+    interval = homotopy.interval_algebra(alg)
+    u = interval.lift(rng.choice(elems), rng.randint(0, 4))
     for _ in range(rng.randint(1, 3)):
-        i = rng.randint(0, 5)
-        dt[i] = dt.get(i, alg.zero()) + rng.choice(elems)
-    u = homotopy.HomotopyElement(alg, body, dt)
+        u = u + interval.lift(rng.choice(elems), rng.randint(0, 5), dt=True)
     got = homotopy.integrate_0_t(u)
-    want = oracle.integrate_0_t(u)
-    assert not got.dt_part
-    assert sorted(got.body) == sorted(want)
-    for i, e in got.body.items():
-        assert_matches(e, want[i], *u.dt_part.values())
-    assert_matches(homotopy.integrate_0_1(u), oracle.integrate_0_1(u),
-                   *u.dt_part.values())
-    twisted = u._parity_twist(elems[0])
-    assert_matches(twisted, {k: c if alg.key_degree(k) % 2 == 0 else -c
-                             for k, c in elems[0].terms.items()}, elems[0])
+    assert_clean(got, u)
+    assert oracle.split(got) == oracle.integrate_0_t(alg, oracle.split(u))
+    assert_matches(homotopy.integrate_0_1(u),
+                   oracle.integrate_0_1(alg, oracle.split(u)), u)
 
 
 @pytest.mark.parametrize("index", range(len(ALGEBRA_NAMES)), ids=ALGEBRA_NAMES)
@@ -106,6 +110,30 @@ def test_arithmetic_matches_oracle(index):
         check_ring_ops(alg, rng.choice(elems), rng.choice(elems))
     for _ in range(40):
         check_integrals(alg, rng, elems)
+
+
+INTERVAL_BASES = {
+    "free": lambda: verify.fixture_algebras()[4],
+    "truncated": lambda: TruncatedCdga(verify.fixture_algebras()[2], 9),
+}
+
+
+@pytest.mark.parametrize("base", sorted(INTERVAL_BASES))
+def test_interval_arithmetic_matches_oracle(base):
+    """Products, differentials and time reversal in B (x) Q<t, dt> agree
+    with the two-part rules of the oracle, over a free and a truncated B."""
+    alg = INTERVAL_BASES[base]()
+    rng = random.Random(6000 + len(base))
+    elems = random_elements(alg, rng, 30)
+    for _ in range(120):
+        u = random_interval_element(alg, rng, elems)
+        v = random_interval_element(alg, rng, elems)
+        pu, pv = oracle.split(u), oracle.split(v)
+        for got, want in ((u * v, oracle.interval_mul(alg, pu, pv)),
+                          (u.d(), oracle.interval_d(alg, pu)),
+                          (homotopy.reverse(u), oracle.reverse(pu))):
+            assert_clean(got, u, v)
+            assert oracle.split(got) == want
 
 
 def test_public_constructor_still_normalises():

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from rht import (DgaMorphism, FreeCdga, HomotopyElement, Leaf, Node,
+from rht import (DgaHomotopy, DgaMorphism, FreeCdga, Leaf, Node,
                  RingPresentation, TruncatedCdga, attach_cell_model,
                  bracket_degree, extend_with_witness, hopf_invariant,
-                 integrate_0_1, integrate_0_t, massey_triple, minimal_model,
-                 obstruction_class, parse_bracket, scale_leaves,
-                 whitehead_pair)
+                 integrate_0_1, integrate_0_t, interval_algebra, massey_triple,
+                 minimal_model, obstruction_class, parse_bracket,
+                 scale_leaves, whitehead_pair)
+from rht.homotopy import at, reverse
 from rht.presentations import projective_ring, wedge_of_spheres_ring
 
 from conftest import random_homogeneous
@@ -20,70 +21,113 @@ F = Fraction
 
 def test_integral_0_t_annihilates_body(wedge_table):
     a = wedge_table["a"]
-    assert integrate_0_t(HomotopyElement.t_power(a, 2)).is_zero()
+    assert integrate_0_t(interval_algebra(wedge_table).lift(a, 2)).is_zero()
 
 
 def test_integral_0_t_odd_coefficient(wedge_table):
     a = wedge_table["a"]        # degree 3
-    out = integrate_0_t(HomotopyElement.t_power(a, 0, dt=True))
-    assert out == HomotopyElement.t_power(-1 * a, 1)
+    interval = interval_algebra(wedge_table)
+    out = integrate_0_t(interval.lift(a, 0, dt=True))
+    assert out == interval.lift(-1 * a, 1)
 
 
 def test_integral_0_t_divides_by_exponent():
     A = FreeCdga([("x", 2)])
-    out = integrate_0_t(HomotopyElement.t_power(A["x"], 1, dt=True))
-    assert out.body == {2: A["x"] / 2}
-    assert not out.dt_part
+    interval = interval_algebra(A)
+    out = integrate_0_t(interval.lift(A["x"], 1, dt=True))
+    assert out == interval.lift(A["x"] / 2, 2)
 
 
 def test_integral_0_1_values(wedge_table):
     A = FreeCdga([("x", 2)])
-    assert integrate_0_1(HomotopyElement.t_power(A["x"], 5)).is_zero()
-    assert integrate_0_1(HomotopyElement.t_power(A["x"], 0, dt=True)) == A["x"]
+    interval = interval_algebra(A)
+    assert integrate_0_1(interval.lift(A["x"], 5)).is_zero()
+    assert integrate_0_1(interval.lift(A["x"], 0, dt=True)) == A["x"]
     a = wedge_table["a"]
-    assert integrate_0_1(HomotopyElement.t_power(a, 3, dt=True)) == a * F(-1, 4)
+    lifted = interval_algebra(wedge_table).lift(a, 3, dt=True)
+    assert integrate_0_1(lifted) == a * F(-1, 4)
 
 
 def _random_homotopy_element(alg, rng):
-    body = {}
-    dt = {}
+    interval = interval_algebra(alg)
+    u = interval.zero()
     degrees = list(range(1, 10))
     for _ in range(rng.randint(1, 3)):
         e = random_homogeneous(alg, rng, degrees)
         i = rng.randint(0, 5)
-        if rng.random() < 0.5:
-            body[i] = body.get(i, alg.zero()) + e
-        else:
-            dt[i] = dt.get(i, alg.zero()) + e
-    return HomotopyElement(alg, body, dt)
+        u = u + interval.lift(e, i, dt=rng.random() >= 0.5)
+    return u
 
 
 def test_integration_identities_randomized(wedge_table, rng):
     alg = wedge_table
+    interval = interval_algebra(alg)
     for _ in range(400):
         u = _random_homotopy_element(alg, rng)
         assert (integrate_0_t(u).d() + integrate_0_t(u.d())
-                == u - HomotopyElement.constant(u.at(0)))
-        assert integrate_0_1(u).d() + integrate_0_1(u.d()) == u.at(1) - u.at(0)
+                == u - interval.lift(at(u, 0)))
+        assert integrate_0_1(u).d() + integrate_0_1(u.d()) == at(u, 1) - at(u, 0)
 
 
 def test_t_degree_overflow_is_an_error(wedge_table):
     a = wedge_table["a"]
+    interval = interval_algebra(wedge_table)
     with pytest.raises(ValueError, match="cap"):
-        HomotopyElement.t_power(a, 17)
+        interval.lift(a, 17)
     X = FreeCdga([("x", 2)])
-    big = HomotopyElement.t_power(X["x"], 9)
+    big = interval_algebra(X).lift(X["x"], 9)
     with pytest.raises(ValueError, match="cap"):
         big * big
-    assert HomotopyElement.t_power(a, 20, t_cap=32).body[20] == a
+    top = interval.lift(a, 16, dt=True)
+    with pytest.raises(ValueError, match="cap"):
+        integrate_0_t(top)
 
 
 def test_time_reversal_involution(wedge_table, rng):
     for _ in range(50):
         u = _random_homotopy_element(wedge_table, rng)
-        assert u.reversed().reversed() == u
-        assert u.reversed().at(0) == u.at(1)
-        assert u.reversed().at(1) == u.at(0)
+        assert reverse(reverse(u)) == u
+        assert at(reverse(u), 0) == at(u, 1)
+        assert at(reverse(u), 1) == at(u, 0)
+
+
+def test_interval_algebra_is_one_per_base(wedge_table):
+    interval = interval_algebra(wedge_table)
+    assert interval_algebra(wedge_table) is interval
+    assert interval.base is wedge_table
+    assert interval.unit() == 1
+    assert interval.unit() == interval.lift(wedge_table.unit())
+    u = interval.lift(wedge_table["a"], 2, dt=True) + interval.unit()
+    assert repr(u) == "1 + a*t^2*dt"
+
+
+def test_interval_repr_orders_by_the_base_token():
+    """A cell model mixes str and monomial keys in one degree; the interval
+    algebra sorts them by the base's own token."""
+    B = FreeCdga.define([("x", 2), ("v", 3)], d=lambda X: {"v": X["x"] ** 2})
+    cell = attach_cell_model(B, {"v": 1})
+    interval = interval_algebra(cell)
+    u = interval.lift(cell["y"] + cell["x"] ** 2, 1)
+    assert repr(u) == "x^2*t + y*t"
+
+
+def test_homotopy_is_a_morphism_into_the_interval_algebra():
+    _A, _AV, _B, C, f, g, h = _square()
+    start = DgaMorphism(f.source, C, {"a": C["e"]})
+    H = DgaHomotopy.constant(start)
+    assert isinstance(H, DgaMorphism) and H.target is interval_algebra(C)
+    assert H.apply(f.source.unit()) == H.target.unit()
+    lifted = H.target.lift(C["e"])
+    with pytest.raises(ValueError, match="at t=1 differs from the end map"):
+        DgaHomotopy(start, DgaMorphism(f.source, C, {"a": 2 * C["e"]}),
+                    {"a": lifted})
+    with pytest.raises(ValueError, match="no homotopy image"):
+        DgaHomotopy(start, start, {})
+    # t*e at t=0 is 0, so start the map there; d(e t) = e dt is no image of d(a) = 0
+    zero = DgaMorphism(f.source, C, {"a": C.zero()})
+    ramp = DgaMorphism(f.source, C, {"a": C["e"]})
+    with pytest.raises(ValueError, match="not a chain map on 'a'"):
+        DgaHomotopy(zero, ramp, {"a": H.target.lift(C["e"], 1)})
 
 
 # -- obstruction classes ---------------------------------------------------------
@@ -121,8 +165,8 @@ def test_obstruction_model_map_fixture():
     assert b_v == B["b"] and c_v.is_zero()
     f_ext, H_ext = extend_with_witness(ob)
     # at t = 0 the extension homotopy restricts to g
-    assert H_ext.images["v"].at(0) == g.images["v"]
-    assert H_ext.images["v"].at(1) == h.apply(B["b"])
+    assert at(H_ext.images["v"], 0) == g.images["v"]
+    assert at(H_ext.images["v"], 1) == h.apply(B["b"])
 
 
 def test_obstruction_cocycle_property():
@@ -179,7 +223,7 @@ def test_constant_extension_keeps_constant_homotopy():
     f_ext, H_ext = extend_with_witness(ob)
     img = H_ext.images["v"]
     # c = 0 here, so the homotopy on v is g(v) plus the integral tail only
-    assert img.at(0) == g.images["v"]
+    assert at(img, 0) == g.images["v"]
 
 
 # -- Whitehead pairings ------------------------------------------------------------
