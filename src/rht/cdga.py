@@ -133,14 +133,7 @@ class Element:
         if isinstance(other, Element):
             self._check_same(other)
             out = dict(self.terms)
-            for k, c in other.terms.items():
-                v = out.get(k)
-                if v is None:
-                    out[k] = c
-                elif v := v + c:
-                    out[k] = v
-                else:
-                    del out[k]
+            accumulate(out, other.terms)
             return Element._wrap(self.alg, out)
         return NotImplemented
 
@@ -215,9 +208,17 @@ class Element:
 class GradedAlgebra:
     """Shared element arithmetic for key-indexed graded algebras.
 
-    Concrete algebras provide ``key_degree``, ``mul_keys``, ``d_key``,
-    ``basis`` and ``format_key``.  The unit key is the empty tuple unless an
-    algebra sets ``unit_key``.
+    Concrete algebras provide the key primitives ``key_degree``,
+    ``mul_keys``, ``d_key``, ``basis`` and ``format_key``.  The unit key is
+    the empty tuple unless an algebra sets ``unit_key``.
+
+    An algebra on named generators also provides ``gens`` and
+    ``gen_key(name)`` (raising ``KeyError`` for an unknown name); the
+    generator interface follows from them: ``generator_names()``,
+    ``degree_of(name)`` (the degree of the generator's key), ``self[name]``
+    (the unit times the generator, so a quotient reduces it and a truncation
+    drops it above its top degree) and ``differential_of(name)`` (``d_key``
+    of the generator's key).
     """
 
     name = "A"
@@ -242,6 +243,20 @@ class GradedAlgebra:
         for e in elems:
             out = out + e
         return out
+
+    # -- generators ----------------------------------------------------------
+
+    def generator_names(self):
+        return tuple(g.name for g in self.gens)
+
+    def degree_of(self, name) -> int:
+        return self.key_degree(self.gen_key(name))
+
+    def __getitem__(self, name) -> Element:
+        return Element(self, self.mul_keys(self.unit_key, self.gen_key(name)))
+
+    def differential_of(self, name) -> Element:
+        return Element(self, self.d_key(self.gen_key(name)))
 
     # -- term arithmetic -----------------------------------------------------
 
@@ -377,25 +392,10 @@ class FreeCdga(GradedAlgebra):
                 raise ValueError(
                     f"d(d({self.gens[idx].name})) = {self.format_terms(dd)} != 0")
 
-    # -- generator access ----------------------------------------------------
-
-    def __getitem__(self, name) -> Element:
-        idx = self.index[name]
-        return Element(self, {((idx, 1),): _ONE})
+    # -- keys ----------------------------------------------------------------
 
     def gen_key(self, name) -> Monomial:
         return ((self.index[name], 1),)
-
-    def degree_of(self, name) -> int:
-        return self.gens[self.index[name]].degree
-
-    def differential_of(self, name) -> Element:
-        return Element(self, self._diff.get(self.index[name], {}))
-
-    def generator_names(self):
-        return tuple(g.name for g in self.gens)
-
-    # -- keys ----------------------------------------------------------------
 
     def key_degree(self, mon) -> int:
         return sum(self._degrees[i] * e for i, e in mon)
@@ -578,7 +578,29 @@ class FreeCdga(GradedAlgebra):
         return Element(self, out)
 
 
-class TruncatedCdga(GradedAlgebra):
+class OverFreeCdga(GradedAlgebra):
+    """An algebra on the generators and monomial keys of the free CDGA
+    ``self.base``: generators, key degrees and key display are the base's."""
+
+    @property
+    def gens(self):
+        return self.base.gens
+
+    @property
+    def index(self):
+        return self.base.index
+
+    def gen_key(self, name):
+        return self.base.gen_key(name)
+
+    def key_degree(self, key):
+        return self.base.key_degree(key)
+
+    def format_key(self, key):
+        return self.base.format_key(key)
+
+
+class TruncatedCdga(OverFreeCdga):
     """Quotient of a free CDGA by everything above a top degree.
 
     The ideal of elements of degree above the cutoff is closed under d and
@@ -594,9 +616,6 @@ class TruncatedCdga(GradedAlgebra):
         self.top = top
         self.name = name or f"{base.name}|<= {top}"
 
-    def key_degree(self, mon):
-        return self.base.key_degree(mon)
-
     def basis(self, degree):
         if degree > self.top:
             return ()
@@ -609,33 +628,6 @@ class TruncatedCdga(GradedAlgebra):
     def d_key(self, mon):
         return {k: c for k, c in self.base.d_key(mon).items()
                 if self.base.key_degree(k) <= self.top}
-
-    def format_key(self, mon):
-        return self.base.format_key(mon)
-
-    def __getitem__(self, name) -> Element:
-        if self.base.degree_of(name) > self.top:
-            return self.zero()
-        return Element(self, {self.base.gen_key(name): _ONE})
-
-    def degree_of(self, name):
-        return self.base.degree_of(name)
-
-    def generator_names(self):
-        return self.base.generator_names()
-
-    @property
-    def gens(self):
-        return self.base.gens
-
-    @property
-    def index(self):
-        return self.base.index
-
-    def differential_of(self, name) -> Element:
-        e = self.base.differential_of(name)
-        return Element(self, {k: c for k, c in e.terms.items()
-                              if self.base.key_degree(k) <= self.top})
 
 
 class DgaMorphism:
@@ -670,11 +662,13 @@ class DgaMorphism:
             if img and img.degree != g.degree:
                 raise ValueError(
                     f"image of {g.name!r} is not homogeneous of degree {g.degree}")
-        for g in self.source.gens:
-            dv = self.source.differential_of(g.name)
-            lhs = self.apply(dv) if dv else self.target.zero()
-            rhs = self.images[g.name].d()
+        source, target = self.source, self.target
+        for g in source.gens:
+            dv = source.d_key(source.gen_key(g.name))
+            lhs = self.apply_terms(dv) if dv else {}
+            rhs = target.d_terms(self.images[g.name].terms)
             if lhs != rhs:
+                lhs, rhs = Element._wrap(target, lhs), Element._wrap(target, rhs)
                 raise ValueError(
                     f"not a chain map on {g.name!r}: phi(d {g.name}) = {lhs} "
                     f"but d(phi {g.name}) = {rhs}")

@@ -105,6 +105,12 @@ def cmd_model(args) -> int:
     return 0
 
 
+def _check_class(alg, cls):
+    if cls not in alg.index:
+        known = ", ".join(alg.generator_names())
+        raise PresentationError(f"unknown class {cls!r}; generators are: {known}")
+
+
 def cmd_distortion(args) -> int:
     obj = _load(args.file)
     if isinstance(obj, RingPresentation):
@@ -114,10 +120,7 @@ def cmd_distortion(args) -> int:
         cap = args.through if args.through is not None else \
             max((g.degree for g in obj.gens), default=2) + 1
         model = MinimalModel(obj, cap)
-    if args.cls not in model.algebra.index:
-        known = ", ".join(model.algebra.generator_names())
-        raise PresentationError(
-            f"unknown class {args.cls!r}; generators are: {known}")
+    _check_class(model.algebra, args.cls)
     rep = distortion_exponent(model, args.cls)
     report = Report("distortion")
     report.add("input", args.file)
@@ -153,6 +156,7 @@ def cmd_pair(args) -> int:
     obj = _load(args.file)
     if isinstance(obj, RingPresentation):
         raise PresentationError("bracket pairing needs a cdga (model) file")
+    _check_class(obj, args.cls)
     model = MinimalModel(obj, max(g.degree for g in obj.gens))
     expr = parse_bracket(args.bracket)
     try:

@@ -196,9 +196,8 @@ class MappingCone(GradedAlgebra):
         base = self.phi.source if side == "s" else self.phi.target
         return f"({base.format_key(k)}, {side})"
 
-    def pair_of(self, vec_or_terms):
+    def pair_of(self, terms):
         """Split cone terms into (source element, target element)."""
-        terms = vec_or_terms
         s = {}
         t = {}
         for (side, k), c in terms.items():

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cdga import DgaMorphism, Element, FreeCdga, Generator, GradedAlgebra, UNIT
+from .cdga import DgaMorphism, Element, FreeCdga, Generator, OverFreeCdga, UNIT
 from .cohomology import (DegreeCohomology, MappingCone, cycles_mod_boundaries,
                          d_columns, induced_map_on_cohomology,
                          is_quasi_isomorphism)
@@ -336,13 +336,14 @@ def grading_automorphism(model: MinimalModel, t) -> DgaMorphism:
 # cell attachments
 
 
-class CellAttachmentModel(GradedAlgebra):
+class CellAttachmentModel(OverFreeCdga):
     """Model of a complex with one extra cell attached.
 
     The underlying algebra is the base algebra plus a single class y in the
     cell degree with y*y = 0 and y*x = 0 for positive-degree x; the modified
     differential adds <v, attaching class> * y to d(v) on generators of
-    degree one below the cell.
+    degree one below the cell.  The cell is reached by name, as
+    ``self[cell_name]``, but ``gens`` lists only the base's generators.
     """
 
     def __init__(self, base, pairing, cell_degree, cell_name="y", *,
@@ -372,6 +373,11 @@ class CellAttachmentModel(GradedAlgebra):
         if degree == self.cell_degree:
             out = out + (self.cell_name,)
         return out
+
+    def gen_key(self, name):
+        if name == self.cell_name:
+            return name
+        return self.base.gen_key(name)
 
     def key_degree(self, key):
         if isinstance(key, str):
@@ -410,33 +416,10 @@ class CellAttachmentModel(GradedAlgebra):
             return (1, key)
         return (0, key)
 
-    def __getitem__(self, name) -> Element:
-        if name == self.cell_name:
-            return Element(self, {self.cell_name: _ONE})
-        return Element(self, {self.base.gen_key(name): _ONE})
-
     def lift(self, element: Element) -> Element:
         if element.alg is not self.base:
             raise ValueError("can only lift elements of the base algebra")
         return Element(self, dict(element.terms))
-
-    def degree_of(self, name):
-        if name == self.cell_name:
-            return self.cell_degree
-        return self.base.degree_of(name)
-
-    @property
-    def gens(self):
-        return self.base.gens
-
-    @property
-    def index(self):
-        return self.base.index
-
-    def differential_of(self, name) -> Element:
-        if name == self.cell_name:
-            return self.zero()
-        return Element(self, self.d_key(self.base.gen_key(name)))
 
 
 def attach_cell_model(base_model, pairing, *, cell_name="y",

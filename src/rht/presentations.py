@@ -15,18 +15,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .cdga import Element, FreeCdga, GradedAlgebra, accumulate
+from .cdga import Element, FreeCdga, OverFreeCdga, accumulate
 from .cohomology import coords
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class RingPresentation(GradedAlgebra):
+class RingPresentation(OverFreeCdga):
     """Finite presentation of a graded-commutative ring (zero differential).
 
-    ``relations`` are homogeneous elements of the ambient free algebra on the
-    given generators.  ``fundamental_degree`` marks the top degree of a
+    ``relations`` are homogeneous elements of the ambient free algebra
+    ``base`` on the given generators.  ``fundamental_degree`` marks the top degree of a
     Poincare-duality presentation; ``verify_duality()`` checks nonsingularity
     of the induced pairing by exact determinant ranks.
     ``fundamental_monomial`` is an ambient monomial known to represent the
@@ -38,12 +38,12 @@ class RingPresentation(GradedAlgebra):
     def __init__(self, generators, relations=(), *, name="R",
                  fundamental_degree=None, duality=False):
         self.name = name
-        self.ambient = FreeCdga(generators, None, name=f"{name}~ambient")
+        self.base = FreeCdga(generators, None, name=f"{name}~ambient")
         rels = []
         for r in relations:
-            e = r if isinstance(r, Element) else self.ambient.element(r)
-            if e.alg is not self.ambient:
-                e = self.ambient.adopt(e)
+            e = r if isinstance(r, Element) else self.base.element(r)
+            if e.alg is not self.base:
+                e = self.base.adopt(e)
             if e.is_zero():
                 continue
             # a single monomial is homogeneous; only sums need the check
@@ -62,19 +62,19 @@ class RingPresentation(GradedAlgebra):
     # -- quotient slices -----------------------------------------------------
 
     def _slice(self, degree):
-        """(basis keys, pivot->reduction rows, ambient keys, position map)."""
+        """(basis keys, pivot->reduction rows) of one degree."""
         cached = self._slices.get(degree)
         if cached is not None:
             return cached
-        amb = self.ambient.basis(degree)
+        amb = self.base.basis(degree)
         pos = {k: i for i, k in enumerate(amb)}
         rows = []
         for rel in self.relations:
             rdeg = rel.degree
             if rdeg is None or rdeg > degree:
                 continue
-            for mon in self.ambient.basis(degree - rdeg):
-                prod = self.ambient.mul_terms({mon: _ONE}, rel.terms)
+            for mon in self.base.basis(degree - rdeg):
+                prod = self.base.mul_terms({mon: _ONE}, rel.terms)
                 if prod:
                     rows.append(coords(prod, pos))
         red, pivots = linalg.rref(rows)
@@ -84,7 +84,7 @@ class RingPresentation(GradedAlgebra):
         for row, p in zip(red, pivots):
             reduction[amb[p]] = {amb[j]: -row[j] for j in range(len(amb))
                                  if j not in pivot_set and row[j]}
-        out = (basis, reduction, amb, pos)
+        out = (basis, reduction)
         self._slices[degree] = out
         return out
 
@@ -92,10 +92,10 @@ class RingPresentation(GradedAlgebra):
         """Rewrite ambient terms on the chosen quotient basis, per degree."""
         by_degree = {}
         for k, c in terms.items():
-            by_degree.setdefault(self.ambient.key_degree(k), {})[k] = c
+            by_degree.setdefault(self.base.key_degree(k), {})[k] = c
         out = {}
         for degree, part in by_degree.items():
-            _basis, reduction, _amb, _pos = self._slice(degree)
+            reduction = self._slice(degree)[1]
             for k, c in part.items():
                 repl = reduction.get(k)
                 if repl is None:
@@ -111,40 +111,14 @@ class RingPresentation(GradedAlgebra):
             return ()
         return self._slice(degree)[0]
 
-    def key_degree(self, key):
-        return self.ambient.key_degree(key)
-
     def mul_keys(self, k1, k2):
-        return self.reduce_terms(self.ambient.mul_keys(k1, k2))
+        return self.reduce_terms(self.base.mul_keys(k1, k2))
 
     def d_key(self, key):
         return {}
 
-    def format_key(self, key):
-        return self.ambient.format_key(key)
-
-    def __getitem__(self, name) -> Element:
-        return Element(self, self.reduce_terms({self.ambient.gen_key(name): _ONE}))
-
-    def degree_of(self, name):
-        return self.ambient.degree_of(name)
-
-    def generator_names(self):
-        return self.ambient.generator_names()
-
-    @property
-    def gens(self):
-        return self.ambient.gens
-
-    @property
-    def index(self):
-        return self.ambient.index
-
     def dim(self, degree):
         return len(self.basis(degree))
-
-    def differential_of(self, name) -> Element:
-        return Element(self, {})
 
     # -- duality ----------------------------------------------------------------
 

@@ -71,10 +71,10 @@ def _complementary_pairs(ext: FreeCdga, subsets, total):
     return pairs
 
 
-def symplectic_form(ext: FreeCdga, n, *, first_index=1) -> Element:
+def symplectic_form(ext: FreeCdga, n) -> Element:
     """dx1^dx2 + dx3^dx4 + ... + dx(2n-1)^dx(2n)."""
     return ext.sum(subset_monomial(ext, [lo, lo + 1])
-                   for lo in range(first_index, first_index + 2 * n, 2))
+                   for lo in range(1, 2 * n + 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ class EmbeddingWitness:
                 and all(g.degree == 1 for g in self.target.gens)):
             raise ValueError("witness target must be an exterior algebra: a "
                              "FreeCdga whose generators all have degree 1")
-        self._morphism = DgaMorphism(self.ring.ambient, self.target,
+        self._morphism = DgaMorphism(self.ring.base, self.target,
                                      self.images, check=True)
 
     def morphism(self):
@@ -191,10 +191,10 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
     image of the fundamental class: multiplicativity plus a nonsingular
     pairing force every nonzero element to survive.
     """
-    if ring.ambient is not witness.ring.ambient:
+    if ring.base is not witness.ring.base:
         raise ValueError("the witness belongs to another presentation")
     phi = witness.morphism()
-    gen_masks = [_masks(phi.images[g.name].terms) for g in ring.ambient.gens]
+    gen_masks = [_masks(phi.images[g.name].terms) for g in ring.base.gens]
     cache = {}
     for rel in ring.relations:
         if _relation_image(rel.terms, gen_masks, cache):
@@ -205,7 +205,7 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
         mu = ring.fundamental_monomial
         if mu is None:
             mu = ring.top_basis_key()
-        img = phi.apply(Element(ring.ambient, {mu: _ONE}))
+        img = phi.apply(Element(ring.base, {mu: _ONE}))
         if img.is_zero():
             return WitnessReport(False, failing_degree=ring.fundamental_degree,
                                  message="fundamental class maps to zero")
@@ -611,12 +611,10 @@ class ConnectedSumRing(RingPresentation):
                          name=name or "#".join(_atom_label(a, o)
                                                for a, o in zip(atoms, orientations)),
                          fundamental_degree=fund, duality=True)
-        self.atoms = tuple(atoms)
-        self.orientations = tuple(orientations)
         self.fundamental_monomial = mu
         self.fundamental_monomial_sign = Fraction(sign)
         self.duality_verified = False
-        if self.ambient.basis_size(fund) <= _DUALITY_CHECK_MONOMIALS:
+        if self.base.basis_size(fund) <= _DUALITY_CHECK_MONOMIALS:
             self.duality_verified = self.verify_duality()
 
 

@@ -102,13 +102,13 @@ def fixture_algebras():
     ]
 
 
-def random_homogeneous(alg, rng, degrees, max_terms=3):
+def random_homogeneous(alg, rng, degrees):
     for _ in range(8):
         deg = rng.choice(degrees)
         basis = alg.basis(deg)
         if basis:
             terms = {}
-            for _ in range(rng.randint(1, max_terms)):
+            for _ in range(rng.randint(1, 3)):
                 mon = basis[rng.randrange(len(basis))]
                 terms[mon] = terms.get(mon, 0) + rng.randint(-4, 4)
             e = alg.element(terms)

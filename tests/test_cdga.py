@@ -113,6 +113,10 @@ def test_morphism_chain_condition_enforced():
     S2 = FreeCdga.define([("a", 2), ("b", 3)], d=lambda A: {"b": A["a"] ** 2})
     with pytest.raises(ValueError, match="chain map"):
         DgaMorphism(S2, S2, {"a": S2["a"], "b": S2.zero()})
+    with pytest.raises(ValueError) as exc:
+        DgaMorphism(S2, S2, {"a": S2["a"], "b": 2 * S2["b"]})
+    assert str(exc.value) == ("not a chain map on 'b': phi(d b) = a^2 "
+                              "but d(phi b) = 2*a^2")
 
 
 def test_graded_basis_odd_pair(odd_pair):

@@ -87,6 +87,20 @@ def test_distortion_unknown_class(capsys):
     assert "unknown class" in err
 
 
+def test_pair_unknown_class_exits_2(capsys, tmp_path):
+    """The class is checked against the generators before a model is built,
+    also on a cdga without generators."""
+    empty = tmp_path / "empty.cdga"
+    empty.write_text("cdga empty\n", encoding="utf-8")
+    for path, known in ((str(empty), ""),
+                        (data_path("s2_model.cdga"), "a, b")):
+        code, out, err = run_cli(capsys, "pair", path, "--class", "nope",
+                                 "--bracket", "x")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unknown class 'nope'; generators are: {known}\n"
+
+
 def test_scalable_command_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "scalable", "csum(4*CP2)", "--machine")
     assert code == 1

@@ -91,6 +91,6 @@ def test_stored_coefficients_are_clean_fractions():
     for ring in rings:
         assert ring.relations
         for rel in ring.relations:
-            assert rel.alg is ring.ambient
+            assert rel.alg is ring.base
             assert all(type(c) is Fraction and c != 0
                        for c in rel.terms.values())

@@ -223,8 +223,8 @@ def _rename_reduce(src_ring, dst_ring, mapping):
         terms = {}
         for mon, c in rel.terms.items():
             factors = [(mapping[src_ring.gens[i].name], e) for i, e in mon]
-            sign, key = dst_ring.ambient.monomial(
-                [(dst_ring.ambient.index[n], e) for n, e in factors])
+            sign, key = dst_ring.base.monomial(
+                [(dst_ring.base.index[n], e) for n, e in factors])
             if key is None:
                 continue
             terms[key] = terms.get(key, F(0)) + c * sign
@@ -263,7 +263,7 @@ def test_sphere_product_sum_presents_omega():
 
 def test_orientation_reversal_flips_top_sign():
     ring = connected_sum_ring([("projective", 2, 2)] * 2, [1, -1])
-    x1, x2 = ring.ambient["x1"], ring.ambient["x2"]
+    x1, x2 = ring.base["x1"], ring.base["x2"]
     assert not ring.reduce_terms((x1 ** 2 + x2 ** 2).terms)
     assert ring.reduce_terms((x1 ** 2 - x2 ** 2).terms)
 
@@ -295,7 +295,7 @@ def test_connected_sum_duality_check_limit(monkeypatch, r, monomials, checked):
 
     monkeypatch.setattr(RingPresentation, "verify_duality", spy)
     ring = omega_ring(3, r)
-    assert len(ring.ambient.basis(6)) == monomials
+    assert len(ring.base.basis(6)) == monomials
     assert ring.duality_verified is checked
     assert ran == ([ring] if checked else [])
 
@@ -560,7 +560,7 @@ def _mask_key(mask):
 def kernel_relation_images(ring, witness):
     """Each relation's image as verify_witness computes it, on masks,
     mapped back to term dicts of the target."""
-    gen_masks = [_masks(witness.images[g.name].terms) for g in ring.ambient.gens]
+    gen_masks = [_masks(witness.images[g.name].terms) for g in ring.base.gens]
     cache = {}
     return [{_mask_key(m): c
              for m, c in _relation_image(rel.terms, gen_masks, cache).items()}
