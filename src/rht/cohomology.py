@@ -4,10 +4,11 @@ Everything here is degreewise linear algebra over the rationals on the basis
 provided by the algebra object (free, truncated, ring presentation, cell
 attachment, or mapping cone).  Four helpers hold that linear algebra, and
 every caller in the package goes through them rather than building its own
-matrices: ``coords`` (a term dict as a dense vector), ``d_columns`` (the
-matrix of d from one degree to the next), ``cycles_mod_boundaries`` (kernel
-modulo image, in reduced form) and ``primitive`` (solve dx = y).  They are
-dense and rebuild their matrices on every call; nothing is cached.
+matrices: ``coords`` (a term dict as a sparse row over basis positions),
+``d_columns`` (the matrix of d from one degree to the next, as sparse
+columns), ``cycles_mod_boundaries`` (kernel modulo image, in reduced form)
+and ``primitive`` (solve dx = y).  They work on sparse rows from ``d_key``
+onwards and rebuild their matrices on every call; nothing is cached.
 Representatives are pinned by deterministic pivoting, so repeated runs and
 golden reports agree byte for byte.
 
@@ -31,28 +32,27 @@ _ONE = Fraction(1)
 # -- degreewise linear algebra ---------------------------------------------------
 
 def coords(terms, pos):
-    """Dense vector of ``terms`` over the key->position map ``pos``."""
-    vec = [_ZERO] * len(pos)
-    for k, c in terms.items():
-        vec[pos[k]] = c
-    return vec
+    """Sparse row of ``terms`` over the key->position map ``pos``."""
+    return {pos[k]: c for k, c in terms.items()}
 
 
 def d_columns(alg, keys, up):
-    """Columns of d on ``keys``, each a dense vector over the keys ``up``."""
+    """Columns of d on ``keys``, each a sparse column over the keys ``up``."""
     pos = {k: i for i, k in enumerate(up)}
     return [coords(alg.d_key(k), pos) for k in keys]
 
 
-def cycles_mod_boundaries(cols, nrows, boundary_rows):
-    """Cycles of the map with columns ``cols``, reduced modulo boundaries.
+def cycles_mod_boundaries(cols, boundary_rows):
+    """Cycles of the map with sparse columns ``cols``, reduced modulo
+    boundaries.
 
-    ``boundary_rows`` span the boundaries in the coordinates of the columns.
+    ``boundary_rows`` are sparse rows over the column indices that span the
+    boundaries.
     Returns (boundary rows, boundary pivots, representative rows,
     representative pivots), both row sets in reduced row echelon form; the
     representatives are the kernel vectors reduced against the boundaries.
     """
-    kernel = linalg.kernel_of_columns(cols, nrows)
+    kernel = linalg.kernel_of_columns(cols)
     brows, bpiv = linalg.rref(boundary_rows)
     reduced = [linalg.reduce_against(v, brows, bpiv) for v in kernel]
     reps, rpiv = linalg.rref(reduced)
@@ -68,11 +68,11 @@ def primitive(alg, terms, degree, keys=None):
     if keys is None:
         keys = alg.basis(degree - 1)
     up = alg.basis(degree)
-    sol = linalg.solve_columns(d_columns(alg, keys, up), len(up),
+    sol = linalg.solve_columns(d_columns(alg, keys, up),
                                coords(terms, {k: i for i, k in enumerate(up)}))
     if sol is None:
         return None
-    return {k: c for k, c in zip(keys, sol) if c}
+    return {keys[j]: c for j, c in sol.items()}
 
 
 @dataclass(frozen=True)
@@ -97,38 +97,33 @@ class DegreeCohomology:
         down = complex_like.basis(degree - 1) if degree > 0 else ()
         (self.boundary_rows, self.boundary_pivots,
          self.rep_rows, self.rep_pivots) = cycles_mod_boundaries(
-            d_columns(complex_like, self.keys, up), len(up),
+            d_columns(complex_like, self.keys, up),
             d_columns(complex_like, down, self.keys))
         self.rank = len(self.rep_rows)
 
     def representatives(self):
-        return [list(r) for r in self.rep_rows]
-
-    def terms_of(self, vec):
-        """Term dict of a coordinate vector over ``keys``."""
-        return {k: c for k, c in zip(self.keys, vec) if c}
-
-    def element_of(self, vec) -> Element:
-        return Element(self.complex, self.terms_of(vec))
+        """Term dicts of the representative rows, keys in basis order."""
+        keys = self.keys
+        return [{keys[i]: row[i] for i in sorted(row)} for row in self.rep_rows]
 
     def class_coords(self, terms):
         """Coordinates of a cocycle's class over the representative basis.
 
-        Raises if the vector is not in the span of cocycles (not closed).
+        Raises if the terms are not in the span of cocycles (not closed).
         """
         vec = coords(terms, self.pos)
         reduced = linalg.reduce_against(vec, self.boundary_rows, self.boundary_pivots)
         # the representative rows are in reduced form, so each coordinate is
         # the entry at its pivot before any of them is subtracted
-        out = [reduced[p] for p in self.rep_pivots]
-        if any(linalg.reduce_against(reduced, self.rep_rows, self.rep_pivots)):
+        out = [reduced.get(p, _ZERO) for p in self.rep_pivots]
+        if linalg.reduce_against(reduced, self.rep_rows, self.rep_pivots):
             raise ValueError("element is not a cocycle of this degree")
         return out
 
     def is_exact(self, terms):
         vec = coords(terms, self.pos)
-        reduced = linalg.reduce_against(vec, self.boundary_rows, self.boundary_pivots)
-        return not any(reduced)
+        return not linalg.reduce_against(vec, self.boundary_rows,
+                                         self.boundary_pivots)
 
 
 @dataclass
@@ -147,7 +142,8 @@ def cohomology(algebra, degree, cap) -> CohomologyResult:
     if degree < 0:
         return CohomologyResult(algebra, degree, cap, 0, [])
     dc = DegreeCohomology(algebra, degree)
-    classes = [CohomologyClass(degree, dc.element_of(v)) for v in dc.representatives()]
+    classes = [CohomologyClass(degree, Element(algebra, terms))
+               for terms in dc.representatives()]
     return CohomologyResult(algebra, degree, cap, dc.rank, classes)
 
 
@@ -233,9 +229,7 @@ def relative_cohomology(phi, degree, coefficients=1) -> RelativeCohomologyResult
     dim = coefficients if isinstance(coefficients, int) else len(coefficients)
     cone = MappingCone(phi)
     dc = DegreeCohomology(cone, degree)
-    pairs = []
-    for vec in dc.representatives():
-        pairs.append(cone.pair_of(dc.terms_of(vec)))
+    pairs = [cone.pair_of(terms) for terms in dc.representatives()]
     return RelativeCohomologyResult(phi, degree, dc.rank, pairs, dim, dim * dc.rank)
 
 
@@ -247,9 +241,8 @@ def induced_map_on_cohomology(phi, degree):
     """
     src = DegreeCohomology(phi.source, degree)
     tgt = DegreeCohomology(phi.target, degree)
-    rows = []
-    for vec in src.representatives():
-        rows.append(tgt.class_coords(phi.apply_terms(src.terms_of(vec))))
+    rows = [tgt.class_coords(phi.apply_terms(terms))
+            for terms in src.representatives()]
     return rows, src.rank, tgt.rank
 
 
@@ -259,6 +252,6 @@ def is_quasi_isomorphism(phi, cap) -> bool:
         rows, srank, trank = induced_map_on_cohomology(phi, k)
         if srank != trank:
             return False
-        if linalg.rank(rows) != srank:
+        if linalg.rank([dict(enumerate(r)) for r in rows]) != srank:
             return False
     return True

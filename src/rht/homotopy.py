@@ -307,7 +307,7 @@ def obstruction_class(f: DgaMorphism, g: DgaMorphism, h: DgaMorphism,
             if terms is None:
                 raise AssertionError("vanishing class without a primitive")
             primitives[name] = cone.pair_of(terms)
-    rows = [class_coords[name] for name in v_names]
+    rows = [dict(enumerate(class_coords[name])) for name in v_names]
     rank = linalg.rank(rows) if dc.rank else 0
     return ObstructionClass(f, g, h, homotopy, n, v_names, cocycle,
                             class_coords, rank, primitives)
@@ -483,7 +483,7 @@ class MasseyResult:
     degree: int
     class_representative: Element
     class_coords: list
-    indeterminacy_rows: list
+    indeterminacy_rows: list     # sparse rows over class coordinates, reduced
     indeterminacy_dim: int
     vanishes_mod_indeterminacy: bool
 
@@ -532,16 +532,16 @@ def massey_triple(algebra, x, y, z) -> MasseyResult:
 
     indet_rows = []
     left = DegreeCohomology(algebra, dy + dz - 1)
-    for vec in left.representatives():
-        e = left.element_of(vec)
+    for terms in left.representatives():
+        e = Element(algebra, terms)
         indet_rows.append(dc.class_coords((ex * e).terms))
     right = DegreeCohomology(algebra, dx + dy - 1)
-    for vec in right.representatives():
-        e = right.element_of(vec)
+    for terms in right.representatives():
+        e = Element(algebra, terms)
         indet_rows.append(dc.class_coords((e * ez).terms))
-    red, piv = linalg.rref(indet_rows)
-    reduced = linalg.reduce_against(coords, red, piv)
-    return MasseyResult(deg, w, coords, red, len(red), not any(reduced))
+    red, piv = linalg.rref([dict(enumerate(r)) for r in indet_rows])
+    reduced = linalg.reduce_against(dict(enumerate(coords)), red, piv)
+    return MasseyResult(deg, w, coords, red, len(red), not reduced)
 
 
 # ---------------------------------------------------------------------------

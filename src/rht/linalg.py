@@ -6,7 +6,7 @@ so one sparse elimination core does all the row reduction: forward
 elimination takes the input rows top down and reduces each against the pivot
 rows found so far, pivoting on its leftmost nonzero column; back-substitution
 then clears every pivot column above its pivot.  The core accepts any
-rational entries and returns Fractions only.
+rational entries, skips zero ones, and returns Fractions only.
 
 Pivoting is deterministic, and the reduced row echelon form of a matrix is
 unique, so ``rref`` gives exactly the rows and pivots of any exact dense
@@ -14,8 +14,9 @@ elimination, entry for entry.  That is load-bearing: cohomology
 representatives and golden reports depend on it.
 
 ``rref``, ``rank``, ``reduce_against``, ``kernel_of_columns`` and
-``solve_columns`` take and return dense lists and are thin wrappers over the
-core: they convert to sparse rows on the way in and back on the way out.
+``solve_columns`` take and return sparse rows.  A matrix given by its
+columns (``kernel_of_columns``, ``solve_columns``) is a list of sparse
+columns ``{row: entry}``; rows that no column touches are simply absent.
 ``symmetric_inertia`` works by congruence, not row reduction, and stays
 dense.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -44,16 +44,17 @@ def _subtract(v, f, row):
                 del v[c]
 
 
-def _fractions(pairs):
-    """Sparse row of the nonzero (column, entry) pairs, as Fractions."""
-    return {c: x if type(x) is Fraction else Fraction(x) for c, x in pairs if x}
+def _fractions(row):
+    """Copy of a sparse row without zero entries, as Fractions."""
+    return {c: x if type(x) is Fraction else Fraction(x)
+            for c, x in row.items() if x}
 
 
 def _echelon(rows):
     """Forward elimination: {pivot column: row with a leading one there}."""
     piv = {}
     for row in rows:
-        v = _fractions(row.items())
+        v = _fractions(row)
         while v:
             lead = min(v)
             prow = piv.get(lead)
@@ -68,12 +69,8 @@ def _echelon(rows):
     return piv
 
 
-def sparse_rref(rows):
-    """Reduced row echelon form of sparse rows: (rows, pivot columns).
-
-    Zero rows are dropped; the input is not modified.
-    """
-    piv = _echelon(rows)
+def _reduced(piv):
+    """Back-substitution on an echelon form: (rows, pivot columns)."""
     pivots = sorted(piv)
     for p in reversed(pivots):
         row = piv[p]
@@ -82,66 +79,49 @@ def sparse_rref(rows):
     return [piv[p] for p in pivots], pivots
 
 
-def _sparse(vec):
-    return _fractions(enumerate(vec))
-
-
-def _dense(row, ncols):
-    out = [ZERO] * ncols
-    for c, x in row.items():
-        out[c] = x
-    return out
-
-
-def _transpose(cols, nrows):
-    rows = [{} for _ in range(nrows)]
+def _transpose(cols):
+    """Sparse rows of the matrix whose sparse columns are ``cols``."""
+    rows = {}
     for j, col in enumerate(cols):
-        for i, x in zip(range(nrows), col):
-            if x:
-                rows[i][j] = x
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = x
     return rows
 
 
-# -- dense wrappers --------------------------------------------------------------
+# -- public API ------------------------------------------------------------------
 
 def rref(rows):
-    """Reduced row echelon form.
+    """Reduced row echelon form of a list of sparse rows.
 
     Returns (reduced_rows, pivot_columns) with zero rows dropped.  The input
     is not modified.
     """
-    rows = list(rows)
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = sparse_rref(_sparse(r) for r in rows)
-    return [_dense(r, ncols) for r in red], pivots
+    return _reduced(_echelon(rows))
 
 
 def reduce_against(vec, red_rows, pivots):
-    """Eliminate the pivot coordinates of ``vec`` against reduced rows."""
-    v = _sparse(vec)
+    """Eliminate the pivot coordinates of sparse ``vec`` against reduced rows."""
+    v = _fractions(vec)
     for row, p in zip(red_rows, pivots):
         f = v.get(p)
         if f:
-            _subtract(v, f, _sparse(row))
-    return _dense(v, len(vec))
+            _subtract(v, f, row)
+    return v
 
 
 def rank(rows):
-    return len(_echelon(_sparse(r) for r in rows))
+    return len(_echelon(rows))
 
 
-def kernel_of_columns(cols, nrows):
-    """Kernel basis of the map whose matrix columns are ``cols``.
+def kernel_of_columns(cols):
+    """Kernel basis of the map whose sparse matrix columns are ``cols``.
 
-    Vectors have length len(cols), one per free column, ordered by free
-    column index ascending.
+    One sparse vector over the column indices per free column, ordered by
+    free column index ascending.
     """
-    ncols = len(cols)
-    red, pivots = sparse_rref(_transpose(cols, nrows))
+    red, pivots = _reduced(_echelon(_transpose(cols).values()))
     pivot_set = set(pivots)
-    basis = {f: [ZERO] * ncols for f in range(ncols) if f not in pivot_set}
-    for f, vec in basis.items():
-        vec[f] = ONE
+    basis = {f: {f: ONE} for f in range(len(cols)) if f not in pivot_set}
     for row, p in zip(red, pivots):
         for f, x in row.items():
             if f != p:
@@ -149,23 +129,21 @@ def kernel_of_columns(cols, nrows):
     return list(basis.values())
 
 
-def solve_columns(cols, nrows, target):
+def solve_columns(cols, target):
     """Solve sum_j x_j * cols[j] = target with free variables set to zero.
 
-    Returns the coefficient list, or None when the system is inconsistent.
+    ``cols`` and ``target`` are sparse columns.  Returns the sparse solution
+    {j: x_j}, in ascending j, or None when the system is inconsistent.
     """
     ncols = len(cols)
-    rows = _transpose(cols, nrows)
-    for row, t in zip(rows, target):
+    rows = _transpose(cols)
+    for i, t in target.items():
         if t:
-            row[ncols] = t
-    red, pivots = sparse_rref(rows)
+            rows.setdefault(i, {})[ncols] = t
+    red, pivots = _reduced(_echelon(rows.values()))
     if pivots and pivots[-1] == ncols:
         return None
-    x = [ZERO] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = row.get(ncols, ZERO)
-    return x
+    return {p: row[ncols] for row, p in zip(red, pivots) if ncols in row}
 
 
 def symmetric_inertia(mat):

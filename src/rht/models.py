@@ -207,8 +207,8 @@ def minimal_model(target, cap, *, name=None) -> MinimalModel:
         new_gens = []
         new_diff = {}
         new_images = {}
-        for i, vec in enumerate(dc.representatives()):
-            z, w = cone.pair_of(dc.terms_of(vec))
+        for i, terms in enumerate(dc.representatives()):
+            z, w = cone.pair_of(terms)
             gname = f"v{k}_{i}"
             new_gens.append(Generator(gname, k))
             new_diff[gname] = z.terms
@@ -249,7 +249,7 @@ def bigraded_model(ring, cap, *, name=None) -> MinimalModel:
     for k in range(2, cap + 1):
         # cokernel step: closed stage-0 generators hitting missing classes
         rows, _srank, trank = induced_map_on_cohomology(rho, k)
-        red, pivots = linalg.rref(rows)
+        red, pivots = linalg.rref([dict(enumerate(r)) for r in rows])
         hit = set(pivots)
         tgt_dc = DegreeCohomology(ring, k)
         reps = tgt_dc.representatives()
@@ -260,7 +260,7 @@ def bigraded_model(ring, cap, *, name=None) -> MinimalModel:
                 continue
             gname = f"v{k}_0_{len(new_gens)}"
             new_gens.append(Generator(gname, k, 0))
-            new_images[gname] = tgt_dc.element_of(reps[j])
+            new_images[gname] = Element(ring, reps[j])
         if new_gens:
             rho = _extended(rho, new_gens, {}, new_images)
             model = rho.source
@@ -287,12 +287,12 @@ def bigraded_model(ring, cap, *, name=None) -> MinimalModel:
             if any(not model.d_key(mon).keys() <= key_set for mon in down):
                 raise AssertionError("stage purity broken in boundaries")
             _b, _p, rep_rows, _r = cycles_mod_boundaries(
-                d_columns(cone, [("s", m) for m in keys], up), len(up),
+                d_columns(cone, [("s", m) for m in keys], up),
                 d_columns(model, down, keys))
-            for idx, vec in enumerate(rep_rows):
+            for idx, row in enumerate(rep_rows):
                 gname = f"v{k}_{s + 1}_{idx}"
                 new_gens.append(Generator(gname, k, s + 1))
-                new_diff[gname] = {m: c for m, c in zip(keys, vec) if c}
+                new_diff[gname] = {keys[i]: row[i] for i in sorted(row)}
                 new_images[gname] = ring.element({})
         if new_gens:
             rho = _extended(rho, new_gens, new_diff, new_images)
@@ -483,6 +483,6 @@ def u0_surjectivity(model_or_cell, cap) -> dict:
         rows = []
         for mon in base_alg.basis(k):
             if all(i in u0 for i, _e in mon):
-                rows.append(dc.class_coords({mon: _ONE}))
+                rows.append(dict(enumerate(dc.class_coords({mon: _ONE}))))
         out[k] = linalg.rank(rows) == dc.rank
     return out

@@ -18,7 +18,6 @@ from . import linalg
 from .cdga import Element, FreeCdga, OverFreeCdga, accumulate
 from .cohomology import coords
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -82,8 +81,7 @@ class RingPresentation(OverFreeCdga):
         basis = tuple(k for i, k in enumerate(amb) if i not in pivot_set)
         reduction = {}
         for row, p in zip(red, pivots):
-            reduction[amb[p]] = {amb[j]: -row[j] for j in range(len(amb))
-                                 if j not in pivot_set and row[j]}
+            reduction[amb[p]] = {amb[j]: -row[j] for j in sorted(row) if j != p}
         out = (basis, reduction)
         self._slices[degree] = out
         return out
@@ -148,10 +146,11 @@ class RingPresentation(OverFreeCdga):
                     f"dim H^{n - k} = {len(right)}")
             mat = []
             for kl in left:
-                row = []
-                for kr in right:
+                row = {}
+                for j, kr in enumerate(right):
                     prod = self.mul_keys(kl, kr)
-                    row.append(next(iter(prod.values()), _ZERO))
+                    if prod:
+                        row[j] = next(iter(prod.values()))
                 mat.append(row)
             if linalg.rank(mat) != len(left):
                 raise ValueError(f"duality pairing is singular in degree {k}")

@@ -511,7 +511,7 @@ def decide_pi(n, r) -> Decision:
         pos = {k: i for i, k in enumerate(four)}
         cols = [coords((omega * subset_monomial(ext, [i, j])).terms, pos)
                 for (i, j) in pairs]
-        wedge_dim = len(linalg.kernel_of_columns(cols, len(four)))
+        wedge_dim = len(linalg.kernel_of_columns(cols))
         if wedge_dim != dim:
             raise AssertionError("reduced system disagrees with omega ^ eta = 0")
     cert = LinearSystemRefutation(

@@ -2,13 +2,32 @@
 
 This is plain row reduction on lists of Fractions, with the same pivoting
 rule as ``rht.linalg`` (leftmost nonzero column, rows scanned top down).  The
-sparse engine must agree with it exactly.
+sparse engine must agree with it exactly; ``sparse`` and ``dense`` carry
+vectors between the two.
 """
 
 from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def sparse(vec):
+    """Dict row of a dense vector.  Explicit zeros are kept, so the engine's
+    skipping of zero entries is exercised along the way."""
+    return dict(enumerate(vec))
+
+
+def dense(row, n):
+    """Dense vector of length ``n`` of a sparse row that the engine returned.
+
+    Such a row must hold only nonzero Fractions inside ``range(n)``.
+    """
+    assert all(type(x) is Fraction and x for x in row.values()), row
+    out = [ZERO] * n
+    for c, x in row.items():
+        out[c] = x
+    return out
 
 
 def rref(rows):

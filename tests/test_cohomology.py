@@ -7,6 +7,7 @@ from rht import (DgaMorphism, FreeCdga, cohomology, is_quasi_isomorphism,
 from rht.cohomology import DegreeCohomology, MappingCone, coords
 from rht.presentations import projective_ring
 from rht import linalg
+from dense_linalg import sparse
 
 F = Fraction
 
@@ -51,7 +52,7 @@ def test_representatives_are_reduced_cocycles(s2, wedge_table):
                 vec = coords(cls.representative.terms, dc.pos)
                 reduced = linalg.reduce_against(vec, dc.boundary_rows,
                                                 dc.boundary_pivots)
-                assert reduced == vec
+                assert reduced == vec and vec
 
 
 def test_rank_nullity_audit(s2, wedge_table):
@@ -65,10 +66,7 @@ def test_rank_nullity_audit(s2, wedge_table):
                 up = list(alg.basis(deg + 1))
                 pos = {m: i for i, m in enumerate(up)}
                 for mon in alg.basis(deg):
-                    row = [F(0)] * len(up)
-                    for m2, c in alg.d_key(mon).items():
-                        row[pos[m2]] = c
-                    rows.append(row)
+                    rows.append({pos[m2]: c for m2, c in alg.d_key(mon).items()})
                 return linalg.rank(rows)
 
             assert rank_h + d_rank(k) + d_rank(k - 1) == dim
@@ -115,7 +113,7 @@ def test_is_quasi_isomorphism_examples(s2):
 
 
 def _class_matrix_rank(rows):
-    return linalg.rank(rows) if rows else 0
+    return linalg.rank([sparse(r) for r in rows]) if rows else 0
 
 
 def assert_cone_sequence_exact(phi, k):
@@ -127,27 +125,22 @@ def assert_cone_sequence_exact(phi, k):
     hc1 = DegreeCohomology(cone, k + 1)
 
     proj_rows = []
-    for vec in hc.representatives():
-        terms = {key: c for key, c in zip(hc.keys, vec) if c}
+    for terms in hc.representatives():
         a, _b = cone.pair_of(terms)
         proj_rows.append(hs.class_coords(a.terms))
     phi_rows = []
-    for vec in hs.representatives():
-        terms = {key: c for key, c in zip(hs.keys, vec) if c}
+    for terms in hs.representatives():
         phi_rows.append(ht.class_coords(phi.apply_terms(terms)))
     incl_rows = []
-    for vec in ht.representatives():
-        terms = {key: c for key, c in zip(ht.keys, vec) if c}
+    for terms in ht.representatives():
         incl_rows.append(hc1.class_coords(cone.terms_of_pair(
             phi.source.zero(), phi.target.element(terms))))
 
     # composites vanish
-    for vec in hc.representatives():
-        terms = {key: c for key, c in zip(hc.keys, vec) if c}
+    for terms in hc.representatives():
         a, _b = cone.pair_of(terms)
         assert not any(ht.class_coords(phi.apply_terms(a.terms)))
-    for vec in hs.representatives():
-        terms = {key: c for key, c in zip(hs.keys, vec) if c}
+    for terms in hs.representatives():
         image = phi.apply_terms(terms)
         assert not any(hc1.class_coords(cone.terms_of_pair(
             phi.source.zero(), phi.target.element(image))))

@@ -6,39 +6,50 @@ F = Fraction
 
 
 def test_rref_small():
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
     red, pivots = linalg.rref(rows)
     assert pivots == [0, 1]
-    assert red == [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
+    assert red == [{0: F(1), 2: F(1)}, {1: F(1), 2: F(1)}]
 
 
 def test_rref_leaves_input_untouched():
-    rows = [[F(1), F(2)], [F(3), F(4)]]
+    rows = [{0: F(1), 1: F(2)}, {0: F(3), 1: F(4)}]
     linalg.rref(rows)
-    assert rows == [[F(1), F(2)], [F(3), F(4)]]
+    assert rows == [{0: F(1), 1: F(2)}, {0: F(3), 1: F(4)}]
 
 
 def test_kernel_of_columns():
     # map (x, y, z) -> (x + z, y + z): kernel spanned by (1, 1, -1)... solve
-    cols = [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]]
-    ker = linalg.kernel_of_columns(cols, 2)
+    cols = [{0: F(1)}, {1: F(1)}, {0: F(1), 1: F(1)}]
+    ker = linalg.kernel_of_columns(cols)
     assert len(ker) == 1
-    x, y, z = ker[0]
+    x, y, z = (ker[0].get(j, 0) for j in range(3))
     assert x + z == 0 and y + z == 0 and z == 1
 
 
 def test_solve_columns_consistent_and_not():
-    cols = [[F(1), F(0)], [F(1), F(1)]]
-    sol = linalg.solve_columns(cols, 2, [F(3), F(2)])
-    assert sol == [F(1), F(2)]
-    cols = [[F(1), F(0)], [F(2), F(0)]]
-    assert linalg.solve_columns(cols, 2, [F(0), F(1)]) is None
+    cols = [{0: F(1)}, {0: F(1), 1: F(1)}]
+    sol = linalg.solve_columns(cols, {0: F(3), 1: F(2)})
+    assert sol == {0: F(1), 1: F(2)}
+    cols = [{0: F(1)}, {0: F(2)}]
+    assert linalg.solve_columns(cols, {1: F(1)}) is None
+
+
+def test_solve_columns_target_in_a_row_no_column_touches():
+    """A nonzero target entry in a row outside every column's support makes
+    the system inconsistent, however far past the columns' rows it sits."""
+    cols = [{0: F(1)}, {0: F(2), 1: F(1)}]
+    assert linalg.solve_columns(cols, {0: F(1)}) == {0: F(1)}
+    assert linalg.solve_columns(cols, {0: F(1), 2: F(3)}) is None
+    assert linalg.solve_columns(cols, {0: F(1), 50: 1}) is None
+    assert linalg.solve_columns(cols, {0: F(1), 50: 0}) == {0: F(1)}
+    assert linalg.solve_columns([], {7: F(-1)}) is None
 
 
 def test_reduce_against():
-    red, piv = linalg.rref([[1, 0, 2], [0, 1, 3]])
-    out = linalg.reduce_against([F(2), F(1), F(0)], red, piv)
-    assert out == [F(0), F(0), F(-7)]
+    red, piv = linalg.rref([{0: 1, 2: 2}, {1: 1, 2: 3}])
+    out = linalg.reduce_against({0: F(2), 1: F(1)}, red, piv)
+    assert out == {2: F(-7)}
 
 
 def test_symmetric_inertia_diagonal_and_hyperbolic():
@@ -50,34 +61,37 @@ def test_symmetric_inertia_diagonal_and_hyperbolic():
 
 
 def test_rref_and_rank_of_empty_and_zero_inputs():
-    for rows in ([], [[]], [[], []], [[0, 0], [F(0), 0]]):
+    for rows in ([], [{}], [{}, {}], [{0: 0, 1: 0}, {0: F(0), 1: 0}]):
         assert linalg.rref(rows) == ([], [])
         assert linalg.rank(rows) == 0
-    assert linalg.reduce_against([0, 2], [], []) == [F(0), F(2)]
+    out = linalg.reduce_against({0: 0, 1: 2}, [], [])
+    assert out == {1: F(2)} and type(out[1]) is F
 
 
 def test_kernel_of_columns_without_rows_or_columns():
-    assert linalg.kernel_of_columns([], 3) == []
-    cols = [[F(1), F(2)], [F(3), F(4)]]
-    assert linalg.kernel_of_columns(cols, 0) == [[F(1), F(0)], [F(0), F(1)]]
+    assert linalg.kernel_of_columns([]) == []
+    assert linalg.kernel_of_columns([{}, {}]) == [{0: F(1)}, {1: F(1)}]
+    assert linalg.kernel_of_columns([{0: 0}, {3: F(0)}]) == [{0: F(1)},
+                                                             {1: F(1)}]
 
 
 def test_solve_columns_zero_target():
-    cols = [[F(1), F(2)], [F(2), F(4)]]
-    sol = linalg.solve_columns(cols, 2, [0, F(0)])
-    assert sol == [F(0), F(0)] and all(type(x) is F for x in sol)
-    assert linalg.solve_columns([], 2, [0, 0]) == []
-    assert linalg.solve_columns([], 2, [0, 1]) is None
+    cols = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
+    assert linalg.solve_columns(cols, {0: 0, 1: F(0)}) == {}
+    assert linalg.solve_columns(cols, {}) == {}
+    assert linalg.solve_columns([], {0: 0, 1: 0}) == {}
+    assert linalg.solve_columns([], {0: 0, 1: 1}) is None
 
 
 def test_kernel_and_solve_leave_inputs_untouched():
-    cols = [[F(1), 0], [F(2), F(0)], [0, F(5)]]
-    target = [F(3), 1]
-    linalg.kernel_of_columns(cols, 2)
-    linalg.solve_columns(cols, 2, target)
-    assert cols == [[F(1), 0], [F(2), F(0)], [0, F(5)]]
-    assert target == [F(3), 1]
-    red, piv = linalg.rref([[1, 0, 2], [0, 1, 3]])
-    vec = [F(2), 1, 0]
+    cols = [{0: F(1), 1: 0}, {0: F(2), 1: F(0)}, {1: F(5)}]
+    target = {0: F(3), 1: 1}
+    linalg.kernel_of_columns(cols)
+    linalg.solve_columns(cols, target)
+    assert cols == [{0: F(1), 1: 0}, {0: F(2), 1: F(0)}, {1: F(5)}]
+    assert target == {0: F(3), 1: 1}
+    red, piv = linalg.rref([{0: 1, 2: 2}, {1: 1, 2: 3}])
+    vec = {0: F(2), 1: 1, 2: 0}
     linalg.reduce_against(vec, red, piv)
-    assert vec == [F(2), 1, 0] and red == [[1, 0, 2], [0, 1, 3]]
+    assert vec == {0: F(2), 1: 1, 2: 0}
+    assert red == [{0: 1, 2: 2}, {1: 1, 2: 3}]

@@ -1,7 +1,9 @@
 """The sparse elimination engine against the dense oracle, entry for entry.
 
-Outputs are compared by ``repr``, so a Fraction that came back as an int (or
-a differently ordered pivot list) fails as surely as a wrong value.
+Inputs go in as dict rows with their explicit zeros, and outputs come back
+through ``dense_linalg.dense``, which rejects stored zeros and non-Fractions.
+They are compared by ``repr``, so a Fraction that came back as an int (or a
+differently ordered pivot list) fails as surely as a wrong value.
 """
 
 import random
@@ -10,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import dense_linalg as dense
+from dense_linalg import sparse
 from rht import linalg
 from rht.cohomology import DegreeCohomology
 
@@ -24,17 +27,22 @@ def assert_routes_agree(rows, ncols, vecs, targets):
     """rref, rank, reduce_against, kernel_of_columns and solve_columns agree
     with the dense oracle on one matrix."""
     red, piv = dense.rref(rows)
-    assert same(linalg.rref(rows), (red, piv))
-    assert linalg.rank(rows) == len(piv)
+    srows = [sparse(r) for r in rows]
+    got, got_piv = linalg.rref(srows)
+    assert same(([dense.dense(r, ncols) for r in got], got_piv), (red, piv))
+    assert linalg.rank(srows) == len(piv)
     for vec in vecs:
-        assert same(linalg.reduce_against(vec, red, piv),
+        assert same(dense.dense(linalg.reduce_against(sparse(vec), got, got_piv),
+                                ncols),
                     dense.reduce_against(vec, red, piv))
     nrows = len(rows)
     cols = [[row[j] for row in rows] for j in range(ncols)]
-    assert same(linalg.kernel_of_columns(cols, nrows),
+    scols = [sparse(c) for c in cols]
+    assert same([dense.dense(v, ncols) for v in linalg.kernel_of_columns(scols)],
                 dense.kernel_of_columns(cols, nrows))
     for target in targets:
-        assert same(linalg.solve_columns(cols, nrows, target),
+        sol = linalg.solve_columns(scols, sparse(target))
+        assert same(sol if sol is None else dense.dense(sol, ncols),
                     dense.solve_columns(cols, nrows, target))
 
 
@@ -82,10 +90,14 @@ def test_degree_cohomology_matches_dense_recomputation(request, fixture, cap):
     alg = request.getfixturevalue(fixture)
     for k in range(cap + 1):
         dc = DegreeCohomology(alg, k)
+        n = len(dc.keys)
         reps, rpiv, brows, bpiv = dense.degree_cohomology(alg, k)
-        assert same(dc.representatives(), reps)
+        assert same([dense.dense(r, n) for r in dc.rep_rows], reps)
+        assert same(dc.representatives(),
+                    [{key: c for key, c in zip(dc.keys, r) if c} for r in reps])
         assert dc.rep_pivots == rpiv and dc.rank == len(reps)
-        assert same(dc.boundary_rows, brows) and dc.boundary_pivots == bpiv
+        assert same([dense.dense(r, n) for r in dc.boundary_rows], brows)
+        assert dc.boundary_pivots == bpiv
         probes = [list(r) for r in reps]
         probes += [[a + 2 * b for a, b in zip(r, br)]
                    for r in reps for br in brows[:3]]
