@@ -639,7 +639,7 @@ class DgaMorphism:
     chain-map condition phi(dv) = d(phi(v)) are checked at construction.
     """
 
-    def __init__(self, source, target, images, *, check=True):
+    def __init__(self, source, target, images):
         self.source = source
         self.target = target
         imgs = {}
@@ -652,8 +652,7 @@ class DgaMorphism:
             imgs[g.name] = e
         self.images = imgs
         self._key_cache = {UNIT: target.unit().terms}
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         for g in self.source.gens:
@@ -675,7 +674,7 @@ class DgaMorphism:
 
     @classmethod
     def identity(cls, alg):
-        return cls(alg, alg, {g.name: alg[g.name] for g in alg.gens}, check=False)
+        return cls(alg, alg, {g.name: alg[g.name] for g in alg.gens})
 
     def _image_of_key(self, mon):
         cached = self._key_cache.get(mon)
@@ -706,7 +705,7 @@ class DgaMorphism:
         if inner.target is not self.source:
             raise ValueError("morphisms are not composable")
         images = {g.name: self.apply(inner.images[g.name]) for g in inner.source.gens}
-        return DgaMorphism(inner.source, self.target, images, check=False)
+        return DgaMorphism(inner.source, self.target, images)
 
     def is_identity_on_generators(self):
         return all(self.images[g.name] == self.source[g.name] for g in self.source.gens)

@@ -215,22 +215,14 @@ class RelativeCohomologyResult:
     degree: int
     rank: int
     pairs: list          # (source Element, target Element) representatives
-    coefficient_dim: int
-    total_rank: int
 
 
-def relative_cohomology(phi, degree, coefficients=1) -> RelativeCohomologyResult:
-    """H^degree of the cone of phi, optionally with a coefficient space.
-
-    ``coefficients`` is a dimension (or a sequence, whose length is used);
-    the result with coefficients V is Hom(V, H) so the total rank is
-    dim V * rank.
-    """
-    dim = coefficients if isinstance(coefficients, int) else len(coefficients)
+def relative_cohomology(phi, degree) -> RelativeCohomologyResult:
+    """H^degree of the cone of phi, with representative pairs."""
     cone = MappingCone(phi)
     dc = DegreeCohomology(cone, degree)
     pairs = [cone.pair_of(terms) for terms in dc.representatives()]
-    return RelativeCohomologyResult(phi, degree, dc.rank, pairs, dim, dim * dc.rank)
+    return RelativeCohomologyResult(phi, degree, dc.rank, pairs)
 
 
 def induced_map_on_cohomology(phi, degree):

@@ -44,8 +44,7 @@ class MinimalModel:
     quasi_iso: DgaMorphism | None = None
     target: object = None
     bigraded: bool = False
-    trivial_warning: bool = False
-    _depths: dict = field(default=None, repr=False)
+    _depths: dict = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for g in self.algebra.gens:
@@ -55,6 +54,12 @@ class MinimalModel:
                     raise ValueError(
                         f"model is not minimal: d({g.name}) has the linear "
                         f"term {self.algebra.format_key(mon)}")
+
+    @property
+    def trivial_warning(self):
+        """True when the model has no generators (the target is trivial
+        through the cap)."""
+        return not self.algebra.gens
 
     def stages(self):
         """Generators grouped by degree (the spaces V_k)."""
@@ -184,8 +189,7 @@ def _check_target_connectivity(target, what):
 def _extended(rho, new_gens, new_diff, new_images):
     """Stage map ``rho`` extended by new generators, re-checked as a chain map."""
     model = rho.source.extend(new_gens, new_diff)
-    return DgaMorphism(model, rho.target, {**rho.images, **new_images},
-                       check=True)
+    return DgaMorphism(model, rho.target, {**rho.images, **new_images})
 
 
 def minimal_model(target, cap, *, name=None) -> MinimalModel:
@@ -198,7 +202,7 @@ def minimal_model(target, cap, *, name=None) -> MinimalModel:
         raise ValueError("cap must be at least 2")
     _check_target_connectivity(target, "minimal_model target")
     model = FreeCdga([], None, name=name or f"M({getattr(target, 'name', '?')})")
-    rho = DgaMorphism(model, target, {}, check=False)
+    rho = DgaMorphism(model, target, {})
     for k in range(2, cap + 1):
         cone = MappingCone(rho)
         dc = DegreeCohomology(cone, k + 1)
@@ -215,8 +219,7 @@ def minimal_model(target, cap, *, name=None) -> MinimalModel:
             new_images[gname] = w
         rho = _extended(rho, new_gens, new_diff, new_images)
     model = rho.source
-    out = MinimalModel(model, cap, rho, target,
-                       trivial_warning=not model.gens)
+    out = MinimalModel(model, cap, rho, target)
     if not is_quasi_isomorphism(rho, cap):
         raise AssertionError("stagewise construction failed its own "
                              "quasi-isomorphism audit")
@@ -241,7 +244,7 @@ def bigraded_model(ring, cap, *, name=None) -> MinimalModel:
     _check_target_connectivity(ring, "bigraded_model ring")
 
     model = FreeCdga([], None, name=name or f"M({getattr(ring, 'name', '?')})")
-    rho = DgaMorphism(model, ring, {}, check=False)
+    rho = DgaMorphism(model, ring, {})
 
     def monomial_stage(mon):
         return sum(e * model.gens[i].stage for i, e in mon)
@@ -298,8 +301,7 @@ def bigraded_model(ring, cap, *, name=None) -> MinimalModel:
             rho = _extended(rho, new_gens, new_diff, new_images)
             model = rho.source
 
-    out = MinimalModel(model, cap, rho, ring, bigraded=True,
-                       trivial_warning=not model.gens)
+    out = MinimalModel(model, cap, rho, ring, bigraded=True)
     if not is_quasi_isomorphism(rho, cap):
         raise AssertionError("bigraded construction failed its own "
                              "quasi-isomorphism audit")
@@ -329,7 +331,7 @@ def grading_automorphism(model: MinimalModel, t) -> DgaMorphism:
         if g.stage is None:
             raise ValueError(f"generator {g.name} carries no stage tag")
         images[g.name] = (t ** (g.stage + g.degree)) * alg[g.name]
-    return DgaMorphism(alg, alg, images, check=True)
+    return DgaMorphism(alg, alg, images)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +349,13 @@ class CellAttachmentModel(OverFreeCdga):
     """
 
     def __init__(self, base, pairing, cell_degree, cell_name="y", *,
-                 base_model=None, name=None):
+                 base_model=None):
         self.base = base
         self.base_model = base_model
         self.cell_name = cell_name
         self.cell_degree = cell_degree
         self.pairing = {k: Fraction(v) for k, v in pairing.items()}
-        self.name = name or f"{base.name}+cell{cell_degree}"
+        self.name = f"{base.name}+cell{cell_degree}"
         if cell_name in base.index:
             raise ValueError(f"cell name {cell_name!r} collides with a generator")
         for gname in self.pairing:
@@ -422,8 +424,7 @@ class CellAttachmentModel(OverFreeCdga):
         return Element(self, dict(element.terms))
 
 
-def attach_cell_model(base_model, pairing, *, cell_name="y",
-                      attaching_degree=None) -> CellAttachmentModel:
+def attach_cell_model(base_model, pairing, *, cell_name="y") -> CellAttachmentModel:
     """Non-minimal model of a cell attachment along a prescribed pairing.
 
     ``pairing`` maps generator names (all of the single attaching degree) to
@@ -438,13 +439,9 @@ def attach_cell_model(base_model, pairing, *, cell_name="y",
         base = base_model
         model = None
     degrees = {base.degree_of(g) for g in pairing}
-    if attaching_degree is None:
-        if len(degrees) != 1:
-            raise ValueError("pairing must be supported on a single degree")
-        attaching_degree = degrees.pop()
-    elif degrees - {attaching_degree}:
-        raise ValueError("pairing names generators outside the attaching degree")
-    return CellAttachmentModel(base, pairing, attaching_degree + 1, cell_name,
+    if len(degrees) != 1:
+        raise ValueError("pairing must be supported on a single degree")
+    return CellAttachmentModel(base, pairing, degrees.pop() + 1, cell_name,
                                base_model=model)
 
 

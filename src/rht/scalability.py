@@ -104,8 +104,7 @@ class EmbeddingWitness:
                 and all(g.degree == 1 for g in self.target.gens)):
             raise ValueError("witness target must be an exterior algebra: a "
                              "FreeCdga whose generators all have degree 1")
-        self._morphism = DgaMorphism(self.ring.base, self.target,
-                                     self.images, check=True)
+        self._morphism = DgaMorphism(self.ring.base, self.target, self.images)
 
     def morphism(self):
         return self._morphism
@@ -364,7 +363,8 @@ def omega_ring(n, r, *, name=None) -> RingPresentation:
 
 def _equal_powers_ring(r, degree, power, name) -> RingPresentation:
     """r generators a_i of one even degree with zero cross products and
-    a_i^power = a_1^power; a_1^power is the fundamental monomial.  The
+    a_i^power = a_1^power; a_1^power is the fundamental monomial, so
+    a_1^(power+1) = 0 (a relation of its own only when r = 1).  The
     relations live in a free algebra that RingPresentation re-homes."""
     if r < 1:
         raise ValueError("r must be positive")
@@ -373,6 +373,8 @@ def _equal_powers_ring(r, degree, power, name) -> RingPresentation:
     top = gens[0] ** power
     rels = [x * y for x, y in itertools.combinations(gens, 2)]
     rels += [x ** power - top for x in gens[1:]]
+    if r == 1:  # for r >= 2, a1^(power+1) already lies in the ideal
+        rels.append(gens[0] * top)
     ring = RingPresentation([(g.name, degree) for g in amb.gens], rels,
                             name=name, fundamental_degree=degree * power,
                             duality=True)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from rht import (DgaHomotopy, DgaMorphism, FreeCdga, Leaf, Node,
                  RingPresentation, TruncatedCdga, attach_cell_model,
                  bracket_degree, extend_with_witness, hopf_invariant,
                  integrate_0_1, integrate_0_t, interval_algebra, massey_triple,
-                 minimal_model, obstruction_class, parse_bracket,
+                 bigraded_model, minimal_model, obstruction_class, parse_bracket,
                  scale_leaves, whitehead_pair)
 from rht.homotopy import at, reverse
 from rht.presentations import projective_ring, wedge_of_spheres_ring
@@ -217,6 +218,48 @@ def test_obstruction_rejects_mixed_extension_degrees():
     g = DgaMorphism(bad, B, {"a": B["a"], "v": B["b"], "w": B["a"] * B["b"]})
     with pytest.raises(ValueError, match="one degree"):
         obstruction_class(f, g, DgaMorphism.identity(B))
+
+
+@pytest.mark.parametrize("part", ["b", "c"])
+def test_extension_rejects_an_invalid_primitive(part):
+    """Doubling b(v) breaks d(b(v)) = f(dv), which the chain-map check of f~
+    catches; adding s to c(v) moves H~(v) at t = 1 off h(b(v)), which the
+    endpoint check of H~ catches."""
+    _A, _AV, _B, C, f, g, h = _square()
+    ob = obstruction_class(f, g, h)
+    b_v, c_v = ob.primitives["v"]
+    bad = (2 * b_v, c_v) if part == "b" else (b_v, c_v + C["s"])
+    ob = dataclasses.replace(ob, primitives={"v": bad})
+    match = "not a chain map on 'v'" if part == "b" else "H\\(v\\) at t=1"
+    with pytest.raises(ValueError, match=match):
+        extend_with_witness(ob)
+
+
+def test_every_morphism_is_checked_at_construction(monkeypatch):
+    """Each morphism and homotopy that the library builds runs its checks."""
+    built, checked = [], []
+    init, check = DgaMorphism.__init__, DgaMorphism._check
+
+    def recording_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def recording_check(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(DgaMorphism, "__init__", recording_init)
+    monkeypatch.setattr(DgaMorphism, "_check", recording_check)
+    _A, _AV, B, _C, f, g, h = _square()
+    results = [DgaMorphism.identity(B), h.compose(f)]
+    results.append(DgaHomotopy.constant(results[-1]))
+    ob = obstruction_class(f, g, h)
+    results += [ob.homotopy, ob.homotopy.start]
+    ring = projective_ring(2, 2, name="CP2")
+    results += [minimal_model(ring, 4).quasi_iso,
+                bigraded_model(ring, 4).quasi_iso]
+    assert built and [id(m) for m in checked] == [id(m) for m in built]
+    assert all(any(m is c for c in checked) for m in results)
 
 
 def test_constant_extension_keeps_constant_homotopy():

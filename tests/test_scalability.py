@@ -17,7 +17,7 @@ from rht import (EmbeddingWitness, FreeCdga, SetFamily, classify,
                  exterior_algebra, family_local_forms, intersection_complete,
                  rank_bound_check, verify_witness, wedge_pairing_signature)
 from rht.cdga import TruncatedCdga
-from rht.presentations import RingPresentation
+from rht.presentations import RingPresentation, projective_ring
 from rht.scalability import (Atom, CSum, DimensionCountRefutation, Prod,
                              Wedge, WitnessReport, omega_ring,
                              parse_descriptor, pi_ring, sigma_ring,
@@ -155,6 +155,17 @@ def test_equal_powers_witness_and_relations_are_pinned():
         "a1*a2", "a1*a3", "a2*a3", "-a1^3 + a2^3", "-a1^3 + a3^3"]
     assert sigma.fundamental_monomial == ((0, 2),)
     assert pi.fundamental_monomial == ((0, 3),)
+
+
+@pytest.mark.parametrize("build,n,model", [
+    (sigma_ring, 2, (2, 2)), (sigma_ring, 4, (4, 2)),
+    (pi_ring, 2, (2, 2)), (pi_ring, 3, (2, 3)), (pi_ring, 4, (2, 4))])
+def test_one_generator_equal_powers_ring_is_truncated(build, n, model):
+    """With r = 1 the fundamental class a1^power is the last power:
+    sigma_ring(n, 1) is P(n, 2) and pi_ring(n, 1) is CP^n = P(2, n)."""
+    ring, expect = build(n, 1), projective_ring(*model)
+    through = range(2 * ring.fundamental_degree + 1)
+    assert [ring.dim(k) for k in through] == [expect.dim(k) for k in through]
 
 
 @pytest.mark.parametrize("n,dim", [(2, 1), (3, 0), (4, 0), (5, 0), (6, 0)])
