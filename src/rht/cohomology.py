@@ -12,20 +12,22 @@ onwards and rebuild their matrices on every call; nothing is cached.
 Representatives are pinned by deterministic pivoting, so repeated runs and
 golden reports agree byte for byte.
 
-A truncation cap is recorded on every result and queries above the cap are
-rejected: a free CDGA has no top degree, so silence above the cap would be a
-lie rather than a zero.
+``DegreeCohomology`` is the one H^k result, for an algebra and for the
+mapping cone of a morphism alike.  Class coordinates are sparse rows over
+the representative indices, like every other row in the package.
+``cohomology`` checks a truncation cap before it computes, and rejects
+queries above it: a free CDGA has no top degree, so silence above the cap
+would be a lie rather than a zero.  The cap is not recorded on the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .cdga import Element, GradedAlgebra
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -86,7 +88,8 @@ class CohomologyClass:
 
 
 class DegreeCohomology:
-    """Kernel/image data of one degree of a complex, with class coordinates."""
+    """H^degree of a complex: kernel and image data, representatives, and
+    class coordinates as sparse rows."""
 
     def __init__(self, complex_like, degree):
         self.complex = complex_like
@@ -106,8 +109,15 @@ class DegreeCohomology:
         keys = self.keys
         return [{keys[i]: row[i] for i in sorted(row)} for row in self.rep_rows]
 
+    @property
+    def classes(self):
+        """The representatives as closed elements."""
+        return [CohomologyClass(self.degree, Element(self.complex, terms))
+                for terms in self.representatives()]
+
     def class_coords(self, terms):
-        """Coordinates of a cocycle's class over the representative basis.
+        """Coordinates of a cocycle's class, as a sparse row
+        ``{representative index: Fraction}``; an exact cocycle gives ``{}``.
 
         Raises if the terms are not in the span of cocycles (not closed).
         """
@@ -115,7 +125,8 @@ class DegreeCohomology:
         reduced = linalg.reduce_against(vec, self.boundary_rows, self.boundary_pivots)
         # the representative rows are in reduced form, so each coordinate is
         # the entry at its pivot before any of them is subtracted
-        out = [reduced.get(p, _ZERO) for p in self.rep_pivots]
+        out = {i: reduced[p] for i, p in enumerate(self.rep_pivots)
+               if p in reduced}
         if linalg.reduce_against(reduced, self.rep_rows, self.rep_pivots):
             raise ValueError("element is not a cocycle of this degree")
         return out
@@ -126,25 +137,11 @@ class DegreeCohomology:
                                          self.boundary_pivots)
 
 
-@dataclass
-class CohomologyResult:
-    algebra: object
-    degree: int
-    cap: int
-    rank: int
-    classes: list = field(default_factory=list)
-
-
-def cohomology(algebra, degree, cap) -> CohomologyResult:
-    """Basis of H^degree by exact elimination; degree must not exceed cap."""
+def cohomology(algebra, degree, cap) -> DegreeCohomology:
+    """H^degree by exact elimination; degree must not exceed cap."""
     if degree > cap:
         raise ValueError(f"degree {degree} exceeds the truncation cap {cap}")
-    if degree < 0:
-        return CohomologyResult(algebra, degree, cap, 0, [])
-    dc = DegreeCohomology(algebra, degree)
-    classes = [CohomologyClass(degree, Element(algebra, terms))
-               for terms in dc.representatives()]
-    return CohomologyResult(algebra, degree, cap, dc.rank, classes)
+    return DegreeCohomology(algebra, degree)
 
 
 class MappingCone(GradedAlgebra):
@@ -209,41 +206,28 @@ class MappingCone(GradedAlgebra):
         return out
 
 
-@dataclass
-class RelativeCohomologyResult:
-    phi: object
-    degree: int
-    rank: int
-    pairs: list          # (source Element, target Element) representatives
-
-
-def relative_cohomology(phi, degree) -> RelativeCohomologyResult:
-    """H^degree of the cone of phi, with representative pairs."""
-    cone = MappingCone(phi)
-    dc = DegreeCohomology(cone, degree)
-    pairs = [cone.pair_of(terms) for terms in dc.representatives()]
-    return RelativeCohomologyResult(phi, degree, dc.rank, pairs)
+def relative_cohomology(phi, degree) -> DegreeCohomology:
+    """H^degree of the cone of phi; ``.complex.pair_of`` splits a class."""
+    return DegreeCohomology(MappingCone(phi), degree)
 
 
 def induced_map_on_cohomology(phi, degree):
     """Matrix of H^degree(phi) over the deterministic class bases.
 
-    Returns (matrix rows over target class coords, source rank, target rank);
-    rows are the images of the source representatives.
+    Returns (rows, source H^degree, target H^degree): the rows are the
+    target class coordinates of the images of the source representatives.
     """
     src = DegreeCohomology(phi.source, degree)
     tgt = DegreeCohomology(phi.target, degree)
     rows = [tgt.class_coords(phi.apply_terms(terms))
             for terms in src.representatives()]
-    return rows, src.rank, tgt.rank
+    return rows, src, tgt
 
 
 def is_quasi_isomorphism(phi, cap) -> bool:
     """True iff H^k(phi) is an isomorphism for every k <= cap."""
     for k in range(0, cap + 1):
-        rows, srank, trank = induced_map_on_cohomology(phi, k)
-        if srank != trank:
-            return False
-        if linalg.rank([dict(enumerate(r)) for r in rows]) != srank:
+        rows, src, tgt = induced_map_on_cohomology(phi, k)
+        if src.rank != tgt.rank or linalg.rank(rows) != src.rank:
             return False
     return True

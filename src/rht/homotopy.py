@@ -199,9 +199,10 @@ class ObstructionClass:
     """Obstruction to extending f over an elementary extension.
 
     ``cocycle`` maps each extension generator v to the pair
-    (f(dv), g(v) + int_0^1 H(dv)) in B^(n+1) (+) C^n; ``class_coords`` are
-    its coordinates in the relative cohomology of h, and ``primitives`` are
-    deterministic solutions d(b, c) = O(v) when the class vanishes.
+    (f(dv), g(v) + int_0^1 H(dv)) in B^(n+1) (+) C^n; ``class_coords`` maps
+    v to the sparse row of its class in the relative cohomology of h, and
+    ``primitives`` are deterministic solutions d(b, c) = O(v) when the class
+    vanishes.
     """
 
     f: DgaMorphism
@@ -278,30 +279,22 @@ def obstruction_class(f: DgaMorphism, g: DgaMorphism, h: DgaMorphism,
     dc = DegreeCohomology(cone, n + 1)
     cocycle = {}
     class_coords = {}
-    prim_b = {}
-    prim_c = {}
-    all_vanish = True
     for name in v_names:
         dv_ext = g.source.differential_of(name)
         dv_base = Element(f.source, dict(dv_ext.terms))
         b_part = f.apply(dv_base)
         c_part = g.images[name] + integrate_0_1(homotopy.apply(dv_base))
         cocycle[name] = (b_part, c_part)
-        terms = cone.terms_of_pair(b_part, c_part)
-        coords = dc.class_coords(terms)
-        class_coords[name] = coords
-        if any(coords):
-            all_vanish = False
+        class_coords[name] = dc.class_coords(cone.terms_of_pair(b_part, c_part))
+    rank = linalg.rank(class_coords.values())
     primitives = None
-    if all_vanish:
+    if rank == 0:
         primitives = {}
         for name in v_names:
             terms = primitive(cone, cone.terms_of_pair(*cocycle[name]), n + 1)
             if terms is None:
                 raise AssertionError("vanishing class without a primitive")
             primitives[name] = cone.pair_of(terms)
-    rows = [dict(enumerate(class_coords[name])) for name in v_names]
-    rank = linalg.rank(rows) if dc.rank else 0
     return ObstructionClass(f, g, h, homotopy, n, v_names, cocycle,
                             class_coords, rank, primitives)
 
@@ -469,7 +462,7 @@ def _pair(alg, gname, expr) -> Fraction:
 class MasseyResult:
     degree: int
     class_representative: Element
-    class_coords: list
+    class_coords: dict           # sparse row over the representatives of H^degree
     indeterminacy_rows: list     # sparse rows over class coordinates, reduced
     indeterminacy_dim: int
     vanishes_mod_indeterminacy: bool
@@ -501,9 +494,7 @@ def massey_triple(algebra, x, y, z) -> MasseyResult:
     ez = _as_class(algebra, z)
     if ex.is_zero() or ey.is_zero() or ez.is_zero():
         dx = (ex.degree or 0) + (ey.degree or 0) + (ez.degree or 0) - 1
-        dc = DegreeCohomology(algebra, max(dx, 0))
-        return MasseyResult(max(dx, 0), algebra.zero(), [_ZERO] * dc.rank,
-                            [], 0, True)
+        return MasseyResult(max(dx, 0), algebra.zero(), {}, [], 0, True)
     dx, dy, dz = ex.degree, ey.degree, ez.degree
     deg = dx + dy + dz - 1
 
@@ -526,8 +517,8 @@ def massey_triple(algebra, x, y, z) -> MasseyResult:
     for terms in right.representatives():
         e = Element(algebra, terms)
         indet_rows.append(dc.class_coords((e * ez).terms))
-    red, piv = linalg.rref([dict(enumerate(r)) for r in indet_rows])
-    reduced = linalg.reduce_against(dict(enumerate(coords)), red, piv)
+    red, piv = linalg.rref(indet_rows)
+    reduced = linalg.reduce_against(coords, red, piv)
     return MasseyResult(deg, w, coords, red, len(red), not reduced)
 
 

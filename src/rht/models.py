@@ -192,7 +192,7 @@ def _extended(rho, new_gens, new_diff, new_images):
     return DgaMorphism(model, rho.target, {**rho.images, **new_images})
 
 
-def minimal_model(target, cap, *, name=None) -> MinimalModel:
+def minimal_model(target, cap) -> MinimalModel:
     """Sullivan model of any finite-type graded differential algebra.
 
     ``target`` may be a free CDGA, a truncated CDGA, or a ring presentation
@@ -201,7 +201,7 @@ def minimal_model(target, cap, *, name=None) -> MinimalModel:
     if cap < 2:
         raise ValueError("cap must be at least 2")
     _check_target_connectivity(target, "minimal_model target")
-    model = FreeCdga([], None, name=name or f"M({getattr(target, 'name', '?')})")
+    model = FreeCdga([], None, name=f"M({getattr(target, 'name', '?')})")
     rho = DgaMorphism(model, target, {})
     for k in range(2, cap + 1):
         cone = MappingCone(rho)
@@ -226,7 +226,7 @@ def minimal_model(target, cap, *, name=None) -> MinimalModel:
     return out
 
 
-def bigraded_model(ring, cap, *, name=None) -> MinimalModel:
+def bigraded_model(ring, cap) -> MinimalModel:
     """Model of a formal cohomology ring, with stage tags on all generators.
 
     Stage-0 generators are closed and hit the ring; a stage-(s+1) generator's
@@ -243,7 +243,7 @@ def bigraded_model(ring, cap, *, name=None) -> MinimalModel:
             raise ValueError("ring is not simply connected (nonzero degree 1)")
     _check_target_connectivity(ring, "bigraded_model ring")
 
-    model = FreeCdga([], None, name=name or f"M({getattr(ring, 'name', '?')})")
+    model = FreeCdga([], None, name=f"M({getattr(ring, 'name', '?')})")
     rho = DgaMorphism(model, ring, {})
 
     def monomial_stage(mon):
@@ -251,19 +251,16 @@ def bigraded_model(ring, cap, *, name=None) -> MinimalModel:
 
     for k in range(2, cap + 1):
         # cokernel step: closed stage-0 generators hitting missing classes
-        rows, _srank, trank = induced_map_on_cohomology(rho, k)
-        red, pivots = linalg.rref([dict(enumerate(r)) for r in rows])
-        hit = set(pivots)
-        tgt_dc = DegreeCohomology(ring, k)
-        reps = tgt_dc.representatives()
+        rows, _src, tgt = induced_map_on_cohomology(rho, k)
+        hit = set(linalg.rref(rows)[1])
         new_gens = []
         new_images = {}
-        for j in range(trank):
+        for j, terms in enumerate(tgt.representatives()):
             if j in hit:
                 continue
             gname = f"v{k}_0_{len(new_gens)}"
             new_gens.append(Generator(gname, k, 0))
-            new_images[gname] = Element(ring, reps[j])
+            new_images[gname] = Element(ring, terms)
         if new_gens:
             rho = _extended(rho, new_gens, {}, new_images)
             model = rho.source
@@ -348,10 +345,8 @@ class CellAttachmentModel(OverFreeCdga):
     ``self[cell_name]``, but ``gens`` lists only the base's generators.
     """
 
-    def __init__(self, base, pairing, cell_degree, cell_name="y", *,
-                 base_model=None):
+    def __init__(self, base, pairing, cell_degree, cell_name="y"):
         self.base = base
-        self.base_model = base_model
         self.cell_name = cell_name
         self.cell_degree = cell_degree
         self.pairing = {k: Fraction(v) for k, v in pairing.items()}
@@ -432,17 +427,11 @@ def attach_cell_model(base_model, pairing, *, cell_name="y") -> CellAttachmentMo
     sits one degree higher.  A pairing that breaks d'd' = 0 is rejected with
     the offending generator named.
     """
-    if isinstance(base_model, MinimalModel):
-        base = base_model.algebra
-        model = base_model
-    else:
-        base = base_model
-        model = None
+    base = base_model.algebra if isinstance(base_model, MinimalModel) else base_model
     degrees = {base.degree_of(g) for g in pairing}
     if len(degrees) != 1:
         raise ValueError("pairing must be supported on a single degree")
-    return CellAttachmentModel(base, pairing, degrees.pop() + 1, cell_name,
-                               base_model=model)
+    return CellAttachmentModel(base, pairing, degrees.pop() + 1, cell_name)
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +442,14 @@ def u0_surjectivity(model_or_cell, cap) -> dict:
     """Per degree k <= cap: do products of depth-0 generators span H^k?
 
     A necessary condition for formality, not a formality decision.  Accepts a
-    minimal model or a cell attachment built on one.
+    minimal model, a free CDGA, or a cell attachment built on either; the
+    depths are read from the free algebra that holds the generators.
     """
-    if isinstance(model_or_cell, CellAttachmentModel):
-        algebra = model_or_cell
-        base_alg = model_or_cell.base
-        if model_or_cell.base_model is not None:
-            depths = model_or_cell.base_model.depths()
-        else:
-            depths = compute_generator_depths(base_alg)
-    elif isinstance(model_or_cell, MinimalModel):
-        algebra = model_or_cell.algebra
-        base_alg = algebra
-        depths = model_or_cell.depths()
-    else:
-        algebra = model_or_cell
-        base_alg = algebra
-        depths = compute_generator_depths(algebra)
-    u0 = {base_alg.index[name] for name, d in depths.items() if d == 0}
+    algebra = (model_or_cell.algebra if isinstance(model_or_cell, MinimalModel)
+               else model_or_cell)
+    base_alg = algebra.base if isinstance(algebra, CellAttachmentModel) else algebra
+    u0 = {base_alg.index[name]
+          for name, d in compute_generator_depths(base_alg).items() if d == 0}
     out = {}
     for k in range(0, cap + 1):
         dc = DegreeCohomology(algebra, k)
@@ -480,6 +459,6 @@ def u0_surjectivity(model_or_cell, cap) -> dict:
         rows = []
         for mon in base_alg.basis(k):
             if all(i in u0 for i, _e in mon):
-                rows.append(dict(enumerate(dc.class_coords({mon: _ONE}))))
+                rows.append(dc.class_coords({mon: _ONE}))
         out[k] = linalg.rank(rows) == dc.rank
     return out

@@ -157,13 +157,13 @@ class RingPresentation(OverFreeCdga):
         return True
 
 
-def sphere_ring(n, *, name=None):
+def sphere_ring(n):
     """Cohomology ring of an n-sphere: one generator with square zero."""
     rels = []
     amb = FreeCdga([("x", n)])
     if n % 2 == 0:
         rels = [amb["x"] ** 2]
-    return RingPresentation([("x", n)], rels, name=name or f"S{n}",
+    return RingPresentation([("x", n)], rels, name=f"S{n}",
                             fundamental_degree=n, duality=True)
 
 

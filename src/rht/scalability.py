@@ -47,10 +47,10 @@ _ONE = Fraction(1)
 # exterior algebras
 
 
-def exterior_algebra(n, *, first_index=1, name=None) -> FreeCdga:
+def exterior_algebra(n, *, first_index=1) -> FreeCdga:
     """Alternating algebra on n degree-1 generators, zero differential."""
     gens = [(f"dx{i}", 1) for i in range(first_index, first_index + n)]
-    return FreeCdga(gens, None, name=name or f"Ext{n}")
+    return FreeCdga(gens, None, name=f"Ext{n}")
 
 
 def subset_monomial(ext: FreeCdga, subset) -> Element:
@@ -356,9 +356,9 @@ class LinearSystemRefutation:
 # the three families
 
 
-def omega_ring(n, r, *, name=None) -> RingPresentation:
+def omega_ring(n, r) -> RingPresentation:
     """Ring of a connected sum of r copies of S^n x S^n."""
-    return connected_sum_ring([("sphere_product", n, n)] * r, name=name)
+    return connected_sum_ring([("sphere_product", n, n)] * r)
 
 
 def _equal_powers_ring(r, degree, power, name) -> RingPresentation:
@@ -382,16 +382,16 @@ def _equal_powers_ring(r, degree, power, name) -> RingPresentation:
     return ring
 
 
-def sigma_ring(n, r, *, name=None) -> RingPresentation:
+def sigma_ring(n, r) -> RingPresentation:
     """r generators of even degree n with equal squares and zero cross products."""
     if n % 2 == 1:
         raise ValueError("sigma family needs even generator degree")
-    return _equal_powers_ring(r, n, 2, name or f"Sigma({n},{r})")
+    return _equal_powers_ring(r, n, 2, f"Sigma({n},{r})")
 
 
-def pi_ring(n, r, *, name=None) -> RingPresentation:
+def pi_ring(n, r) -> RingPresentation:
     """r degree-2 generators with equal n-th powers and zero cross products."""
-    return _equal_powers_ring(r, 2, n, name or f"Pi({n},{r})")
+    return _equal_powers_ring(r, 2, n, f"Pi({n},{r})")
 
 
 @dataclass
@@ -485,7 +485,10 @@ def decide_sigma(n, r) -> Decision:
 def decide_pi(n, r) -> Decision:
     """Equal n-th powers of degree-2 classes with vanishing products.
 
-    Builds the linear system for a 2-form eta killed by the standard
+    At r = 1 the ring is CP^n, which embeds: a1 goes to the standard
+    symplectic form omega on R^(2n) (omega^n != 0, omega^(n+1) = 0), a
+    verified witness returned before any linear system is built.  For r >= 2
+    it builds the linear system for a 2-form eta killed by the standard
     symplectic omega on R^(2n): the off-pair coefficients vanish and the
     pair coefficients u_i satisfy u_i + u_j = 0 for i != j.  For n >= 3
     that system coincides with the full condition omega ^ eta = 0 (asserted
@@ -498,6 +501,11 @@ def decide_pi(n, r) -> Decision:
         raise ValueError("pi decision needs n >= 2")
     if r < 1:
         raise ValueError("r must be positive")
+    if r == 1:
+        ext = exterior_algebra(2 * n)
+        witness = _verified(pi_ring(n, 1), ext, {"a1": symplectic_form(ext, n)},
+                            "pi")
+        return Decision("pi", n, 1, True, 1, witness=witness)
     pairs = list(itertools.combinations(range(1, 2 * n + 1), 2))
     sympl = {(2 * i + 1, 2 * i + 2) for i in range(n)}
     pair_pos = {p: i for i, p in enumerate(pairs)}

@@ -32,8 +32,7 @@ from . import fileformat
 from . import homotopy as homotopy_mod
 from . import models as models_mod
 from . import scalability as scal_mod
-from .cohomology import DegreeCohomology, primitive
-from .cohomology import cohomology as cohomology_of
+from .cohomology import cohomology as cohomology_of, primitive
 from .cdga import DgaMorphism, Element, FreeCdga, TruncatedCdga
 from .presentations import (RingPresentation, projective_ring, sphere_ring,
                             wedge_of_spheres_ring)
@@ -445,8 +444,9 @@ def nonformal_cell_fixture():
 def run_massey():
     for model in formal_model_fixtures():
         alg = model.algebra
-        reps = {k: cohomology_of(alg, k, model.cap).classes
-                for k in range(2, model.cap + 1)}
+        hs = {k: cohomology_of(alg, k, model.cap)
+              for k in range(2, model.cap + 1)}
+        reps = {k: h.classes for k, h in hs.items()}
         degs = [k for k in reps if reps[k]]
         for dx, dy, dz in product(degs, repeat=3):
             if dx + dy + dz - 1 > model.cap:
@@ -454,8 +454,8 @@ def run_massey():
             for cx, cy, cz in product(reps[dx], reps[dy], reps[dz]):
                 xy = cx.representative * cy.representative
                 yz = cy.representative * cz.representative
-                if not (DegreeCohomology(alg, dx + dy).is_exact(xy.terms)
-                        and DegreeCohomology(alg, dy + dz).is_exact(yz.terms)):
+                if not (hs[dx + dy].is_exact(xy.terms)
+                        and hs[dy + dz].is_exact(yz.terms)):
                     continue
                 res = homotopy_mod.massey_triple(alg, cx, cy, cz)
                 _require(res.vanishes_mod_indeterminacy,

@@ -21,6 +21,7 @@ from rht.presentations import RingPresentation, projective_ring
 from rht.scalability import (Atom, CSum, DimensionCountRefutation, Prod,
                              Wedge, WitnessReport, omega_ring,
                              parse_descriptor, pi_ring, sigma_ring,
+                             symplectic_form,
                              SCALABLE, NOT_SCALABLE, UNKNOWN)
 from rht.scalability import (_masks, _middle_pairs, _plane_sum_witness,
                              _projective_witness, _relation_image,
@@ -171,6 +172,19 @@ def test_one_generator_equal_powers_ring_is_truncated(build, n, model):
 @pytest.mark.parametrize("n,dim", [(2, 1), (3, 0), (4, 0), (5, 0), (6, 0)])
 def test_pi_nullspace_dimensions(n, dim):
     assert decide_pi(n, 2).nullspace_dim == dim
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pi_one_generator_is_cp_n_and_embeds(n):
+    """Pi(n, 1) is CP^n: a1 goes to the symplectic form of R^(2n)."""
+    d = decide_pi(n, 1)
+    assert d.embeddable is True and d.boundary == 1
+    assert d.refutation is None and d.nullspace_dim is None
+    ext = d.witness.target
+    assert ext.name == f"Ext{2 * n}"
+    assert d.witness.images == {"a1": symplectic_form(ext, n)}
+    assert d.witness.ring.name == f"Pi({n},1)"
+    assert verify_witness(d.witness.ring, d.witness).passed
 
 
 def test_pi_verdicts():
