@@ -10,18 +10,17 @@ scalability for the supported space families.
 
 from .cdga import (DgaMorphism, Element, FreeCdga, Generator, Monomial,
                    TruncatedCdga)
-from .cohomology import (CohomologyClass, MappingCone, cohomology,
-                         is_quasi_isomorphism, relative_cohomology)
+from .cohomology import (MappingCone, cohomology, is_quasi_isomorphism,
+                         relative_cohomology)
 from .homotopy import (DgaHomotopy, IntervalAlgebra, Leaf, MasseyResult, Node,
                        ObstructionClass, bracket_degree, extend_with_witness,
                        hopf_invariant, integrate_0_1, integrate_0_t,
                        interval_algebra, massey_triple, obstruction_class,
                        parse_bracket, scale_leaves, whitehead_pair)
-from .models import (CellAttachmentModel, DepthFiltration, DistortionReport,
-                     MinimalModel, attach_cell_model, bigraded_model,
-                     compute_generator_depths, depth_filtration,
-                     distortion_exponent, grading_automorphism, minimal_model,
-                     u0_surjectivity)
+from .models import (CellAttachmentModel, DistortionReport, MinimalModel,
+                     attach_cell_model, bigraded_model,
+                     compute_generator_depths, distortion_exponent,
+                     grading_automorphism, minimal_model, u0_surjectivity)
 from .presentations import (RingPresentation, projective_ring, sphere_ring,
                             wedge_of_spheres_ring)
 from .scalability import (Classification, ConnectedSumRing, EmbeddingWitness,

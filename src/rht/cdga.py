@@ -334,7 +334,8 @@ class FreeCdga(GradedAlgebra):
     """Finite-type free graded-commutative algebra with a differential.
 
     The canonical generator order is the declaration order; basis enumeration,
-    signs and report output all derive from it.
+    signs and report output all derive from it.  ``differential`` maps
+    generator names to term dicts; ``define`` takes it as elements instead.
     """
 
     def __init__(self, generators, differential=None, *, name="A"):
@@ -353,8 +354,6 @@ class FreeCdga(GradedAlgebra):
             for gname, terms in differential.items():
                 if gname not in self.index:
                     raise ValueError(f"differential given for unknown generator {gname!r}")
-                if isinstance(terms, Element):
-                    terms = terms.terms
                 terms = {k: Fraction(c) for k, c in terms.items() if c}
                 if terms:
                     diff[self.index[gname]] = terms
@@ -365,18 +364,15 @@ class FreeCdga(GradedAlgebra):
         self._validate()
 
     @classmethod
-    def define(cls, generators, d=None, *, name="A"):
+    def define(cls, generators, d, *, name="A"):
         """Build an algebra whose differential is written in its own elements.
 
         ``d`` is a callable receiving the zero-differential algebra and
         returning a dict {generator name: Element}.
         """
         plain = cls(generators, None, name=name)
-        if d is None:
-            return plain
-        imgs = d(plain)
-        return cls(generators, {k: v.terms if isinstance(v, Element) else v
-                                for k, v in imgs.items()}, name=name)
+        return cls(generators, {k: v.terms for k, v in d(plain).items()},
+                   name=name)
 
     def _validate(self):
         for idx, terms in self._diff.items():
@@ -548,20 +544,17 @@ class FreeCdga(GradedAlgebra):
 
     # -- extension -------------------------------------------------------------
 
-    def extend(self, new_generators, new_differential=None, *, name=None):
+    def extend(self, new_generators, new_differential):
         """New algebra with generators appended after the existing ones.
 
+        ``new_differential`` maps new generator names to term dicts.
         Existing monomial keys stay valid (indices are preserved), so term
         dicts of old elements can be reused directly.
         """
         gens = list(self.gens) + list(_as_generators(new_generators))
         diff = {self.gens[i].name: terms for i, terms in self._diff.items()}
-        if new_differential:
-            for gname, terms in new_differential.items():
-                if isinstance(terms, Element):
-                    terms = terms.terms
-                diff[gname] = terms
-        return FreeCdga(gens, diff, name=name or self.name)
+        diff.update(new_differential)
+        return FreeCdga(gens, diff, name=self.name)
 
     def adopt(self, element: Element) -> Element:
         """Re-home an element of an algebra this one extends."""

@@ -17,8 +17,7 @@ from . import fileformat, verify
 from .cohomology import cohomology
 from .fileformat import PresentationError
 from .homotopy import parse_bracket, scale_leaves, whitehead_pair
-from .models import MinimalModel, bigraded_model, depth_filtration, \
-    distortion_exponent, minimal_model
+from .models import bigraded_model, distortion_exponent, minimal_model
 from .presentations import RingPresentation
 from .report import Report
 from .scalability import classify, SCALABLE
@@ -51,13 +50,11 @@ def _load(path):
 
 
 def _model_of(obj, cap, bigraded):
-    if isinstance(obj, RingPresentation):
-        if bigraded:
-            return bigraded_model(obj, cap)
+    if not bigraded:
         return minimal_model(obj, cap)
-    if bigraded:
+    if not isinstance(obj, RingPresentation):
         raise PresentationError("--bigraded needs a ring file (zero differential)")
-    return minimal_model(obj, cap)
+    return bigraded_model(obj, cap)
 
 
 def cmd_cohomology(args) -> int:
@@ -75,7 +72,7 @@ def cmd_cohomology(args) -> int:
         ranks.append(res.rank)
         report.add(f"degree.{k}.rank", res.rank)
         for i, cls in enumerate(res.classes):
-            report.add(f"degree.{k}.rep.{i}", repr(cls.representative))
+            report.add(f"degree.{k}.rep.{i}", repr(cls))
     report.add("ranks", ",".join(str(r) for r in ranks))
     _emit(report, args.machine)
     return 0
@@ -85,7 +82,7 @@ def cmd_model(args) -> int:
     obj = _load(args.file)
     cap = args.through if args.through is not None else _cap_default()
     model = _model_of(obj, cap, args.bigraded)
-    filtration = depth_filtration(model)
+    depths = model.depths()
     report = Report("model")
     report.add("input", args.file)
     report.add("target", obj.name)
@@ -95,7 +92,7 @@ def cmd_model(args) -> int:
     if model.trivial_warning:
         report.add("warning", "no generators below the cap; model is trivial")
     for g in model.algebra.gens:
-        row = f"degree={g.degree} depth={filtration.generator_depth(g.name)}"
+        row = f"degree={g.degree} depth={depths[g.name]}"
         if model.bigraded:
             row += f" stage={g.stage}"
         dv = model.algebra.differential_of(g.name)
@@ -112,16 +109,12 @@ def _check_class(alg, cls):
 
 
 def cmd_distortion(args) -> int:
-    obj = _load(args.file)
-    if isinstance(obj, RingPresentation):
+    alg = _load(args.file)
+    if isinstance(alg, RingPresentation):
         cap = args.through if args.through is not None else _cap_default()
-        model = bigraded_model(obj, cap)
-    else:
-        cap = args.through if args.through is not None else \
-            max((g.degree for g in obj.gens), default=2) + 1
-        model = MinimalModel(obj, cap)
-    _check_class(model.algebra, args.cls)
-    rep = distortion_exponent(model, args.cls)
+        alg = bigraded_model(alg, cap).algebra
+    _check_class(alg, args.cls)
+    rep = distortion_exponent(alg, args.cls)
     report = Report("distortion")
     report.add("input", args.file)
     report.add("class", rep.generator)
@@ -157,12 +150,8 @@ def cmd_pair(args) -> int:
     if isinstance(obj, RingPresentation):
         raise PresentationError("bracket pairing needs a cdga (model) file")
     _check_class(obj, args.cls)
-    model = MinimalModel(obj, max(g.degree for g in obj.gens))
     expr = parse_bracket(args.bracket)
-    try:
-        value = whitehead_pair(model, args.cls, expr)
-    except ValueError as exc:
-        raise PresentationError(str(exc))
+    value = whitehead_pair(obj, args.cls, expr)
     report = Report("pair")
     report.add("input", args.file)
     report.add("class", args.cls)
@@ -172,7 +161,7 @@ def cmd_pair(args) -> int:
         n = fileformat.rational(args.scale)
         scaled = scale_leaves(expr, lambda leaf: n ** obj.degree_of(leaf.name))
         report.add("scale", args.scale)
-        report.add("scaled_value", whitehead_pair(model, args.cls, scaled))
+        report.add("scaled_value", whitehead_pair(obj, args.cls, scaled))
     _emit(report, args.machine)
     return 0
 

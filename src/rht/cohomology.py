@@ -14,7 +14,8 @@ golden reports agree byte for byte.
 
 ``DegreeCohomology`` is the one H^k result, for an algebra and for the
 mapping cone of a morphism alike.  Class coordinates are sparse rows over
-the representative indices, like every other row in the package.
+the representative indices, like every other row in the package, and a
+class is handed out as its representative: a closed ``Element``.
 ``cohomology`` checks a truncation cap before it computes, and rejects
 queries above it: a free CDGA has no top degree, so silence above the cap
 would be a lie rather than a zero.  The cap is not recorded on the result.
@@ -22,7 +23,6 @@ would be a lie rather than a zero.  The cap is not recorded on the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -77,16 +77,6 @@ def primitive(alg, terms, degree, keys=None):
     return {keys[j]: c for j, c in sol.items()}
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
-    degree: int
-    representative: Element
-
-    def __post_init__(self):
-        if self.representative.d():
-            raise ValueError("representative of a cohomology class must be closed")
-
-
 class DegreeCohomology:
     """H^degree of a complex: kernel and image data, representatives, and
     class coordinates as sparse rows."""
@@ -111,9 +101,8 @@ class DegreeCohomology:
 
     @property
     def classes(self):
-        """The representatives as closed elements."""
-        return [CohomologyClass(self.degree, Element(self.complex, terms))
-                for terms in self.representatives()]
+        """The representatives as closed elements of the complex."""
+        return [Element(self.complex, terms) for terms in self.representatives()]
 
     def class_coords(self, terms):
         """Coordinates of a cocycle's class, as a sparse row

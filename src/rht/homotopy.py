@@ -31,8 +31,9 @@ from math import comb
 
 from . import linalg
 from .cdga import DgaMorphism, Element, GradedAlgebra, accumulate
-from .cohomology import CohomologyClass, DegreeCohomology, MappingCone, primitive
+from .cohomology import DegreeCohomology, MappingCone, primitive
 from .fileformat import MAX_NESTING, PresentationError, rational
+from .models import require_minimal
 
 _ZERO = Fraction(0)
 
@@ -414,15 +415,17 @@ def scale_leaves(expr, factor_for_degree):
                 scale_leaves(expr.right, factor_for_degree))
 
 
-def whitehead_pair(model, generator: str, expr: BracketExpression) -> Fraction:
-    """Pairing of a model generator against an iterated bracket expression.
+def whitehead_pair(alg, generator: str, expr: BracketExpression) -> Fraction:
+    """Pairing of a generator of a minimal model's algebra against an
+    iterated bracket expression.
 
     Computed from the quadratic part of the differential: a monomial x*y in
     d(v) contributes <x, left><y, right> + (-1)^(deg x deg y)
     <y, left><x, right>, recursively.  The global sign is a convention; the
     magnitude and the multilinear scaling in the leaf multipliers are not.
+    An algebra with a linear differential is rejected.
     """
-    alg = model.algebra if hasattr(model, "algebra") else model
+    require_minimal(alg)
     if generator not in alg.index:
         raise ValueError(f"unknown generator {generator!r}")
     if bracket_degree(alg, expr) != alg.degree_of(generator):
@@ -468,55 +471,39 @@ class MasseyResult:
     vanishes_mod_indeterminacy: bool
 
 
-def _as_class(algebra, x):
-    if isinstance(x, CohomologyClass):
-        if x.representative.alg is not algebra:
-            raise ValueError("class lives over a different algebra")
-        return x.representative
-    if isinstance(x, Element):
-        if x.alg is not algebra:
-            raise ValueError("element lives over a different algebra")
-        if x.d():
-            raise ValueError("representative is not closed")
-        return x
-    raise TypeError("expected a CohomologyClass or a closed Element")
-
-
 def massey_triple(algebra, x, y, z) -> MasseyResult:
-    """Triple product <x, y, z> with its indeterminacy subspace.
+    """Triple product <x, y, z> of closed elements of ``algebra``, with its
+    indeterminacy subspace.
 
     Requires [x][y] = 0 and [y][z] = 0; with dxi = x y and deta = y z the
     class is [xi z - (-1)^deg(x) x eta], reported together with the subspace
     [x] H + H [z] (never silently quotiented).
     """
-    ex = _as_class(algebra, x)
-    ey = _as_class(algebra, y)
-    ez = _as_class(algebra, z)
-    if ex.is_zero() or ey.is_zero() or ez.is_zero():
-        dx = (ex.degree or 0) + (ey.degree or 0) + (ez.degree or 0) - 1
+    for e in (x, y, z):
+        if e.alg is not algebra:
+            raise ValueError("element lives over a different algebra")
+        if e.d():
+            raise ValueError("representative is not closed")
+    if x.is_zero() or y.is_zero() or z.is_zero():
+        dx = (x.degree or 0) + (y.degree or 0) + (z.degree or 0) - 1
         return MasseyResult(max(dx, 0), algebra.zero(), {}, [], 0, True)
-    dx, dy, dz = ex.degree, ey.degree, ez.degree
+    dx, dy, dz = x.degree, y.degree, z.degree
     deg = dx + dy + dz - 1
 
-    xi = primitive(algebra, (ex * ey).terms, dx + dy)
+    xi = primitive(algebra, (x * y).terms, dx + dy)
     if xi is None:
         raise ValueError("[x][y] does not vanish; Massey product undefined")
-    eta = primitive(algebra, (ey * ez).terms, dy + dz)
+    eta = primitive(algebra, (y * z).terms, dy + dz)
     if eta is None:
         raise ValueError("[y][z] does not vanish; Massey product undefined")
-    w = Element(algebra, xi) * ez - ((-1) ** dx) * (ex * Element(algebra, eta))
+    w = Element(algebra, xi) * z - ((-1) ** dx) * (x * Element(algebra, eta))
     dc = DegreeCohomology(algebra, deg)
     coords = dc.class_coords(w.terms)
 
-    indet_rows = []
-    left = DegreeCohomology(algebra, dy + dz - 1)
-    for terms in left.representatives():
-        e = Element(algebra, terms)
-        indet_rows.append(dc.class_coords((ex * e).terms))
-    right = DegreeCohomology(algebra, dx + dy - 1)
-    for terms in right.representatives():
-        e = Element(algebra, terms)
-        indet_rows.append(dc.class_coords((e * ez).terms))
+    indet_rows = [dc.class_coords((x * e).terms)
+                  for e in DegreeCohomology(algebra, dy + dz - 1).classes]
+    indet_rows += [dc.class_coords((e * z).terms)
+                   for e in DegreeCohomology(algebra, dx + dy - 1).classes]
     red, piv = linalg.rref(indet_rows)
     reduced = linalg.reduce_against(coords, red, piv)
     return MasseyResult(deg, w, coords, red, len(red), not reduced)

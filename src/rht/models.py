@@ -1,5 +1,10 @@
 """Minimal models: stagewise construction, depth filtration, cell attachments.
 
+A ``MinimalModel`` is what ``minimal_model`` and ``bigraded_model`` return,
+and its ``depths()`` is the one depth table.  The other entry points take
+the free algebra itself; ``require_minimal`` is the one check that its
+differentials are decomposable.
+
 The construction adjoins, for each degree k from 2 up to the cap, generators
 that kill the (k+1)st cohomology of the mapping cone of the current stage
 map.  Every differential produced this way is decomposable because it lives
@@ -31,29 +36,36 @@ _ONE = Fraction(1)
 # model containers
 
 
+def require_minimal(algebra: FreeCdga):
+    """Raise ValueError unless every differential is decomposable: a
+    minimal model has no linear term in any d(v)."""
+    for g in algebra.gens:
+        for mon in algebra.differential_of(g.name).terms:
+            if sum(e for _i, e in mon) < 2:
+                raise ValueError(
+                    f"model is not minimal: d({g.name}) has the linear "
+                    f"term {algebra.format_key(mon)}")
+
+
 @dataclass
 class MinimalModel:
-    """A free CDGA with decomposable differentials plus its comparison map.
+    """A free CDGA with decomposable differentials and its quasi-isomorphism
+    to the target, verified through ``cap``.
 
-    ``quasi_iso`` is None for hand-loaded models (for example fixture files);
-    models produced by the constructors always carry one, verified up to cap.
+    Built by ``minimal_model`` and ``bigraded_model``.  ``depths()`` is the
+    depth filtration: the depth of each generator, from which U_i is the
+    span of the monomials of depth at most i.
     """
 
     algebra: FreeCdga
     cap: int
-    quasi_iso: DgaMorphism | None = None
-    target: object = None
+    quasi_iso: DgaMorphism
+    target: object
     bigraded: bool = False
     _depths: dict = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        for g in self.algebra.gens:
-            dv = self.algebra.differential_of(g.name)
-            for mon in dv.terms:
-                if sum(e for _i, e in mon) < 2:
-                    raise ValueError(
-                        f"model is not minimal: d({g.name}) has the linear "
-                        f"term {self.algebra.format_key(mon)}")
+        require_minimal(self.algebra)
 
     @property
     def trivial_warning(self):
@@ -61,17 +73,19 @@ class MinimalModel:
         through the cap)."""
         return not self.algebra.gens
 
-    def stages(self):
-        """Generators grouped by degree (the spaces V_k)."""
-        out = {}
-        for g in self.algebra.gens:
-            out.setdefault(g.degree, []).append(g.name)
-        return out
-
     def depths(self):
+        """{generator name: depth}."""
         if self._depths is None:
             self._depths = compute_generator_depths(self.algebra)
         return self._depths
+
+    def element_depth(self, element: Element):
+        """Least i with the element in U_i; None for zero."""
+        if element.is_zero():
+            return None
+        gens, depth = self.algebra.gens, self.depths()
+        return max(sum(e * depth[gens[i].name] for i, e in mon)
+                   for mon in element.terms)
 
     def v_dim(self, degree):
         return sum(1 for g in self.algebra.gens if g.degree == degree)
@@ -97,33 +111,6 @@ class DistortionReport:
     def __post_init__(self):
         if self.exponent != self.degree + self.depth:
             raise ValueError("exponent must equal degree + depth")
-
-
-class DepthFiltration:
-    """Per-generator depths and the induced per-degree subspaces U_i."""
-
-    def __init__(self, algebra: FreeCdga, depths: dict):
-        self.algebra = algebra
-        self.depth = dict(depths)
-
-    def monomial_depth(self, mon):
-        return sum(e * self.depth[self.algebra.gens[i].name] for i, e in mon)
-
-    def element_depth(self, element: Element):
-        """Least i with the element in U_i; None for zero."""
-        if element.is_zero():
-            return None
-        return max(self.monomial_depth(m) for m in element.terms)
-
-    def u_basis(self, degree, i):
-        return tuple(m for m in self.algebra.basis(degree)
-                     if self.monomial_depth(m) <= i)
-
-    def u_dim(self, degree, i):
-        return len(self.u_basis(degree, i))
-
-    def generator_depth(self, name):
-        return self.depth[name]
 
 
 def compute_generator_depths(algebra: FreeCdga) -> dict:
@@ -160,18 +147,19 @@ def compute_generator_depths(algebra: FreeCdga) -> dict:
     return depths
 
 
-def depth_filtration(model: MinimalModel) -> DepthFiltration:
-    return DepthFiltration(model.algebra, model.depths())
+def distortion_exponent(algebra: FreeCdga, generator: str) -> DistortionReport:
+    """Exponent degree + depth of a generator of a minimal model's algebra.
 
-
-def distortion_exponent(model: MinimalModel, generator: str) -> DistortionReport:
-    """Exponent degree + depth; the growth-rate claim is an upper bound in
-    general and sharp exactly when the target space is scalable, so the
-    sharpness flag is always ``sharp-if-scalable``."""
-    if generator not in model.algebra.index:
+    The growth-rate claim is an upper bound in general and sharp exactly
+    when the target space is scalable, so the sharpness flag is always
+    ``sharp-if-scalable``.  An algebra with a linear differential is
+    rejected.
+    """
+    require_minimal(algebra)
+    if generator not in algebra.index:
         raise ValueError(f"unknown generator {generator!r}")
-    n = model.algebra.degree_of(generator)
-    k = model.depths()[generator]
+    n = algebra.degree_of(generator)
+    k = compute_generator_depths(algebra)[generator]
     return DistortionReport(generator, n, k, n + k)
 
 
@@ -325,8 +313,6 @@ def grading_automorphism(model: MinimalModel, t) -> DgaMorphism:
     alg = model.algebra
     images = {}
     for g in alg.gens:
-        if g.stage is None:
-            raise ValueError(f"generator {g.name} carries no stage tag")
         images[g.name] = (t ** (g.stage + g.degree)) * alg[g.name]
     return DgaMorphism(alg, alg, images)
 
@@ -419,15 +405,15 @@ class CellAttachmentModel(OverFreeCdga):
         return Element(self, dict(element.terms))
 
 
-def attach_cell_model(base_model, pairing, *, cell_name="y") -> CellAttachmentModel:
-    """Non-minimal model of a cell attachment along a prescribed pairing.
+def attach_cell_model(base: FreeCdga, pairing, *, cell_name="y") -> CellAttachmentModel:
+    """Non-minimal model of a cell attachment to a free CDGA along a
+    prescribed pairing.
 
     ``pairing`` maps generator names (all of the single attaching degree) to
     the rational pairing of that generator with the attaching class; the cell
     sits one degree higher.  A pairing that breaks d'd' = 0 is rejected with
     the offending generator named.
     """
-    base = base_model.algebra if isinstance(base_model, MinimalModel) else base_model
     degrees = {base.degree_of(g) for g in pairing}
     if len(degrees) != 1:
         raise ValueError("pairing must be supported on a single degree")
@@ -438,15 +424,13 @@ def attach_cell_model(base_model, pairing, *, cell_name="y") -> CellAttachmentMo
 # formality probe
 
 
-def u0_surjectivity(model_or_cell, cap) -> dict:
+def u0_surjectivity(algebra, cap) -> dict:
     """Per degree k <= cap: do products of depth-0 generators span H^k?
 
-    A necessary condition for formality, not a formality decision.  Accepts a
-    minimal model, a free CDGA, or a cell attachment built on either; the
-    depths are read from the free algebra that holds the generators.
+    A necessary condition for formality, not a formality decision.  Takes a
+    free CDGA or a cell attachment built on one; the depths are read from
+    the free algebra that holds the generators.
     """
-    algebra = (model_or_cell.algebra if isinstance(model_or_cell, MinimalModel)
-               else model_or_cell)
     base_alg = algebra.base if isinstance(algebra, CellAttachmentModel) else algebra
     u0 = {base_alg.index[name]
           for name, d in compute_generator_depths(base_alg).items() if d == 0}

@@ -13,6 +13,7 @@ the finite-dimensional stand-ins here need.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .cdga import Element, FreeCdga, OverFreeCdga, accumulate
@@ -60,6 +61,13 @@ class RingPresentation(OverFreeCdga):
 
     # -- quotient slices -----------------------------------------------------
 
+    @cached_property
+    def _relation_degrees(self):
+        """Each relation's degree, read off one term (relations are
+        homogeneous); computed on the first slice, not at construction."""
+        return [self.base.key_degree(next(iter(rel.terms)))
+                for rel in self.relations]
+
     def _slice(self, degree):
         """(basis keys, pivot->reduction rows) of one degree."""
         cached = self._slices.get(degree)
@@ -68,9 +76,8 @@ class RingPresentation(OverFreeCdga):
         amb = self.base.basis(degree)
         pos = {k: i for i, k in enumerate(amb)}
         rows = []
-        for rel in self.relations:
-            rdeg = rel.degree
-            if rdeg is None or rdeg > degree:
+        for rel, rdeg in zip(self.relations, self._relation_degrees):
+            if rdeg > degree:
                 continue
             for mon in self.base.basis(degree - rdeg):
                 prod = self.base.mul_terms({mon: _ONE}, rel.terms)

@@ -77,6 +77,19 @@ def symplectic_form(ext: FreeCdga, n) -> Element:
                    for lo in range(1, 2 * n + 1, 2))
 
 
+# Checking the witness of CP^n expands every power omega^k of the symplectic
+# form, C(n, k) terms each and 2^n in all; 2^12 terms take under a second.
+_MAX_SYMPLECTIC_TERMS = 2 ** 12
+
+
+def _check_symplectic_size(n):
+    largest = _MAX_SYMPLECTIC_TERMS.bit_length() - 1
+    if n > largest:
+        raise ValueError(
+            f"CP{n} is too large to verify: its symplectic witness check "
+            f"expands 2^{n} terms; CP^n is supported up to n = {largest}")
+
+
 # ---------------------------------------------------------------------------
 # witnesses
 
@@ -487,7 +500,8 @@ def decide_pi(n, r) -> Decision:
 
     At r = 1 the ring is CP^n, which embeds: a1 goes to the standard
     symplectic form omega on R^(2n) (omega^n != 0, omega^(n+1) = 0), a
-    verified witness returned before any linear system is built.  For r >= 2
+    verified witness returned before any linear system is built; an n whose
+    witness check is too large to run raises ValueError.  For r >= 2
     it builds the linear system for a 2-form eta killed by the standard
     symplectic omega on R^(2n): the off-pair coefficients vanish and the
     pair coefficients u_i satisfy u_i + u_j = 0 for i != j.  For n >= 3
@@ -502,6 +516,7 @@ def decide_pi(n, r) -> Decision:
     if r < 1:
         raise ValueError("r must be positive")
     if r == 1:
+        _check_symplectic_size(n)
         ext = exterior_algebra(2 * n)
         witness = _verified(pi_ring(n, 1), ext, {"a1": symplectic_form(ext, n)},
                             "pi")
@@ -869,17 +884,16 @@ class Classification:
     parts: list = field(default_factory=list)
 
 
-def classify(descriptor) -> Classification:
-    """Map a space descriptor to Scalable / NotScalable / Unknown.
+def classify(descriptor: str) -> Classification:
+    """Map a space descriptor (text in the grammar of ``parse_descriptor``)
+    to Scalable / NotScalable / Unknown.
 
     Positive verdicts carry verified witnesses; negative ones carry
     certificates valid in every exterior algebra, so they pass to products
     and wedges (where a summand or factor is a retract).  Gaps are reported
     as Unknown, never guessed.
     """
-    node = parse_descriptor(descriptor) if isinstance(descriptor, str) else descriptor
-    text = descriptor if isinstance(descriptor, str) else repr(descriptor)
-    return _classify_node(node, text)
+    return _classify_node(parse_descriptor(descriptor), descriptor)
 
 
 def _classify_node(node, text) -> Classification:
@@ -887,22 +901,20 @@ def _classify_node(node, text) -> Classification:
         return _classify_csum(CSum(((1, node),)), text)
     if isinstance(node, CSum):
         return _classify_csum(node, text)
-    if isinstance(node, (Prod, Wedge)):
-        op = "product" if isinstance(node, Prod) else "wedge"
-        parts = [_classify_node(p, text) for p in node.parts]
-        if all(p.verdict == SCALABLE for p in parts):
-            return Classification(text, SCALABLE,
-                                  f"{op} of scalable factors (closure under "
-                                  f"products and wedges)", parts=parts)
-        bad = next((p for p in parts if p.verdict == NOT_SCALABLE), None)
-        if bad is not None:
-            return Classification(text, NOT_SCALABLE,
-                                  f"a {op} factor is a retract and its ring "
-                                  f"obstruction persists: {bad.reason}",
-                                  refutation=bad.refutation, parts=parts)
-        return Classification(text, UNKNOWN,
-                              f"undecided {op} factor", parts=parts)
-    raise ValueError(f"unsupported descriptor node {node!r}")
+    op = "product" if isinstance(node, Prod) else "wedge"
+    parts = [_classify_node(p, text) for p in node.parts]
+    if all(p.verdict == SCALABLE for p in parts):
+        return Classification(text, SCALABLE,
+                              f"{op} of scalable factors (closure under "
+                              f"products and wedges)", parts=parts)
+    bad = next((p for p in parts if p.verdict == NOT_SCALABLE), None)
+    if bad is not None:
+        return Classification(text, NOT_SCALABLE,
+                              f"a {op} factor is a retract and its ring "
+                              f"obstruction persists: {bad.reason}",
+                              refutation=bad.refutation, parts=parts)
+    return Classification(text, UNKNOWN,
+                          f"undecided {op} factor", parts=parts)
 
 
 def _sphere_witness(k):
@@ -916,6 +928,7 @@ def _projective_witness(gen_degree, power):
     """CP^power: the symplectic form of R^(2 power); a projective plane on
     a generator of degree d > 2: dx_(1..d) + dx_(d+1..2d)."""
     if gen_degree == 2:
+        _check_symplectic_size(power)
         ext = exterior_algebra(2 * power)
         img = symplectic_form(ext, power)
     else:

@@ -231,7 +231,7 @@ def run_s2_model():
     depths = model.depths()
     _require(depths[a] == 0 and depths[b] == 1,
              f"depths {depths} differ from (0, 1)")
-    report = models_mod.distortion_exponent(model, b)
+    report = models_mod.distortion_exponent(model.algebra, b)
     _require(report.exponent == 4 and report.sharpness == "sharp-if-scalable",
              f"distortion report {report} is not exponent 4")
     return f"generators ({a}:2, {b}:3), d{b} = {db}, depths (0,1), exponent 4"
@@ -436,7 +436,7 @@ def nonformal_cell_fixture():
     target = alg[a3[0]] * alg[u5]
     vb = next(g.name for g in alg.gens if g.degree == 7 and
               alg.differential_of(g.name) in (target, -target))
-    cell = models_mod.attach_cell_model(w33, {vb: 1})
+    cell = models_mod.attach_cell_model(alg, {vb: 1})
     return w33, cell, a3
 
 
@@ -452,10 +452,8 @@ def run_massey():
             if dx + dy + dz - 1 > model.cap:
                 continue
             for cx, cy, cz in product(reps[dx], reps[dy], reps[dz]):
-                xy = cx.representative * cy.representative
-                yz = cy.representative * cz.representative
-                if not (hs[dx + dy].is_exact(xy.terms)
-                        and hs[dy + dz].is_exact(yz.terms)):
+                if not (hs[dx + dy].is_exact((cx * cy).terms)
+                        and hs[dy + dz].is_exact((cy * cz).terms)):
                     continue
                 res = homotopy_mod.massey_triple(alg, cx, cy, cz)
                 _require(res.vanishes_mod_indeterminacy,

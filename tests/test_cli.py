@@ -101,6 +101,33 @@ def test_pair_unknown_class_exits_2(capsys, tmp_path):
         assert err == f"error: unknown class 'nope'; generators are: {known}\n"
 
 
+def test_non_minimal_cdga_exits_2(capsys, tmp_path):
+    """distortion and pair read a hand-loaded cdga as it is and refuse one
+    with a linear differential."""
+    path = tmp_path / "nm.cdga"
+    path.write_text("cdga nm\ngen a 2\ngen w 2\ngen p 3\ngen b 3\n"
+                    "d w = p\nd b = a^2\n", encoding="utf-8")
+    for argv in (["distortion", str(path), "--class", "b"],
+                 ["pair", str(path), "--class", "b", "--bracket", "[a,a]"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: model is not minimal: d(w) has the linear "
+                       "term p\n")
+
+
+def test_scalable_refuses_cp_beyond_the_witness_bound():
+    """Checking the CP^n witness expands 2^n terms, so a large n exits 2
+    at once and names the largest n supported."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "rht.cli", "scalable", "CP40", "--machine"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: CP40 is too large to verify")
+    assert "supported up to n = 12" in proc.stderr
+
+
 def test_scalable_command_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "scalable", "csum(4*CP2)", "--machine")
     assert code == 1

@@ -345,7 +345,7 @@ def test_massey_cell_attachment_certifies_nonformality():
     target = alg[a3[0]] * alg[u5]
     vb = next(g.name for g in alg.gens if g.degree == 7
               and alg.differential_of(g.name) in (target, -target))
-    cell = attach_cell_model(w33, {vb: 1})
+    cell = attach_cell_model(alg, {vb: 1})
     res = massey_triple(cell, cell[a3[0]], cell[a3[0]], cell[a3[1]])
     assert not res.vanishes_mod_indeterminacy
     assert res.indeterminacy_dim == 0
@@ -357,6 +357,15 @@ def test_massey_zero_input_gives_zero_class(wedge_table):
                         wedge_table["b"])
     assert res.vanishes_mod_indeterminacy
     assert res.class_representative.is_zero()
+
+
+def test_massey_rejects_open_or_foreign_elements(wedge_table):
+    W = wedge_table
+    with pytest.raises(ValueError, match="not closed"):
+        massey_triple(W, W["u_b"], W["a"], W["b"])
+    other = FreeCdga([("a", 3), ("b", 3)])
+    with pytest.raises(ValueError, match="different algebra"):
+        massey_triple(W, other["a"], W["a"], W["b"])
 
 
 def test_massey_rejects_nonvanishing_products():

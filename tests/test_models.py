@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from rht import (DgaMorphism, FreeCdga, MinimalModel, attach_cell_model,
-                 bigraded_model, cohomology, compute_generator_depths,
-                 depth_filtration, distortion_exponent, grading_automorphism,
-                 is_quasi_isomorphism, minimal_model, u0_surjectivity)
+from rht import (DgaMorphism, FreeCdga, attach_cell_model, bigraded_model,
+                 cohomology, compute_generator_depths, distortion_exponent,
+                 grading_automorphism, is_quasi_isomorphism, minimal_model,
+                 parse_bracket, u0_surjectivity, whitehead_pair)
 from rht.presentations import projective_ring, sphere_ring, wedge_of_spheres_ring
 from rht.verify import (EXPECTED_WEDGE_DIMS, build_wedge_model,
                         embed_table_in_model, free_lie_generator_counts,
@@ -37,7 +37,7 @@ def _cell_fixture(w33):
     target = alg[a3[0]] * alg[u5]
     vb = next(g.name for g in alg.gens if g.degree == 7
               and alg.differential_of(g.name) in (target, -target))
-    return attach_cell_model(w33, {vb: 1}), a3, vb
+    return attach_cell_model(alg, {vb: 1}), a3, vb
 
 
 # -- the sphere model ---------------------------------------------------------
@@ -55,11 +55,22 @@ def test_s2_model_structure(s2_model):
 
 def test_s2_distortion_exponent(s2_model):
     b = next(g.name for g in s2_model.algebra.gens if g.degree == 3)
-    report = distortion_exponent(s2_model, b)
+    report = distortion_exponent(s2_model.algebra, b)
     assert report.exponent == 4
     assert report.sharpness == "sharp-if-scalable"
     a = next(g.name for g in s2_model.algebra.gens if g.degree == 2)
-    assert distortion_exponent(s2_model, a).exponent == 2
+    assert distortion_exponent(s2_model.algebra, a).exponent == 2
+
+
+def test_linear_differential_is_rejected():
+    """distortion_exponent and whitehead_pair take the algebra itself and
+    refuse one that is not minimal."""
+    nm = FreeCdga.define([("a", 2), ("w", 2), ("p", 3), ("b", 3)],
+                         d=lambda A: {"w": A["p"], "b": A["a"] ** 2})
+    with pytest.raises(ValueError, match=r"not minimal: d\(w\)"):
+        distortion_exponent(nm, "b")
+    with pytest.raises(ValueError, match=r"not minimal: d\(w\)"):
+        whitehead_pair(nm, "b", parse_bracket("[a,a]"))
 
 
 def test_model_of_a_model_is_idempotent(s2_model):
@@ -125,10 +136,9 @@ def test_table_embeds_in_wedge_model(wedge_table, wedge_model):
     phi = DgaMorphism(wedge_table, alg, images)   # chain map check runs here
     # depth can only drop under a morphism (checked on generators)
     tdepths = compute_generator_depths(wedge_table)
-    filt = depth_filtration(wedge_model)
     for name, e in images.items():
         if not e.is_zero():
-            assert filt.element_depth(e) <= tdepths[name]
+            assert wedge_model.element_depth(e) <= tdepths[name]
     assert not psi["z"].is_zero()
 
 
@@ -150,7 +160,7 @@ def test_cp2_bigraded_structure():
     y = next(g.name for g in model.algebra.gens if g.degree == 5)
     dy = model.algebra.differential_of(y)
     assert dy in (model.algebra[x] ** 3, -(model.algebra[x] ** 3))
-    assert distortion_exponent(model, y).exponent == 6
+    assert distortion_exponent(model.algebra, y).exponent == 6
 
 
 def test_odd_sphere_bigraded_model_single_generator():
@@ -236,11 +246,10 @@ def test_grading_automorphism_composition():
 
 def test_grading_automorphism_respects_depth():
     model = bigraded_model(wedge_of_spheres_ring([3, 3, 5]), 8)
-    filt = depth_filtration(model)
     rho = grading_automorphism(model, 3)
     for g in model.algebra.gens:
         img = rho.images[g.name]
-        assert filt.element_depth(img) <= filt.generator_depth(g.name)
+        assert model.element_depth(img) <= model.depths()[g.name]
 
 
 def test_grading_automorphism_needs_bigrading(s2_model):
@@ -259,8 +268,7 @@ def test_wedge_grading_scales_chain_map():
 
 
 def test_attach_cell_wedge_table(wedge_table):
-    base = MinimalModel(wedge_table, 13)
-    cell = attach_cell_model(base, {"u_c": 1, "v_b": 1})
+    cell = attach_cell_model(wedge_table, {"u_c": 1, "v_b": 1})
     assert cell.cell_degree == 8
     du = cell.differential_of("u_c")
     assert du == cell.lift(wedge_table["a"] * wedge_table["c"]) + cell["y"]
@@ -271,29 +279,28 @@ def test_attach_cell_wedge_table(wedge_table):
 def test_attach_cell_zero_pairing_gives_closed_top(w33_model):
     alg = w33_model.algebra
     v7 = next(g.name for g in alg.gens if g.degree == 7)
-    cell = attach_cell_model(w33_model, {v7: 0})
+    cell = attach_cell_model(alg, {v7: 0})
     assert cell.differential_of(v7) == cell.lift(alg.differential_of(v7))
     assert cohomology(cell, 8, 8).rank == 1
-    assert cohomology(cell, 8, 8).classes[0].representative == cell["y"]
+    assert cohomology(cell, 8, 8).classes[0] == cell["y"]
 
 
 def test_attach_cell_cp2_from_s2(s2_model):
     b = next(g.name for g in s2_model.algebra.gens if g.degree == 3)
     a = next(g.name for g in s2_model.algebra.gens if g.degree == 2)
-    cell = attach_cell_model(s2_model, {b: 1})
+    cell = attach_cell_model(s2_model.algebra, {b: 1})
     db = cell.differential_of(b)
     assert db == cell.lift(s2_model.algebra[a] ** 2) + cell["y"]
     res = cohomology(cell, 4, 4)
     assert res.rank == 1
-    rep = res.classes[0].representative
+    rep = res.classes[0]
     # [a^2] = [-y] in the attachment
     assert rep in (cell.lift(s2_model.algebra[a] ** 2), -cell["y"], cell["y"])
 
 
 def test_attach_cell_rejects_mixed_degrees(wedge_table):
-    base = MinimalModel(wedge_table, 13)
     with pytest.raises(ValueError, match="single degree"):
-        attach_cell_model(base, {"u_c": 1, "a": 1})
+        attach_cell_model(wedge_table, {"u_c": 1, "a": 1})
 
 
 def test_attach_cell_rejects_inconsistent_pairing():
@@ -312,7 +319,7 @@ def test_u0_surjectivity_on_bigraded_models():
                       (wedge_of_spheres_ring([3, 3, 5]), 8),
                       (sphere_ring(3), 9)):
         model = bigraded_model(ring, cap)
-        flags = u0_surjectivity(model, cap)
+        flags = u0_surjectivity(model.algebra, cap)
         assert all(flags.values())
 
 

@@ -187,6 +187,15 @@ def test_pi_one_generator_is_cp_n_and_embeds(n):
     assert verify_witness(d.witness.ring, d.witness).passed
 
 
+def test_cp_n_witness_is_bounded():
+    """Past CP^12 the witness check would expand more than 2^12 terms; both
+    routes to it refuse before building anything."""
+    for call in (lambda: decide_pi(13, 1), lambda: classify("CP13"),
+                 lambda: classify("prod(S3,CP100)")):
+        with pytest.raises(ValueError, match="supported up to n = 12"):
+            call()
+
+
 def test_pi_verdicts():
     assert decide_pi(3, 2).embeddable is False
     assert decide_pi(2, 2).embeddable is None
