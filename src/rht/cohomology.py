@@ -2,15 +2,16 @@
 
 Everything here is degreewise linear algebra over the rationals on the basis
 provided by the algebra object (free, truncated, ring presentation, cell
-attachment, or mapping cone).  Four helpers hold that linear algebra, and
-every caller in the package goes through them rather than building its own
-matrices: ``coords`` (a term dict as a sparse row over basis positions),
-``d_columns`` (the matrix of d from one degree to the next, as sparse
-columns), ``cycles_mod_boundaries`` (kernel modulo image, in reduced form)
-and ``primitive`` (solve dx = y).  They work on sparse rows from ``d_key``
-onwards and rebuild their matrices on every call; nothing is cached.
-Representatives are pinned by deterministic pivoting, so repeated runs and
-golden reports agree byte for byte.
+attachment, or mapping cone).  The helpers are ``coords`` (a term dict as a
+sparse row over basis positions), ``d_columns`` (d from one degree to the
+next, as sparse columns over the next basis), ``cycles_mod_boundaries``
+(kernel modulo image, in reduced form) and ``primitive`` (solve dx = y).
+Positions are used only where the column order picks the answer: the
+boundary and representative rows of ``DegreeCohomology`` and of
+``bigraded_model``, and ``class_coords``.  Where only a kernel or a solution is read, ``d_key``
+term dicts go to ``linalg`` as they are, keyed by monomial, and no basis is
+enumerated to number them.  Representatives are pinned by deterministic
+pivoting, so repeated runs and golden reports agree byte for byte.
 
 ``DegreeCohomology`` is the one H^k result, for an algebra and for the
 mapping cone of a morphism alike.  Class coordinates are sparse rows over
@@ -45,11 +46,10 @@ def d_columns(alg, keys, up):
 
 
 def cycles_mod_boundaries(cols, boundary_rows):
-    """Cycles of the map with sparse columns ``cols``, reduced modulo
-    boundaries.
+    """Cycles of the map with sparse columns ``cols`` (any row ids), reduced
+    modulo the boundaries spanned by ``boundary_rows``, sparse rows over the
+    column indices.
 
-    ``boundary_rows`` are sparse rows over the column indices that span the
-    boundaries.
     Returns (boundary rows, boundary pivots, representative rows,
     representative pivots), both row sets in reduced row echelon form; the
     representatives are the kernel vectors reduced against the boundaries.
@@ -69,9 +69,7 @@ def primitive(alg, terms, degree, keys=None):
     """
     if keys is None:
         keys = alg.basis(degree - 1)
-    up = alg.basis(degree)
-    sol = linalg.solve_columns(d_columns(alg, keys, up),
-                               coords(terms, {k: i for i, k in enumerate(up)}))
+    sol = linalg.solve_columns([alg.d_key(k) for k in keys], terms)
     if sol is None:
         return None
     return {keys[j]: c for j, c in sol.items()}
@@ -86,12 +84,11 @@ class DegreeCohomology:
         self.degree = degree
         self.keys = list(complex_like.basis(degree))
         self.pos = {k: i for i, k in enumerate(self.keys)}
-        up = complex_like.basis(degree + 1)
-        down = complex_like.basis(degree - 1) if degree > 0 else ()
+        d = complex_like.d_key
         (self.boundary_rows, self.boundary_pivots,
          self.rep_rows, self.rep_pivots) = cycles_mod_boundaries(
-            d_columns(complex_like, self.keys, up),
-            d_columns(complex_like, down, self.keys))
+            [d(k) for k in self.keys],
+            [coords(d(k), self.pos) for k in complex_like.basis(degree - 1)])
         self.rank = len(self.rep_rows)
 
     def representatives(self):

@@ -14,11 +14,14 @@ elimination, entry for entry.  That is load-bearing: cohomology
 representatives and golden reports depend on it.
 
 ``rref``, ``rank``, ``reduce_against``, ``kernel_of_columns`` and
-``solve_columns`` take and return sparse rows.  A matrix given by its
-columns (``kernel_of_columns``, ``solve_columns``) is a list of sparse
-columns ``{row: entry}``; rows that no column touches are simply absent.
-``symmetric_inertia`` works by congruence, not row reduction, and stays
-dense.
+``solve_columns`` take and return sparse rows.  Column ids fed to ``rref``
+or ``rank`` pick the pivots, so they must be mutually orderable.  A matrix
+given by its columns (``kernel_of_columns``, ``solve_columns``) is a list
+of sparse columns ``{row id: entry}`` whose row ids may be any hashable
+keys, such as the keys of a term dict: its rows only ever pivot on column
+indices, and the reduced form is unique, so kernels and solutions do not
+depend on the row ids or on the order of entries.  ``symmetric_inertia``
+works by congruence, not row reduction, and stays dense.
 """
 
 from __future__ import annotations

@@ -263,7 +263,6 @@ def bigraded_model(ring, cap) -> MinimalModel:
         for mon in model.basis(k):
             down_by_stage.setdefault(monomial_stage(mon), []).append(mon)
         cone = MappingCone(rho)
-        up = cone.basis(k + 2)
 
         new_gens = []
         new_diff = {}
@@ -275,7 +274,7 @@ def bigraded_model(ring, cap) -> MinimalModel:
             if any(not model.d_key(mon).keys() <= key_set for mon in down):
                 raise AssertionError("stage purity broken in boundaries")
             _b, _p, rep_rows, _r = cycles_mod_boundaries(
-                d_columns(cone, [("s", m) for m in keys], up),
+                [cone.d_key(("s", m)) for m in keys],
                 d_columns(model, down, keys))
             for idx, row in enumerate(rep_rows):
                 gname = f"v{k}_{s + 1}_{idx}"

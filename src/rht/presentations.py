@@ -86,9 +86,8 @@ class RingPresentation(OverFreeCdga):
         red, pivots = linalg.rref(rows)
         pivot_set = set(pivots)
         basis = tuple(k for i, k in enumerate(amb) if i not in pivot_set)
-        reduction = {}
-        for row, p in zip(red, pivots):
-            reduction[amb[p]] = {amb[j]: -row[j] for j in sorted(row) if j != p}
+        reduction = {amb[p]: {amb[j]: -row[j] for j in sorted(row) if j != p}
+                     for row, p in zip(red, pivots)}
         out = (basis, reduction)
         self._slices[degree] = out
         return out
@@ -151,14 +150,9 @@ class RingPresentation(OverFreeCdga):
                 raise ValueError(
                     f"duality fails: dim H^{k} = {len(left)} but "
                     f"dim H^{n - k} = {len(right)}")
-            mat = []
-            for kl in left:
-                row = {}
-                for j, kr in enumerate(right):
-                    prod = self.mul_keys(kl, kr)
-                    if prod:
-                        row[j] = next(iter(prod.values()))
-                mat.append(row)
+            # each product is a multiple of the one top basis key
+            mat = [{kr: next(iter(prod.values())) for kr in right
+                    if (prod := self.mul_keys(kl, kr))} for kl in left]
             if linalg.rank(mat) != len(left):
                 raise ValueError(f"duality pairing is singular in degree {k}")
         return True

@@ -1,4 +1,5 @@
-"""Property-based variant of the sparse/dense cross-route check."""
+"""Property-based variant of the sparse/dense cross-route check, and the
+contract that results do not depend on how rows and columns are labelled."""
 
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from dense_linalg import sparse  # noqa: E402
+from rht import linalg  # noqa: E402
 from test_linalg_routes import assert_routes_agree  # noqa: E402
 
 # mostly zeros; nonzero entries mix ints and Fractions
@@ -34,3 +37,45 @@ def matrices(draw):
 def test_routes_agree_hypothesis(case):
     rows, ncols, vec, target = case
     assert_routes_agree(rows, ncols, [vec], [target])
+
+
+def _row_label(i):
+    """Injective tuple labels that are not mutually orderable: ("r", 0) and
+    (1, "r") cannot be compared, so no ordering of row ids can be used."""
+    return ("r", i) if i % 2 == 0 else (i, "r")
+
+
+def _relabelled(col, label, rnd):
+    """``col`` with row ids relabelled and entries inserted in shuffled order."""
+    items = [(label[i], x) for i, x in col.items()]
+    rnd.shuffle(items)
+    return dict(items)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(matrices(), st.randoms(use_true_random=False))
+def test_results_do_not_depend_on_row_ids(case, rnd):
+    """kernel_of_columns and solve_columns pivot on column ids alone, so
+    term dicts keyed by monomials can go in as they are."""
+    rows, ncols, _vec, target = case
+    perm = list(range(len(rows)))
+    rnd.shuffle(perm)
+    label = {i: _row_label(perm[i]) for i in range(len(rows))}
+    cols = [sparse([row[j] for row in rows]) for j in range(ncols)]
+    relabelled = [_relabelled(c, label, rnd) for c in cols]
+    # repr also compares the order of the vectors and of their entries
+    assert repr(linalg.kernel_of_columns(relabelled)) == \
+        repr(linalg.kernel_of_columns(cols))
+    assert repr(linalg.solve_columns(
+        relabelled, _relabelled(sparse(target), label, rnd))) == \
+        repr(linalg.solve_columns(cols, sparse(target)))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(matrices(), st.randoms(use_true_random=False))
+def test_rank_does_not_depend_on_column_ids(case, rnd):
+    rows, ncols, _vec, _target = case
+    perm = list(range(ncols))
+    rnd.shuffle(perm)
+    relabelled = [{(perm[j], "c"): x for j, x in enumerate(row)} for row in rows]
+    assert linalg.rank(relabelled) == linalg.rank([sparse(r) for r in rows])

@@ -17,11 +17,12 @@ from rht import (EmbeddingWitness, FreeCdga, SetFamily, classify,
                  exterior_algebra, family_local_forms, intersection_complete,
                  rank_bound_check, verify_witness, wedge_pairing_signature)
 from rht.cdga import TruncatedCdga
-from rht.presentations import RingPresentation, projective_ring
+from rht.presentations import (RingPresentation, projective_ring,
+                               wedge_of_spheres_ring)
 from rht.scalability import (Atom, CSum, DimensionCountRefutation, Prod,
                              Wedge, WitnessReport, omega_ring,
                              parse_descriptor, pi_ring, sigma_ring,
-                             symplectic_form,
+                             subset_monomial, symplectic_form,
                              SCALABLE, NOT_SCALABLE, UNKNOWN)
 from rht.scalability import (_masks, _middle_pairs, _plane_sum_witness,
                              _projective_witness, _relation_image,
@@ -748,6 +749,78 @@ def test_broken_witness_reports_are_pinned(build, relation, message):
     with pytest.raises(AssertionError, match="omega witness failed "
                        "verification: " + re.escape(message)):
         _verified(ring, ext, images, "omega")
+
+
+def _wedge_witness(**images):
+    """wedge_of_spheres_ring([2, 2]) into Lambda R^4, x_i -> dx_I."""
+    ring = wedge_of_spheres_ring([2, 2])
+    ext = exterior_algebra(4)
+    images = {name: c * subset_monomial(ext, subset)
+              for name, (c, subset) in images.items()}
+    return ring, EmbeddingWitness(ring, ext, images)
+
+
+@pytest.mark.parametrize("images,report", [
+    (dict(x0=(1, [1, 2]), x1=(1, [1, 3])),
+     WitnessReport(True, message="relations and degreewise independence "
+                                 "verified")),
+    (dict(x0=(1, [1, 2]), x1=(2, [1, 2])),
+     WitnessReport(False, failing_degree=2,
+                   message="images of the degree-2 basis are linearly "
+                           "dependent")),
+    (dict(x0=(1, [1, 2]), x1=(1, [3, 4])),
+     WitnessReport(False, failing_relation="x0*x1",
+                   message="relation x0*x1 maps to dx1*dx2*dx3*dx4")),
+], ids=["independent", "dependent", "relation"])
+def test_degreewise_witness_reports_are_pinned(images, report):
+    """A ring without the duality flag takes the degreewise branch."""
+    ring, witness = _wedge_witness(**images)
+    assert not ring.duality
+    assert verify_witness(ring, witness) == report
+
+
+@pytest.mark.parametrize("power,report", [
+    (4, WitnessReport(False, failing_degree=6,
+                      message="images of the degree-6 basis are linearly "
+                              "dependent")),
+    (3, WitnessReport(True, message="relations and degreewise independence "
+                                    "verified")),
+])
+def test_degreewise_witness_checks_past_the_target_top(power, report):
+    """x -> omega on R^4 kills x^3 in degree 6, past the target's top degree:
+    Q[x]/(x^4) must fail there, and Q[x]/(x^3) still embeds."""
+    amb = FreeCdga([("x", 2)])
+    ring = RingPresentation([("x", 2)], [amb["x"] ** power])
+    ext = exterior_algebra(4)
+    witness = EmbeddingWitness(ring, ext, {"x": symplectic_form(ext, 2)})
+    assert verify_witness(ring, witness) == report
+
+
+def basis_requests(monkeypatch):
+    """Spy on FreeCdga.basis: the list of (algebra name, degree) asked for."""
+    asked = []
+    original = FreeCdga.basis
+
+    def spied(self, degree):
+        asked.append((self.name, degree))
+        return original(self, degree)
+
+    monkeypatch.setattr(FreeCdga, "basis", spied)
+    return asked
+
+
+def test_decide_pi_enumerates_no_exterior_4_forms(monkeypatch):
+    asked = basis_requests(monkeypatch)
+    decision = decide_pi(6, 2)
+    assert decision.embeddable is False and decision.nullspace_dim == 0
+    assert ("Ext12", 4) not in asked
+
+
+def test_degreewise_witness_enumerates_no_target_basis(monkeypatch):
+    ring, witness = _wedge_witness(x0=(1, [1, 2]), x1=(1, [1, 3]))
+    asked = basis_requests(monkeypatch)
+    assert verify_witness(ring, witness).passed
+    assert asked and all(name != "Ext4" for name, _degree in asked)
 
 
 def test_broken_witness_raises_under_optimized_python():
