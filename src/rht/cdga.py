@@ -4,8 +4,10 @@ Generators carry a fixed declaration order.  A monomial is a sorted tuple of
 (generator index, exponent) pairs; products pick up Koszul signs and odd
 generators square to zero.  The differential is given on generators, raises
 degree by one, and extends by the graded Leibniz rule; d(d(v)) = 0 is checked
-at construction.  All values are immutable after construction and every
-operation is a pure function, so instances are safe to share across threads.
+once per generator, when it is added: at construction, or by ``extend`` for
+the appended generators only.  All values are immutable after construction
+and every operation is a pure function, so instances are safe to share across
+threads.
 
 Every stored coefficient is an exact, nonzero ``Fraction``.  The public
 ``Element`` constructor establishes that once, from any int/Fraction mapping;
@@ -14,6 +16,7 @@ the algebra's own arithmetic keeps it without re-checking (see ``Element``).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -340,28 +343,15 @@ class FreeCdga(GradedAlgebra):
 
     def __init__(self, generators, differential=None, *, name="A"):
         self.name = name
-        self.gens = _as_generators(generators)
-        seen = set()
-        for g in self.gens:
-            if g.name in seen:
-                raise ValueError(f"duplicate generator name {g.name!r}")
-            seen.add(g.name)
-        self.index = {g.name: i for i, g in enumerate(self.gens)}
-        self._degrees = tuple(g.degree for g in self.gens)
-        self._odd = tuple(g.degree % 2 == 1 for g in self.gens)
-        diff = {}
-        if differential:
-            for gname, terms in differential.items():
-                if gname not in self.index:
-                    raise ValueError(f"differential given for unknown generator {gname!r}")
-                terms = {k: Fraction(c) for k, c in terms.items() if c}
-                if terms:
-                    diff[self.index[gname]] = terms
-        self._diff = diff
+        self.gens = ()
+        self.index = {}
+        self._degrees = ()
+        self._odd = ()
+        self._diff = {}
         self._basis_cache = {}
         self._d_cache = {}
         self._mul_cache = {}
-        self._validate()
+        self._append(generators, differential)
 
     @classmethod
     def define(cls, generators, d, *, name="A"):
@@ -374,15 +364,45 @@ class FreeCdga(GradedAlgebra):
         return cls(generators, {k: v.terms for k, v in d(plain).items()},
                    name=name)
 
-    def _validate(self):
-        for idx, terms in self._diff.items():
+    def _append(self, generators, differential):
+        """Append generators and their differentials, and validate them.
+
+        Only the appended generators are checked: each differential must be
+        homogeneous of degree one more than its generator and satisfy
+        d(d(v)) = 0.  A differential given for an earlier generator is an
+        error, so every earlier ``d_key`` and ``mul_keys`` entry stays valid.
+        """
+        new = _as_generators(generators)
+        start = len(self.gens)
+        index = self.index
+        for i, g in enumerate(new, start):
+            if g.name in index:
+                raise ValueError(f"duplicate generator name {g.name!r}")
+            index[g.name] = i
+        self.gens += new
+        self._degrees += tuple(g.degree for g in new)
+        self._odd += tuple(g.degree % 2 == 1 for g in new)
+        added = {}
+        for gname, terms in (differential or {}).items():
+            i = index.get(gname)
+            if i is None:
+                raise ValueError(f"differential given for unknown generator {gname!r}")
+            if i < start:
+                raise ValueError(
+                    f"differential given for existing generator {gname!r}; "
+                    "an extension cannot change it")
+            terms = {k: Fraction(c) for k, c in terms.items() if c}
+            if terms:
+                added[i] = terms
+        for idx, terms in added.items():
             g = self.gens[idx]
             for mon in terms:
                 if self.key_degree(mon) != g.degree + 1:
                     raise ValueError(
                         f"d({g.name}) must be homogeneous of degree "
                         f"{g.degree + 1}; found a degree-{self.key_degree(mon)} term")
-        for idx, terms in self._diff.items():
+        self._diff.update(added)
+        for idx, terms in added.items():
             dd = self.d_terms(terms)
             if dd:
                 raise ValueError(
@@ -547,14 +567,22 @@ class FreeCdga(GradedAlgebra):
     def extend(self, new_generators, new_differential):
         """New algebra with generators appended after the existing ones.
 
-        ``new_differential`` maps new generator names to term dicts.
-        Existing monomial keys stay valid (indices are preserved), so term
-        dicts of old elements can be reused directly.
+        ``new_differential`` maps new generator names to term dicts; naming
+        an existing generator raises ``ValueError``, so the old differentials
+        are kept as they are.  Existing monomial keys stay valid (indices are
+        preserved), so term dicts of old elements can be reused directly.
+        For the same reason the extension starts from copies of this
+        algebra's ``d_key`` and ``mul_keys`` tables, and it validates only the
+        new generators; the old ones were checked when this algebra was
+        built.  Bases are recomputed, since new generators add monomials in
+        old degrees.
         """
-        gens = list(self.gens) + list(_as_generators(new_generators))
-        diff = {self.gens[i].name: terms for i, terms in self._diff.items()}
-        diff.update(new_differential)
-        return FreeCdga(gens, diff, name=self.name)
+        out = copy.copy(self)
+        out.index, out._diff = dict(self.index), dict(self._diff)
+        out._d_cache, out._mul_cache = dict(self._d_cache), dict(self._mul_cache)
+        out._basis_cache = {}
+        out._append(new_generators, new_differential)
+        return out
 
     def adopt(self, element: Element) -> Element:
         """Re-home an element of an algebra this one extends."""

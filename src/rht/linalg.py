@@ -8,10 +8,22 @@ rows found so far, pivoting on its leftmost nonzero column; back-substitution
 then clears every pivot column above its pivot.  The core accepts any
 rational entries, skips zero ones, and returns Fractions only.
 
+The core runs on integers, fraction-free (Bareiss, Math. Comp. 1968): each
+input row is scaled to coprime integers; a column is cleared by
+``b * v - a * prow``, with ``a / b`` the two entries' ratio in lowest terms,
+and the new row is divided by the gcd of its entries; back-substitution works
+the same way.  Fractions are formed once, when each reduced row is divided by
+its pivot entry.  Every integer row is a nonzero rational multiple of the row
+that Fraction elimination would hold at the same step, so the same entries
+cancel and the same pivots are found.  The gain is that one gcd per new row
+replaces the gcd that every Fraction addition and product pays.
+
 Pivoting is deterministic, and the reduced row echelon form of a matrix is
 unique, so ``rref`` gives exactly the rows and pivots of any exact dense
-elimination, entry for entry.  That is load-bearing: cohomology
-representatives and golden reports depend on it.
+elimination, entry for entry: the Fraction rows it returns are the ones an
+elimination over Fractions returns.  That is load-bearing: cohomology
+representatives and golden reports depend on it.  ``reduce_against`` reduces
+one vector against such rows and stays on Fractions.
 
 ``rref``, ``rank``, ``reduce_against``, ``kernel_of_columns`` and
 ``solve_columns`` take and return sparse rows.  Column ids fed to ``rref``
@@ -27,6 +39,7 @@ works by congruence, not row reduction, and stays dense.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ONE = Fraction(1)
 
@@ -53,33 +66,85 @@ def _fractions(row):
             for c, x in row.items() if x}
 
 
+def _divide_content(v):
+    """Divide the nonempty integer row ``v`` in place by the gcd of its entries."""
+    g = gcd(*v.values())
+    if g != 1:
+        for c in v:
+            v[c] //= g
+
+
+def _integers(row):
+    """Copy of a rational sparse row, without zero entries, scaled to
+    coprime integers."""
+    v = {c: x for c, x in row.items() if x}
+    if v:
+        den = lcm(*[x.denominator for x in v.values()])
+        v = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+        _divide_content(v)
+    return v
+
+
+def _clear(v, p, prow):
+    """Clear column ``p`` of the integer row ``v`` in place, against the
+    integer row ``prow`` that pivots there.
+
+    v becomes (b * v - a * prow) / content, with a / b = v[p] / prow[p] in
+    lowest terms: a rational multiple of ``v - (v[p] / prow[p]) * prow``, so
+    the same entries cancel as in Fraction elimination.
+    """
+    a, b = v[p], prow[p]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if b != 1:
+        for c in v:
+            v[c] *= b
+    for c, x in prow.items():
+        y = v.get(c)
+        if y is None:
+            v[c] = -a * x
+        else:
+            y -= a * x
+            if y:
+                v[c] = y
+            else:
+                del v[c]
+    if v:
+        _divide_content(v)
+
+
 def _echelon(rows):
-    """Forward elimination: {pivot column: row with a leading one there}."""
+    """Forward elimination: {pivot column: integer row with its leading
+    nonzero entry there}."""
     piv = {}
     for row in rows:
-        v = _fractions(row)
+        v = _integers(row)
         while v:
             lead = min(v)
             prow = piv.get(lead)
             if prow is None:
-                a = v[lead]
-                if a != 1:
-                    inv = ONE / a
-                    v = {c: x * inv for c, x in v.items()}
                 piv[lead] = v
                 break
-            _subtract(v, v[lead], prow)
+            _clear(v, lead, prow)
     return piv
 
 
 def _reduced(piv):
-    """Back-substitution on an echelon form: (rows, pivot columns)."""
+    """Back-substitution on an echelon form: (rows, pivot columns), each row
+    a Fraction row with a one at its pivot."""
     pivots = sorted(piv)
     for p in reversed(pivots):
         row = piv[p]
         for c in [c for c in row if c != p and c in piv]:
-            _subtract(row, row[c], piv[c])
-    return [piv[p] for p in pivots], pivots
+            _clear(row, c, piv[c])
+    rows = []
+    for p in pivots:
+        row = piv[p]
+        lead = row[p]
+        rows.append({c: Fraction(x, lead) for c, x in row.items()})
+    return rows, pivots
 
 
 def _transpose(cols):

@@ -263,3 +263,42 @@ def test_extend_preserves_existing_monomials(wedge_table):
     bigger = W.extend([("q", 14)], {"q": closed.terms})
     assert bigger.degree_of("q") == 14
     assert bigger.adopt(W["u_b"].d()) == bigger["a"] * bigger["b"]
+
+
+def _a_b():
+    """a in degree 2 and b in degree 3 with d(b) = a^2."""
+    return FreeCdga.define([("a", 2), ("b", 3)], d=lambda A: {"b": A["a"] ** 2})
+
+
+def test_extend_rejects_a_differential_for_an_existing_generator():
+    A = _a_b()
+    with pytest.raises(ValueError, match="existing generator 'b'"):
+        A.extend([("c", 5)], {"b": {}, "c": {((0, 3),): 1}})
+    assert A.differential_of("b") == A["a"] ** 2
+
+
+def test_extend_rejects_a_new_generator_with_nonzero_d_squared():
+    # d(c) = a*b, and d(a*b) = a^3
+    with pytest.raises(ValueError, match=r"d\(d\(c\)\) = a\^3 != 0"):
+        _a_b().extend([("c", 4)], {"c": {((0, 1), (1, 1)): 1}})
+
+
+def test_extend_validates_only_the_new_generators(monkeypatch):
+    A = _a_b()
+    A.d_key(((0, 1), (1, 1)))
+    parent_d_keys = set(A._d_cache)
+    seen = []
+    original = FreeCdga.d_terms
+
+    def spy(self, terms):
+        seen.append(dict(terms))
+        return original(self, terms)
+
+    monkeypatch.setattr(FreeCdga, "d_terms", spy)
+    B = A.extend([("c", 5)], {"c": {((0, 3),): 1}})
+    assert seen == [{((0, 3),): F(1)}]
+    assert B.differential_of("b") == B["a"] ** 2
+    # the extension starts from a copy of the parent's table, and the
+    # parent never sees the keys the extension adds
+    assert parent_d_keys <= set(B._d_cache)
+    assert set(A._d_cache) == parent_d_keys

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 from rht import linalg
 
@@ -95,3 +96,21 @@ def test_kernel_and_solve_leave_inputs_untouched():
     linalg.reduce_against(vec, red, piv)
     assert vec == {0: F(2), 1: 1, 2: 0}
     assert red == [{0: 1, 2: 2}, {1: 1, 2: 3}]
+
+
+def test_solve_columns_inverts_the_hilbert_matrix():
+    """The 8x8 Hilbert matrix 1/(i+j+1) is badly conditioned and its inverse
+    has large integer entries, so elimination entries grow on the way."""
+    n = 8
+    cols = [{i: F(1, i + j + 1) for i in range(n)} for j in range(n)]
+    inverse = [linalg.solve_columns(cols, {i: 1}) for i in range(n)]
+    assert [inverse[0][j] for j in range(n)] == \
+        [64, -2016, 20160, -92400, 221760, -288288, 192192, -51480]
+    for i in range(n):
+        for j in range(n):
+            # closed form of the inverse's entries, indices from 1
+            a, b = i + 1, j + 1
+            known = ((-1) ** (a + b) * (a + b - 1) * comb(n + a - 1, n - b)
+                     * comb(n + b - 1, n - a) * comb(a + b - 2, a - 1) ** 2)
+            assert inverse[i][j] == known
+            assert type(inverse[i][j]) is Fraction

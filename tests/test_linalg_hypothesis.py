@@ -17,24 +17,38 @@ ENTRY = st.one_of(st.just(0), st.just(0), st.just(Fraction(0)),
                   st.integers(-3, 3),
                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
 
+# large numerators and denominators, so that the integer elimination core's
+# entries grow and its gcd and content reductions are exercised
+BIG_ENTRY = st.one_of(st.just(0), st.just(0),
+                      st.integers(-10 ** 6, 10 ** 6),
+                      st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                   max_denominator=10 ** 3))
+
 
 @st.composite
-def matrices(draw):
+def matrices(draw, entry=ENTRY):
     nrows = draw(st.integers(0, 7))
     ncols = draw(st.integers(0, 8))
-    row = st.lists(ENTRY, min_size=ncols, max_size=ncols)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
     if rows:
         repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
         rows += [list(rows[i]) for i in repeats]
-    vec = draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
-    target = draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
+    vec = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    target = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
     return rows, ncols, vec, target
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(matrices())
 def test_routes_agree_hypothesis(case):
+    rows, ncols, vec, target = case
+    assert_routes_agree(rows, ncols, [vec], [target])
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(matrices(BIG_ENTRY))
+def test_routes_agree_on_large_entries(case):
     rows, ncols, vec, target = case
     assert_routes_agree(rows, ncols, [vec], [target])
 

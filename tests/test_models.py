@@ -8,6 +8,7 @@ from rht import (DgaMorphism, FreeCdga, attach_cell_model, bigraded_model,
                  grading_automorphism, is_quasi_isomorphism, minimal_model,
                  parse_bracket, u0_surjectivity, whitehead_pair)
 from rht.presentations import projective_ring, sphere_ring, wedge_of_spheres_ring
+from rht.scalability import connected_sum_ring
 from rht.verify import (EXPECTED_WEDGE_DIMS, build_wedge_model,
                         embed_table_in_model, free_lie_generator_counts,
                         load_fixture)
@@ -328,3 +329,30 @@ def test_u0_surjectivity_flags_cell_attachment(w33_model):
     flags = u0_surjectivity(cell, 8)
     assert flags[8] is False
     assert all(flags[k] for k in range(8))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: minimal_model(wedge_of_spheres_ring([2, 2]), 6),
+    lambda: bigraded_model(projective_ring(2, 2), 6),
+    lambda: bigraded_model(connected_sum_ring([("sphere_product", 2, 2)] * 2), 4),
+], ids=["minimal_wedge_2_2", "bigraded_CP2", "bigraded_csum_2_S2xS2"])
+def test_carried_tables_agree_with_a_build_from_scratch(build):
+    """Each stage's extension starts from its parent's d_key and mul_keys
+    tables; every entry must be what the final algebra computes afresh."""
+    model = build()
+    alg = model.algebra
+    fresh = FreeCdga(alg.gens, {g.name: alg.d_key(alg.gen_key(g.name))
+                                for g in alg.gens})
+    for mon, terms in list(alg._d_cache.items()):
+        assert terms == fresh.d_key(mon), mon
+    for (m1, m2), terms in list(alg._mul_cache.items()):
+        assert terms == fresh.mul_keys(m1, m2), (m1, m2)
+    keys = {k: alg.basis(k) for k in range(model.cap + 1)}
+    for k in keys:
+        assert keys[k] == fresh.basis(k)
+        for mon in keys[k]:
+            assert alg.d_key(mon) == fresh.d_key(mon), mon
+            for j in range(model.cap - k + 1):
+                for other in keys[j]:
+                    assert alg.mul_keys(mon, other) == \
+                        fresh.mul_keys(mon, other), (mon, other)
