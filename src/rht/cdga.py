@@ -655,8 +655,8 @@ class DgaMorphism:
     """Algebra map defined on generators and commuting with differentials.
 
     The source is a free CDGA; the target may be any key-indexed graded
-    algebra (free, truncated, ring presentation, cell attachment, or the
-    interval algebra of a homotopy).  Both the degree-preservation and the
+    algebra (free, truncated, exterior, ring presentation, cell attachment,
+    or the interval algebra of a homotopy).  Both the degree-preservation and the
     chain-map condition phi(dv) = d(phi(v)) are checked at construction.
     """
 
@@ -672,6 +672,7 @@ class DgaMorphism:
                 raise ValueError(f"image of {g.name!r} lives in the wrong algebra")
             imgs[g.name] = e
         self.images = imgs
+        self._gen_terms = [e.terms for e in imgs.values()]   # by position
         self._key_cache = {UNIT: target.unit().terms}
         self._check()
 
@@ -704,7 +705,7 @@ class DgaMorphism:
         tgt = self.target
         out = None
         for i, e in mon:
-            gterms = self.images[self.source.gens[i].name].terms
+            gterms = self._gen_terms[i]
             for _ in range(e):
                 out = dict(gterms) if out is None else tgt.mul_terms(out, gterms)
         self._key_cache[mon] = out
@@ -713,7 +714,9 @@ class DgaMorphism:
     def apply_terms(self, terms):
         out = {}
         for mon, c in terms.items():
-            accumulate(out, self._image_of_key(mon), c)
+            img = self._image_of_key(mon)
+            if img:
+                accumulate(out, img, c)
         return out
 
     def apply(self, x: Element) -> Element:

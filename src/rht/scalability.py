@@ -17,13 +17,10 @@ subtracted), or a volume or symplectic form, and every builder hands them
 to ``_verified``, which runs verify_witness and raises AssertionError on a
 failed check (an explicit raise, so ``python -O`` keeps it).
 
-Witness targets are exterior algebras, free on degree-1 generators, so a
-target monomial is a set of generator indices.  verify_witness turns each
-generator's image into a {bitmask: coefficient} dict once and maps every
-relation in full on masks: overlapping masks multiply to zero, and disjoint
-ones to their union with the sign of the inversions between them.  Each
-relation is checked once, and only a failing one is mapped again, through
-the morphism, to render the report.
+Witness targets are ``ExteriorAlgebra`` instances: a monomial is a set of
+generator indices, kept as an int bitmask, so a product is a disjointness
+test and an inversion count.  verify_witness maps relations through the
+witness's DgaMorphism, the path every other morphism takes.
 """
 
 from __future__ import annotations
@@ -34,31 +31,93 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .cdga import DgaMorphism, Element, FreeCdga, accumulate
+from .cdga import (_MINUS_ONE, _ONE, _ZERO, DgaMorphism, Element, FreeCdga,
+                   Generator, GradedAlgebra)
 from .fileformat import check_digits, check_nesting
 from .presentations import RingPresentation, projective_ring, sphere_ring
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
 # exterior algebras
 
 
-def exterior_algebra(n, *, first_index=1) -> FreeCdga:
+class ExteriorAlgebra(GradedAlgebra):
+    """Alternating algebra on n degree-1 generators dx{first_index}, ...,
+    with zero differential.
+
+    A key is an int bitmask, bit i standing for generator i, so a monomial
+    is its set of indices in ascending order; the unit key is 0.
+    """
+
+    unit_key = 0
+
+    def __init__(self, n, *, first_index=1):
+        self.name = f"Ext{n}"
+        self.gens = tuple(Generator(f"dx{i}", 1)
+                          for i in range(first_index, first_index + n))
+        self.index = {g.name: i for i, g in enumerate(self.gens)}
+
+    def gen_key(self, name):
+        return 1 << self.index[name]
+
+    def key_degree(self, mask):
+        return mask.bit_count()
+
+    def mul_keys(self, m1, m2):
+        """Zero for overlapping masks; otherwise the union, signed by the
+        parity of the inversions between them, the pairs i in m1, j in m2
+        with i > j."""
+        if m1 & m2:
+            return {}
+        swaps = 0
+        rest = m2
+        while rest:
+            low = rest & -rest
+            swaps += (m1 & -(low << 1)).bit_count()
+            rest ^= low
+        return {m1 | m2: _MINUS_ONE if swaps & 1 else _ONE}
+
+    def d_key(self, mask):
+        return {}
+
+    def basis(self, degree):
+        """The index subsets of size ``degree`` in lexicographic order."""
+        if degree < 0:
+            return ()
+        return tuple(sum(1 << i for i in subset) for subset in
+                     itertools.combinations(range(len(self.gens)), degree))
+
+    @staticmethod
+    def _indices(mask):
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    def format_key(self, mask):
+        if not mask:
+            return "1"
+        return "*".join(self.gens[i].name for i in self._indices(mask))
+
+    def key_sort_token(self, mask):
+        return (0, self._indices(mask))
+
+
+def exterior_algebra(n, *, first_index=1) -> ExteriorAlgebra:
     """Alternating algebra on n degree-1 generators, zero differential."""
-    gens = [(f"dx{i}", 1) for i in range(first_index, first_index + n)]
-    return FreeCdga(gens, None, name=f"Ext{n}")
+    return ExteriorAlgebra(n, first_index=first_index)
 
 
-def subset_monomial(ext: FreeCdga, subset) -> Element:
-    """Wedge of the dx_i over an index subset, in ascending order."""
-    key = tuple(sorted((ext.index[f"dx{i}"], 1) for i in subset))
-    return Element(ext, {key: _ONE})
+def subset_monomial(ext: ExteriorAlgebra, subset) -> Element:
+    """Wedge of the dx_i over an index subset, in ascending order; a
+    repeated index raises ValueError."""
+    mask = 0
+    for i in subset:
+        bit = 1 << ext.index[f"dx{i}"]
+        if mask & bit:
+            raise ValueError(f"index {i} repeats in the subset {list(subset)}")
+        mask |= bit
+    return Element(ext, {mask: _ONE})
 
 
-def _complementary_pairs(ext: FreeCdga, subsets, total):
+def _complementary_pairs(ext: ExteriorAlgebra, subsets, total):
     """(dx_I, s_I * dx_(I^c)) for each index set I, where I^c is taken in
     ``total`` and the sign s_I makes dx_I ^ s_I dx_(I^c) the volume form."""
     pairs = []
@@ -70,7 +129,7 @@ def _complementary_pairs(ext: FreeCdga, subsets, total):
     return pairs
 
 
-def symplectic_form(ext: FreeCdga, n) -> Element:
+def symplectic_form(ext: ExteriorAlgebra, n) -> Element:
     """dx1^dx2 + dx3^dx4 + ... + dx(2n-1)^dx(2n)."""
     return ext.sum(subset_monomial(ext, [lo, lo + 1])
                    for lo in range(1, 2 * n + 1, 2))
@@ -97,25 +156,21 @@ def _check_symplectic_size(n):
 class EmbeddingWitness:
     """Assignment of presentation generators to exterior-algebra elements.
 
-    The target must be an exterior algebra: a ``FreeCdga`` whose generators
-    all have degree 1, so that every monomial is a set of generator indices.
-    verify_witness relies on this to multiply images as bitmasks; any other
-    target raises ValueError.  The images are checked once, at construction,
-    as the checked DgaMorphism that morphism() returns: a missing image, an
-    image of the wrong degree or one that is not a chain map raises
-    ValueError.
+    The target must be an ``ExteriorAlgebra``; any other target raises
+    ValueError.  The images are checked once, at construction, as the
+    checked DgaMorphism that morphism() returns: a missing image, an image
+    of the wrong degree or one that is not a chain map raises ValueError.
     """
 
     ring: RingPresentation
-    target: FreeCdga
+    target: ExteriorAlgebra
     images: dict
     note: str | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.target, FreeCdga)
-                and all(g.degree == 1 for g in self.target.gens)):
-            raise ValueError("witness target must be an exterior algebra: a "
-                             "FreeCdga whose generators all have degree 1")
+        if not isinstance(self.target, ExteriorAlgebra):
+            raise ValueError("witness target must be an exterior algebra: an "
+                             "ExteriorAlgebra, free on generators of degree 1")
         self._morphism = DgaMorphism(self.ring.base, self.target, self.images)
 
     def morphism(self):
@@ -130,73 +185,12 @@ class WitnessReport:
     message: str = ""
 
 
-def _masks(terms):
-    """Exterior-algebra terms as {mask: coefficient}: bit i of a mask stands
-    for target generator i, and a monomial is its set of indices."""
-    out = {}
-    for key, c in terms.items():
-        mask = 0
-        for i, _e in key:
-            mask |= 1 << i
-        out[mask] = c
-    return out
-
-
-def _wedge_masks(t1, t2):
-    """Exterior product of two mask dicts.  Overlapping masks give zero;
-    otherwise the sign is the parity of the inversions between the index
-    sets, the pairs i in m1, j in m2 with i > j."""
-    out = {}
-    for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            if m1 & m2:
-                continue
-            swaps = 0
-            rest = m2
-            while rest:
-                low = rest & -rest
-                swaps += (m1 & -(low << 1)).bit_count()
-                rest ^= low
-            x = -c1 * c2 if swaps & 1 else c1 * c2
-            m = m1 | m2
-            v = out.get(m)
-            if v is None:
-                out[m] = x
-            elif v := v + x:
-                out[m] = v
-            else:
-                del out[m]
-    return out
-
-
-def _relation_image(terms, gen_masks, cache):
-    """Image of ambient terms as a mask dict, given each generator's image
-    as a mask dict; ``cache`` keeps the image of each ambient key."""
-    out = {}
-    for key, c in terms.items():
-        img = cache.get(key)
-        if img is None:
-            for i, e in key:
-                for _ in range(e):
-                    img = (gen_masks[i] if img is None
-                           else _wedge_masks(img, gen_masks[i]))
-            if img is None:          # the unit key
-                img = {0: _ONE}
-            cache[key] = img
-        if img:
-            accumulate(out, img, c)
-    return out
-
-
 def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> WitnessReport:
     """Relations map to zero and the presented basis stays independent.
 
     ``witness.morphism()`` was checked as a chain map when the witness was
-    built.  Every relation is then mapped in full and tested for zero, once,
-    on bitmasks: each generator's image becomes a {mask: coefficient} dict
-    (the exterior target makes a monomial a set of indices) and products run
-    through _wedge_masks.  The first relation whose image is nonzero is
-    rendered through the morphism for the report.
+    built.  Every relation is then mapped through it and tested for zero;
+    the first one whose image is nonzero is reported.
 
     With the duality flag set, independence reduces to nonvanishing of the
     image of the fundamental class: multiplicativity plus a nonsingular
@@ -205,13 +199,12 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
     if ring.base is not witness.ring.base:
         raise ValueError("the witness belongs to another presentation")
     phi = witness.morphism()
-    gen_masks = [_masks(phi.images[g.name].terms) for g in ring.base.gens]
-    cache = {}
     for rel in ring.relations:
-        if _relation_image(rel.terms, gen_masks, cache):
-            img = phi.apply(rel)
+        img = phi.apply_terms(rel.terms)
+        if img:
             return WitnessReport(False, failing_relation=repr(rel),
-                                 message=f"relation {rel} maps to {img}")
+                                 message=f"relation {rel} maps to "
+                                         f"{phi.target.format_terms(img)}")
     if ring.duality:
         mu = ring.fundamental_monomial
         if mu is None:

@@ -96,7 +96,7 @@ def fixture_algebras():
         load_fixture("s2_model.cdga"),
         load_fixture("cp2_model.cdga"),
         load_fixture("wedge335_model.cdga"),
-        scal_mod.exterior_algebra(4),
+        FreeCdga([(f"dx{i}", 1) for i in range(1, 5)], name="Ext4"),
         mixed,
     ]
 

@@ -16,7 +16,8 @@ import element_oracle as oracle
 from rht import homotopy, verify
 from rht.cdga import Element, FreeCdga, TruncatedCdga
 from rht.presentations import RingPresentation
-from rht.scalability import connected_sum_ring, exterior_algebra
+from rht.scalability import (ExteriorAlgebra, connected_sum_ring,
+                             exterior_algebra)
 
 SCALARS = (0, 1, -1, Fraction(3, 2))
 
@@ -167,7 +168,8 @@ def count_calls(monkeypatch, classes):
 def test_products_and_differentials_call_the_counted_lookups(index, monkeypatch):
     """Element.__mul__ and Element.d() go through mul_keys and d_key, as
     often as the oracle does, so the tracer's counters keep meaning."""
-    counts = count_calls(monkeypatch, (FreeCdga, TruncatedCdga, RingPresentation))
+    counts = count_calls(monkeypatch, (FreeCdga, TruncatedCdga, RingPresentation,
+                                       ExteriorAlgebra))
     runs = []
     for side in ("oracle", "algebra"):
         alg = build_algebras()[index]  # fresh product and differential caches

@@ -16,18 +16,17 @@ from rht import (EmbeddingWitness, FreeCdga, SetFamily, classify,
                  connected_sum_ring, decide_omega, decide_pi, decide_sigma,
                  exterior_algebra, family_local_forms, intersection_complete,
                  rank_bound_check, verify_witness, wedge_pairing_signature)
-from rht.cdga import TruncatedCdga
+from rht.cdga import DgaMorphism, Element, TruncatedCdga
 from rht.presentations import (RingPresentation, projective_ring,
                                wedge_of_spheres_ring)
-from rht.scalability import (Atom, CSum, DimensionCountRefutation, Prod,
-                             Wedge, WitnessReport, omega_ring,
-                             parse_descriptor, pi_ring, sigma_ring,
+from rht.scalability import (Atom, CSum, DimensionCountRefutation,
+                             ExteriorAlgebra, Prod, Wedge, WitnessReport,
+                             omega_ring, parse_descriptor, pi_ring, sigma_ring,
                              subset_monomial, symplectic_form,
                              SCALABLE, NOT_SCALABLE, UNKNOWN)
-from rht.scalability import (_masks, _middle_pairs, _plane_sum_witness,
-                             _projective_witness, _relation_image,
-                             _subsets_containing_first, _verified,
-                             _wedge_masks)
+from rht.scalability import (_middle_pairs, _plane_sum_witness,
+                             _projective_witness, _subsets_containing_first,
+                             _verified)
 
 F = Fraction
 
@@ -71,12 +70,9 @@ def test_omega_small_cases():
     ext = one.witness.target
     assert one.witness.images["a1"] == ext["dx1"]
     three = decide_omega(2, 3)
-    subsets = []
-    for i in range(1, 4):
-        img = three.witness.images[f"a{i}"]
-        (key,) = img.terms
-        subsets.append(tuple(sorted(idx + 1 for idx, _e in key)))
-    assert subsets == [(1, 2), (1, 3), (1, 4)]
+    ext = three.witness.target
+    assert [three.witness.images[f"a{i}"] for i in range(1, 4)] == \
+        [subset_monomial(ext, s) for s in ((1, 2), (1, 3), (1, 4))]
 
 
 def _no_rings(monkeypatch):
@@ -442,11 +438,9 @@ def test_family_local_forms_matches_omega_witness():
     forms = family_local_forms(SetFamily(4, members))
     assert forms.caveat is None
     assert verify_witness(forms.ring, forms.witness).passed
-    got = set()
-    for i in range(1, 4):
-        (key,) = forms.witness.images[f"a{i}"].terms
-        got.add(tuple(sorted(idx for idx, _e in key)))
-    assert got == {(0, 1), (0, 2), (0, 3)}
+    ext = forms.witness.target
+    assert [forms.witness.images[f"a{i}"] for i in range(1, 4)] == \
+        [subset_monomial(ext, [0, i]) for i in range(1, 4)]
 
 
 def test_family_local_forms_circle_caveat():
@@ -584,28 +578,67 @@ def test_cp1_sums_rejected_as_sphere_sums(descriptor):
     assert classify("CP1").verdict == SCALABLE
 
 
-# -- the bitmask relation kernel of verify_witness ---------------------------------
+# -- exterior algebras against their free-algebra form ------------------------------
 
 
 def _mask_key(mask):
-    """The exterior-algebra monomial key of an index bitmask."""
+    """The FreeCdga key of an exterior monomial: its set bits, ascending."""
     return tuple((i, 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def kernel_relation_images(ring, witness):
-    """Each relation's image as verify_witness computes it, on masks,
-    mapped back to term dicts of the target."""
-    gen_masks = [_masks(witness.images[g.name].terms) for g in ring.base.gens]
-    cache = {}
-    return [{_mask_key(m): c
-             for m, c in _relation_image(rel.terms, gen_masks, cache).items()}
-            for rel in ring.relations]
+def free_form(ext):
+    """The exterior algebra ``ext`` as a FreeCdga on the same degree-1
+    generators, with tuple keys ((i, 1), ...)."""
+    return FreeCdga([(g.name, 1) for g in ext.gens], name=ext.name)
+
+
+def to_free(free, terms):
+    """Exterior terms as an element of the free-algebra form."""
+    return Element(free, {_mask_key(m): c for m, c in terms.items()})
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_exterior_algebra_matches_its_free_form(rng, n):
+    """Basis order, every monomial product with its sign, and the text of
+    random elements agree with the FreeCdga on n odd degree-1 generators."""
+    ext = exterior_algebra(n, first_index=0)
+    free = free_form(ext)
+    for k in range(-1, n + 2):
+        assert [_mask_key(m) for m in ext.basis(k)] == list(free.basis(k))
+    keys = [m for k in range(n + 1) for m in ext.basis(k)]
+    for m1 in keys:
+        for m2 in keys:
+            assert {_mask_key(m): c for m, c in ext.mul_keys(m1, m2).items()} \
+                == free.mul_keys(_mask_key(m1), _mask_key(m2))
+    for _ in range(50):
+        terms = {rng.choice(keys): F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 6))}
+        assert ext.format_terms(terms) == \
+            free.format_terms(to_free(free, terms).terms)
+
+
+def test_subset_monomial_rejects_a_repeated_index():
+    ext = exterior_algebra(4)
+    assert subset_monomial(ext, [2, 1]) == ext["dx1"] * ext["dx2"]
+    with pytest.raises(ValueError, match="index 1 repeats"):
+        subset_monomial(ext, [1, 1])
+
+
+# -- witnesses against the free-algebra form -------------------------------------------
+
+
+def oracle_morphism(ring, witness):
+    """The witness's images carried into the free-algebra form of the
+    target."""
+    free = free_form(witness.target)
+    return DgaMorphism(ring.base, free, {name: to_free(free, img.terms)
+                                         for name, img in witness.images.items()})
 
 
 def oracle_relation_images(ring, witness):
-    """Each relation's image through DgaMorphism.apply, one Element at a
-    time: the relation check verify_witness ran before the mask kernel."""
-    phi = witness.morphism()
+    """Each relation's image through ``oracle_morphism``, one Element at a
+    time."""
+    phi = oracle_morphism(ring, witness)
     return [phi.apply(rel) for rel in ring.relations]
 
 
@@ -618,15 +651,28 @@ def oracle_failure(ring, images):
     return None
 
 
+def kernel_relation_images(ring, witness):
+    """Each relation's image through the witness's own morphism."""
+    phi = witness.morphism()
+    return [phi.apply_terms(rel.terms) for rel in ring.relations]
+
+
 def check_kernel_against_oracle(ring, witness):
     got = kernel_relation_images(ring, witness)
     want = oracle_relation_images(ring, witness)
-    assert got == [img.terms for img in want]
+    assert [{_mask_key(m): c for m, c in img.items()} for img in got] == \
+        [img.terms for img in want]
     assert all(type(c) is Fraction and c for img in got for c in img.values())
     report = verify_witness(ring, witness)
     failure = oracle_failure(ring, want)
     if failure is None:
         assert report.failing_relation is None
+        if ring.duality:   # the verdict is the fundamental class's survival
+            mu = ring.fundamental_monomial
+            if mu is None:
+                mu = ring.top_basis_key()
+            top = oracle_morphism(ring, witness).apply(Element(ring.base, {mu: 1}))
+            assert report.passed == (not top.is_zero())
     else:
         assert not report.passed
         assert (report.failing_relation, report.message) == failure
@@ -646,6 +692,7 @@ KERNEL_WITNESSES = {
     "plane_sum_CP2_0_3": lambda: _plane_sum_witness(2, 0, 3),
     "plane_sum_HP2_3_2": lambda: _plane_sum_witness(4, 3, 2),
     "CP3": lambda: _projective_witness(2, 3),
+    "S4": lambda: classify("S4").witness,
     "HP2": lambda: _projective_witness(4, 2),
     "family_6_5": _family_witness,
     "csum_3_S2xS4": lambda: classify("csum(3*(S2xS4))").witness,
@@ -694,23 +741,12 @@ def test_kernel_matches_oracle_on_unit_and_power_relations():
     ring = RingPresentation(gens, [x * y - y * y, x ** 2 * y, 3 * x ** 2,
                                    amb.scalar(F(-2, 3))])
     ext = exterior_algebra(4)
-    images = {"x": ext.element({((0, 1), (1, 1)): 1, ((2, 1), (3, 1)): 1}),
-              "y": ext.element({((0, 1), (2, 1)): 1, ((1, 1), (3, 1)): -2})}
+    images = {"x": subset_monomial(ext, [1, 2]) + subset_monomial(ext, [3, 4]),
+              "y": subset_monomial(ext, [1, 3]) - 2 * subset_monomial(ext, [2, 4])}
     witness = EmbeddingWitness(ring, ext, images)
     check_kernel_against_oracle(ring, witness)
     assert [bool(img) for img in kernel_relation_images(ring, witness)] == \
         [True, False, True, True]
-
-
-def test_wedge_masks_signs_match_mul_keys():
-    """Every pair of monomials of Lambda R^5: product and sign as mul_keys."""
-    ext = exterior_algebra(5, first_index=0)
-    keys = [k for d in range(6) for k in ext.basis(d)]
-    for k1 in keys:
-        for k2 in keys:
-            got = _wedge_masks(_masks({k1: F(1)}), _masks({k2: F(1)}))
-            assert {_mask_key(m): c for m, c in got.items()} == \
-                ext.mul_keys(k1, k2)
 
 
 # -- failure reports -----------------------------------------------------------------
@@ -797,15 +833,15 @@ def test_degreewise_witness_checks_past_the_target_top(power, report):
 
 
 def basis_requests(monkeypatch):
-    """Spy on FreeCdga.basis: the list of (algebra name, degree) asked for."""
+    """Spy on FreeCdga.basis and ExteriorAlgebra.basis: the list of
+    (algebra name, degree) asked for."""
     asked = []
-    original = FreeCdga.basis
+    for cls in (FreeCdga, ExteriorAlgebra):
+        def spied(self, degree, _original=cls.basis):
+            asked.append((self.name, degree))
+            return _original(self, degree)
 
-    def spied(self, degree):
-        asked.append((self.name, degree))
-        return original(self, degree)
-
-    monkeypatch.setattr(FreeCdga, "basis", spied)
+        monkeypatch.setattr(cls, "basis", spied)
     return asked
 
 
@@ -854,6 +890,14 @@ def test_witness_target_must_be_exterior():
     truncated = TruncatedCdga(base, 4)
     with pytest.raises(ValueError, match="exterior algebra"):
         EmbeddingWitness(ring, truncated, {"a1": truncated.zero()})
+
+
+def test_witness_target_free_on_degree_1_is_not_exterior():
+    """Only ExteriorAlgebra is a witness target, not the free-algebra form."""
+    ring = sigma_ring(2, 1)
+    free = free_form(exterior_algebra(4))
+    with pytest.raises(ValueError, match="exterior algebra"):
+        EmbeddingWitness(ring, free, {"a1": free["dx1"] * free["dx2"]})
 
 
 def test_witness_image_of_wrong_degree_rejected_at_construction():
