@@ -83,7 +83,8 @@ class Element:
     it: it copies ``terms``, coerces ints to ``Fraction`` and drops zeros.
     ``Element._wrap`` takes a dict as it is; use it only for a dict just built
     from clean coefficients (sums with zeros dropped, negations, products of
-    nonzero values) that the caller hands over and does not keep.
+    nonzero values) that the caller hands over and does not keep, as the
+    arithmetic, ``FreeCdga.adopt`` and the connected-sum builder do.
     """
 
     __slots__ = ("alg", "terms")
@@ -585,18 +586,21 @@ class FreeCdga(GradedAlgebra):
         return out
 
     def adopt(self, element: Element) -> Element:
-        """Re-home an element of an algebra this one extends."""
+        """Re-home an element over generators this one has (same names and
+        degrees), with the Koszul sign of any reordered odd generators."""
         other = element.alg
-        for g in other.gens:
-            mine = self.gens[self.index[g.name]]
-            if mine.degree != g.degree:
-                raise ValueError(f"generator {g.name!r} differs between algebras")
-        remap = {other.index[g.name]: self.index[g.name] for g in other.gens}
+        remap = {}
+        for i, g in enumerate(other.gens):
+            mine = self.index.get(g.name)
+            if mine is None or self._degrees[mine] != g.degree:
+                raise ValueError(f"generator {g.name!r} of degree {g.degree} "
+                                 f"is not a generator of {self.name}")
+            remap[i] = mine
         out = {}
         for mon, c in element.terms.items():
-            key = tuple(sorted((remap[i], e) for i, e in mon))
-            out[key] = c
-        return Element(self, out)
+            sign, key = self.monomial((remap[i], e) for i, e in mon)
+            out[key] = c if sign is _ONE else -c
+        return Element._wrap(self, out)
 
 
 class OverFreeCdga(GradedAlgebra):
@@ -658,6 +662,8 @@ class DgaMorphism:
     algebra (free, truncated, exterior, ring presentation, cell attachment,
     or the interval algebra of a homotopy).  Both the degree-preservation and the
     chain-map condition phi(dv) = d(phi(v)) are checked at construction.
+    Key images are multiplied out from the generator images on every call,
+    with no per-key cache: a morphism holds nothing but its images.
     """
 
     def __init__(self, source, target, images):
@@ -673,7 +679,6 @@ class DgaMorphism:
             imgs[g.name] = e
         self.images = imgs
         self._gen_terms = [e.terms for e in imgs.values()]   # by position
-        self._key_cache = {UNIT: target.unit().terms}
         self._check()
 
     def _check(self):
@@ -698,23 +703,16 @@ class DgaMorphism:
     def identity(cls, alg):
         return cls(alg, alg, {g.name: alg[g.name] for g in alg.gens})
 
-    def _image_of_key(self, mon):
-        cached = self._key_cache.get(mon)
-        if cached is not None:
-            return cached
-        tgt = self.target
-        out = None
-        for i, e in mon:
-            gterms = self._gen_terms[i]
-            for _ in range(e):
-                out = dict(gterms) if out is None else tgt.mul_terms(out, gterms)
-        self._key_cache[mon] = out
-        return out
-
     def apply_terms(self, terms):
-        out = {}
+        """Image of a term dict, as a new dict sharing none of the images'."""
+        out, unit = {}, {self.target.unit_key: _ONE}
+        gen_terms, mul_terms = self._gen_terms, self.target.mul_terms
         for mon, c in terms.items():
-            img = self._image_of_key(mon)
+            img = unit
+            for i, e in mon:
+                g = gen_terms[i]
+                for _ in range(e):
+                    img = g if img is unit else mul_terms(img, g)
             if img:
                 accumulate(out, img, c)
         return out

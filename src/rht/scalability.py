@@ -209,8 +209,7 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
         mu = ring.fundamental_monomial
         if mu is None:
             mu = ring.top_basis_key()
-        img = phi.apply(Element(ring.base, {mu: _ONE}))
-        if img.is_zero():
+        if not phi.apply_terms({mu: _ONE}):
             return WitnessReport(False, failing_degree=ring.fundamental_degree,
                                  message="fundamental class maps to zero")
         return WitnessReport(True, message="relations verified; duality shortcut")
@@ -560,7 +559,8 @@ class ConnectedSumRing(RingPresentation):
     Relations are written directly as term dicts over the generators declared
     here, which are the ambient's generators in the same order: every key is
     a single power or a product g_p * g_q with p < q, so no Koszul sign
-    arises.
+    arises.  Each dict is built clean and homogeneous, so it is wrapped over
+    ``base`` as it is (``Element._wrap``), not copied by the public intake.
     """
 
     def __init__(self, atoms, orientations=None, *, name=None):
@@ -620,10 +620,11 @@ class ConnectedSumRing(RingPresentation):
         for top, o in zip(tops[1:], orientations[1:]):
             rels.append({top: Fraction(o), mu: Fraction(-sign)})
 
-        super().__init__(gens, rels,
+        super().__init__(gens, (),
                          name=name or "#".join(_atom_label(a, o)
                                                for a, o in zip(atoms, orientations)),
                          fundamental_degree=fund, duality=True)
+        self.relations = tuple(Element._wrap(self.base, r) for r in rels)
         self.fundamental_monomial = mu
         self.fundamental_monomial_sign = Fraction(sign)
         self.duality_verified = False

@@ -93,7 +93,8 @@ def test_apply_zero_image_morphism_kills_decomposables():
 
 
 def test_morphism_key_images_match_unit_products():
-    """Key images equal the products started from the unit, as dict copies."""
+    """Key images equal the products started from the unit, and a result of
+    apply_terms shares no dict with the images."""
     A = FreeCdga([("a", 2), ("b", 3), ("c", 3)])
     images = {"a": -A["a"], "b": A["b"], "c": 3 * A["c"] - A["b"]}
     phi = DgaMorphism(A, A, images)
@@ -104,9 +105,16 @@ def test_morphism_key_images_match_unit_products():
         for i, e in key:
             for _ in range(e):
                 expect = A.mul_terms(expect, images[A.gens[i].name].terms)
-        assert list(phi._image_of_key(key).items()) == list(expect.items())
+        got = phi.apply_terms({key: Fraction(1)})
+        assert list(got.items()) == list(expect.items())
+    before = {name: list(e.terms.items()) for name, e in phi.images.items()}
     for g in A.gens:
-        assert phi._image_of_key(A.gen_key(g.name)) is not images[g.name].terms
+        got = phi.apply_terms({A.gen_key(g.name): Fraction(1)})
+        for k in got:
+            got[k] = Fraction(7)
+        got[()] = Fraction(5)
+    assert {name: list(e.terms.items())
+            for name, e in phi.images.items()} == before
 
 
 def test_morphism_chain_condition_enforced():
@@ -263,6 +271,26 @@ def test_extend_preserves_existing_monomials(wedge_table):
     bigger = W.extend([("q", 14)], {"q": closed.terms})
     assert bigger.degree_of("q") == 14
     assert bigger.adopt(W["u_b"].d()) == bigger["a"] * bigger["b"]
+
+
+def test_adopt_carries_the_koszul_sign_of_reordered_odd_generators():
+    A = FreeCdga([("a", 1), ("b", 1), ("c", 2)])
+    B = FreeCdga([("b", 1), ("a", 1), ("c", 2)])
+    x = A["a"] * A["b"] * A["c"] + A["c"] ** 2
+    assert B.adopt(A["a"] * A["b"] + A["c"]) == -B["b"] * B["a"] + B["c"]
+    assert B.adopt(x) == B["a"] * B["b"] * B["c"] + B["c"] ** 2
+    assert A.adopt(B.adopt(x)) == x
+
+
+@pytest.mark.parametrize("gens,name", [
+    ([("a", 1), ("z", 2)], "'z'"),
+    ([("a", 1), ("b", 3)], "'b'"),
+])
+def test_adopt_names_a_generator_it_lacks(gens, name):
+    source = FreeCdga(gens)
+    target = FreeCdga([("b", 1), ("a", 1)], name="T")
+    with pytest.raises(ValueError, match=f"generator {name} .* not a generator of T"):
+        target.adopt(source[gens[0][0]] * source[gens[1][0]])
 
 
 def _a_b():

@@ -1,0 +1,91 @@
+"""Property-based checks of the connected-sum relation builder.
+
+``ConnectedSumRing`` wraps the relation dicts it writes instead of copying
+them through the public ``RingPresentation`` intake; on random small sums the
+two routes must give the same relations, and witnesses must get the same
+verdicts on either ring.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from rht import (EmbeddingWitness, SetFamily, connected_sum_ring,  # noqa: E402
+                 family_local_forms, intersection_complete, verify_witness)
+from rht.presentations import RingPresentation  # noqa: E402
+
+
+def atoms_of_degree(f):
+    """Every summand kind with fundamental degree f."""
+    out = [("sphere_product", n, f - n) for n in range(1, f)]
+    out += [("projective", d, f // d) for d in range(1, f + 1)
+            if f % d == 0 and (d % 2 == 0 or d == f)]
+    return out
+
+
+@st.composite
+def connected_sums(draw):
+    f = draw(st.integers(2, 8))
+    atoms = draw(st.lists(st.sampled_from(atoms_of_degree(f)),
+                          min_size=1, max_size=4))
+    orientations = draw(st.lists(st.sampled_from([1, -1]),
+                                 min_size=len(atoms), max_size=len(atoms)))
+    return atoms, orientations
+
+
+@st.composite
+def families(draw):
+    """Intersection-complete families: random members, each kept only if the
+    family stays complete."""
+    ground = draw(st.integers(2, 7))
+    edge = 1 if ground < 4 else 2  # members of size 1 pair with few others
+    subsets = st.frozensets(st.integers(0, ground - 1),
+                            min_size=edge, max_size=ground - edge)
+    members = []
+    for m in draw(st.lists(subsets, min_size=1, max_size=8, unique=True)):
+        if intersection_complete(SetFamily(ground, (*members, m)))[0]:
+            members.append(m)
+    return SetFamily(ground, tuple(members))
+
+
+def copied(ring):
+    """The same ring through the public intake, which copies each relation."""
+    out = RingPresentation([(g.name, g.degree) for g in ring.gens],
+                           [dict(r.terms) for r in ring.relations],
+                           name=ring.name,
+                           fundamental_degree=ring.fundamental_degree,
+                           duality=ring.duality)
+    out.fundamental_monomial = ring.fundamental_monomial
+    return out
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(connected_sums())
+def test_wrapped_relations_match_the_copying_route(case):
+    atoms, orientations = case
+    ring = connected_sum_ring(atoms, orientations)
+    copy = copied(ring)
+    assert [list(r.terms.items()) for r in ring.relations] == \
+        [list(r.terms.items()) for r in copy.relations]
+    assert all(r.alg is ring.base for r in ring.relations)
+    assert all(type(c) is Fraction and c != 0
+               for r in ring.relations for c in r.terms.values())
+    assert len({id(r.terms) for r in ring.relations}) == len(ring.relations)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(families(), st.sampled_from([1, 2, -1]))
+def test_family_witness_verdicts_match_on_the_copied_ring(family, scale):
+    """family_local_forms' witness passes on both rings; scaling a1's image
+    breaks it (when there are two summands to disagree) on both alike."""
+    forms = family_local_forms(family)
+    ring, witness = forms.ring, forms.witness
+    copy = copied(ring)
+    images = dict(witness.images, a1=scale * witness.images["a1"])
+    report = verify_witness(ring, EmbeddingWitness(ring, witness.target, images))
+    assert report == verify_witness(
+        copy, EmbeddingWitness(copy, witness.target, images))
+    assert report.passed is (scale == 1 or len(family.members) == 1)

@@ -17,6 +17,15 @@ def test_projective_plane_dims_and_reduction():
     assert (x ** 3).is_zero()
 
 
+def test_relations_of_another_algebra_keep_their_koszul_sign():
+    A = FreeCdga([("a", 1), ("b", 1), ("c", 2)])
+    ring = RingPresentation([("b", 1), ("a", 1), ("c", 2)], [A["a"] * A["b"] + A["c"]])
+    B = ring.base
+    assert ring.relations == (-B["b"] * B["a"] + B["c"],)
+    assert (ring["a"] * ring["b"] + ring["c"]).is_zero()
+    assert not (ring["a"] * ring["b"] - ring["c"]).is_zero()
+
+
 def test_sphere_rings():
     s3 = sphere_ring(3)
     assert [s3.dim(k) for k in range(5)] == [1, 0, 0, 1, 0]

@@ -845,6 +845,32 @@ def basis_requests(monkeypatch):
     return asked
 
 
+def element_inits(monkeypatch):
+    """Spy on Element.__init__: a one-item list counting its calls."""
+    count = [0]
+
+    def spied(self, alg, terms=None, _original=Element.__init__):
+        count[0] += 1
+        _original(self, alg, terms)
+
+    monkeypatch.setattr(Element, "__init__", spied)
+    return count
+
+
+def test_connected_sum_copies_no_relation(monkeypatch):
+    """omega_ring(5, 126) wraps its 31,625 relation dicts instead of copying
+    each through Element.__init__, and the witness's morphism keeps nothing
+    per mapped relation."""
+    inits = element_inits(monkeypatch)
+    ring = omega_ring(5, 126)
+    assert len(ring.relations) == 31625 and len(ring.gens) == 252
+    assert inits[0] <= len(ring.gens)
+    phi = decide_omega(5, 126).witness.morphism()
+    sizes = {name: len(value) for name, value in vars(phi).items()
+             if isinstance(value, (dict, list, tuple, set))}
+    assert sizes == {"images": 252, "_gen_terms": 252}
+
+
 def test_decide_pi_enumerates_no_exterior_4_forms(monkeypatch):
     asked = basis_requests(monkeypatch)
     decision = decide_pi(6, 2)
