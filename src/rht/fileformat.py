@@ -6,9 +6,11 @@
     d NAME = EXPR        (cdga only; omitted generators are closed)
     rel EXPR             (ring only)
 
-Expressions use generator names, ``*``, ``^``, ``+``, ``-``, integer and
-``p/q`` rational literals, and parentheses.  Loading validates homogeneity
-and d*d = 0; parse and validation errors carry the 1-based line number.
+Expressions use generator names (a letter or ``_``, then letters, digits or
+``_``), ``*``, ``^``, ``+``, ``-``, parentheses, and integer and ``p/q``
+literals in decimal digits, which ``rational`` reads here as in brackets and
+``--scale``.  Loading validates homogeneity and d*d = 0; parse and validation
+errors carry the 1-based line number.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def _product(left, right, line=None):
     return left * right
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 def check_digits(digits, line=None):
@@ -122,68 +124,44 @@ def check_digits(digits, line=None):
                                 f"digits; at most {limit} are accepted", line)
 
 
-def rational(text):
-    """A signed integer or p/q literal; anything else Fraction would read
-    (1e3000, 1.5, 1_000), a part longer than the int-string limit and a
-    zero denominator raise PresentationError."""
+def rational(text, line=None):
+    """A signed integer or p/q literal in decimal digits (any script's, as
+    int() reads them); anything else Fraction would read (1e3000, 1.5,
+    1_000), a part longer than the int-string limit and a zero denominator
+    raise PresentationError."""
     if not _RATIONAL.fullmatch(text):
         raise PresentationError(f"malformed rational literal {text!r}: "
-                                "expected an integer or p/q")
+                                "expected an integer or p/q", line)
     for digits in text.lstrip("+-").split("/"):
-        check_digits(digits)
+        check_digits(digits, line)
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise PresentationError(f"zero denominator in {text!r}") from None
+        raise PresentationError(f"zero denominator in {text!r}", line) from None
 
 
 # -- expression parser --------------------------------------------------------
 
+# One match per token: a number, a name, an operator, or any other
+# non-space character.  \w also admits numerals that are no decimal digit,
+# such as "²"; a name may not start with one.
+_TOKEN = re.compile(r"(\d+(?:/\d*)?)|([^\W\d]\w*)|([-+*^()])|(\S)")
+
 
 def _tokenize(text, line):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            check_digits(text[i:j], line)
-            num = int(text[i:j])
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                if k >= len(text) or not text[k].isdecimal():
-                    raise PresentationError("malformed rational literal", line)
-                m = k
-                while m < len(text) and text[m].isdecimal():
-                    m += 1
-                check_digits(text[k:m], line)
-                den = int(text[k:m])
-                if not den:
-                    raise PresentationError(
-                        f"zero denominator in {text[i:m]!r}", line)
-                tokens.append(("num", Fraction(num, den)))
-                i = m
-            else:
-                tokens.append(("num", Fraction(num)))
-                i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        if ch in "+-*^()":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        raise PresentationError(f"unexpected character {ch!r} in expression", line)
+    for num, name, op, other in _TOKEN.findall(text):
+        if name and not (name[0].isalpha() or name[0] == "_"):
+            other = name
+        if other:
+            raise PresentationError(
+                f"unexpected character {other[0]!r} in expression", line)
+        if num:
+            tokens.append(("num", rational(num, line)))
+        elif name:
+            tokens.append(("name", name))
+        else:
+            tokens.append((op, op))
     return tokens
 
 
@@ -361,24 +339,16 @@ def load(path):
 
 def dumps(obj) -> str:
     """Pretty-print a FreeCdga or RingPresentation; reparses to an equal object."""
-    lines = []
     if isinstance(obj, RingPresentation):
-        lines.append(f"ring {obj.name}")
-        for g in obj.gens:
-            lines.append(f"gen {g.name} {g.degree}")
-        for rel in obj.relations:
-            lines.append(f"rel {rel!r}")
+        head, body = "ring", [f"rel {rel!r}" for rel in obj.relations]
     elif isinstance(obj, FreeCdga):
-        lines.append(f"cdga {obj.name}")
-        for g in obj.gens:
-            lines.append(f"gen {g.name} {g.degree}")
-        for g in obj.gens:
-            dv = obj.differential_of(g.name)
-            if not dv.is_zero():
-                lines.append(f"d {g.name} = {dv!r}")
+        head = "cdga"
+        body = [f"d {g.name} = {dv!r}" for g in obj.gens
+                if not (dv := obj.differential_of(g.name)).is_zero()]
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return "\n".join(lines) + "\n"
+    gens = [f"gen {g.name} {g.degree}" for g in obj.gens]
+    return "\n".join([f"{head} {obj.name}", *gens, *body]) + "\n"
 
 
 def same_presentation(a, b) -> bool:

@@ -29,6 +29,12 @@ class RingPresentation(OverFreeCdga):
     ``base`` on the given generators.  ``fundamental_degree`` marks the top degree of a
     Poincare-duality presentation; ``verify_duality()`` checks nonsingularity
     of the induced pairing by exact determinant ranks.
+    ``duality=True`` promises that the quotient vanishes above
+    ``fundamental_degree`` n and pairs nonsingularly into its one-dimensional
+    degree n; ``verify_witness`` trusts it and skips its independence check.
+    Neither the constructor nor ``verify_duality()`` checks that degrees
+    above n vanish: x of degree 2 with x^3 = 0, flagged with n = 2, passes
+    although x^2 survives in degree 4.
     ``fundamental_monomial`` is an ambient monomial known to represent the
     fundamental class, set by builders that know one (connected sums, the
     equal-powers rings) and None otherwise; ``top_basis_key()`` finds one by
@@ -139,7 +145,9 @@ class RingPresentation(OverFreeCdga):
         """Nonsingularity of the pairing H^k x H^(n-k) -> H^n, all k.
 
         Exact check: for each degree the pairing matrix on the presented
-        bases must have full rank.  Raises on failure.
+        bases must have full rank.  Raises on failure.  Only degrees 0..n
+        are looked at: nonzero classes above n, which the duality flag rules
+        out, are not detected.
         """
         n = self.fundamental_degree
         self.top_basis_key()

@@ -128,6 +128,36 @@ def test_scalable_refuses_cp_beyond_the_witness_bound():
     assert "supported up to n = 12" in proc.stderr
 
 
+def test_scalable_refuses_connected_sum_beyond_the_size_bound():
+    """csum(6435*OP2) is within the inertia bound, but its 20,714,264
+    relations would take minutes and gigabytes to build and check; it exits
+    2 at once, naming the count and the bound."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "rht.cli", "scalable", "csum(6435*OP2)"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: connected sum is too large to verify: it "
+                           "has 20714264 relations; at most 1000000 are "
+                           "supported\n")
+
+
+def test_literals_in_any_script_on_the_command_line(capsys):
+    """--scale and bracket multipliers read the decimal digits that
+    presentation files read."""
+    pair = ["pair", data_path("wedge335_model.cdga"), "--machine"]
+    for argv in (["--class", "u_b", "--bracket", "[{}*a,b]"],
+                 ["--class", "z", "--bracket", "[[a,c],[a,[a,b]]]",
+                  "--scale", "{}"]):
+        outs = []
+        for digit in ("3", "٣"):
+            code, out, err = run_cli(capsys, *pair,
+                                     *(a.format(digit) for a in argv))
+            assert code == 0 and err == ""
+            outs.append(out.replace("٣", "3"))
+        assert outs[0] == outs[1]
+
+
 def test_scalable_command_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "scalable", "csum(4*CP2)", "--machine")
     assert code == 1

@@ -148,3 +148,31 @@ def test_overlong_literal_is_a_presentation_error(tmp_path, capsys):
     for text in (long, f"-{long}", f"1/{long}", f"{long}/3"):
         with pytest.raises(PresentationError, match="digits; at most"):
             rational(text)
+
+
+def test_literals_in_any_script_read_alike():
+    """rational reads every literal, so the decimal digits a file accepts
+    (any script's) are the ones brackets and --scale accept; the line of a
+    bad literal is named."""
+    from rht.homotopy import parse_bracket
+    alg = FreeCdga([("x", 2)])
+    assert rational("٣") == 3 and rational("-٣/٤") == Fraction(-3, 4)
+    assert parse_expression("٣/٤*x", alg) == Fraction(3, 4) * alg["x"]
+    assert parse_bracket("[٣*a,b]").left.multiplier == 3
+    for text, message in (
+            ("1/0", "zero denominator in '1/0'"),
+            ("2/", "malformed rational literal '2/': expected an integer or p/q"),
+            ("²", "malformed rational literal '²': expected an integer or p/q")):
+        with pytest.raises(PresentationError) as exc:
+            rational(text, 5)
+        assert exc.value.line == 5 and str(exc.value) == f"line 5: {message}"
+
+
+def test_names_start_with_a_letter_or_underscore():
+    """A numeral that is no decimal digit (such as '²') may continue a name
+    but not start one, even when a generator carries that name."""
+    ring = loads("ring r\ngen x² 2\ngen ²x 2\ngen _1 2\nrel x²*_1\n")
+    assert [repr(r) for r in ring.relations] == ["x²*_1"]
+    with pytest.raises(PresentationError,
+                       match=r"line 2: unexpected character '²' in expression"):
+        loads("ring r\nrel ²x\ngen ²x 2\n")

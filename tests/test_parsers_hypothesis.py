@@ -13,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from rht import fileformat, homotopy, scalability  # noqa: E402
+from rht import FreeCdga, fileformat, homotopy, scalability  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=100, deadline=timedelta(seconds=5),
                                derandomize=True)
@@ -131,3 +131,37 @@ BRACKET_TOKENS = st.one_of(
 @hypothesis.given(st.one_of(BRACKETS, joined(BRACKET_TOKENS)))
 def test_parse_bracket_is_total(text):
     parses_or_refuses(homotopy.parse_bracket, text)
+
+
+# -- numeric literals -----------------------------------------------------------
+
+LITERAL_CHARS = list("0123456789+-/.e_") + ["٣", "²"]
+LITERAL_ALGEBRA = FreeCdga([("x", 2)])
+
+
+def outcome(parse):
+    try:
+        return parse()
+    except ValueError:
+        return None
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(NUMBERS, joined(st.sampled_from(LITERAL_CHARS))))
+def test_one_accept_set_for_numeric_literals(text):
+    """A file expression, a bracket multiplier and rational (which --scale
+    calls) read a literal to one value or all refuse it.  Two differences
+    are grammar, not literals: a bracket leaf never starts with '+', and an
+    expression also reads sums such as '1-2' or '--3', whose sign stands
+    after the first character."""
+    value = outcome(lambda: fileformat.rational(text))
+    expression = outcome(
+        lambda: fileformat.parse_expression(text, LITERAL_ALGEBRA))
+    multiplier = outcome(
+        lambda: homotopy.parse_bracket(f"{text}*a").multiplier)
+    if value is None:
+        assert multiplier is None
+        assert expression is None or any(ch in "+-" for ch in text[1:])
+    else:
+        assert expression == LITERAL_ALGEBRA.scalar(value)
+        assert multiplier == (None if text.startswith("+") else value)

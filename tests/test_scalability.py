@@ -193,6 +193,35 @@ def test_cp_n_witness_is_bounded():
             call()
 
 
+def test_connected_sum_size_is_bounded_before_any_relation(monkeypatch):
+    """csum(6435*OP2) lies within the inertia bound but has 20,714,264
+    relations; it is refused from the atoms alone, before one is built."""
+    def refuse(*args):
+        raise AssertionError("a relation was built")
+
+    monkeypatch.setattr(Element, "_wrap", refuse)
+    with pytest.raises(ValueError, match=r"20714264 relations; at most 1000000"):
+        connected_sum_ring([("projective", 8, 2)] * 6435)
+    with pytest.raises(ValueError, match="too large to verify"):
+        classify("csum(6435*OP2)")
+
+
+def test_connected_sum_size_bound_counts_every_relation(monkeypatch):
+    """The count taken from the atoms is the number of relations built: a
+    bound equal to it admits the sum, one less refuses it."""
+    import rht.scalability as sc
+    atoms = ([("sphere_product", 2, 2)] * 3 + [("projective", 2, 2)] * 2
+             + [("sphere_product", 1, 3)] * 2)
+    built = len(connected_sum_ring(atoms).relations)
+    # 12 generators, 61 cross products, 8 even generators, 6 identifications
+    assert built == (12 ** 2 - (3 * 4 + 2 * 1 + 2 * 4)) // 2 + 8 + 6
+    monkeypatch.setattr(sc, "_MAX_CONNECTED_SUM_RELATIONS", built)
+    connected_sum_ring(atoms)
+    monkeypatch.setattr(sc, "_MAX_CONNECTED_SUM_RELATIONS", built - 1)
+    with pytest.raises(ValueError, match=f"{built} relations"):
+        connected_sum_ring(atoms)
+
+
 def test_pi_verdicts():
     assert decide_pi(3, 2).embeddable is False
     assert decide_pi(2, 2).embeddable is None
@@ -467,6 +496,14 @@ def test_descriptor_parsing():
     assert isinstance(parse_descriptor("wedge(S3,S3,S5)"), Wedge)
     with pytest.raises(ValueError, match="unsupported"):
         parse_descriptor("T4")
+
+
+@pytest.mark.parametrize("descriptor,head", [
+    ("csum(2*CP2,,CP2)", "csum"), ("prod(S3,)", "prod"), ("wedge(,S3)", "wedge"),
+    ("prod(csum(CP2, ,CP2),S2)", "csum"), ("csum(,)", "csum")])
+def test_empty_descriptor_arguments_are_refused(descriptor, head):
+    with pytest.raises(ValueError, match=rf"{head}\(\) has an empty argument"):
+        parse_descriptor(descriptor)
 
 
 # -- classification --------------------------------------------------------------------------
