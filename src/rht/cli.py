@@ -30,11 +30,12 @@ def _cap_default():
     if raw is None:
         return DEFAULT_CAP
     try:
-        cap = int(raw)
-    except ValueError:
-        raise PresentationError(f"RHT_CAP must be an integer, got {raw!r}")
-    if cap < 2:
-        raise PresentationError("RHT_CAP must be at least 2")
+        cap = fileformat.whole(raw.strip())
+    except PresentationError as exc:
+        raise PresentationError(f"RHT_CAP: {exc}") from None
+    if cap is None or cap < 2:
+        raise PresentationError(
+            f"RHT_CAP must be a whole number of at least 2, got {raw!r}")
     return cap
 
 

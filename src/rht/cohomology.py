@@ -24,12 +24,8 @@ would be a lie rather than a zero.  The cap is not recorded on the result.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
-from .cdga import Element, GradedAlgebra
-
-_ONE = Fraction(1)
+from .cdga import _ONE, Element, GradedAlgebra
 
 
 # -- degreewise linear algebra ---------------------------------------------------

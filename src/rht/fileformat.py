@@ -8,9 +8,15 @@
 
 Expressions use generator names (a letter or ``_``, then letters, digits or
 ``_``), ``*``, ``^``, ``+``, ``-``, parentheses, and integer and ``p/q``
-literals in decimal digits, which ``rational`` reads here as in brackets and
-``--scale``.  Loading validates homogeneity and d*d = 0; parse and validation
-errors carry the 1-based line number.
+literals in decimal digits.  Loading validates homogeneity and d*d = 0;
+parse and validation errors carry the 1-based line number.
+
+The readers every text grammar shares live here: ``whole`` reads a whole
+number (a degree, an exponent, a descriptor dimension or multiplicity,
+RHT_CAP), ``rational`` a coefficient or multiplier (in files, brackets and
+``--scale``), ``split_top`` splits a descriptor's or bracket's arguments at
+their top-level commas, and ``check_nesting`` bounds the nesting of
+expressions, descriptors and brackets.
 """
 
 from __future__ import annotations
@@ -40,16 +46,38 @@ MAX_NESTING = 100
 
 
 def check_nesting(text, what, line=None):
-    """Reject ``text`` if its parentheses nest deeper than MAX_NESTING."""
+    """Reject ``text`` if its ``()`` and ``[]`` nest deeper than MAX_NESTING."""
     depth = 0
     for ch in text:
-        if ch == "(":
+        if ch in "([":
             depth += 1
             if depth > MAX_NESTING:
                 raise PresentationError(
                     f"{what} nested deeper than {MAX_NESTING} levels", line)
-        elif ch == ")":
+        elif ch in ")]":
             depth -= 1
+
+
+# The characters split_top acts on; the regex engine skips the text between
+# them, so a long name costs no Python step.
+_DELIMITER = re.compile(r"[][(),]")
+
+
+def split_top(text):
+    """``text`` cut at each comma outside every ``()`` and ``[]``, the parts
+    stripped: ``"a, (b,c)"`` gives ``["a", "(b,c)"]``."""
+    parts, depth, start = [], 0, 0
+    for m in _DELIMITER.finditer(text):
+        ch = m.group()
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif depth == 0:
+            parts.append(text[start:m.start()].strip())
+            start = m.end()
+    parts.append(text[start:].strip())
+    return parts
 
 
 # Most monomials a power of a sum may expand to.  Squaring and multiplying
@@ -111,33 +139,35 @@ def _product(left, right, line=None):
     return left * right
 
 
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
-
-
-def check_digits(digits, line=None):
-    """Reject a digit run longer than the interpreter's int-string limit
-    (``sys.get_int_max_str_digits()``, 0 for none), before int() sees it."""
+def whole(text, line=None):
+    """The whole number ``text`` spells in decimal digits (any script's, as
+    int() reads them), or None for anything else: a sign, ``_``, a space, a
+    fraction, the empty string.  A digit run longer than the interpreter's
+    int-string limit (``sys.get_int_max_str_digits()``, 0 for none) raises
+    PresentationError before int() sees it."""
+    if not text.isdecimal():
+        return None
     limit = sys.get_int_max_str_digits()
-    if limit and len(digits) > limit:
-        shown = f"{digits[:12]}...{digits[-4:]}"
-        raise PresentationError(f"numeric literal {shown!r} has {len(digits)} "
+    if limit and len(text) > limit:
+        shown = f"{text[:12]}...{text[-4:]}"
+        raise PresentationError(f"numeric literal {shown!r} has {len(text)} "
                                 f"digits; at most {limit} are accepted", line)
+    return int(text)
 
 
 def rational(text, line=None):
-    """A signed integer or p/q literal in decimal digits (any script's, as
-    int() reads them); anything else Fraction would read (1e3000, 1.5,
-    1_000), a part longer than the int-string limit and a zero denominator
-    raise PresentationError."""
-    if not _RATIONAL.fullmatch(text):
+    """A signed integer or p/q literal, each part read by ``whole``;
+    anything else Fraction would read (1e3000, 1.5, 1_000, spaces) and a zero
+    denominator raise PresentationError."""
+    num, slash, den = text.partition("/")
+    p = whole(num[1:] if num[:1] in ("+", "-") else num, line)
+    q = whole(den, line) if slash else 1
+    if p is None or q is None:
         raise PresentationError(f"malformed rational literal {text!r}: "
                                 "expected an integer or p/q", line)
-    for digits in text.lstrip("+-").split("/"):
-        check_digits(digits, line)
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise PresentationError(f"zero denominator in {text!r}", line) from None
+    if not q:
+        raise PresentationError(f"zero denominator in {text!r}", line)
+    return Fraction(-p if num[:1] == "-" else p, q)
 
 
 # -- expression parser --------------------------------------------------------
@@ -157,7 +187,7 @@ def _tokenize(text, line):
             raise PresentationError(
                 f"unexpected character {other[0]!r} in expression", line)
         if num:
-            tokens.append(("num", rational(num, line)))
+            tokens.append(("num", num))
         elif name:
             tokens.append(("name", name))
         else:
@@ -187,7 +217,7 @@ def parse_expression(text, algebra, line=None) -> Element:
     def parse_atom():
         kind = peek()
         if kind == "num":
-            return algebra.scalar(take()[1])
+            return algebra.scalar(rational(take()[1], line))
         if kind == "name":
             name = take()[1]
             if name not in algebra.index:
@@ -204,11 +234,11 @@ def parse_expression(text, algebra, line=None) -> Element:
         base = parse_atom()
         if peek() == "^":
             take("^")
-            tok = take("num")
-            exp = tok[1]
-            if exp.denominator != 1 or exp < 0:
-                raise PresentationError("exponent must be a nonnegative integer", line)
-            return _power(base, int(exp), line)
+            exp = whole(take("num")[1], line)
+            if exp is None:
+                raise PresentationError(
+                    "exponent must be a nonnegative whole number", line)
+            return _power(base, exp, line)
         return base
 
     def parse_product():
@@ -267,13 +297,11 @@ def loads(text: str):
             bits = rest.split()
             if len(bits) != 2:
                 raise PresentationError("gen needs a name and a degree", lineno)
-            gname, deg = bits
-            try:
-                deg = int(deg)
-            except ValueError:
-                raise PresentationError(f"bad degree {deg!r}", lineno) from None
-            if deg < 1:
-                raise PresentationError("generator degree must be positive", lineno)
+            gname, text = bits
+            deg = whole(text, lineno)
+            if not deg:
+                raise PresentationError("generator degree must be a positive "
+                                        f"whole number, got {text!r}", lineno)
             gens.append((gname, deg, lineno))
         elif head == "d":
             lhs, eq, rhs = rest.partition("=")

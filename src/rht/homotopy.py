@@ -25,17 +25,16 @@ convention is available as the involution ``reverse``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .cdga import DgaMorphism, Element, GradedAlgebra, accumulate
+from .cdga import _ZERO, DgaMorphism, Element, GradedAlgebra, accumulate
 from .cohomology import DegreeCohomology, MappingCone, primitive
-from .fileformat import MAX_NESTING, PresentationError, rational
+from .fileformat import check_nesting, rational, split_top
 from .models import require_minimal
-
-_ZERO = Fraction(0)
 
 # Largest power of t an interval element may carry.
 T_CAP = 16
@@ -347,54 +346,39 @@ class Node:
 
 BracketExpression = Leaf | Node
 
+# A leaf: an optional multiplier up to the first '*', then a name.
+_LEAF = re.compile(r"(?:([^*]*)\*)?\s*([\w/-]+)")
+
 
 def parse_bracket(text: str) -> BracketExpression:
-    """Parse `name`, `N*name`, or `[expr,expr]` (whitespace tolerated).
+    """Parse ``name``, ``N*name`` or ``[expr,expr]``, with whitespace
+    tolerated around every part.
 
-    Each bracket and each multiplier is one level of nesting; input deeper
-    than MAX_NESTING levels raises PresentationError.
+    A name is a run of letters, digits, ``_``, ``/`` and ``-``; N is a
+    literal that ``rational`` reads, a signed integer or p/q.  A bracket's
+    body is cut at its top-level comma by ``split_top``.  Brackets nested
+    deeper than MAX_NESTING levels raise PresentationError; every other
+    malformed input raises ValueError.
     """
-    s = text.strip()
+    check_nesting(text, "bracket expression")
 
-    def parse(i, depth):
-        if depth > MAX_NESTING:
-            raise PresentationError(
-                f"bracket expression nested deeper than {MAX_NESTING} levels")
-        while i < len(s) and s[i].isspace():
-            i += 1
-        if i >= len(s):
-            raise ValueError("unexpected end of bracket expression")
-        if s[i] == "[":
-            left, i = parse(i + 1, depth + 1)
-            while i < len(s) and s[i].isspace():
-                i += 1
-            if i >= len(s) or s[i] != ",":
-                raise ValueError("expected ',' inside bracket")
-            right, i = parse(i + 1, depth + 1)
-            while i < len(s) and s[i].isspace():
-                i += 1
-            if i >= len(s) or s[i] != "]":
-                raise ValueError("expected ']' closing bracket")
-            return Node(left, right), i + 1
-        j = i
-        while j < len(s) and (s[j].isalnum() or s[j] in "_/-"):
-            j += 1
-        token = s[i:j]
-        if not token:
-            raise ValueError(f"cannot read a leaf at {s[i:]!r}")
-        while j < len(s) and s[j].isspace():
-            j += 1
-        if j < len(s) and s[j] == "*":
-            name_expr, j2 = parse(j + 1, depth + 1)
-            if not isinstance(name_expr, Leaf) or name_expr.multiplier != 1:
-                raise ValueError("multiplier must prefix a plain name")
-            return Leaf(name_expr.name, rational(token)), j2
-        return Leaf(token, Fraction(1)), j
+    def parse(s):
+        if s.startswith("[") and s.endswith("]"):
+            parts = split_top(s[1:-1])
+            if len(parts) != 2:
+                raise ValueError(f"bracket {s!r} needs two entries and one "
+                                 "comma outside inner brackets")
+            return Node(parse(parts[0]), parse(parts[1]))
+        leaf = _LEAF.fullmatch(s)
+        if leaf is None:
+            raise ValueError(f"malformed bracket expression {s!r}: expected "
+                             "name, N*name or [expr,expr]")
+        count, name = leaf.groups()
+        if count is None:
+            return Leaf(name)
+        return Leaf(name, rational(count.strip()))
 
-    expr, i = parse(0, 0)
-    if s[i:].strip():
-        raise ValueError(f"trailing input after bracket expression: {s[i:]!r}")
-    return expr
+    return parse(text.strip())
 
 
 def bracket_degree(alg, expr) -> int:

@@ -23,13 +23,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cdga import DgaMorphism, Element, FreeCdga, Generator, OverFreeCdga, UNIT
+from .cdga import (_ONE, _ZERO, UNIT, DgaMorphism, Element, FreeCdga, Generator,
+                   OverFreeCdga)
 from .cohomology import (DegreeCohomology, MappingCone, cycles_mod_boundaries,
                          d_columns, induced_map_on_cohomology,
                          is_quasi_isomorphism)
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,23 @@ the finite-dimensional stand-ins here need.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .cdga import Element, FreeCdga, OverFreeCdga, accumulate
+from .cdga import _ONE, Element, FreeCdga, OverFreeCdga, accumulate
 from .cohomology import coords
-
-_ONE = Fraction(1)
 
 
 class RingPresentation(OverFreeCdga):
     """Finite presentation of a graded-commutative ring (zero differential).
 
     ``relations`` are homogeneous elements of the ambient free algebra
-    ``base`` on the given generators.  ``fundamental_degree`` marks the top degree of a
+    ``base`` on the given generators.  Each is an Element of any free
+    algebra on generators of the same names and degrees (re-homed by
+    ``adopt``), or a term dict already in ``base``'s keys: a monomial is a
+    tuple of (generator index, exponent) pairs in increasing index order,
+    with exponent 1 for odd generators, so ``{((0, 2),): 1}`` is the square
+    of the first generator.  ``fundamental_degree`` marks the top degree of a
     Poincare-duality presentation; ``verify_duality()`` checks nonsingularity
     of the induced pairing by exact determinant ranks.
     ``duality=True`` promises that the quotient vanishes above
@@ -168,31 +170,30 @@ class RingPresentation(OverFreeCdga):
 
 def sphere_ring(n):
     """Cohomology ring of an n-sphere: one generator with square zero."""
-    rels = []
-    amb = FreeCdga([("x", n)])
-    if n % 2 == 0:
-        rels = [amb["x"] ** 2]
+    rels = [{((0, 2),): _ONE}] if n % 2 == 0 else []
     return RingPresentation([("x", n)], rels, name=f"S{n}",
                             fundamental_degree=n, duality=True)
 
 
 def projective_ring(gen_degree, power, *, name=None):
     """Truncated polynomial ring {x^(power+1) = 0} on one even generator."""
-    amb = FreeCdga([("x", gen_degree)])
+    if gen_degree % 2:
+        raise ValueError(f"a projective ring needs an even generator degree, "
+                         f"got {gen_degree}")
     return RingPresentation(
-        [("x", gen_degree)], [amb["x"] ** (power + 1)],
+        [("x", gen_degree)], [{((0, power + 1),): _ONE}],
         name=name or f"P({gen_degree},{power})",
         fundamental_degree=gen_degree * power, duality=True)
 
 
 def wedge_of_spheres_ring(degrees, *, name="wedge"):
-    """Ring with one generator per sphere and all products of generators zero."""
+    """Ring with one generator per sphere and all products of generators
+    zero: the square of each even generator and each product x_i x_j with
+    i < j, which is already in key order."""
     gens = [(f"x{i}", d) for i, d in enumerate(degrees)]
-    amb = FreeCdga(gens)
     rels = []
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            e = amb[gens[i][0]] * amb[gens[j][0]]
-            if not e.is_zero():
-                rels.append(e)
+    for i, d in enumerate(degrees):
+        if d % 2 == 0:
+            rels.append({((i, 2),): _ONE})
+        rels.extend({((i, 1), (j, 1)): _ONE} for j in range(i + 1, len(gens)))
     return RingPresentation(gens, rels, name=name)

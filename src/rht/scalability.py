@@ -33,7 +33,7 @@ from math import comb
 from . import linalg
 from .cdga import (_MINUS_ONE, _ONE, _ZERO, DgaMorphism, Element, FreeCdga,
                    Generator, GradedAlgebra)
-from .fileformat import check_digits, check_nesting
+from .fileformat import check_nesting, split_top, whole
 from .presentations import RingPresentation, projective_ring, sphere_ring
 
 
@@ -775,11 +775,9 @@ class Wedge:
 
 def _dimension(t: str, prefix: str) -> int:
     """The positive whole number after ``prefix`` in a token such as S3 or CP2."""
-    digits = t[len(prefix):]
-    if digits.isdecimal():
-        check_digits(digits)
-        if int(digits) >= 1:
-            return int(digits)
+    n = whole(t[len(prefix):])
+    if n:
+        return n
     raise ValueError(f"bad space descriptor {t!r}: expected {prefix} "
                      f"followed by a positive whole number, as in {prefix}2")
 
@@ -808,36 +806,21 @@ def _parse_atom(token: str) -> Atom:
 def parse_descriptor(text: str):
     """Parse the space grammar: atoms, rev(), csum(), prod(), wedge().
 
-    Input whose parentheses nest deeper than MAX_NESTING raises
-    PresentationError.
+    Arguments are cut at their top-level commas by ``split_top``; dimensions
+    and multiplicities are read by ``whole``.  Input nested deeper than
+    MAX_NESTING levels raises PresentationError.
     """
     s = text.strip()
     check_nesting(s, "space descriptor")
 
-    def split_args(head, body):
-        if not body.strip():
-            raise ValueError(f"{head}() needs at least one argument")
-        args = []
-        depth = 0
-        cur = []
-        for ch in body:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "," and depth == 0:
-                args.append("".join(cur).strip())
-                cur = []
-            else:
-                cur.append(ch)
-        args.append("".join(cur).strip())
-        if "" in args:
-            raise ValueError(f"{head}() has an empty argument in {s!r}")
-        return args
-
     for head, cls in (("csum", CSum), ("prod", Prod), ("wedge", Wedge)):
         if s.startswith(head + "(") and s.endswith(")"):
-            args = split_args(head, s[len(head) + 1:-1])
+            body = s[len(head) + 1:-1]
+            if not body.strip():
+                raise ValueError(f"{head}() needs at least one argument")
+            args = split_top(body)
+            if "" in args:
+                raise ValueError(f"{head}() has an empty argument in {s!r}")
             if cls is CSum:
                 parts = []
                 for arg in args:
@@ -845,14 +828,12 @@ def parse_descriptor(text: str):
                     if "*" in arg:
                         cnt, _, rest = arg.partition("*")
                         cnt = cnt.strip()
-                        if cnt.isdecimal():
-                            check_digits(cnt)
-                        if not cnt.isdecimal() or int(cnt) < 1:
+                        count = whole(cnt)
+                        if not count:
                             raise ValueError(
                                 f"summand multiplicity must be a positive "
                                 f"whole number, got {cnt!r} in {arg!r}")
-                        count = int(cnt)
-                        arg = rest.strip()
+                        arg = rest
                     parts.append((count, _parse_summand(arg)))
                 return CSum(tuple(parts))
             return cls(tuple(parse_descriptor(a) for a in args))
@@ -951,6 +932,10 @@ def _classify_csum(node: CSum, text) -> Classification:
                          for kind, p in kinds):
         raise ValueError("connected sums of bare spheres (CP1 is S2) are not "
                          "supported")
+    # S^k has dimension k, S^n x S^m has n + m, a projective space d * power
+    dims = {p[0] * p[1] if kind == "projective" else sum(p) for kind, p in kinds}
+    if len(dims) > 1:
+        raise ValueError(f"summands have mixed fundamental degrees {sorted(dims)}")
     if {k for k, _p in kinds} == {"sphere"}:
         (_, (k,)) = kinds.pop()
         return Classification(text, SCALABLE,

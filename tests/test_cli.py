@@ -392,9 +392,32 @@ def test_env_variable_sets_default_cap(capsys, monkeypatch):
                            "--machine")
     assert code == 0
     assert Report.parse(out).get("ranks") == "1,0,1,0,0"
-    monkeypatch.setenv("RHT_CAP", "zero")
-    code, _out, err = run_cli(capsys, "cohomology", data_path("s2_model.cdga"))
-    assert code == 2 and "RHT_CAP" in err
+    for raw in ("zero", "1_2", "+5", "1", "-3"):
+        monkeypatch.setenv("RHT_CAP", raw)
+        code, _out, err = run_cli(capsys, "cohomology",
+                                  data_path("s2_model.cdga"))
+        assert code == 2 and "RHT_CAP must be a whole number" in err, raw
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        monkeypatch.setenv("RHT_CAP", "7" * (limit + 1))
+        code, _out, err = run_cli(capsys, "cohomology",
+                                  data_path("s2_model.cdga"))
+        assert code == 2 and err.startswith("error: RHT_CAP: numeric literal")
+
+
+def test_distortion_of_a_ring_file_uses_its_bigraded_model(capsys):
+    code, out, _ = run_cli(capsys, "distortion", data_path("cp2.ring"),
+                           "--class", "v5_1_0", "--machine")
+    assert code == 0
+    report = Report.parse(out)
+    assert (report.get("degree"), report.get("exponent")) == ("5", "6")
+
+
+def test_bracket_multiplier_may_carry_a_plus_sign(capsys):
+    code, out, _ = run_cli(capsys, "pair", data_path("wedge335_model.cdga"),
+                           "--class", "u_b", "--bracket", "[+3*a,b]",
+                           "--machine")
+    assert code == 0 and Report.parse(out).get("value") == "3"
 
 
 def test_verify_paper_filter(capsys):

@@ -1,3 +1,4 @@
+import re
 import sys
 import time
 from fractions import Fraction
@@ -7,7 +8,8 @@ import pytest
 from rht import FreeCdga, RingPresentation
 from rht.cli import main
 from rht.fileformat import (PresentationError, dumps, load, loads,
-                            parse_expression, rational, same_presentation)
+                            parse_expression, rational, same_presentation,
+                            split_top, whole)
 from rht.report import Report
 
 
@@ -176,3 +178,36 @@ def test_names_start_with_a_letter_or_underscore():
     with pytest.raises(PresentationError,
                        match=r"line 2: unexpected character '²' in expression"):
         loads("ring r\nrel ²x\ngen ²x 2\n")
+
+
+def test_whole_numbers_are_plain_decimal_digits():
+    """whole reads decimal digits in any script and nothing else."""
+    assert whole("17") == 17 and whole("٣") == 3 and whole("007") == 7
+    for text in ("", "+5", "-5", "1_0", " 5", "5 ", "4/2", "1e3", "²", "x"):
+        assert whole(text) is None, text
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        with pytest.raises(PresentationError, match="line 4: numeric literal"):
+            whole("7" * (limit + 1), 4)
+
+
+@pytest.mark.parametrize("degree", ["1_0", "+5", "0", "-2", "2/1", "x"])
+def test_generator_degrees_are_positive_whole_numbers(degree):
+    with pytest.raises(PresentationError,
+                       match=f"line 2: generator degree must be a positive "
+                             f"whole number, got '{re.escape(degree)}'"):
+        loads(f"cdga t\ngen x {degree}\n")
+
+
+@pytest.mark.parametrize("exponent", ["4/2", "8/2", "2/1", "1/0"])
+def test_exponents_are_whole_numbers(exponent):
+    """A p/q exponent is refused even when it names a whole number."""
+    with pytest.raises(PresentationError, match="line 4: exponent must be"):
+        loads(f"cdga t\ngen x 2\ngen y 7\nd y = x^{exponent}\n")
+    alg = FreeCdga([("x", 2)])
+    assert parse_expression("x^٤", alg) == alg["x"] ** 4
+
+
+def test_split_top_cuts_outside_every_bracket():
+    assert split_top("a, (b,c) ,[d,[e,f]]") == ["a", "(b,c)", "[d,[e,f]]"]
+    assert split_top("") == [""] and split_top("a,") == ["a", ""]

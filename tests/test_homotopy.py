@@ -275,13 +275,18 @@ def test_constant_extension_keeps_constant_homotopy():
 
 
 def test_bracket_parsing_roundtrip():
+    """A multiplier is any literal rational reads, '+' included; a leaf
+    carries one multiplier at most."""
     e = parse_bracket("[[a,c],[a,[a,b]]]")
     assert isinstance(e, Node) and isinstance(e.left, Node)
     assert parse_bracket("3*a") == Leaf("a", F(3))
-    with pytest.raises(ValueError):
-        parse_bracket("[a,")
-    with pytest.raises(ValueError):
-        parse_bracket("[a b]")
+    assert parse_bracket("[+3*a,b]").left.multiplier == 3
+    assert parse_bracket(" [ -2/3 * a , [b, 4*c] ] ") == Node(
+        Leaf("a", F(-2, 3)), Node(Leaf("b"), Leaf("c", F(4))))
+    for text in ("[a,", "[a b]", "2*1*a", "2*3*a", "2*[a,b]", "[a,b,c]", "[a]",
+                 "[[a,b]", "[a,b]]", "a*2", "*a", "3*", "", "[a,b]x"):
+        with pytest.raises(ValueError):
+            parse_bracket(text)
 
 
 def test_bracket_degrees(wedge_table):

@@ -299,6 +299,18 @@ def test_attach_cell_cp2_from_s2(s2_model):
     assert rep in (cell.lift(s2_model.algebra[a] ** 2), -cell["y"], cell["y"])
 
 
+def test_attach_cell_products_vanish_off_the_unit(s2_model):
+    """The cell class y has y*y = 0 and y*x = 0 for positive-degree x; only
+    the unit multiplies it to itself."""
+    b = next(g.name for g in s2_model.algebra.gens if g.degree == 3)
+    a = next(g.name for g in s2_model.algebra.gens if g.degree == 2)
+    cell = attach_cell_model(s2_model.algebra, {b: 1})
+    y, x = cell["y"], cell[a]
+    assert (y * y).is_zero()
+    assert (y * x).is_zero() and (x * y).is_zero()
+    assert cell.unit() * y == y == y * cell.unit()
+
+
 def test_attach_cell_rejects_mixed_degrees(wedge_table):
     with pytest.raises(ValueError, match="single degree"):
         attach_cell_model(wedge_table, {"u_c": 1, "a": 1})

@@ -150,10 +150,9 @@ def outcome(parse):
 @hypothesis.given(st.one_of(NUMBERS, joined(st.sampled_from(LITERAL_CHARS))))
 def test_one_accept_set_for_numeric_literals(text):
     """A file expression, a bracket multiplier and rational (which --scale
-    calls) read a literal to one value or all refuse it.  Two differences
-    are grammar, not literals: a bracket leaf never starts with '+', and an
-    expression also reads sums such as '1-2' or '--3', whose sign stands
-    after the first character."""
+    calls) read a literal to one value or all refuse it.  One difference is
+    grammar, not literals: an expression also reads sums such as '1-2' or
+    '--3', whose sign stands after the first character."""
     value = outcome(lambda: fileformat.rational(text))
     expression = outcome(
         lambda: fileformat.parse_expression(text, LITERAL_ALGEBRA))
@@ -164,4 +163,4 @@ def test_one_accept_set_for_numeric_literals(text):
         assert expression is None or any(ch in "+-" for ch in text[1:])
     else:
         assert expression == LITERAL_ALGEBRA.scalar(value)
-        assert multiplier == (None if text.startswith("+") else value)
+        assert multiplier == value

@@ -39,6 +39,27 @@ def test_wedge_ring_kills_products():
     assert (w["x0"] * w["x1"]).is_zero()
 
 
+def test_builders_write_the_products_of_a_free_algebra():
+    """The sphere, projective and wedge builders write term dicts in their
+    ring's keys: the products a free algebra on the same generators gives,
+    in the same order."""
+    for degrees in ([2], [3], [3, 3, 5], [2, 2], [1, 4, 3, 2]):
+        amb = FreeCdga([(f"x{i}", d) for i, d in enumerate(degrees)])
+        xs = [amb[g.name] for g in amb.gens]
+        want = [p.terms for i, x in enumerate(xs) for y in xs[i:]
+                if (p := x * y)]
+        got = wedge_of_spheres_ring(degrees).relations
+        assert [r.terms for r in got] == want
+        if len(degrees) == 1:
+            assert [r.terms for r in sphere_ring(degrees[0]).relations] == want
+    for degree, power in ((2, 2), (4, 2), (2, 5)):
+        x = FreeCdga([("x", degree)])["x"]
+        (rel,) = projective_ring(degree, power).relations
+        assert rel.terms == (x ** (power + 1)).terms
+    with pytest.raises(ValueError, match="even generator degree"):
+        projective_ring(3, 2)
+
+
 def test_inhomogeneous_relation_rejected():
     amb = FreeCdga([("x", 2), ("y", 3)])
     with pytest.raises(ValueError, match="homogeneous"):

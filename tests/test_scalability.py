@@ -333,6 +333,25 @@ def test_mixed_fundamental_degree_rejected():
         connected_sum_ring([("sphere_product", 2, 2), ("projective", 2, 3)])
 
 
+@pytest.mark.parametrize("descriptor,degrees", [
+    ("csum(CP2,HP2)", "[4, 8]"), ("csum(S2xS2,CP3)", "[4, 6]"),
+    ("csum(S3,CP2)", "[3, 4]"), ("prod(S2,csum(2*HP2,OP2))", "[8, 16]")])
+def test_classify_refuses_mixed_dimension_sums(descriptor, degrees):
+    """A connected sum needs summands of one dimension; classify refuses
+    the others as connected_sum_ring does instead of calling them Unknown."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"summands have mixed fundamental degrees {degrees}")):
+        classify(descriptor)
+
+
+@pytest.mark.parametrize("descriptor,reason", [
+    ("csum(CP4,HP2)", "different projective atoms"),
+    ("csum(S2xS4,S3xS3)", "mixed sphere-product dimensions")])
+def test_same_dimension_mixed_sums_are_unknown(descriptor, reason):
+    got = classify(descriptor)
+    assert got.verdict == UNKNOWN and reason in got.reason
+
+
 def test_connected_sum_duality_verified_structurally():
     big = connected_sum_ring([("projective", 4, 2)] * 36)
     assert big.duality
