@@ -9,9 +9,11 @@ the appended generators only.  All values are immutable after construction
 and every operation is a pure function, so instances are safe to share across
 threads.
 
-Every stored coefficient is an exact, nonzero ``Fraction``.  The public
-``Element`` constructor establishes that once, from any int/Fraction mapping;
-the algebra's own arithmetic keeps it without re-checking (see ``Element``).
+Every stored coefficient is a nonzero ``int`` or ``Fraction``.  The intakes
+(the ``Element`` constructor, ``FreeCdga`` differentials, scalars and ring
+reduction rows) store a whole value as an ``int`` through ``exact``, so most
+arithmetic runs on ints; the algebra's own arithmetic keeps the invariant
+without re-checking it (see ``Element``).
 """
 
 from __future__ import annotations
@@ -24,9 +26,20 @@ Scalar = int | Fraction
 Monomial = tuple
 UNIT: Monomial = ()
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+_ZERO = 0
+_ONE = 1
+_MINUS_ONE = -1
+
+
+def exact(c):
+    """``c`` as a stored coefficient: an ``int`` when whole, else a
+    ``Fraction`` (never a ``bool`` or ``float``)."""
+    if type(c) is not int:
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
+    return c
 
 
 @dataclass(frozen=True)
@@ -78,13 +91,15 @@ def accumulate(out, terms, c=_ONE):
 class Element:
     """Exact rational linear combination of monomial keys of one algebra.
 
-    Invariant: every value of ``terms`` is a nonzero ``Fraction`` and no other
-    element or caller holds the ``terms`` dict.  The constructor establishes
-    it: it copies ``terms``, coerces ints to ``Fraction`` and drops zeros.
-    ``Element._wrap`` takes a dict as it is; use it only for a dict just built
-    from clean coefficients (sums with zeros dropped, negations, products of
-    nonzero values) that the caller hands over and does not keep, as the
-    arithmetic, ``FreeCdga.adopt`` and the connected-sum builder do.
+    Invariant: every value of ``terms`` is a nonzero ``int`` or ``Fraction``
+    and no other element or caller holds the ``terms`` dict.  The constructor
+    establishes it: it copies ``terms``, stores each value through ``exact``
+    (a whole value as an ``int``) and drops zeros.  ``Element._wrap`` takes a
+    dict as it is; use it only for a dict just built from clean coefficients
+    (sums with zeros dropped, negations, products of nonzero values) that the
+    caller hands over and does not keep, as the arithmetic, ``FreeCdga.adopt``
+    and the connected-sum builder do.  A product with a ``Fraction`` may be a
+    whole ``Fraction``; it equals the ``int``, so term dicts compare by value.
     """
 
     __slots__ = ("alg", "terms")
@@ -93,8 +108,8 @@ class Element:
         clean = {}
         if terms:
             for k, c in terms.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
+                if type(c) is not int:
+                    c = exact(c)
                 if c:
                     clean[k] = c
         self.alg = alg
@@ -102,7 +117,8 @@ class Element:
 
     @staticmethod
     def _wrap(alg, terms):
-        """Element owning ``terms`` as given: no copy, no coercion."""
+        """Element owning ``terms`` as given: no copy, no coercion, so a
+        whole ``Fraction`` stays one."""
         e = object.__new__(Element)
         e.alg = alg
         e.terms = terms
@@ -152,6 +168,7 @@ class Element:
             self._check_same(other)
             return Element._wrap(self.alg, self.alg.mul_terms(self.terms, other.terms))
         if isinstance(other, (int, Fraction)):
+            other = exact(other)
             if not other:
                 return Element._wrap(self.alg, {})
             if other == 1:
@@ -168,7 +185,7 @@ class Element:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            return self * Fraction(1, other)
         return NotImplemented
 
     def __pow__(self, n):
@@ -200,7 +217,7 @@ class Element:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return not self.terms
-            return self.terms == {self.alg.unit_key: Fraction(other)}
+            return self.terms == {self.alg.unit_key: other}
         return NotImplemented
 
     __hash__ = None
@@ -240,7 +257,7 @@ class GradedAlgebra:
         return Element(self, {self.unit_key: _ONE})
 
     def scalar(self, c) -> Element:
-        return Element(self, {self.unit_key: Fraction(c)})
+        return Element(self, {self.unit_key: c})
 
     def sum(self, elems) -> Element:
         out = self.zero()
@@ -392,7 +409,7 @@ class FreeCdga(GradedAlgebra):
                 raise ValueError(
                     f"differential given for existing generator {gname!r}; "
                     "an extension cannot change it")
-            terms = {k: Fraction(c) for k, c in terms.items() if c}
+            terms = {k: exact(c) for k, c in terms.items() if c}
             if terms:
                 added[i] = terms
         for idx, terms in added.items():
@@ -487,14 +504,11 @@ class FreeCdga(GradedAlgebra):
             if dgen:
                 left = mon[:pos] + (((i, e - 1),) if e > 1 else ())
                 right = mon[pos + 1:]
-                coeff = Fraction(e if prefix_deg % 2 == 0 else -e)
+                coeff = e if prefix_deg % 2 == 0 else -e
                 for dm, dc in dgen.items():
                     for k1, c1 in self.mul_keys(left, dm).items():
                         accumulate(out, self.mul_keys(k1, right), coeff * dc * c1)
             prefix_deg += self._degrees[i] * e
-        # unit coefficients as the shared +-1 objects, which d_terms tests for
-        out = {k: _ONE if c == 1 else _MINUS_ONE if c == -1 else c
-               for k, c in out.items()}
         self._d_cache[mon] = out
         return out
 

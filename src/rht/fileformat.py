@@ -139,6 +139,14 @@ def _product(left, right, line=None):
     return left * right
 
 
+def excerpt(text, head=24, tail=8):
+    """repr of ``text`` for an error message, its middle elided past ``head``
+    + ``tail`` characters, so a message stays short whatever the input."""
+    if len(text) > head + tail + 3:
+        text = f"{text[:head]}...{text[-tail:]}"
+    return repr(text)
+
+
 def whole(text, line=None):
     """The whole number ``text`` spells in decimal digits (any script's, as
     int() reads them), or None for anything else: a sign, ``_``, a space, a
@@ -149,9 +157,9 @@ def whole(text, line=None):
         return None
     limit = sys.get_int_max_str_digits()
     if limit and len(text) > limit:
-        shown = f"{text[:12]}...{text[-4:]}"
-        raise PresentationError(f"numeric literal {shown!r} has {len(text)} "
-                                f"digits; at most {limit} are accepted", line)
+        raise PresentationError(f"numeric literal {excerpt(text, 12, 4)} has "
+                                f"{len(text)} digits; at most {limit} are "
+                                "accepted", line)
     return int(text)
 
 
@@ -163,10 +171,10 @@ def rational(text, line=None):
     p = whole(num[1:] if num[:1] in ("+", "-") else num, line)
     q = whole(den, line) if slash else 1
     if p is None or q is None:
-        raise PresentationError(f"malformed rational literal {text!r}: "
+        raise PresentationError(f"malformed rational literal {excerpt(text)}: "
                                 "expected an integer or p/q", line)
     if not q:
-        raise PresentationError(f"zero denominator in {text!r}", line)
+        raise PresentationError(f"zero denominator in {excerpt(text)}", line)
     return Fraction(-p if num[:1] == "-" else p, q)
 
 
@@ -301,7 +309,7 @@ def loads(text: str):
             deg = whole(text, lineno)
             if not deg:
                 raise PresentationError("generator degree must be a positive "
-                                        f"whole number, got {text!r}", lineno)
+                                        f"whole number, got {excerpt(text)}", lineno)
             gens.append((gname, deg, lineno))
         elif head == "d":
             lhs, eq, rhs = rest.partition("=")

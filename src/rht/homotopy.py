@@ -31,9 +31,9 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .cdga import _ZERO, DgaMorphism, Element, GradedAlgebra, accumulate
+from .cdga import _ZERO, DgaMorphism, Element, GradedAlgebra, accumulate, exact
 from .cohomology import DegreeCohomology, MappingCone, primitive
-from .fileformat import check_nesting, rational, split_top
+from .fileformat import check_nesting, excerpt, rational, split_top
 from .models import require_minimal
 
 # Largest power of t an interval element may carry.
@@ -86,8 +86,7 @@ class IntervalAlgebra(GradedAlgebra):
         i, e, b = key
         out = {(i, e, k): c for k, c in self.base.d_key(b).items()}
         if i and not e:
-            c = Fraction(i)
-            out[(i - 1, 1, b)] = -c if self.base.key_degree(b) % 2 else c
+            out[(i - 1, 1, b)] = -i if self.base.key_degree(b) % 2 else i
         return out
 
     def format_key(self, key):
@@ -137,23 +136,26 @@ def reverse(u: Element) -> Element:
 
 def integrate_0_t(u: Element) -> Element:
     """Formal fiberwise integral from 0 to t; terms without dt vanish."""
-    return Element._wrap(u.alg, {(_capped(i + 1), 0, k): c * _integral_factor(u, k, i)
+    return Element._wrap(u.alg, {(_capped(i + 1), 0, k): _integral(u, k, i, c)
                                  for (i, e, k), c in u.terms.items() if e})
 
 
 def integrate_0_1(u: Element) -> Element:
-    """Formal fiberwise integral from 0 to 1; lands back in the base."""
+    """Formal fiberwise integral from 0 to 1; lands back in the base (through
+    the ``Element`` intake, which stores a whole sum over t^i as an int)."""
     out = {}
     for (i, e, k), c in u.terms.items():
         if e:
-            accumulate(out, {k: c * _integral_factor(u, k, i)})
-    return Element._wrap(u.alg.base, out)
+            accumulate(out, {k: _integral(u, k, i, c)})
+    return Element(u.alg.base, out)
 
 
-def _integral_factor(u, k, i):
-    """(-1)^deg(k) / (i+1): the integral of k (x) t^i dt, per unit of k."""
-    inv = Fraction(1, i + 1)
-    return -inv if u.alg.base.key_degree(k) % 2 else inv
+def _integral(u, k, i, c):
+    """(-1)^deg(k) c / (i+1): the integral of c k (x) t^i dt, an int when
+    whole."""
+    if i:
+        c = exact(Fraction(c, i + 1))
+    return -c if u.alg.base.key_degree(k) % 2 else c
 
 
 class DgaHomotopy(DgaMorphism):
@@ -358,7 +360,7 @@ def parse_bracket(text: str) -> BracketExpression:
     literal that ``rational`` reads, a signed integer or p/q.  A bracket's
     body is cut at its top-level comma by ``split_top``.  Brackets nested
     deeper than MAX_NESTING levels raise PresentationError; every other
-    malformed input raises ValueError.
+    malformed input raises ValueError, quoting at most an ``excerpt``.
     """
     check_nesting(text, "bracket expression")
 
@@ -366,12 +368,12 @@ def parse_bracket(text: str) -> BracketExpression:
         if s.startswith("[") and s.endswith("]"):
             parts = split_top(s[1:-1])
             if len(parts) != 2:
-                raise ValueError(f"bracket {s!r} needs two entries and one "
+                raise ValueError(f"bracket {excerpt(s)} needs two entries and one "
                                  "comma outside inner brackets")
             return Node(parse(parts[0]), parse(parts[1]))
         leaf = _LEAF.fullmatch(s)
         if leaf is None:
-            raise ValueError(f"malformed bracket expression {s!r}: expected "
+            raise ValueError(f"malformed bracket expression {excerpt(s)}: expected "
                              "name, N*name or [expr,expr]")
         count, name = leaf.groups()
         if count is None:

@@ -23,7 +23,9 @@ unique, so ``rref`` gives exactly the rows and pivots of any exact dense
 elimination, entry for entry: the Fraction rows it returns are the ones an
 elimination over Fractions returns.  That is load-bearing: cohomology
 representatives and golden reports depend on it.  ``reduce_against`` reduces
-one vector against such rows and stays on Fractions.
+one vector against such rows and stays on Fractions.  Rows out are
+``Fraction`` rows, whole entries included; term dicts convert whole values
+to ``int`` where a row enters them, not here.
 
 ``rref``, ``rank``, ``reduce_against``, ``kernel_of_columns`` and
 ``solve_columns`` take and return sparse rows.  Column ids fed to ``rref``

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cdga import (_ONE, _ZERO, UNIT, DgaMorphism, Element, FreeCdga, Generator,
-                   OverFreeCdga)
+                   OverFreeCdga, exact)
 from .cohomology import (DegreeCohomology, MappingCone, cycles_mod_boundaries,
                          d_columns, induced_map_on_cohomology,
                          is_quasi_isomorphism)
@@ -332,7 +332,7 @@ class CellAttachmentModel(OverFreeCdga):
         self.base = base
         self.cell_name = cell_name
         self.cell_degree = cell_degree
-        self.pairing = {k: Fraction(v) for k, v in pairing.items()}
+        self.pairing = {k: exact(v) for k, v in pairing.items()}
         self.name = f"{base.name}+cell{cell_degree}"
         if cell_name in base.index:
             raise ValueError(f"cell name {cell_name!r} collides with a generator")

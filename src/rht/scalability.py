@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from . import linalg
 from .cdga import (_MINUS_ONE, _ONE, _ZERO, DgaMorphism, Element, FreeCdga,
                    Generator, GradedAlgebra)
-from .fileformat import check_nesting, split_top, whole
+from .fileformat import check_nesting, excerpt, split_top, whole
 from .presentations import RingPresentation, projective_ring, sphere_ring
 
 
@@ -633,7 +632,7 @@ class ConnectedSumRing(RingPresentation):
                             for p in left for q in right)
         mu, sign = tops[0], orientations[0]
         for top, o in zip(tops[1:], orientations[1:]):
-            rels.append({top: Fraction(o), mu: Fraction(-sign)})
+            rels.append({top: o, mu: -sign})
 
         super().__init__(gens, (),
                          name=name or "#".join(_atom_label(a, o)
@@ -641,7 +640,7 @@ class ConnectedSumRing(RingPresentation):
                          fundamental_degree=fund, duality=True)
         self.relations = tuple(Element._wrap(self.base, r) for r in rels)
         self.fundamental_monomial = mu
-        self.fundamental_monomial_sign = Fraction(sign)
+        self.fundamental_monomial_sign = sign
         self.duality_verified = False
         if self.base.basis_size(fund) <= _DUALITY_CHECK_MONOMIALS:
             self.duality_verified = self.verify_duality()
@@ -778,7 +777,7 @@ def _dimension(t: str, prefix: str) -> int:
     n = whole(t[len(prefix):])
     if n:
         return n
-    raise ValueError(f"bad space descriptor {t!r}: expected {prefix} "
+    raise ValueError(f"bad space descriptor {excerpt(t)}: expected {prefix} "
                      f"followed by a positive whole number, as in {prefix}2")
 
 
@@ -787,20 +786,20 @@ def _parse_atom(token: str) -> Atom:
     if "x" in t:
         left, _, right = t.partition("x")
         if "x" in right:
-            raise ValueError(f"unsupported product atom {token!r}")
+            raise ValueError(f"unsupported product atom {excerpt(token)}")
         la, ra = _parse_atom(left), _parse_atom(right)
         if la.kind != "sphere" or ra.kind != "sphere":
-            raise ValueError(f"unsupported product atom {token!r}")
+            raise ValueError(f"unsupported product atom {excerpt(token)}")
         return Atom("sphere_product", (la.params[0], ra.params[0]))
     for prefix, gd in (("CP", 2), ("HP", 4), ("OP", 8)):
         if t.startswith(prefix):
             power = _dimension(t, prefix)
             if prefix in ("HP", "OP") and power != 2:
-                raise ValueError(f"only {prefix}2 is supported, got {token!r}")
+                raise ValueError(f"only {prefix}2 is supported, got {excerpt(token)}")
             return Atom("projective", (gd, power))
     if t.startswith("S"):
         return Atom("sphere", (_dimension(t, "S"),))
-    raise ValueError(f"unsupported space descriptor {token!r}")
+    raise ValueError(f"unsupported space descriptor {excerpt(token)}")
 
 
 def parse_descriptor(text: str):
@@ -808,7 +807,8 @@ def parse_descriptor(text: str):
 
     Arguments are cut at their top-level commas by ``split_top``; dimensions
     and multiplicities are read by ``whole``.  Input nested deeper than
-    MAX_NESTING levels raises PresentationError.
+    MAX_NESTING levels raises PresentationError; an error quotes at most an
+    ``excerpt`` of the input.
     """
     s = text.strip()
     check_nesting(s, "space descriptor")
@@ -820,7 +820,7 @@ def parse_descriptor(text: str):
                 raise ValueError(f"{head}() needs at least one argument")
             args = split_top(body)
             if "" in args:
-                raise ValueError(f"{head}() has an empty argument in {s!r}")
+                raise ValueError(f"{head}() has an empty argument in {excerpt(s)}")
             if cls is CSum:
                 parts = []
                 for arg in args:
@@ -832,7 +832,8 @@ def parse_descriptor(text: str):
                         if not count:
                             raise ValueError(
                                 f"summand multiplicity must be a positive "
-                                f"whole number, got {cnt!r} in {arg!r}")
+                                f"whole number, got {excerpt(cnt)} in "
+                                f"{excerpt(arg)}")
                         arg = rest
                     parts.append((count, _parse_summand(arg)))
                 return CSum(tuple(parts))

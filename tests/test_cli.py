@@ -475,3 +475,14 @@ def test_overlong_scale_literal_exits_2(capsys):
         assert err.startswith("error: numeric literal '111111111111...1111' "
                               f"has {limit + 700} digits; at most {limit}")
         assert "Exceeds the limit" not in err and "Traceback" not in err
+
+
+def test_malformed_long_bracket_gives_a_short_error(capsys):
+    """The error quotes an excerpt of a long malformed bracket, not all of
+    it (3,000 characters here), and the exit status stays 2."""
+    code, out, err = run_cli(capsys, "pair", data_path("wedge335_model.cdga"),
+                             "--class", "z", "--bracket", "1*" * 1500 + "a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed bracket expression '1*1*")
+    assert len(err) < 200

@@ -6,8 +6,6 @@ two routes must give the same relations, and witnesses must get the same
 verdicts on either ring.
 """
 
-from fractions import Fraction
-
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -16,6 +14,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from rht import (EmbeddingWitness, SetFamily, connected_sum_ring,  # noqa: E402
                  family_local_forms, intersection_complete, verify_witness)
 from rht.presentations import RingPresentation  # noqa: E402
+from coefficients import is_exact_coefficient  # noqa: E402
 
 
 def atoms_of_degree(f):
@@ -71,7 +70,7 @@ def test_wrapped_relations_match_the_copying_route(case):
     assert [list(r.terms.items()) for r in ring.relations] == \
         [list(r.terms.items()) for r in copy.relations]
     assert all(r.alg is ring.base for r in ring.relations)
-    assert all(type(c) is Fraction and c != 0
+    assert all(is_exact_coefficient(c)
                for r in ring.relations for c in r.terms.values())
     assert len({id(r.terms) for r in ring.relations}) == len(ring.relations)
 

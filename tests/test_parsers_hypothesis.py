@@ -3,7 +3,9 @@
 Inputs are drawn from each parser's own token alphabet, so most examples get
 past the first character and exercise the grammar.  ``PresentationError`` is
 a ``ValueError``; every other exception type fails the test, and so does a
-message from ``int()`` about the interpreter rather than the input.
+message from ``int()`` about the interpreter rather than the input.  The
+descriptor and bracket parsers quote only an excerpt of their input, so their
+messages stay under MAX_MESSAGE characters however long the input runs.
 """
 
 from datetime import timedelta
@@ -28,11 +30,24 @@ def joined(tokens, max_size=14):
     return st.lists(tokens, max_size=max_size).map("".join)
 
 
-def parses_or_refuses(parse, text):
+# Longest error message the descriptor and bracket parsers may give.
+MAX_MESSAGE = 300
+
+
+def parses_or_refuses(parse, text, max_message=None):
     try:
         parse(text)
     except ValueError as exc:
         assert "int()" not in str(exc) and "sys." not in str(exc), str(exc)
+        if max_message is not None:
+            assert len(str(exc)) <= max_message, str(exc)
+
+
+def repeated(tokens):
+    """Token soup repeated up to 400 times and cut at 20,000 characters, so
+    that inputs run long."""
+    return st.builds(lambda text, n: (text * n)[:20_000], joined(tokens),
+                     st.integers(1, 400))
 
 
 # -- presentation files -------------------------------------------------------
@@ -113,7 +128,14 @@ DESCRIPTOR_TOKENS = st.one_of(
 @SETTINGS
 @hypothesis.given(st.one_of(DESCRIPTORS, joined(DESCRIPTOR_TOKENS)))
 def test_parse_descriptor_is_total(text):
-    parses_or_refuses(scalability.parse_descriptor, text)
+    parses_or_refuses(scalability.parse_descriptor, text, MAX_MESSAGE)
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(repeated(DESCRIPTOR_TOKENS), st.builds(
+    "csum({})".format, repeated(DESCRIPTOR_TOKENS))))
+def test_descriptor_errors_stay_short_on_long_input(text):
+    parses_or_refuses(scalability.parse_descriptor, text, MAX_MESSAGE)
 
 
 LEAVES = st.one_of(st.sampled_from(["a", "b", "u_b", "", "a b"]),
@@ -130,7 +152,29 @@ BRACKET_TOKENS = st.one_of(
 @SETTINGS
 @hypothesis.given(st.one_of(BRACKETS, joined(BRACKET_TOKENS)))
 def test_parse_bracket_is_total(text):
-    parses_or_refuses(homotopy.parse_bracket, text)
+    parses_or_refuses(homotopy.parse_bracket, text, MAX_MESSAGE)
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(repeated(BRACKET_TOKENS), st.builds(
+    "[{},{}]".format, repeated(BRACKET_TOKENS), repeated(BRACKET_TOKENS))))
+def test_bracket_errors_stay_short_on_long_input(text):
+    parses_or_refuses(homotopy.parse_bracket, text, MAX_MESSAGE)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (homotopy.parse_bracket, "1*" * 1500 + "a"),
+    (homotopy.parse_bracket, "[" + "a," * 1500 + "b]"),
+    (homotopy.parse_bracket, f"[{'7' * 4000}/{'0' * 4000}*a,b]"),
+    (scalability.parse_descriptor, "csum(" + "S2," * 1500 + ",S2)"),
+    (scalability.parse_descriptor, "csum(" + "7" * 3000 + "x*S2)"),
+    (scalability.parse_descriptor, "prod(" + "CP" * 1500 + ")")],
+    ids=["multipliers", "commas", "zero-denominator", "empty-argument",
+         "multiplicity", "atom"])
+def test_long_malformed_input_gives_a_short_message(parse, text):
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert len(str(info.value)) <= MAX_MESSAGE
 
 
 # -- numeric literals -----------------------------------------------------------

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from coefficients import is_exact_coefficient
 
 from rht import FreeCdga, RingPresentation, cohomology, connected_sum_ring
 from rht.presentations import projective_ring, sphere_ring, wedge_of_spheres_ring
@@ -110,7 +111,8 @@ def test_multi_term_inhomogeneous_relations_rejected():
 
 def test_stored_coefficients_are_clean_fractions():
     """Int, Fraction and Element relations, re-homed ones and the direct
-    term dicts of connected sums are all stored as nonzero Fractions."""
+    term dicts of connected sums are all stored as nonzero ints or
+    Fractions, a whole value as an int."""
     amb = FreeCdga([("x", 2), ("y", 2)])
     rings = [RingPresentation([("x", 2), ("y", 2)],
                               [{((0, 2),): 2, ((1, 2),): F(-1, 3)},
@@ -122,5 +124,4 @@ def test_stored_coefficients_are_clean_fractions():
         assert ring.relations
         for rel in ring.relations:
             assert rel.alg is ring.base
-            assert all(type(c) is Fraction and c != 0
-                       for c in rel.terms.values())
+            assert all(is_exact_coefficient(c) for c in rel.terms.values())

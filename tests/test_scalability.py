@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from coefficients import is_exact_coefficient
 
 import rht
 from rht import (EmbeddingWitness, FreeCdga, SetFamily, classify,
@@ -441,7 +442,7 @@ def test_connected_sum_relations_match_element_products(atoms, orientations):
     want, mu1 = _element_product_relations(atoms, orientations)
     assert [list(r.terms.items()) for r in ring.relations] == \
         [list(e.terms.items()) for e in want]
-    assert all(type(c) is Fraction and c != 0
+    assert all(is_exact_coefficient(c)
                for r in ring.relations for c in r.terms.values())
     assert [repr(r) for r in ring.relations] == [repr(e) for e in want]
     assert ring.generator_names() == want[0].alg.generator_names()
@@ -718,7 +719,7 @@ def check_kernel_against_oracle(ring, witness):
     want = oracle_relation_images(ring, witness)
     assert [{_mask_key(m): c for m, c in img.items()} for img in got] == \
         [img.terms for img in want]
-    assert all(type(c) is Fraction and c for img in got for c in img.values())
+    assert all(is_exact_coefficient(c) for img in got for c in img.values())
     report = verify_witness(ring, witness)
     failure = oracle_failure(ring, want)
     if failure is None:
