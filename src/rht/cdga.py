@@ -10,8 +10,8 @@ and every operation is a pure function, so instances are safe to share across
 threads.
 
 Every stored coefficient is a nonzero ``int`` or ``Fraction``.  The intakes
-(the ``Element`` constructor, ``FreeCdga`` differentials, scalars and ring
-reduction rows) store a whole value as an ``int`` through ``exact``, so most
+(the ``Element`` constructor, ``FreeCdga`` differentials and scalars) store
+a whole value as an ``int`` through ``exact``, as ``linalg`` rows do, so most
 arithmetic runs on ints; the algebra's own arithmetic keeps the invariant
 without re-checking it (see ``Element``).
 """

@@ -98,8 +98,8 @@ class DegreeCohomology:
         return [Element(self.complex, terms) for terms in self.representatives()]
 
     def class_coords(self, terms):
-        """Coordinates of a cocycle's class, as a sparse row
-        ``{representative index: Fraction}``; an exact cocycle gives ``{}``.
+        """Coordinates of a cocycle's class, as a sparse row ``{representative
+        index: coefficient}``, ints when whole; an exact cocycle gives ``{}``.
 
         Raises if the terms are not in the span of cocycles (not closed).
         """

@@ -451,8 +451,8 @@ def _pair(alg, gname, expr) -> Fraction:
 class MasseyResult:
     degree: int
     class_representative: Element
-    class_coords: dict           # sparse row over the representatives of H^degree
-    indeterminacy_rows: list     # sparse rows over class coordinates, reduced
+    class_coords: dict        # sparse row over H^degree's representatives, ints when whole
+    indeterminacy_rows: list  # reduced sparse rows over class coordinates, likewise
     indeterminacy_dim: int
     vanishes_mod_indeterminacy: bool
 

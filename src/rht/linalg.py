@@ -1,31 +1,31 @@
 """Exact linear algebra over the rationals on sparse rows.
 
-A sparse row is a dict ``{column: Fraction}`` that holds only nonzero
-entries.  The differential matrices of this package are about 2 % nonzero,
-so one sparse elimination core does all the row reduction: forward
-elimination takes the input rows top down and reduces each against the pivot
-rows found so far, pivoting on its leftmost nonzero column; back-substitution
-then clears every pivot column above its pivot.  The core accepts any
-rational entries, skips zero ones, and returns Fractions only.
+A sparse row is a dict ``{column: entry}`` that holds only nonzero entries,
+in the coefficient domain of term dicts: an entry is an ``int`` exactly when
+it is whole, otherwise a ``Fraction``.  The differential matrices of this
+package are about 2 % nonzero, so one sparse elimination core does all the
+row reduction: forward elimination takes the input rows top down and reduces
+each against the pivot rows found so far, pivoting on its leftmost nonzero
+column; back-substitution then clears every pivot column above its pivot.
+The core accepts any rational entries and skips zero ones.
 
 The core runs on integers, fraction-free (Bareiss, Math. Comp. 1968): each
 input row is scaled to coprime integers; a column is cleared by
 ``b * v - a * prow``, with ``a / b`` the two entries' ratio in lowest terms,
-and the new row is divided by the gcd of its entries; back-substitution works
-the same way.  Fractions are formed once, when each reduced row is divided by
-its pivot entry.  Every integer row is a nonzero rational multiple of the row
-that Fraction elimination would hold at the same step, so the same entries
-cancel and the same pivots are found.  The gain is that one gcd per new row
-replaces the gcd that every Fraction addition and product pays.
+and the new row is divided by the gcd of its entries; back-substitution
+works the same way.  Each reduced row is divided by its pivot entry once, at
+the end, forming a ``Fraction`` only for a quotient that is not whole.
+Every integer row is a nonzero rational multiple of the row that Fraction
+elimination would hold at the same step, so the same entries cancel and the
+same pivots are found.  The gain is that one gcd per new row replaces the
+gcd that every Fraction addition and product pays.
 
 Pivoting is deterministic, and the reduced row echelon form of a matrix is
 unique, so ``rref`` gives exactly the rows and pivots of any exact dense
-elimination, entry for entry: the Fraction rows it returns are the ones an
-elimination over Fractions returns.  That is load-bearing: cohomology
+elimination, entry for entry, by value.  That is load-bearing: cohomology
 representatives and golden reports depend on it.  ``reduce_against`` reduces
-one vector against such rows and stays on Fractions.  Rows out are
-``Fraction`` rows, whole entries included; term dicts convert whole values
-to ``int`` where a row enters them, not here.
+one vector against such rows and stores each whole result as an ``int``, so
+every row out enters term dicts as it is.
 
 ``rref``, ``rank``, ``reduce_against``, ``kernel_of_columns`` and
 ``solve_columns`` take and return sparse rows.  Column ids fed to ``rref``
@@ -42,8 +42,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-ONE = Fraction(1)
 
 
 # -- sparse core ---------------------------------------------------------------
@@ -62,12 +60,6 @@ def _subtract(v, f, row):
                 del v[c]
 
 
-def _fractions(row):
-    """Copy of a sparse row without zero entries, as Fractions."""
-    return {c: x if type(x) is Fraction else Fraction(x)
-            for c, x in row.items() if x}
-
-
 def _divide_content(v):
     """Divide the nonempty integer row ``v`` in place by the gcd of its entries."""
     g = gcd(*v.values())
@@ -81,8 +73,9 @@ def _integers(row):
     coprime integers."""
     v = {c: x for c, x in row.items() if x}
     if v:
-        den = lcm(*[x.denominator for x in v.values()])
-        v = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+        if any(type(x) is not int for x in v.values()):
+            den = lcm(*[x.denominator for x in v.values()])
+            v = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
         _divide_content(v)
     return v
 
@@ -135,7 +128,7 @@ def _echelon(rows):
 
 def _reduced(piv):
     """Back-substitution on an echelon form: (rows, pivot columns), each row
-    a Fraction row with a one at its pivot."""
+    an exact row with a one at its pivot."""
     pivots = sorted(piv)
     for p in reversed(pivots):
         row = piv[p]
@@ -145,7 +138,10 @@ def _reduced(piv):
     for p in pivots:
         row = piv[p]
         lead = row[p]
-        rows.append({c: Fraction(x, lead) for c, x in row.items()})
+        if lead != 1:
+            row = {c: x // lead if x % lead == 0 else Fraction(x, lead)
+                   for c, x in row.items()}
+        rows.append(row)
     return rows, pivots
 
 
@@ -170,12 +166,16 @@ def rref(rows):
 
 
 def reduce_against(vec, red_rows, pivots):
-    """Eliminate the pivot coordinates of sparse ``vec`` against reduced rows."""
-    v = _fractions(vec)
+    """Eliminate the pivot coordinates of sparse ``vec`` against reduced
+    rows; a whole entry of the result is an ``int``."""
+    v = {c: x for c, x in vec.items() if x}
     for row, p in zip(red_rows, pivots):
         f = v.get(p)
         if f:
             _subtract(v, f, row)
+    for c, x in v.items():
+        if type(x) is not int and x.denominator == 1:
+            v[c] = x.numerator
     return v
 
 
@@ -191,7 +191,7 @@ def kernel_of_columns(cols):
     """
     red, pivots = _reduced(_echelon(_transpose(cols).values()))
     pivot_set = set(pivots)
-    basis = {f: {f: ONE} for f in range(len(cols)) if f not in pivot_set}
+    basis = {f: {f: 1} for f in range(len(cols)) if f not in pivot_set}
     for row, p in zip(red, pivots):
         for f, x in row.items():
             if f != p:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import linalg
-from .cdga import _ONE, Element, FreeCdga, OverFreeCdga, accumulate, exact
+from .cdga import _ONE, Element, FreeCdga, OverFreeCdga, accumulate
 from .cohomology import coords
 
 
@@ -94,7 +94,7 @@ class RingPresentation(OverFreeCdga):
         red, pivots = linalg.rref(rows)
         pivot_set = set(pivots)
         basis = tuple(k for i, k in enumerate(amb) if i not in pivot_set)
-        reduction = {amb[p]: {amb[j]: exact(-row[j]) for j in sorted(row) if j != p}
+        reduction = {amb[p]: {amb[j]: -row[j] for j in sorted(row) if j != p}
                      for row, p in zip(red, pivots)}
         out = (basis, reduction)
         self._slices[degree] = out

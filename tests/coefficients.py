@@ -2,10 +2,11 @@
 
 A stored coefficient is a nonzero ``int`` or ``Fraction``, never a ``bool``
 or a ``float``.  A value that entered through an intake (the ``Element``
-constructor, a ``FreeCdga`` differential, ``scalar``, a ring's reduction
-rows), or that was computed from ints alone, is an ``int`` exactly when it is
-whole.  Arithmetic with a ``Fraction`` may leave a whole ``Fraction``, so
-elsewhere only the first form holds.
+constructor, a ``FreeCdga`` differential, ``scalar``), that ``linalg``
+returned (a ring's reduction rows among them), or that was computed from
+ints alone, is an ``int`` exactly when it is whole.  Arithmetic with a
+``Fraction`` may leave a whole ``Fraction``, so elsewhere only the first
+form holds.
 """
 
 from fractions import Fraction

@@ -1,15 +1,24 @@
 """Dense Gaussian elimination over the rationals: a test-only oracle.
 
 This is plain row reduction on lists of Fractions, with the same pivoting
-rule as ``rht.linalg`` (leftmost nonzero column, rows scanned top down).  The
-sparse engine must agree with it exactly; ``sparse`` and ``dense`` carry
+rule as ``rht.linalg`` (leftmost nonzero column, rows scanned top down).
+Every vector it returns is mapped through ``exact``, the engine's rule that
+an entry is an ``int`` exactly when it is whole, so the sparse engine must
+agree with it exactly, in value and in type; ``sparse`` and ``dense`` carry
 vectors between the two.
 """
 
 from fractions import Fraction
 
+from coefficients import is_exact_coefficient
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def exact(vec):
+    """``vec`` with each whole entry, zero included, as an ``int``."""
+    return [x.numerator if x.denominator == 1 else x for x in vec]
 
 
 def sparse(vec):
@@ -21,10 +30,11 @@ def sparse(vec):
 def dense(row, n):
     """Dense vector of length ``n`` of a sparse row that the engine returned.
 
-    Such a row must hold only nonzero Fractions inside ``range(n)``.
+    Such a row must hold only nonzero coefficients inside ``range(n)``, each
+    an ``int`` exactly when whole; its zeros are filled in as the int 0.
     """
-    assert all(type(x) is Fraction and x for x in row.values()), row
-    out = [ZERO] * n
+    assert all(is_exact_coefficient(x) for x in row.values()), row
+    out = [0] * n
     for c, x in row.items():
         out[c] = x
     return out
@@ -57,7 +67,7 @@ def rref(rows):
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [exact(row) for row in m[:r]], pivots
 
 
 def reduce_against(vec, red_rows, pivots):
@@ -66,7 +76,7 @@ def reduce_against(vec, red_rows, pivots):
         if v[p]:
             f = v[p]
             v = [a - f * b for a, b in zip(v, row)]
-    return v
+    return exact(v)
 
 
 def kernel_of_columns(cols, nrows):
@@ -82,7 +92,7 @@ def kernel_of_columns(cols, nrows):
         v[f] = ONE
         for row, p in zip(red, pivots):
             v[p] = -row[f]
-        out.append(v)
+        out.append(exact(v))
     return out
 
 
@@ -96,7 +106,7 @@ def solve_columns(cols, nrows, target):
         if p == ncols:
             return None
         x[p] = row[ncols]
-    return x
+    return exact(x)
 
 
 def degree_cohomology(alg, degree):
@@ -134,4 +144,4 @@ def class_coords(vec, reps, rpiv, brows, bpiv):
             f = reduced[p]
             coords[i] = f
             reduced = [a - f * b for a, b in zip(reduced, row)]
-    return None if any(reduced) else coords
+    return None if any(reduced) else exact(coords)

@@ -53,6 +53,31 @@ def test_reduce_against():
     assert out == {2: F(-7)}
 
 
+def test_reduce_against_returns_a_whole_result_as_an_int():
+    """Fraction arithmetic can leave a whole value; it comes back as an int,
+    as does a whole Fraction that no row touches."""
+    out = linalg.reduce_against({0: F(1, 2), 1: 1}, [{0: 1, 1: 4}], [0])
+    assert repr(out) == repr({1: -1})
+    out = linalg.reduce_against({0: F(1, 2), 1: F(3), 2: F(1, 3)},
+                                [{0: 1, 1: F(2, 3)}], [0])
+    assert repr(out) == repr({1: F(8, 3), 2: F(1, 3)})
+    assert repr(linalg.reduce_against({5: F(6, 3)}, [], [])) == repr({5: 2})
+
+
+def test_rref_rows_are_ints_when_whole():
+    red, piv = linalg.rref([{0: 2, 1: 4}, {0: 3, 1: 1}])
+    assert (repr(red), piv) == (repr([{0: 1}, {1: 1}]), [0, 1])
+    red, piv = linalg.rref([{0: F(3, 2), 1: F(1, 2)}])
+    assert repr(red) == repr([{0: 1, 1: F(1, 3)}])
+    red, piv = linalg.rref([{1: -2, 2: 4, 3: 3}])
+    assert repr(red) == repr([{1: 1, 2: -2, 3: F(-3, 2)}])
+    kernel = linalg.kernel_of_columns([{0: 1}, {0: 2}])
+    assert kernel == [{0: -2, 1: 1}]
+    assert all(type(x) is int for x in kernel[0].values())
+    assert repr(linalg.solve_columns([{0: 2}, {1: 3}], {0: 4, 1: 1})) == \
+        repr({0: 2, 1: F(1, 3)})
+
+
 def test_symmetric_inertia_diagonal_and_hyperbolic():
     assert linalg.symmetric_inertia([[2, 0], [0, -3]]) == (1, 1, 0)
     # hyperbolic plane: zero diagonal, off-diagonal 1
@@ -66,7 +91,7 @@ def test_rref_and_rank_of_empty_and_zero_inputs():
         assert linalg.rref(rows) == ([], [])
         assert linalg.rank(rows) == 0
     out = linalg.reduce_against({0: 0, 1: 2}, [], [])
-    assert out == {1: F(2)} and type(out[1]) is F
+    assert out == {1: 2} and type(out[1]) is int
 
 
 def test_kernel_of_columns_without_rows_or_columns():
@@ -113,4 +138,4 @@ def test_solve_columns_inverts_the_hilbert_matrix():
             known = ((-1) ** (a + b) * (a + b - 1) * comb(n + a - 1, n - b)
                      * comb(n + b - 1, n - a) * comb(a + b - 2, a - 1) ** 2)
             assert inverse[i][j] == known
-            assert type(inverse[i][j]) is Fraction
+            assert type(inverse[i][j]) is int

@@ -8,6 +8,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+import dense_linalg as dense  # noqa: E402
+from coefficients import is_exact_coefficient  # noqa: E402
 from dense_linalg import sparse  # noqa: E402
 from rht import linalg  # noqa: E402
 from test_linalg_routes import assert_routes_agree  # noqa: E402
@@ -51,6 +53,37 @@ def test_routes_agree_hypothesis(case):
 def test_routes_agree_on_large_entries(case):
     rows, ncols, vec, target = case
     assert_routes_agree(rows, ncols, [vec], [target])
+
+
+def _values(row, n):
+    """Dense values of a sparse row, with no check on the entries' types."""
+    return [row.get(j, 0) for j in range(n)]
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(matrices())
+def test_returned_entries_are_exact_and_match_the_oracle(case):
+    """Every entry that rref, reduce_against, kernel_of_columns and
+    solve_columns return is an int exactly when whole, and equals the dense
+    oracle's by value."""
+    rows, ncols, vec, target = case
+    red, piv = linalg.rref([sparse(r) for r in rows])
+    reduced = linalg.reduce_against(sparse(vec), red, piv)
+    cols = [[row[j] for row in rows] for j in range(ncols)]
+    kernel = linalg.kernel_of_columns([sparse(c) for c in cols])
+    sol = linalg.solve_columns([sparse(c) for c in cols], sparse(target))
+    for row in red + [reduced] + kernel + ([] if sol is None else [sol]):
+        assert all(is_exact_coefficient(x) for x in row.values()), row
+    want_red, want_piv = dense.rref(rows)
+    assert ([_values(r, ncols) for r in red], piv) == (want_red, want_piv)
+    assert _values(reduced, ncols) == dense.reduce_against(vec, want_red,
+                                                           want_piv)
+    assert [_values(v, ncols) for v in kernel] == \
+        dense.kernel_of_columns(cols, len(rows))
+    want_sol = dense.solve_columns(cols, len(rows), target)
+    assert (sol is None) == (want_sol is None)
+    if sol is not None:
+        assert _values(sol, ncols) == want_sol
 
 
 def _row_label(i):

@@ -1,9 +1,11 @@
 """The sparse elimination engine against the dense oracle, entry for entry.
 
 Inputs go in as dict rows with their explicit zeros, and outputs come back
-through ``dense_linalg.dense``, which rejects stored zeros and non-Fractions.
-They are compared by ``repr``, so a Fraction that came back as an int (or a
-differently ordered pivot list) fails as surely as a wrong value.
+through ``dense_linalg.dense``, which rejects stored zeros and any entry that
+is not an ``int`` exactly when whole.  They are compared by ``repr`` with the
+oracle's outputs, which follow the same rule, so a whole ``Fraction``, a
+non-whole value stored as an ``int`` (or a differently ordered pivot list)
+fails as surely as a wrong value.
 """
 
 import random
