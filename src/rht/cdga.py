@@ -696,12 +696,13 @@ class DgaMorphism:
         self._check()
 
     def _check(self):
-        for g in self.source.gens:
-            img = self.images[g.name]
-            # degree is None unless every term has one common degree
-            if img and img.degree != g.degree:
-                raise ValueError(
-                    f"image of {g.name!r} is not homogeneous of degree {g.degree}")
+        key_degree = self.target.key_degree
+        for g, terms in zip(self.source.gens, self._gen_terms):
+            # a zero image has no term, so it passes
+            for k in terms:
+                if key_degree(k) != g.degree:
+                    raise ValueError(
+                        f"image of {g.name!r} is not homogeneous of degree {g.degree}")
         source, target = self.source, self.target
         for g in source.gens:
             dv = source.d_key(source.gen_key(g.name))
@@ -718,15 +719,29 @@ class DgaMorphism:
         return cls(alg, alg, {g.name: alg[g.name] for g in alg.gens})
 
     def apply_terms(self, terms):
-        """Image of a term dict, as a new dict sharing none of the images'."""
-        out, unit = {}, {self.target.unit_key: _ONE}
+        """Image of a term dict, as a new dict sharing none of the images'.
+
+        A monomial is multiplied out factor by factor, left to right, and
+        dropped at the first partial product that vanishes: a monomial
+        x * y * z with phi(x) phi(y) = 0 costs one ``mul_terms`` call, not
+        two.  The unit's image is built only for the empty monomial.
+        """
+        out = {}
         gen_terms, mul_terms = self._gen_terms, self.target.mul_terms
         for mon, c in terms.items():
-            img = unit
+            img = None
             for i, e in mon:
                 g = gen_terms[i]
-                for _ in range(e):
-                    img = g if img is unit else mul_terms(img, g)
+                img = g if img is None else mul_terms(img, g)
+                if e > 1:
+                    for _ in range(e - 1):
+                        if not img:
+                            break
+                        img = mul_terms(img, g)
+                if not img:
+                    break
+            if img is None:
+                img = {self.target.unit_key: _ONE}
             if img:
                 accumulate(out, img, c)
         return out

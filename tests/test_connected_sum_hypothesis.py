@@ -2,8 +2,9 @@
 
 ``ConnectedSumRing`` wraps the relation dicts it writes instead of copying
 them through the public ``RingPresentation`` intake; on random small sums the
-two routes must give the same relations, and witnesses must get the same
-verdicts on either ring.
+two routes must give the same relations, those relations must be the Element
+products of the construction that preceded them, key for key and in order,
+and witnesses must get the same verdicts on either ring.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from rht import (EmbeddingWitness, SetFamily, connected_sum_ring,  # noqa: E402
                  family_local_forms, intersection_complete, verify_witness)
 from rht.presentations import RingPresentation  # noqa: E402
 from coefficients import is_exact_coefficient  # noqa: E402
+from test_scalability import _element_product_relations  # noqa: E402
 
 
 def atoms_of_degree(f):
@@ -73,6 +75,18 @@ def test_wrapped_relations_match_the_copying_route(case):
     assert all(is_exact_coefficient(c)
                for r in ring.relations for c in r.terms.values())
     assert len({id(r.terms) for r in ring.relations}) == len(ring.relations)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(connected_sums())
+def test_relations_match_element_products_in_order(case):
+    atoms, orientations = case
+    ring = connected_sum_ring(atoms, orientations)
+    want, mu1 = _element_product_relations(atoms, orientations)
+    assert [[(k, c, type(c)) for k, c in r.terms.items()] for r in ring.relations] \
+        == [[(k, c, type(c)) for k, c in e.terms.items()] for e in want]
+    assert [repr(r) for r in ring.relations] == [repr(e) for e in want]
+    assert {ring.fundamental_monomial: ring.fundamental_monomial_sign} == mu1.terms
 
 
 @hypothesis.settings(max_examples=40, deadline=None)
