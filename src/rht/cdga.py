@@ -158,30 +158,42 @@ class Element:
         return NotImplemented
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, Element):
+            self._check_same(other)
+            out = dict(self.terms)
+            accumulate(out, other.terms, _MINUS_ONE)
+            return Element._wrap(self.alg, out)
+        return NotImplemented
 
     def __neg__(self):
         return Element._wrap(self.alg, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
+        # The hot path of the law batteries: no call through ``_check_same``
+        # or ``_wrap``.
+        alg = self.alg
         if isinstance(other, Element):
-            self._check_same(other)
-            return Element._wrap(self.alg, self.alg.mul_terms(self.terms, other.terms))
-        if isinstance(other, (int, Fraction)):
+            if other.alg is not alg:
+                raise ValueError("elements belong to different algebras")
+            terms = alg.mul_terms(self.terms, other.terms)
+        elif isinstance(other, (int, Fraction)):
             other = exact(other)
-            if not other:
-                return Element._wrap(self.alg, {})
             if other == 1:
-                return Element._wrap(self.alg, dict(self.terms))
-            if other == -1:
-                return -self
-            return Element._wrap(self.alg, {k: c * other for k, c in self.terms.items()})
-        return NotImplemented
+                terms = dict(self.terms)
+            elif other == -1:
+                terms = {k: -c for k, c in self.terms.items()}
+            elif other:
+                terms = {k: c * other for k, c in self.terms.items()}
+            else:
+                terms = {}
+        else:
+            return NotImplemented
+        e = object.__new__(Element)
+        e.alg = alg
+        e.terms = terms
+        return e
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -207,7 +219,10 @@ class Element:
 
     def d(self):
         """Differential, extended from generators by the graded Leibniz rule."""
-        return Element._wrap(self.alg, self.alg.d_terms(self.terms))
+        e = object.__new__(Element)
+        e.alg = alg = self.alg
+        e.terms = alg.d_terms(self.terms)
+        return e
 
     # -- comparison / display ------------------------------------------------
 
@@ -593,6 +608,8 @@ class FreeCdga(GradedAlgebra):
         old degrees.
         """
         out = copy.copy(self)
+        # the interval algebra cached by homotopy.interval_algebra is over self
+        out.__dict__.pop("_interval", None)
         out.index, out._diff = dict(self.index), dict(self._diff)
         out._d_cache, out._mul_cache = dict(self._d_cache), dict(self._mul_cache)
         out._basis_cache = {}
@@ -757,9 +774,6 @@ class DgaMorphism:
             raise ValueError("morphisms are not composable")
         images = {g.name: self.apply(inner.images[g.name]) for g in inner.source.gens}
         return DgaMorphism(inner.source, self.target, images)
-
-    def is_identity_on_generators(self):
-        return all(self.images[g.name] == self.source[g.name] for g in self.source.gens)
 
     def __repr__(self):
         return f"<DgaMorphism {self.source.name} -> {getattr(self.target, 'name', '?')}>"

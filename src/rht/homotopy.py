@@ -58,6 +58,7 @@ class IntervalAlgebra(GradedAlgebra):
         self.base = base
         self.name = f"{base.name}[t,dt]"
         self.unit_key = (0, 0, base.unit_key)
+        self._d_cache = {}
 
     def lift(self, element: Element, i=0, *, dt=False) -> Element:
         """element (x) t^i, times dt when ``dt`` is set."""
@@ -83,10 +84,14 @@ class IntervalAlgebra(GradedAlgebra):
         return {(i, e, k): s for k, s in prod.items()}
 
     def d_key(self, key):
+        cached = self._d_cache.get(key)
+        if cached is not None:
+            return cached
         i, e, b = key
         out = {(i, e, k): c for k, c in self.base.d_key(b).items()}
         if i and not e:
             out[(i - 1, 1, b)] = -i if self.base.key_degree(b) % 2 else i
+        self._d_cache[key] = out
         return out
 
     def format_key(self, key):
@@ -121,7 +126,10 @@ def at(u: Element, t_value) -> Element:
     out = {}
     for (i, e, k), c in u.terms.items():
         if not e and (t_value or not i):
-            accumulate(out, {k: c})
+            if v := out.get(k, _ZERO) + c:
+                out[k] = v
+            else:
+                del out[k]
     return Element._wrap(u.alg.base, out)
 
 
@@ -146,7 +154,10 @@ def integrate_0_1(u: Element) -> Element:
     out = {}
     for (i, e, k), c in u.terms.items():
         if e:
-            accumulate(out, {k: _integral(u, k, i, c)})
+            if v := out.get(k, _ZERO) + _integral(u, k, i, c):
+                out[k] = v
+            else:
+                del out[k]
     return Element(u.alg.base, out)
 
 

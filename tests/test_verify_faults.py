@@ -1,11 +1,15 @@
 """Injected faults fail the verify-paper batteries with pinned reports.
 
-Each case replaces one library entry point, through its module, with a
-faulty version and runs the batteries.  The test pins the exact
-``(name, criterion, passed, detail)`` of every battery that fails, so a
-change to how the batteries are written must keep their failure reports.
-``cdga-laws`` is left out of the runs: it calls none of the patched entries
-(only element arithmetic) and is the slowest battery.
+Each case in ``FAULTS`` replaces one library entry point, through its
+module, with a faulty version and runs the batteries.  The test pins the
+exact ``(name, criterion, passed, detail)`` of every battery that fails, so
+a change to how the batteries are written must keep their failure reports.
+``cdga-laws`` is left out of those runs: it calls none of the patched
+entries, only element arithmetic.  ``ALGEBRA_FAULTS`` covers it instead:
+each case installs a faulty ``mul_keys`` or ``d_key`` on the fixture
+algebras once they are built (a fault on the class would already fail the
+d(d(v)) = 0 check that runs while they load) and pins the report of a
+short ``cdga-laws`` run.
 
 ``python tests/test_verify_faults.py`` prints the current failures of every
 case in the format of ``FAULTS``.
@@ -149,6 +153,43 @@ FAULTS = {
         ("signatures", 0, False, "crashed: RuntimeError: injected crash"),
     ]),
 }
+
+
+def koszul_signs_dropped(alg):
+    good = alg.mul_keys
+    alg.mul_keys = lambda m1, m2: {k: 1 for k in good(m1, m2)}
+
+
+def d_signs_dropped(alg):
+    good = alg.d_key
+    alg.d_key = lambda key: {k: abs(c) for k, c in good(key).items()}
+
+
+# fault installed on each fixture algebra -> the cdga-laws report
+ALGEBRA_FAULTS = {
+    "mul_keys": (koszul_signs_dropped, (
+        "cdga-laws", 1, False, "graded commutativity fails in wedge335_model")),
+    "d_key": (d_signs_dropped, (
+        "cdga-laws", 1, False, "Leibniz rule fails in wedge335_model")),
+}
+
+
+@pytest.mark.parametrize("case", ALGEBRA_FAULTS)
+def test_algebra_fault_fails_cdga_laws_with_pinned_detail(case, monkeypatch):
+    install, expected = ALGEBRA_FAULTS[case]
+    built = verify.fixture_algebras
+
+    def faulty_fixtures():
+        algebras = built()
+        for alg in algebras:
+            alg._mul_cache.clear()
+            alg._d_cache.clear()
+            install(alg)
+        return algebras
+
+    monkeypatch.setattr(verify, "fixture_algebras", faulty_fixtures)
+    r = verify.run_cdga_laws(iterations=50)
+    assert (r.name, r.criterion, r.passed, r.detail) == expected
 
 
 def failures():
