@@ -10,8 +10,7 @@ scalability for the supported space families.
 
 from .cdga import (DgaMorphism, Element, FreeCdga, Generator, Monomial,
                    TruncatedCdga)
-from .cohomology import (MappingCone, cohomology, is_quasi_isomorphism,
-                         relative_cohomology)
+from .cohomology import MappingCone, cohomology, is_quasi_isomorphism
 from .homotopy import (DgaHomotopy, IntervalAlgebra, Leaf, MasseyResult, Node,
                        ObstructionClass, bracket_degree, extend_with_witness,
                        hopf_invariant, integrate_0_1, integrate_0_t,
@@ -20,15 +19,14 @@ from .homotopy import (DgaHomotopy, IntervalAlgebra, Leaf, MasseyResult, Node,
 from .models import (CellAttachmentModel, DistortionReport, MinimalModel,
                      attach_cell_model, bigraded_model,
                      compute_generator_depths, distortion_exponent,
-                     grading_automorphism, minimal_model, u0_surjectivity)
+                     minimal_model, u0_surjectivity)
 from .presentations import (RingPresentation, projective_ring, sphere_ring,
                             wedge_of_spheres_ring)
 from .scalability import (Classification, ConnectedSumRing, EmbeddingWitness,
                           SetFamily, WitnessReport, classify,
                           connected_sum_ring, decide_omega, decide_pi,
                           decide_sigma, exterior_algebra, family_local_forms,
-                          intersection_complete, rank_bound_check,
-                          subset_monomial, verify_witness,
-                          wedge_pairing_signature)
+                          intersection_complete, subset_monomial,
+                          verify_witness, wedge_pairing_signature)
 
 __version__ = "0.1.0"

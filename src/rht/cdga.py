@@ -195,11 +195,6 @@ class Element:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * Fraction(1, other)
-        return NotImplemented
-
     def __pow__(self, n):
         """Square-and-multiply: about log2(n) products, and zero as soon as a
         repeated square vanishes (every remaining factor is then zero)."""

@@ -188,11 +188,6 @@ class MappingCone(GradedAlgebra):
         return out
 
 
-def relative_cohomology(phi, degree) -> DegreeCohomology:
-    """H^degree of the cone of phi; ``.complex.pair_of`` splits a class."""
-    return DegreeCohomology(MappingCone(phi), degree)
-
-
 def induced_map_on_cohomology(phi, degree):
     """Matrix of H^degree(phi) over the deterministic class bases.
 

@@ -371,33 +371,3 @@ def loads(text: str):
 def load(path):
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def dumps(obj) -> str:
-    """Pretty-print a FreeCdga or RingPresentation; reparses to an equal object."""
-    if isinstance(obj, RingPresentation):
-        head, body = "ring", [f"rel {rel!r}" for rel in obj.relations]
-    elif isinstance(obj, FreeCdga):
-        head = "cdga"
-        body = [f"d {g.name} = {dv!r}" for g in obj.gens
-                if not (dv := obj.differential_of(g.name)).is_zero()]
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    gens = [f"gen {g.name} {g.degree}" for g in obj.gens]
-    return "\n".join([f"{head} {obj.name}", *gens, *body]) + "\n"
-
-
-def same_presentation(a, b) -> bool:
-    """Structural equality: generators, degrees, and defining data agree."""
-    if type(a) is not type(b):
-        return False
-    if [(g.name, g.degree) for g in a.gens] != [(g.name, g.degree) for g in b.gens]:
-        return False
-    if isinstance(a, RingPresentation):
-        ra = sorted(repr(r) for r in a.relations)
-        rb = sorted(repr(r) for r in b.relations)
-        return ra == rb
-    for g in a.gens:
-        if repr(a.differential_of(g.name)) != repr(b.differential_of(g.name)):
-            return False
-    return True

@@ -19,8 +19,7 @@ and satisfy, exactly,
 Homotopies of algebra maps are oriented here with the composite at t = 1:
 H|_{t=0} is the extendee g restricted to the base and H|_{t=1} is h o f.
 That orientation is forced by requiring the obstruction assignment
-O(v) = (f(dv), g(v) + int_0^1 H(dv)) to be a relative cocycle; the reversed
-convention is available as the involution ``reverse``.
+O(v) = (f(dv), g(v) + int_0^1 H(dv)) to be a relative cocycle.
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from . import linalg
-from .cdga import _ZERO, DgaMorphism, Element, GradedAlgebra, accumulate, exact
+from .cdga import _ZERO, DgaMorphism, Element, GradedAlgebra, exact
 from .cohomology import DegreeCohomology, MappingCone, primitive
 from .fileformat import check_nesting, excerpt, rational, split_top
 from .models import require_minimal
@@ -131,15 +129,6 @@ def at(u: Element, t_value) -> Element:
             else:
                 del out[k]
     return Element._wrap(u.alg.base, out)
-
-
-def reverse(u: Element) -> Element:
-    """Time reversal t -> 1 - t, dt -> -dt."""
-    out = {}
-    for (i, e, k), c in u.terms.items():
-        accumulate(out, {(j, e, k): c * (comb(i, j) * (-1) ** (j + e))
-                         for j in range(i + 1)})
-    return Element._wrap(u.alg, out)
 
 
 def integrate_0_t(u: Element) -> Element:

@@ -20,7 +20,6 @@ endomorphism w -> t^(stage + degree) w an exact chain map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .cdga import (_ONE, _ZERO, UNIT, DgaMorphism, Element, FreeCdga, Generator,
@@ -77,23 +76,8 @@ class MinimalModel:
             self._depths = compute_generator_depths(self.algebra)
         return self._depths
 
-    def element_depth(self, element: Element):
-        """Least i with the element in U_i; None for zero."""
-        if element.is_zero():
-            return None
-        gens, depth = self.algebra.gens, self.depths()
-        return max(sum(e * depth[gens[i].name] for i, e in mon)
-                   for mon in element.terms)
-
     def v_dim(self, degree):
         return sum(1 for g in self.algebra.gens if g.degree == degree)
-
-    def vu_dim(self, degree, depth_bound):
-        """dim (V_degree intersect U_depth_bound): generators of the degree
-        whose depth is at most the bound."""
-        d = self.depths()
-        return sum(1 for g in self.algebra.gens
-                   if g.degree == degree and d[g.name] <= depth_bound)
 
 
 @dataclass(frozen=True)
@@ -296,24 +280,6 @@ def bigraded_model(ring, cap) -> MinimalModel:
     return out
 
 
-def grading_automorphism(model: MinimalModel, t) -> DgaMorphism:
-    """Endomorphism w -> t^(stage + degree) w on a bigraded model.
-
-    The chain-map check in the morphism constructor is exactly the purity of
-    the bigrading; t = 1 gives the identity.
-    """
-    t = Fraction(t)
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    if not model.bigraded:
-        raise ValueError("grading automorphism needs a bigraded model")
-    alg = model.algebra
-    images = {}
-    for g in alg.gens:
-        images[g.name] = (t ** (g.stage + g.degree)) * alg[g.name]
-    return DgaMorphism(alg, alg, images)
-
-
 # ---------------------------------------------------------------------------
 # cell attachments
 
@@ -395,11 +361,6 @@ class CellAttachmentModel(OverFreeCdga):
         if isinstance(key, str):
             return (1, key)
         return (0, key)
-
-    def lift(self, element: Element) -> Element:
-        if element.alg is not self.base:
-            raise ValueError("can only lift elements of the base algebra")
-        return Element(self, dict(element.terms))
 
 
 def attach_cell_model(base: FreeCdga, pairing, *, cell_name="y") -> CellAttachmentModel:

@@ -129,9 +129,6 @@ class RingPresentation(OverFreeCdga):
     def d_key(self, key):
         return {}
 
-    def dim(self, degree):
-        return len(self.basis(degree))
-
     # -- duality ----------------------------------------------------------------
 
     def top_basis_key(self):

@@ -2,8 +2,8 @@
 
 A report is an ordered list of (key, value) string pairs.  Machine mode
 renders one ``key = value`` line per field, starting with the schema tag;
-parsing a machine report and re-rendering it is byte-identical, which is
-what the golden tests pin.
+the golden tests compare that rendered text byte for byte with recorded
+reports.
 """
 
 from __future__ import annotations
@@ -47,23 +47,3 @@ class Report:
                 continue
             body.append(f"  {k.ljust(width)}  {v}")
         return "\n".join(body) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "Report":
-        report = cls.__new__(cls)
-        report.fields = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            key, sep, value = line.partition(" = ")
-            if not sep:
-                raise ValueError(f"line {lineno}: not a machine report line")
-            report.fields.append((key, value))
-        if report.get("schema") != SCHEMA:
-            raise ValueError("unknown or missing report schema")
-        return report
-
-    def __eq__(self, other):
-        return isinstance(other, Report) and self.fields == other.fields
-
-    __hash__ = None

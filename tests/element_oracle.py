@@ -8,7 +8,6 @@ them term for term, and must call ``mul_keys`` and ``d_key`` exactly as often.
 """
 
 from fractions import Fraction
-from math import comb
 
 ZERO = Fraction(0)
 
@@ -108,16 +107,6 @@ def interval_d(alg, u):
     for i, x in u[1].items():
         _add_at(dt, i, d(alg, x))
     return body, dt
-
-
-def reverse(u):
-    """t -> 1 - t, dt -> -dt."""
-    out = ({}, {})
-    for e, part in enumerate(u):
-        for i, x in part.items():
-            for j in range(i + 1):
-                _add_at(out[e], j, scale(x, comb(i, j) * (-1) ** (j + e)))
-    return out
 
 
 def _signed_integral(alg, t, i):

@@ -10,11 +10,19 @@ import rht.homotopy
 import rht.models
 from rht.cli import main
 from rht.fileformat import MAX_NESTING, MAX_POWER_TERMS
-from rht.report import Report
+from rht.report import SCHEMA
 
 
 def data_path(name):
     return str(resources.files("rht").joinpath("data").joinpath(name))
+
+
+def machine_report(out):
+    """The fields of a ``--machine`` report, in order: one ``key = value``
+    pair per line, the first naming the schema."""
+    fields = dict(line.split(" = ", 1) for line in out.splitlines())
+    assert next(iter(fields.items())) == ("schema", SCHEMA)
+    return fields
 
 
 def run_cli(capsys, *argv):
@@ -27,7 +35,7 @@ def test_cohomology_command_ranks(capsys):
     code, out, _ = run_cli(capsys, "cohomology", data_path("s2_model.cdga"),
                            "--through", "7", "--machine")
     assert code == 0
-    report = Report.parse(out)
+    report = machine_report(out)
     assert report.get("ranks") == "1,0,1,0,0,0,0,0"
 
 
@@ -35,7 +43,7 @@ def test_cohomology_single_degree(capsys):
     code, out, _ = run_cli(capsys, "cohomology", data_path("wedge335_seed.cdga"),
                            "--degree", "6", "--machine")
     assert code == 0
-    report = Report.parse(out)
+    report = machine_report(out)
     assert report.get("degree.6.rank") == "1"
     assert report.get("degree.6.rep.0") == "a*b"
 
@@ -52,8 +60,8 @@ def test_model_command_bigraded(capsys):
     code, out, _ = run_cli(capsys, "model", data_path("cp2.ring"),
                            "--bigraded", "--through", "12", "--machine")
     assert code == 0
-    report = Report.parse(out)
-    rows = [v for k, v in report.fields if k.startswith("gen.")]
+    report = machine_report(out)
+    rows = [v for k, v in report.items() if k.startswith("gen.")]
     assert any("degree=2" in r and "stage=0" in r for r in rows)
     assert any("degree=5" in r and "stage=1" in r for r in rows)
 
@@ -71,11 +79,11 @@ def test_distortion_command(capsys):
     code, out, _ = run_cli(capsys, "distortion", data_path("s2_model.cdga"),
                            "--class", "b", "--machine")
     assert code == 0
-    assert Report.parse(out).get("exponent") == "4"
+    assert machine_report(out).get("exponent") == "4"
     code, out, _ = run_cli(capsys, "distortion", data_path("cp2_model.cdga"),
                            "--class", "y", "--machine")
     assert code == 0
-    report = Report.parse(out)
+    report = machine_report(out)
     assert report.get("exponent") == "6"
     assert report.get("sharpness") == "sharp-if-scalable"
 
@@ -161,18 +169,18 @@ def test_literals_in_any_script_on_the_command_line(capsys):
 def test_scalable_command_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "scalable", "csum(4*CP2)", "--machine")
     assert code == 1
-    report = Report.parse(out)
+    report = machine_report(out)
     assert report.get("verdict") == "NotScalable"
     assert report.get("certificate.checked") == "true"
 
     code, out, _ = run_cli(capsys, "scalable", "csum(3*(S2xS2))", "--machine")
     assert code == 0
-    assert Report.parse(out).get("verdict") == "Scalable"
+    assert machine_report(out).get("verdict") == "Scalable"
 
     code, out, _ = run_cli(capsys, "scalable", "csum(1*(S2xS2),1*CP2)",
                            "--machine")
     assert code == 1
-    assert Report.parse(out).get("verdict") == "Unknown"
+    assert machine_report(out).get("verdict") == "Unknown"
 
 
 def test_scalable_command_names_bad_input(capsys):
@@ -275,7 +283,7 @@ def test_power_blow_up_exits_2_quickly(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "cohomology", str(path),
                                "--through", "4", "--machine")
         assert code == 0, rel
-        assert Report.parse(out).get("ranks") == "1,0,3,2,6", rel
+        assert machine_report(out).get("ranks") == "1,0,3,2,6", rel
 
 
 def test_product_blow_up_exits_2_quickly(capsys, tmp_path):
@@ -313,7 +321,7 @@ def test_product_blow_up_exits_2_quickly(capsys, tmp_path):
                     encoding="utf-8")
     code, out, _ = run_cli(capsys, "cohomology", str(path),
                            "--through", "4", "--machine")
-    assert code == 0 and Report.parse(out).get("ranks") == "1,0,3,0,6"
+    assert code == 0 and machine_report(out).get("ranks") == "1,0,3,0,6"
 
     data = resources.files("rht").joinpath("data")
     fixtures = sorted(p.name for p in data.iterdir()
@@ -357,7 +365,7 @@ def test_pair_command_scaling(capsys):
                            "--class", "z", "--bracket", "[[a,c],[a,[a,b]]]",
                            "--scale", "2", "--machine")
     assert code == 0
-    report = Report.parse(out)
+    report = machine_report(out)
     base = Fraction(report.get("value"))
     scaled = Fraction(report.get("scaled_value"))
     assert scaled == base * 2 ** 17
@@ -367,7 +375,7 @@ def test_pair_command_unit(capsys):
     code, out, _ = run_cli(capsys, "pair", data_path("wedge335_model.cdga"),
                            "--class", "u_b", "--bracket", "[a,b]", "--machine")
     assert code == 0
-    assert abs(Fraction(Report.parse(out).get("value"))) == 1
+    assert abs(Fraction(machine_report(out).get("value"))) == 1
 
 
 def test_pair_degree_mismatch_rejected(capsys):
@@ -383,7 +391,8 @@ def test_machine_reports_are_deterministic(capsys):
     _c, out2, _ = run_cli(capsys, "model", data_path("wedge335.ring"),
                           "--through", "9", "--machine")
     assert out1 == out2
-    assert Report.parse(out1).render_machine() == out1
+    lines = [f"{k} = {v}\n" for k, v in machine_report(out1).items()]
+    assert "".join(lines) == out1
 
 
 def test_env_variable_sets_default_cap(capsys, monkeypatch):
@@ -391,7 +400,7 @@ def test_env_variable_sets_default_cap(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "cohomology", data_path("s2_model.cdga"),
                            "--machine")
     assert code == 0
-    assert Report.parse(out).get("ranks") == "1,0,1,0,0"
+    assert machine_report(out).get("ranks") == "1,0,1,0,0"
     for raw in ("zero", "1_2", "+5", "1", "-3"):
         monkeypatch.setenv("RHT_CAP", raw)
         code, _out, err = run_cli(capsys, "cohomology",
@@ -409,7 +418,7 @@ def test_distortion_of_a_ring_file_uses_its_bigraded_model(capsys):
     code, out, _ = run_cli(capsys, "distortion", data_path("cp2.ring"),
                            "--class", "v5_1_0", "--machine")
     assert code == 0
-    report = Report.parse(out)
+    report = machine_report(out)
     assert (report.get("degree"), report.get("exponent")) == ("5", "6")
 
 
@@ -417,15 +426,15 @@ def test_bracket_multiplier_may_carry_a_plus_sign(capsys):
     code, out, _ = run_cli(capsys, "pair", data_path("wedge335_model.cdga"),
                            "--class", "u_b", "--bracket", "[+3*a,b]",
                            "--machine")
-    assert code == 0 and Report.parse(out).get("value") == "3"
+    assert code == 0 and machine_report(out).get("value") == "3"
 
 
 def test_verify_paper_filter(capsys):
     code, out, _ = run_cli(capsys, "verify-paper", "--only", "s2-model",
                            "hopf", "--machine")
     assert code == 0
-    report = Report.parse(out)
-    keys = [k for k, _v in report.fields if k.startswith("check.")]
+    report = machine_report(out)
+    keys = [k for k, _v in report.items() if k.startswith("check.")]
     assert keys == ["check.s2-model", "check.hopf"]
     assert report.get("all_pass") == "true"
 
@@ -446,7 +455,7 @@ def test_injected_sign_bug_fails_named_battery(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify-paper", "--only", "integration",
                            "--machine")
     assert code == 1
-    report = Report.parse(out)
+    report = machine_report(out)
     assert report.get("all_pass") == "false"
     assert "FAIL" in report.get("check.integration")
 

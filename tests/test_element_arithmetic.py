@@ -123,7 +123,7 @@ INTERVAL_BASES = {
 
 @pytest.mark.parametrize("base", sorted(INTERVAL_BASES))
 def test_interval_arithmetic_matches_oracle(base):
-    """Products, differentials and time reversal in B (x) Q<t, dt> agree
+    """Products and differentials in B (x) Q<t, dt> agree
     with the two-part rules of the oracle, over a free and a truncated B."""
     alg = INTERVAL_BASES[base]()
     rng = random.Random(6000 + len(base))
@@ -133,8 +133,7 @@ def test_interval_arithmetic_matches_oracle(base):
         v = random_interval_element(alg, rng, elems)
         pu, pv = oracle.split(u), oracle.split(v)
         for got, want in ((u * v, oracle.interval_mul(alg, pu, pv)),
-                          (u.d(), oracle.interval_d(alg, pu)),
-                          (homotopy.reverse(u), oracle.reverse(pu))):
+                          (u.d(), oracle.interval_d(alg, pu))):
             assert_clean(got, u, v)
             assert oracle.split(got) == want
 

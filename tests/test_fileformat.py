@@ -7,10 +7,8 @@ import pytest
 
 from rht import FreeCdga, RingPresentation
 from rht.cli import main
-from rht.fileformat import (PresentationError, dumps, load, loads,
-                            parse_expression, rational, same_presentation,
-                            split_top, whole)
-from rht.report import Report
+from rht.fileformat import (PresentationError, load, loads, parse_expression,
+                            rational, split_top, whole)
 
 
 S2_TEXT = """\
@@ -38,7 +36,7 @@ def test_loads_ring():
 
 def test_rational_coefficients_and_signs():
     alg = loads("cdga t\ngen a 2\ngen b 3\nd b = 3/2*a^2 - a*a\n")
-    assert alg.differential_of("b") == alg["a"] ** 2 / 2
+    assert alg.differential_of("b") == alg["a"] ** 2 * Fraction(1, 2)
 
 
 def test_parse_error_names_line():
@@ -88,16 +86,31 @@ def test_expression_trailing_garbage():
         parse_expression("a )", alg)
 
 
+def presentation_text(alg):
+    """A presentation file for ``alg`` that writes each differential or
+    relation as the ``repr`` text reports print."""
+    if isinstance(alg, RingPresentation):
+        head, body = "ring", [f"rel {rel!r}" for rel in alg.relations]
+    else:
+        head = "cdga"
+        body = [f"d {g.name} = {alg.differential_of(g.name)!r}"
+                for g in alg.gens if not alg.differential_of(g.name).is_zero()]
+    gens = [f"gen {g.name} {g.degree}" for g in alg.gens]
+    return "\n".join([f"{head} {alg.name}", *gens, *body]) + "\n"
+
+
 def test_dump_load_round_trip(wedge_table):
-    text = dumps(wedge_table)
-    again = loads(text)
-    assert same_presentation(wedge_table, again)
-    assert dumps(again) == text
+    again = loads(presentation_text(wedge_table))
+    assert presentation_text(again) == presentation_text(wedge_table)
+    assert all(again.differential_of(g.name).terms
+               == wedge_table.differential_of(g.name).terms
+               for g in wedge_table.gens)
 
 
 def test_dump_load_round_trip_ring():
     ring = loads("ring w\ngen a 3\ngen b 3\nrel a*b\n")
-    assert same_presentation(ring, loads(dumps(ring)))
+    assert presentation_text(loads(presentation_text(ring))) == \
+        presentation_text(ring)
 
 
 def test_load_from_path(tmp_path):
@@ -117,7 +130,7 @@ def test_huge_exponent_loads_quickly(tmp_path, capsys, degree, ranks):
     code = main(["cohomology", str(p), "--through", "4", "--machine"])
     assert time.perf_counter() - start < 5
     assert code == 0
-    assert Report.parse(capsys.readouterr().out).get("ranks") == ranks
+    assert f"ranks = {ranks}\n" in capsys.readouterr().out
 
 
 def test_overlong_literal_is_a_presentation_error(tmp_path, capsys):

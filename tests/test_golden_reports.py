@@ -12,40 +12,14 @@ format of ``golden_reports.txt``.
 import contextlib
 import io
 import re
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from golden_commands import COMMANDS, DATA
 from rht.cli import main
 
-DATA = str(resources.files("rht").joinpath("data"))
 GOLDEN = Path(__file__).with_name("golden_reports.txt")
-
-COMMANDS = {
-    "readme-cohomology": ["cohomology", "$DATA/s2_model.cdga", "--through", "7"],
-    "readme-bigraded": ["model", "$DATA/cp2.ring", "--bigraded",
-                        "--through", "12"],
-    "readme-distortion": ["distortion", "$DATA/cp2_model.cdga", "--class", "y"],
-    "readme-scalable": ["scalable", "csum(4*CP2)"],
-    "readme-pair": ["pair", "$DATA/wedge335_model.cdga", "--class", "z",
-                    "--bracket", "[[a,c],[a,[a,b]]]", "--scale", "2"],
-    "model-wedge335-seed": ["model", "$DATA/wedge335_seed.cdga", "--through", "9"],
-    "model-cp2": ["model", "$DATA/cp2.ring", "--through", "12"],
-    "bigraded-wedge335": ["model", "$DATA/wedge335.ring", "--bigraded",
-                          "--through", "11"],
-    "verify-obstruction-massey": ["verify-paper", "--only", "obstruction",
-                                  "massey"],
-    # one positive verdict per witness builder: sphere, symplectic power,
-    # complementary pair, omega, plane sum with both signs, set family
-    "scalable-sphere": ["scalable", "S3"],
-    "scalable-symplectic": ["scalable", "CP3"],
-    "scalable-pair": ["scalable", "HP2"],
-    "scalable-omega": ["scalable", "csum(3*(S2xS2))"],
-    "scalable-plane-sum": ["scalable", "csum(2*CP2,rev(CP2))"],
-    "scalable-family": ["scalable", "csum(2*(S2xS4))"],
-    "verify-paper": ["verify-paper"],
-}
 
 
 def header(argv):

@@ -1,10 +1,11 @@
 """Ring presentations against their closed-form Hilbert series.
 
-Each builder's ``ring.dim(k)`` comes from the quotient basis that
-``RingPresentation`` computes by elimination.  The expected dimensions come
-from the Poincare polynomial of the space the ring describes, and the
-expected Euler characteristic from the product and connected-sum formulas
-(chi(M # N) = chi(M) + chi(N) - chi(S^m)), not from the polynomial.
+Each builder's dimension in degree k, ``len(ring.basis(k))``, comes from the
+quotient basis that ``RingPresentation`` computes by elimination.  The
+expected dimensions come from the Poincare polynomial of the space the ring
+describes, and the expected Euler characteristic from the product and
+connected-sum formulas (chi(M # N) = chi(M) + chi(N) - chi(S^m)), not from
+the polynomial.
 Parameters are small so that the whole module stays within a few seconds.
 """
 
@@ -35,7 +36,7 @@ def sphere_chi(n):
 def assert_series(ring, series, chi, top):
     """dim(k) matches ``series`` for 0 <= k <= top + 2 (zero above the
     top), and the alternating sum of the dimensions is ``chi``."""
-    dims = [ring.dim(k) for k in range(top + 3)]
+    dims = [len(ring.basis(k)) for k in range(top + 3)]
     assert dims == [series.get(k, 0) for k in range(top + 3)]
     assert sum((-1) ** k * n for k, n in enumerate(dims)) == chi
 

@@ -9,7 +9,7 @@ from rht import (DgaHomotopy, DgaMorphism, FreeCdga, Leaf, Node,
                  integrate_0_1, integrate_0_t, interval_algebra, massey_triple,
                  bigraded_model, minimal_model, obstruction_class, parse_bracket,
                  scale_leaves, whitehead_pair)
-from rht.homotopy import at, reverse
+from rht.homotopy import at
 from rht.presentations import projective_ring, wedge_of_spheres_ring
 
 from conftest import random_homogeneous
@@ -36,7 +36,7 @@ def test_integral_0_t_divides_by_exponent():
     A = FreeCdga([("x", 2)])
     interval = interval_algebra(A)
     out = integrate_0_t(interval.lift(A["x"], 1, dt=True))
-    assert out == interval.lift(A["x"] / 2, 2)
+    assert out == interval.lift(A["x"] * Fraction(1, 2), 2)
 
 
 def test_integral_0_1_values(wedge_table):
@@ -82,14 +82,6 @@ def test_t_degree_overflow_is_an_error(wedge_table):
     top = interval.lift(a, 16, dt=True)
     with pytest.raises(ValueError, match="cap"):
         integrate_0_t(top)
-
-
-def test_time_reversal_involution(wedge_table, rng):
-    for _ in range(50):
-        u = _random_homotopy_element(wedge_table, rng)
-        assert reverse(reverse(u)) == u
-        assert at(reverse(u), 0) == at(u, 1)
-        assert at(reverse(u), 1) == at(u, 0)
 
 
 def test_interval_algebra_is_one_per_base(wedge_table):

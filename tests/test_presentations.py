@@ -12,7 +12,7 @@ F = Fraction
 
 def test_projective_plane_dims_and_reduction():
     cp2 = projective_ring(2, 2, name="CP2")
-    assert [cp2.dim(k) for k in range(7)] == [1, 0, 1, 0, 1, 0, 0]
+    assert [len(cp2.basis(k)) for k in range(7)] == [1, 0, 1, 0, 1, 0, 0]
     x = cp2["x"]
     assert not (x ** 2).is_zero()
     assert (x ** 3).is_zero()
@@ -29,14 +29,14 @@ def test_relations_of_another_algebra_keep_their_koszul_sign():
 
 def test_sphere_rings():
     s3 = sphere_ring(3)
-    assert [s3.dim(k) for k in range(5)] == [1, 0, 0, 1, 0]
+    assert [len(s3.basis(k)) for k in range(5)] == [1, 0, 0, 1, 0]
     s2 = sphere_ring(2)
     assert (s2["x"] ** 2).is_zero()
 
 
 def test_wedge_ring_kills_products():
     w = wedge_of_spheres_ring([3, 3, 5])
-    assert [w.dim(k) for k in range(9)] == [1, 0, 0, 2, 0, 1, 0, 0, 0]
+    assert [len(w.basis(k)) for k in range(9)] == [1, 0, 0, 2, 0, 1, 0, 0, 0]
     assert (w["x0"] * w["x1"]).is_zero()
 
 
