@@ -97,9 +97,9 @@ class Element:
     (a whole value as an ``int``) and drops zeros.  ``Element._wrap`` takes a
     dict as it is; use it only for a dict just built from clean coefficients
     (sums with zeros dropped, negations, products of nonzero values) that the
-    caller hands over and does not keep, as the arithmetic, ``FreeCdga.adopt``
-    and the connected-sum builder do.  A product with a ``Fraction`` may be a
-    whole ``Fraction``; it equals the ``int``, so term dicts compare by value.
+    caller hands over and does not keep, as the arithmetic and
+    ``FreeCdga.adopt`` do.  A product with a ``Fraction`` may be a whole
+    ``Fraction``; it equals the ``int``, so term dicts compare by value.
     """
 
     __slots__ = ("alg", "terms")

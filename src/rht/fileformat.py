@@ -336,15 +336,14 @@ def loads(text: str):
     gen_pairs = [(g, d) for g, d, _l in gens]
 
     if kind == "ring":
+        # same generators in the same order, so the keys are the ring's
         ambient = FreeCdga(gen_pairs, None, name=name)
         rels = []
         for expr, lineno in rel_lines:
             e = parse_expression(expr, ambient, lineno)
-            if e.is_zero():
-                continue
             if not e.is_homogeneous():
                 raise PresentationError("relation is not homogeneous", lineno)
-            rels.append(e)
+            rels.append(e.terms)
         return RingPresentation(gen_pairs, rels, name=name)
 
     plain = FreeCdga(gen_pairs, None, name=name)

@@ -15,22 +15,43 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import linalg
-from .cdga import _ONE, Element, FreeCdga, OverFreeCdga, accumulate
+from .cdga import _ONE, Element, FreeCdga, OverFreeCdga, accumulate, exact
 from .cohomology import coords
+
+
+def _check_monomial(key, odd):
+    """Raise ValueError unless ``key`` is a monomial over generators of the
+    parities ``odd``: (index, exponent) pairs with indices in range and
+    strictly increasing, exponents at least 1, and 1 on an odd generator."""
+    last = -1
+    for i, e in key:
+        if not 0 <= i < len(odd):
+            problem = f"generator index {i} is out of range 0..{len(odd) - 1}"
+        elif i <= last:
+            problem = "generator indices are not strictly increasing"
+        elif e < 1:
+            problem = f"exponent {e} is below 1"
+        elif e > 1 and odd[i]:
+            problem = f"odd generator {i} has exponent {e}"
+        else:
+            last = i
+            continue
+        raise ValueError(f"relation key {key!r} is not a monomial: {problem}")
 
 
 class RingPresentation(OverFreeCdga):
     """Finite presentation of a graded-commutative ring (zero differential).
 
-    ``relations`` are homogeneous elements of the ambient free algebra
-    ``base`` on the given generators.  Each is an Element of any free
-    algebra on generators of the same names and degrees (re-homed by
-    ``adopt``), or a term dict already in ``base``'s keys: a monomial is a
+    ``relations`` is a tuple of homogeneous term dicts in the keys of the
+    ambient free algebra ``base`` on the given generators: a monomial is a
     tuple of (generator index, exponent) pairs in increasing index order,
     with exponent 1 for odd generators, so ``{((0, 2),): 1}`` is the square
-    of the first generator.  ``fundamental_degree`` marks the top degree of a
-    Poincare-duality presentation; ``verify_duality()`` checks nonsingularity
-    of the induced pairing by exact determinant ranks.
+    of the first generator.  The intake takes such dicts, with a malformed
+    key raising ValueError, or Elements of any free algebra on generators of
+    the same names and degrees, re-homed by ``adopt``.
+    ``fundamental_degree`` marks the top degree of a Poincare-duality
+    presentation; ``verify_duality()`` checks nonsingularity of the induced
+    pairing by exact determinant ranks.
     ``duality=True`` promises that the quotient vanishes above
     ``fundamental_degree`` n and pairs nonsingularly into its one-dimensional
     degree n; ``verify_witness`` trusts it and skips its independence check.
@@ -46,18 +67,21 @@ class RingPresentation(OverFreeCdga):
     def __init__(self, generators, relations=(), *, name="R",
                  fundamental_degree=None, duality=False):
         self.name = name
-        self.base = FreeCdga(generators, None, name=f"{name}~ambient")
+        self.base = base = FreeCdga(generators, None, name=f"{name}~ambient")
+        odd = [g.degree % 2 for g in base.gens]
         rels = []
         for r in relations:
-            e = r if isinstance(r, Element) else self.base.element(r)
-            if e.alg is not self.base:
-                e = self.base.adopt(e)
-            if e.is_zero():
-                continue
+            if isinstance(r, Element):
+                r = base.adopt(r).terms
+            terms = {k: exact(c) for k, c in r.items() if c}
+            for k in terms:
+                _check_monomial(k, odd)
             # a single monomial is homogeneous; only sums need the check
-            if len(e.terms) > 1 and not e.is_homogeneous():
-                raise ValueError(f"relation {e} is not homogeneous")
-            rels.append(e)
+            if len(terms) > 1 and len({base.key_degree(k) for k in terms}) > 1:
+                raise ValueError(f"relation {base.format_terms(terms)} "
+                                 "is not homogeneous")
+            if terms:
+                rels.append(terms)
         self.relations = tuple(rels)
         self.fundamental_degree = fundamental_degree
         self.fundamental_monomial = None
@@ -73,7 +97,7 @@ class RingPresentation(OverFreeCdga):
     def _relation_degrees(self):
         """Each relation's degree, read off one term (relations are
         homogeneous); computed on the first slice, not at construction."""
-        return [self.base.key_degree(next(iter(rel.terms)))
+        return [self.base.key_degree(next(iter(rel)))
                 for rel in self.relations]
 
     def _slice(self, degree):
@@ -88,7 +112,7 @@ class RingPresentation(OverFreeCdga):
             if rdeg > degree:
                 continue
             for mon in self.base.basis(degree - rdeg):
-                prod = self.base.mul_terms({mon: _ONE}, rel.terms)
+                prod = self.base.mul_terms({mon: _ONE}, rel)
                 if prod:
                     rows.append(coords(prod, pos))
         red, pivots = linalg.rref(rows)

@@ -52,6 +52,7 @@ class ExteriorAlgebra(GradedAlgebra):
 
     def __init__(self, n, *, first_index=1):
         self.name = f"Ext{n}"
+        self.first_index = first_index
         self.gens = tuple(Generator(f"dx{i}", 1)
                           for i in range(first_index, first_index + n))
         self.index = {g.name: i for i, g in enumerate(self.gens)}
@@ -107,14 +108,17 @@ def exterior_algebra(n, *, first_index=1) -> ExteriorAlgebra:
 
 
 def subset_monomial(ext: ExteriorAlgebra, subset) -> Element:
-    """Wedge of the dx_i over an index subset, in ascending order; a
-    repeated index raises ValueError.  The mask is written as binary digits
-    and read once, so its cost is linear in the number of generators (ORing
-    bit by bit into a growing int is quadratic)."""
+    """Wedge of the dx_i over an index subset, in ascending order; an index
+    out of range or repeated raises ValueError.  The mask is written as
+    binary digits and read once, so its cost is linear in the number of
+    generators (ORing bit by bit into a growing int is quadratic)."""
     digits = bytearray(b"0" * len(ext.gens))
     one = ord("1")
     for i in subset:
-        p = ext.index[f"dx{i}"]
+        p = ext.index.get(f"dx{i}")
+        if p is None:
+            raise ValueError(f"index {i} is out of range {ext.first_index}.."
+                             f"{ext.first_index + len(ext.gens) - 1}")
         if digits[p] == one:
             raise ValueError(f"index {i} repeats in the subset {list(subset)}")
         digits[p] = one
@@ -205,10 +209,11 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
         raise ValueError("the witness belongs to another presentation")
     phi = witness.morphism()
     for rel in ring.relations:
-        img = phi.apply_terms(rel.terms)
+        img = phi.apply_terms(rel)
         if img:
-            return WitnessReport(False, failing_relation=repr(rel),
-                                 message=f"relation {rel} maps to "
+            shown = ring.base.format_terms(rel)
+            return WitnessReport(False, failing_relation=shown,
+                                 message=f"relation {shown} maps to "
                                          f"{phi.target.format_terms(img)}")
     if ring.duality:
         mu = ring.fundamental_monomial
@@ -521,7 +526,7 @@ _DUALITY_CHECK_MONOMIALS = 200
 
 # Most relations a connected sum may have: each is built and then mapped
 # through a witness.  csum(1412*OP2), the largest admitted sum of OP2s with
-# 998,989 relations, classifies in about 4 s and 355 MiB (CPython 3.11.7,
+# 998,989 relations, classifies in about 4 s and 310 MiB (CPython 3.11.7,
 # 2 vCPUs).
 _MAX_CONNECTED_SUM_RELATIONS = 10 ** 6
 
@@ -542,8 +547,8 @@ class ConnectedSumRing(RingPresentation):
     a single power or a product g_p * g_q with p < q, so no Koszul sign
     arises.  The factors (p, 1) of the cross products and top classes are
     built once per generator and shared by every key that holds them.  Each
-    dict is built clean and homogeneous, so it is wrapped over ``base`` as it
-    is (``Element._wrap``), not copied by the public intake.
+    dict is built clean and homogeneous, so it is stored as it is, not
+    copied by the public intake.
     A sum with more than _MAX_CONNECTED_SUM_RELATIONS relations raises
     ValueError before any relation is built.
     """
@@ -617,7 +622,7 @@ class ConnectedSumRing(RingPresentation):
                          name=name or "#".join(_atom_label(a, o)
                                                for a, o in zip(atoms, orientations)),
                          fundamental_degree=fund, duality=True)
-        self.relations = tuple(Element._wrap(self.base, r) for r in rels)
+        self.relations = tuple(rels)
         self.fundamental_monomial = mu
         self.fundamental_monomial_sign = sign
         self.duality_verified = False

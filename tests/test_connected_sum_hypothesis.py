@@ -1,6 +1,6 @@
 """Property-based checks of the connected-sum relation builder.
 
-``ConnectedSumRing`` wraps the relation dicts it writes instead of copying
+``ConnectedSumRing`` stores the relation dicts it writes instead of copying
 them through the public ``RingPresentation`` intake; on random small sums the
 two routes must give the same relations, those relations must be the Element
 products of the construction that preceded them, key for key and in order,
@@ -55,7 +55,7 @@ def families(draw):
 def copied(ring):
     """The same ring through the public intake, which copies each relation."""
     out = RingPresentation([(g.name, g.degree) for g in ring.gens],
-                           [dict(r.terms) for r in ring.relations],
+                           [dict(r) for r in ring.relations],
                            name=ring.name,
                            fundamental_degree=ring.fundamental_degree,
                            duality=ring.duality)
@@ -69,12 +69,13 @@ def test_wrapped_relations_match_the_copying_route(case):
     atoms, orientations = case
     ring = connected_sum_ring(atoms, orientations)
     copy = copied(ring)
-    assert [list(r.terms.items()) for r in ring.relations] == \
-        [list(r.terms.items()) for r in copy.relations]
-    assert all(r.alg is ring.base for r in ring.relations)
+    assert [list(r.items()) for r in ring.relations] == \
+        [list(r.items()) for r in copy.relations]
+    assert all(type(r) is dict and all(ring.base.key_degree(k) >= 0 for k in r)
+               for r in ring.relations)
     assert all(is_exact_coefficient(c)
-               for r in ring.relations for c in r.terms.values())
-    assert len({id(r.terms) for r in ring.relations}) == len(ring.relations)
+               for r in ring.relations for c in r.values())
+    assert len({id(r) for r in ring.relations}) == len(ring.relations)
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -83,9 +84,10 @@ def test_relations_match_element_products_in_order(case):
     atoms, orientations = case
     ring = connected_sum_ring(atoms, orientations)
     want, mu1 = _element_product_relations(atoms, orientations)
-    assert [[(k, c, type(c)) for k, c in r.terms.items()] for r in ring.relations] \
+    assert [[(k, c, type(c)) for k, c in r.items()] for r in ring.relations] \
         == [[(k, c, type(c)) for k, c in e.terms.items()] for e in want]
-    assert [repr(r) for r in ring.relations] == [repr(e) for e in want]
+    assert [ring.base.format_terms(r) for r in ring.relations] == \
+        [repr(e) for e in want]
     assert {ring.fundamental_monomial: ring.fundamental_monomial_sign} == mu1.terms
 
 

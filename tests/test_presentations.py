@@ -1,11 +1,13 @@
+import re
 from fractions import Fraction
 
 import pytest
 from coefficients import is_exact_coefficient
 
 from rht import FreeCdga, RingPresentation, cohomology, connected_sum_ring
+from rht.fileformat import loads
 from rht.presentations import projective_ring, sphere_ring, wedge_of_spheres_ring
-from rht.scalability import sigma_ring
+from rht.scalability import pi_ring, sigma_ring
 
 F = Fraction
 
@@ -22,7 +24,7 @@ def test_relations_of_another_algebra_keep_their_koszul_sign():
     A = FreeCdga([("a", 1), ("b", 1), ("c", 2)])
     ring = RingPresentation([("b", 1), ("a", 1), ("c", 2)], [A["a"] * A["b"] + A["c"]])
     B = ring.base
-    assert ring.relations == (-B["b"] * B["a"] + B["c"],)
+    assert ring.relations == ((-B["b"] * B["a"] + B["c"]).terms,)
     assert (ring["a"] * ring["b"] + ring["c"]).is_zero()
     assert not (ring["a"] * ring["b"] - ring["c"]).is_zero()
 
@@ -50,13 +52,13 @@ def test_builders_write_the_products_of_a_free_algebra():
         want = [p.terms for i, x in enumerate(xs) for y in xs[i:]
                 if (p := x * y)]
         got = wedge_of_spheres_ring(degrees).relations
-        assert [r.terms for r in got] == want
+        assert list(got) == want
         if len(degrees) == 1:
-            assert [r.terms for r in sphere_ring(degrees[0]).relations] == want
+            assert list(sphere_ring(degrees[0]).relations) == want
     for degree, power in ((2, 2), (4, 2), (2, 5)):
         x = FreeCdga([("x", degree)])["x"]
         (rel,) = projective_ring(degree, power).relations
-        assert rel.terms == (x ** (power + 1)).terms
+        assert rel == (x ** (power + 1)).terms
     with pytest.raises(ValueError, match="even generator degree"):
         projective_ring(3, 2)
 
@@ -106,7 +108,8 @@ def test_multi_term_inhomogeneous_relations_rejected():
         with pytest.raises(ValueError, match="not homogeneous"):
             RingPresentation(gens, [rel])
     ring = RingPresentation(gens, [{((0, 1), (1, 1)): 3}, amb["z"] - amb["x"] ** 2])
-    assert [r.degree for r in ring.relations] == [5, 4]
+    assert [{ring.base.key_degree(k) for k in r} for r in ring.relations] \
+        == [{5}, {4}]
 
 
 def test_stored_coefficients_are_clean_fractions():
@@ -123,5 +126,51 @@ def test_stored_coefficients_are_clean_fractions():
     for ring in rings:
         assert ring.relations
         for rel in ring.relations:
-            assert rel.alg is ring.base
-            assert all(is_exact_coefficient(c) for c in rel.terms.values())
+            assert type(rel) is dict
+            assert all(ring.base.key_degree(k) >= 0 for k in rel)
+            assert all(is_exact_coefficient(c) for c in rel.values())
+
+
+@pytest.mark.parametrize("gens,key,problem", [
+    ([("x", 2)], ((3, 1),), "generator index 3 is out of range 0..0"),
+    ([("x", 2)], ((-1, 2),), "generator index -1 is out of range 0..0"),
+    ([("x", 2), ("y", 2)], ((1, 1), (0, 1)),
+     "generator indices are not strictly increasing"),
+    ([("x", 2), ("y", 2)], ((0, 1), (0, 1)),
+     "generator indices are not strictly increasing"),
+    ([("x", 2)], ((0, 0),), "exponent 0 is below 1"),
+    ([("x", 3)], ((0, 2),), "odd generator 0 has exponent 2"),
+], ids=["index-out-of-range", "negative-index", "indices-decreasing",
+        "index-repeated", "exponent-below-one", "odd-exponent-above-one"])
+def test_malformed_relation_keys_are_rejected(gens, key, problem):
+    """A term-dict relation whose key is no monomial of the ring raises
+    ValueError naming the key, at intake rather than in a later slice."""
+    with pytest.raises(ValueError,
+                       match=re.escape(f"relation key {key!r} is not a "
+                                       f"monomial: {problem}")):
+        RingPresentation(gens, [{((0, 1),): 1}, {key: 1}])
+
+
+def test_every_builder_and_intake_stores_term_dicts():
+    """Each relation of every builder and intake is a plain dict in the
+    ring's keys."""
+    A = FreeCdga([("x", 2), ("y", 2)])
+    B = FreeCdga([("y", 2), ("x", 2)])
+    gens = [("x", 2), ("y", 2)]
+    rings = {
+        "sphere": sphere_ring(4), "projective": projective_ring(2, 3),
+        "wedge": wedge_of_spheres_ring([2, 3, 3]), "sigma": sigma_ring(2, 3),
+        "pi": pi_ring(3, 2),
+        "connected sum": connected_sum_ring([("sphere_product", 2, 2),
+                                             ("projective", 2, 2)]),
+        "file": loads("ring r\ngen x 2\ngen y 2\nrel x*y\nrel x^2 - y^2\n"),
+        "Element": RingPresentation(gens, [A["x"] * A["y"]]),
+        "foreign Element": RingPresentation(gens, [B["x"] ** 2 - B["y"] ** 2]),
+        "dict": RingPresentation(gens, [{((0, 1), (1, 1)): F(2, 2)}]),
+    }
+    for label, ring in rings.items():
+        assert ring.relations, label
+        assert type(ring.relations) is tuple, label
+        for rel in ring.relations:
+            assert type(rel) is dict, label
+            assert all(ring.base.key_degree(k) > 0 for k in rel), label

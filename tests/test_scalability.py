@@ -149,9 +149,9 @@ def test_equal_powers_witness_and_relations_are_pinned():
         "a1": "dx1*dx2 + dx3*dx4", "a2": "dx1*dx3 - dx2*dx4",
         "a3": "dx1*dx4 + dx2*dx3"}
     sigma, pi = sigma_ring(2, 3), pi_ring(3, 3)
-    assert [repr(r) for r in sigma.relations] == [
+    assert [sigma.base.format_terms(r) for r in sigma.relations] == [
         "a1*a2", "a1*a3", "a2*a3", "-a1^2 + a2^2", "-a1^2 + a3^2"]
-    assert [repr(r) for r in pi.relations] == [
+    assert [pi.base.format_terms(r) for r in pi.relations] == [
         "a1*a2", "a1*a3", "a2*a3", "-a1^3 + a2^3", "-a1^3 + a3^3"]
     assert sigma.fundamental_monomial == ((0, 2),)
     assert pi.fundamental_monomial == ((0, 3),)
@@ -289,7 +289,7 @@ def _rename_reduce(src_ring, dst_ring, mapping):
     """Map each relation of src through a generator renaming and reduce in dst."""
     for rel in src_ring.relations:
         terms = {}
-        for mon, c in rel.terms.items():
+        for mon, c in rel.items():
             factors = [(mapping[src_ring.gens[i].name], e) for i, e in mon]
             sign, key = dst_ring.base.monomial(
                 [(dst_ring.base.index[n], e) for n, e in factors])
@@ -297,7 +297,8 @@ def _rename_reduce(src_ring, dst_ring, mapping):
                 continue
             terms[key] = terms.get(key, F(0)) + c * sign
         reduced = dst_ring.reduce_terms(terms)
-        assert not reduced, f"relation {rel} does not vanish after renaming"
+        assert not reduced, (f"relation {src_ring.base.format_terms(rel)} "
+                             "does not vanish after renaming")
 
 
 def test_four_projective_planes_present_equal_squares():
@@ -447,11 +448,12 @@ def _element_product_relations(atoms, orientations):
 def test_connected_sum_relations_match_element_products(atoms, orientations):
     ring = connected_sum_ring(atoms, orientations)
     want, mu1 = _element_product_relations(atoms, orientations)
-    assert [list(r.terms.items()) for r in ring.relations] == \
+    assert [list(r.items()) for r in ring.relations] == \
         [list(e.terms.items()) for e in want]
     assert all(is_exact_coefficient(c)
-               for r in ring.relations for c in r.terms.values())
-    assert [repr(r) for r in ring.relations] == [repr(e) for e in want]
+               for r in ring.relations for c in r.values())
+    assert [ring.base.format_terms(r) for r in ring.relations] == \
+        [repr(e) for e in want]
     assert ring.generator_names() == want[0].alg.generator_names()
     assert {ring.fundamental_monomial: ring.fundamental_monomial_sign} == mu1.terms
 
@@ -688,6 +690,17 @@ def test_subset_monomial_rejects_a_repeated_index():
         subset_monomial(ext, [1, 1])
 
 
+@pytest.mark.parametrize("first,index,valid", [
+    (1, 9, "1..4"), (1, 0, "1..4"), (1, -1, "1..4"), (0, 4, "0..3")])
+def test_subset_monomial_rejects_an_index_out_of_range(first, index, valid):
+    """An index with no generator raises ValueError naming the index and the
+    valid range, as a repeated one does (not KeyError)."""
+    ext = exterior_algebra(4, first_index=first)
+    with pytest.raises(ValueError,
+                       match=f"index {index} is out of range {valid}$"):
+        subset_monomial(ext, [first, index])
+
+
 def test_scalable_sphere_cost_is_linear_in_the_dimension(capsys):
     """``rht scalable S<k>`` builds, checks and prints one k-bit mask; with
     the mask built or read bit by bit it grows as k^2, and S400000 took 27
@@ -720,7 +733,7 @@ def oracle_relation_images(ring, witness):
     """Each relation's image through ``oracle_morphism``, one Element at a
     time."""
     phi = oracle_morphism(ring, witness)
-    return [phi.apply(rel) for rel in ring.relations]
+    return [phi.apply(Element(ring.base, rel)) for rel in ring.relations]
 
 
 def oracle_failure(ring, images):
@@ -728,14 +741,15 @@ def oracle_failure(ring, images):
     is nonzero, as verify_witness reports it, or None."""
     for rel, img in zip(ring.relations, images):
         if not img.is_zero():
-            return repr(rel), f"relation {rel} maps to {img}"
+            shown = ring.base.format_terms(rel)
+            return shown, f"relation {shown} maps to {img}"
     return None
 
 
 def kernel_relation_images(ring, witness):
     """Each relation's image through the witness's own morphism."""
     phi = witness.morphism()
-    return [phi.apply_terms(rel.terms) for rel in ring.relations]
+    return [phi.apply_terms(rel) for rel in ring.relations]
 
 
 def check_kernel_against_oracle(ring, witness):

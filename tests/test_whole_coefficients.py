@@ -67,7 +67,7 @@ def test_products_and_differentials_of_ints_stay_ints(name):
                     x ** 2, alg.scalar(Fraction(6, 3)) * x):
             assert_ints(got)
     for rel in getattr(alg, "relations", ()):
-        assert_ints(rel)
+        assert all(type(c) is int and c for c in rel.values()), rel
 
 
 @pytest.mark.parametrize("name", ZOO)
