@@ -70,6 +70,26 @@ def _as_generators(gens):
     return tuple(out)
 
 
+def _check_monomial(key, odd, what):
+    """Raise ValueError, naming ``key`` a ``what`` key, unless it is a monomial
+    over generators of the parities ``odd``: (index, exponent) pairs, indices
+    in range and strictly increasing, exponents at least 1 (exactly 1 if odd)."""
+    last = -1
+    for i, e in key:
+        if not 0 <= i < len(odd):
+            problem = f"generator index {i} is out of range 0..{len(odd) - 1}"
+        elif i <= last:
+            problem = "generator indices are not strictly increasing"
+        elif e < 1:
+            problem = f"exponent {e} is below 1"
+        elif e > 1 and odd[i]:
+            problem = f"odd generator {i} has exponent {e}"
+        else:
+            last = i
+            continue
+        raise ValueError(f"{what} key {key!r} is not a monomial: {problem}")
+
+
 def accumulate(out, terms, c=_ONE):
     """Add ``c * terms`` into the term dict ``out`` in place.
 
@@ -395,10 +415,10 @@ class FreeCdga(GradedAlgebra):
     def _append(self, generators, differential):
         """Append generators and their differentials, and validate them.
 
-        Only the appended generators are checked: each differential must be
-        homogeneous of degree one more than its generator and satisfy
-        d(d(v)) = 0.  A differential given for an earlier generator is an
-        error, so every earlier ``d_key`` and ``mul_keys`` entry stays valid.
+        Only the appended generators are checked: each differential must have
+        monomial keys, be homogeneous of degree one more than its generator
+        and satisfy d(d(v)) = 0.  A differential for an earlier generator is
+        an error, so earlier ``d_key`` and ``mul_keys`` entries stay valid.
         """
         new = _as_generators(generators)
         start = len(self.gens)
@@ -425,6 +445,7 @@ class FreeCdga(GradedAlgebra):
         for idx, terms in added.items():
             g = self.gens[idx]
             for mon in terms:
+                _check_monomial(mon, self._odd, f"d({g.name})")
                 if self.key_degree(mon) != g.degree + 1:
                     raise ValueError(
                         f"d({g.name}) must be homogeneous of degree "

@@ -15,28 +15,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import linalg
-from .cdga import _ONE, Element, FreeCdga, OverFreeCdga, accumulate, exact
+from .cdga import (_ONE, Element, FreeCdga, OverFreeCdga, _check_monomial,
+                   accumulate, exact)
 from .cohomology import coords
-
-
-def _check_monomial(key, odd):
-    """Raise ValueError unless ``key`` is a monomial over generators of the
-    parities ``odd``: (index, exponent) pairs with indices in range and
-    strictly increasing, exponents at least 1, and 1 on an odd generator."""
-    last = -1
-    for i, e in key:
-        if not 0 <= i < len(odd):
-            problem = f"generator index {i} is out of range 0..{len(odd) - 1}"
-        elif i <= last:
-            problem = "generator indices are not strictly increasing"
-        elif e < 1:
-            problem = f"exponent {e} is below 1"
-        elif e > 1 and odd[i]:
-            problem = f"odd generator {i} has exponent {e}"
-        else:
-            last = i
-            continue
-        raise ValueError(f"relation key {key!r} is not a monomial: {problem}")
 
 
 class RingPresentation(OverFreeCdga):
@@ -68,14 +49,13 @@ class RingPresentation(OverFreeCdga):
                  fundamental_degree=None, duality=False):
         self.name = name
         self.base = base = FreeCdga(generators, None, name=f"{name}~ambient")
-        odd = [g.degree % 2 for g in base.gens]
         rels = []
         for r in relations:
             if isinstance(r, Element):
                 r = base.adopt(r).terms
             terms = {k: exact(c) for k, c in r.items() if c}
             for k in terms:
-                _check_monomial(k, odd)
+                _check_monomial(k, base._odd, "relation")
             # a single monomial is homogeneous; only sums need the check
             if len(terms) > 1 and len({base.key_degree(k) for k in terms}) > 1:
                 raise ValueError(f"relation {base.format_terms(terms)} "

@@ -17,10 +17,11 @@ subtracted), or a volume or symplectic form, and every builder hands them
 to ``_verified``, which runs verify_witness and raises AssertionError on a
 failed check (an explicit raise, so ``python -O`` keeps it).
 
-Witness targets are ``ExteriorAlgebra`` instances: a monomial is a set of
-generator indices, kept as an int bitmask, so a product is a disjointness
-test and an inversion count.  verify_witness maps relations through the
-witness's DgaMorphism, the path every other morphism takes.
+Witness targets are ``ExteriorAlgebra`` instances, each only its dimension
+and first index: a monomial is a set of generator positions, kept as an int
+bitmask, so a product (the one sign rule) is a disjointness test and an
+inversion count, and a name is its position by arithmetic.  verify_witness
+maps relations through the witness's DgaMorphism, as every morphism does.
 """
 
 from __future__ import annotations
@@ -42,23 +43,34 @@ from .presentations import RingPresentation, projective_ring, sphere_ring
 
 class ExteriorAlgebra(GradedAlgebra):
     """Alternating algebra on n degree-1 generators dx{first_index}, ...,
-    with zero differential.
+    with zero differential; it is its two numbers, ``n`` and ``first_index``.
 
-    A key is an int bitmask, bit i standing for generator i, so a monomial
-    is its set of indices in ascending order; the unit key is 0.
+    A key is an int bitmask, bit p standing for dx{first_index + p}, so a
+    monomial is its set of positions in ascending order; the unit key is 0.
+    Names convert to bits by arithmetic, and ``gens`` is built on request.
     """
 
     unit_key = 0
 
     def __init__(self, n, *, first_index=1):
         self.name = f"Ext{n}"
+        self.n = n
         self.first_index = first_index
-        self.gens = tuple(Generator(f"dx{i}", 1)
-                          for i in range(first_index, first_index + n))
-        self.index = {g.name: i for i, g in enumerate(self.gens)}
+
+    @property
+    def gens(self):
+        return tuple(Generator(f"dx{i}", 1) for i in
+                     range(self.first_index, self.first_index + self.n))
 
     def gen_key(self, name):
-        return 1 << self.index[name]
+        """The bit of ``name``, spelled exactly dx{first_index + p}; any
+        other name (``dx01``, ``dx+1``, ``dx²``) raises KeyError."""
+        digits = name[2:] if isinstance(name, str) else ""
+        if digits.removeprefix("-").isdecimal():  # "-" for a negative first_index
+            p = int(digits) - self.first_index
+            if 0 <= p < self.n and name == f"dx{self.first_index + p}":
+                return 1 << p
+        raise KeyError(name)
 
     def key_degree(self, mask):
         return mask.bit_count()
@@ -85,7 +97,7 @@ class ExteriorAlgebra(GradedAlgebra):
         if degree < 0:
             return ()
         return tuple(sum(1 << i for i in subset) for subset in
-                     itertools.combinations(range(len(self.gens)), degree))
+                     itertools.combinations(range(self.n), degree))
 
     @staticmethod
     def _indices(mask):
@@ -96,7 +108,7 @@ class ExteriorAlgebra(GradedAlgebra):
     def format_key(self, mask):
         if not mask:
             return "1"
-        return "*".join(self.gens[i].name for i in self._indices(mask))
+        return "*".join(f"dx{self.first_index + p}" for p in self._indices(mask))
 
     def key_sort_token(self, mask):
         return (0, self._indices(mask))
@@ -112,13 +124,13 @@ def subset_monomial(ext: ExteriorAlgebra, subset) -> Element:
     out of range or repeated raises ValueError.  The mask is written as
     binary digits and read once, so its cost is linear in the number of
     generators (ORing bit by bit into a growing int is quadratic)."""
-    digits = bytearray(b"0" * len(ext.gens))
+    n, first = ext.n, ext.first_index
+    digits = bytearray(b"0" * n)
     one = ord("1")
     for i in subset:
-        p = ext.index.get(f"dx{i}")
-        if p is None:
-            raise ValueError(f"index {i} is out of range {ext.first_index}.."
-                             f"{ext.first_index + len(ext.gens) - 1}")
+        p = i - first
+        if not 0 <= p < n:
+            raise ValueError(f"index {i} is out of range {first}..{first + n - 1}")
         if digits[p] == one:
             raise ValueError(f"index {i} repeats in the subset {list(subset)}")
         digits[p] = one
@@ -126,15 +138,16 @@ def subset_monomial(ext: ExteriorAlgebra, subset) -> Element:
     return Element(ext, {int(digits or b"0", 2): _ONE})
 
 
-def _complementary_pairs(ext: ExteriorAlgebra, subsets, total):
-    """(dx_I, s_I * dx_(I^c)) for each index set I, where I^c is taken in
-    ``total`` and the sign s_I makes dx_I ^ s_I dx_(I^c) the volume form."""
+def _complementary_pairs(ext: ExteriorAlgebra, subsets):
+    """(dx_I, s_I * dx_(I^c)) for each index set I of ``ext``, with the sign
+    s_I that ``mul_keys`` gives dx_I ^ dx_(I^c) against the volume form."""
+    full = (1 << ext.n) - 1
     pairs = []
     for subset in subsets:
-        comp = [i for i in total if i not in subset]
-        swaps = sum(1 for i in subset for j in comp if j < i)
-        pairs.append((subset_monomial(ext, subset),
-                      (-1) ** swaps * subset_monomial(ext, comp)))
+        first = subset_monomial(ext, subset)
+        (mask,) = first.terms
+        sign = ext.mul_keys(mask, full ^ mask)[full]
+        pairs.append((first, Element(ext, {full ^ mask: sign})))
     return pairs
 
 
@@ -142,19 +155,6 @@ def symplectic_form(ext: ExteriorAlgebra, n) -> Element:
     """dx1^dx2 + dx3^dx4 + ... + dx(2n-1)^dx(2n)."""
     return ext.sum(subset_monomial(ext, [lo, lo + 1])
                    for lo in range(1, 2 * n + 1, 2))
-
-
-# Checking the witness of CP^n expands every power omega^k of the symplectic
-# form, C(n, k) terms each and 2^n in all; 2^12 terms take under a second.
-_MAX_SYMPLECTIC_TERMS = 2 ** 12
-
-
-def _check_symplectic_size(n):
-    largest = _MAX_SYMPLECTIC_TERMS.bit_length() - 1
-    if n > largest:
-        raise ValueError(
-            f"CP{n} is too large to verify: its symplectic witness check "
-            f"expands 2^{n} terms; CP^n is supported up to n = {largest}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +226,7 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
     # images vanish above the target's top degree N, and peeling generators
     # off a nonzero monomial above N + (largest generator degree) leaves a
     # nonzero divisor past N, which fails first; no higher degree is needed
-    limit = len(witness.target.gens) + max((g.degree for g in ring.gens),
-                                           default=0)
+    limit = witness.target.n + max((g.degree for g in ring.gens), default=0)
     for k in range(1, limit + 1):
         basis = ring.basis(k)
         if not basis:
@@ -249,6 +248,20 @@ def _verified(ring, ext, images, what, note=None) -> EmbeddingWitness:
         raise AssertionError(f"{what} witness failed verification: "
                              f"{report.message}")
     return witness
+
+
+def _symplectic_witness(n, ring_of, what) -> EmbeddingWitness:
+    """CP^n: the one generator of ``ring_of()`` goes to the symplectic form
+    of R^(2n).  The check expands 2^n terms (2^12 take under a second), so
+    a larger n raises ValueError before the ring is built."""
+    if n > 12:
+        raise ValueError(
+            f"CP{n} is too large to verify: its symplectic witness check "
+            f"expands 2^{n} terms; CP^n is supported up to n = 12")
+    ring = ring_of()
+    ext = exterior_algebra(2 * n)
+    (name,) = ring.generator_names()
+    return _verified(ring, ext, {name: symplectic_form(ext, n)}, what)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +299,10 @@ def wedge_pairing_signature(n: int) -> SignatureResult:
     dense_check = n <= 3
     if dense_check:
         ext = exterior_algebra(2 * n)
-        subsets = list(itertools.combinations(range(1, 2 * n + 1), n))
-        vol_key = next(iter(subset_monomial(ext, range(1, 2 * n + 1)).terms))
-        gram = []
-        for I in subsets:
-            row = []
-            eI = subset_monomial(ext, I)
-            for J in subsets:
-                prod = eI * subset_monomial(ext, J)
-                row.append(prod.terms.get(vol_key, _ZERO))
-            gram.append(row)
+        volume = (1 << 2 * n) - 1
+        middle = ext.basis(n)
+        gram = [[ext.mul_keys(a, b).get(volume, _ZERO) for b in middle]
+                for a in middle]
         pos, neg, zero = linalg.symmetric_inertia(gram)
         if (pos, neg, zero) != (pairs, pairs, 0):
             raise AssertionError("block signature disagrees with dense inertia")
@@ -406,8 +413,7 @@ def _subsets_containing_first(n, r, total, first):
 def _middle_pairs(ext, n, r):
     """Complementary pairs of Lambda^n R^(2n) for the first r size-n subsets
     of {1..2n} containing 1; no two of them share an index set."""
-    return _complementary_pairs(ext, _subsets_containing_first(n, r, 2 * n, 1),
-                                range(1, 2 * n + 1))
+    return _complementary_pairs(ext, _subsets_containing_first(n, r, 2 * n, 1))
 
 
 def decide_omega(n, r) -> Decision:
@@ -488,10 +494,7 @@ def decide_pi(n, r) -> Decision:
     if r < 1:
         raise ValueError("r must be positive")
     if r == 1:
-        _check_symplectic_size(n)
-        ext = exterior_algebra(2 * n)
-        witness = _verified(pi_ring(n, 1), ext, {"a1": symplectic_form(ext, n)},
-                            "pi")
+        witness = _symplectic_witness(n, lambda: pi_ring(n, 1), "pi")
         return Decision("pi", n, 1, True, 1, witness=witness)
     pairs = list(itertools.combinations(range(1, 2 * n + 1), 2))
     sympl = {(2 * i + 1, 2 * i + 2) for i in range(n)}
@@ -710,8 +713,7 @@ def family_local_forms(family: SetFamily) -> FamilyForms:
                          f"and {J} have empty {quadrant}")
     k1 = family.ground
     ext = exterior_algebra(k1, first_index=0)
-    pairs = _complementary_pairs(ext, [sorted(m) for m in family.members],
-                                 range(k1))
+    pairs = _complementary_pairs(ext, [sorted(m) for m in family.members])
     atoms = []
     images = {}
     caveat = None
@@ -898,15 +900,12 @@ def _projective_witness(gen_degree, power):
     """CP^power: the symplectic form of R^(2 power); a projective plane on
     a generator of degree d > 2: dx_(1..d) + dx_(d+1..2d)."""
     if gen_degree == 2:
-        _check_symplectic_size(power)
-        ext = exterior_algebra(2 * power)
-        img = symplectic_form(ext, power)
-    else:
-        ext = exterior_algebra(2 * gen_degree)
-        ((first, second),) = _middle_pairs(ext, gen_degree, 1)
-        img = first + second
-    return _verified(projective_ring(gen_degree, power), ext, {"x": img},
-                     "projective")
+        return _symplectic_witness(
+            power, lambda: projective_ring(2, power), "projective")
+    ext = exterior_algebra(2 * gen_degree)
+    ((first, second),) = _middle_pairs(ext, gen_degree, 1)
+    return _verified(projective_ring(gen_degree, power), ext,
+                     {"x": first + second}, "projective")
 
 
 def _classify_csum(node: CSum, text) -> Classification:

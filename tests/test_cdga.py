@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -330,3 +331,29 @@ def test_extend_validates_only_the_new_generators(monkeypatch):
     # parent never sees the keys the extension adds
     assert parent_d_keys <= set(B._d_cache)
     assert set(A._d_cache) == parent_d_keys
+
+
+@pytest.mark.parametrize("gens,d,problem", [
+    # once built, d(z) printed y*x
+    ([("x", 1), ("y", 1), ("z", 1)], {"z": {((1, 1), (0, 1)): 1}},
+     "generator indices are not strictly increasing"),
+    # once built, d(y) printed x^0*x^3
+    ([("x", 2), ("y", 5)], {"y": {((0, 0), (0, 3)): 1}},
+     "exponent 0 is below 1"),
+    # once built, d(y) printed u^2*x, a square of an odd generator
+    ([("u", 1), ("x", 2), ("y", 3)], {"y": {((0, 2), (1, 1)): 1}},
+     "odd generator 0 has exponent 2"),
+    # raised IndexError from key_degree
+    ([("x", 2), ("y", 3)], {"y": {((3, 1),): 1}},
+     "generator index 3 is out of range 0..1"),
+], ids=["indices-decreasing", "exponent-zero", "odd-square", "index-out-of-range"])
+def test_malformed_differential_keys_are_rejected(gens, d, problem):
+    """A differential key that is no monomial raises ValueError naming the
+    key, as a malformed relation key does; ``extend`` takes the same check."""
+    ((name, terms),) = d.items()
+    (key,) = terms
+    message = re.escape(f"d({name}) key {key!r} is not a monomial: {problem}")
+    with pytest.raises(ValueError, match=message):
+        FreeCdga(gens, d)
+    with pytest.raises(ValueError, match=message):
+        FreeCdga(gens[:-1]).extend(gens[-1:], d)

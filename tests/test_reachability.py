@@ -36,7 +36,6 @@ ALLOWED = {
     "cdga.GradedAlgebra.scalar": "parse_expression calls it for every numeric "
                                  "literal; no golden input file has one",
     "cdga.OverFreeCdga.format_key": INTERFACE,
-    "cdga.OverFreeCdga.gens": INTERFACE,
     "cdga.OverFreeCdga.index": INTERFACE,
     "cli._cap_default": "reads RHT_CAP for a command given no cap; every "
                         "golden command that needs a cap gives --through",
@@ -49,8 +48,8 @@ ALLOWED = {
     "homotopy.IntervalAlgebra.key_sort_token": INTERFACE,
     "models.CellAttachmentModel.format_key": INTERFACE,
     "models.CellAttachmentModel.key_sort_token": INTERFACE,
-    "scalability.ExteriorAlgebra.basis": INTERFACE,
     "scalability.ExteriorAlgebra.gen_key": INTERFACE,
+    "scalability.ExteriorAlgebra.gens": INTERFACE,
     "scalability.pi_ring": "decide_pi(n, 1) calls it, and bench/tracer.py "
                            "patches it by name",
     "verify._battery": IMPORT,

@@ -17,7 +17,8 @@ from rht import (EmbeddingWitness, FreeCdga, SetFamily, classify,
                  connected_sum_ring, decide_omega, decide_pi, decide_sigma,
                  exterior_algebra, family_local_forms, intersection_complete,
                  verify_witness, wedge_pairing_signature)
-from rht.cdga import DgaMorphism, Element, TruncatedCdga
+from rht import scalability
+from rht.cdga import DgaMorphism, Element, Generator, TruncatedCdga
 from rht.cli import main
 from rht.presentations import (RingPresentation, projective_ring,
                                wedge_of_spheres_ring)
@@ -26,9 +27,9 @@ from rht.scalability import (Atom, CSum, DimensionCountRefutation,
                              omega_ring, parse_descriptor, pi_ring, sigma_ring,
                              subset_monomial, symplectic_form,
                              SCALABLE, NOT_SCALABLE, UNKNOWN)
-from rht.scalability import (_middle_pairs, _plane_sum_witness,
-                             _projective_witness, _subsets_containing_first,
-                             _verified)
+from rht.scalability import (_complementary_pairs, _middle_pairs,
+                             _plane_sum_witness, _projective_witness,
+                             _subsets_containing_first, _verified)
 
 F = Fraction
 
@@ -699,6 +700,86 @@ def test_subset_monomial_rejects_an_index_out_of_range(first, index, valid):
     with pytest.raises(ValueError,
                        match=f"index {index} is out of range {valid}$"):
         subset_monomial(ext, [first, index])
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_generator_names_are_subset_monomials(first):
+    ext = exterior_algebra(6, first_index=first)
+    assert ext.generator_names() == tuple(f"dx{i}" for i in range(first, first + 6))
+    for i in range(first, first + 6):
+        assert ext[f"dx{i}"] == subset_monomial(ext, [i])
+        assert ext.gen_key(f"dx{i}") == 1 << (i - first)
+
+
+@pytest.mark.parametrize("first,name", [
+    (1, "dx0"), (1, "dx5"), (1, "dx01"), (1, "dx+1"), (1, "dx²"), (1, "dx١"),
+    (1, "ab1"), (1, ""), (0, "dx4"), (0, "dx-0"), (0, "dx 1"), (0, "dx"),
+    (0, None)])
+def test_gen_key_rejects_every_other_name_with_a_key_error(first, name):
+    """Only the exact spelling dx{first_index + p} is a generator: a name
+    int() would accept but that does not round-trip, or one int() rejects,
+    raises KeyError, never ValueError."""
+    ext = exterior_algebra(4, first_index=first)
+    with pytest.raises(KeyError):
+        ext.gen_key(name)
+    with pytest.raises(KeyError):
+        ext[name]
+
+
+def test_gen_key_reads_a_negative_first_index():
+    ext = exterior_algebra(3, first_index=-1)
+    assert [ext.gen_key(name) for name in ext.generator_names()] == [1, 2, 4]
+    assert ext.format_key(7) == "dx-1*dx0*dx1"
+
+
+def inversion_pairs(ext, subsets):
+    """(mask of dx_I, mask of dx_(I^c), s_I) for each index set I, with s_I
+    the parity of the pairs i in I, j in I^c with j < i."""
+    first = ext.first_index
+    total = range(first, first + ext.n)
+    out = []
+    for subset in subsets:
+        comp = [i for i in total if i not in subset]
+        swaps = sum(1 for i in subset for j in comp if j < i)
+        out.append((sum(1 << (i - first) for i in subset),
+                    sum(1 << (j - first) for j in comp), (-1) ** swaps))
+    return out
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_complementary_pairs_match_the_inversion_count(n, first):
+    """On every index set, the pair and its sign read from mul_keys agree
+    with the inversion count, and the pair multiplies to +volume."""
+    ext = exterior_algebra(n, first_index=first)
+    indices = range(first, first + n)
+    subsets = [s for k in range(n + 1) for s in itertools.combinations(indices, k)]
+    pairs = _complementary_pairs(ext, subsets)
+    expected = inversion_pairs(ext, subsets)
+    volume = ext.element({(1 << n) - 1: 1})
+    assert len(pairs) == len(expected) == 2 ** n
+    for (lo, hi), (mask, comp, sign) in zip(pairs, expected):
+        assert lo.terms == {mask: 1}
+        assert hi.terms == {comp: sign}
+        assert lo * hi == volume
+
+
+def test_scalable_sphere_builds_no_generator_objects(monkeypatch, capsys):
+    """The witness of S400000 targets Ext400000 without one Generator per
+    dimension: the algebra is its two numbers, and ``gens`` is built only
+    when asked for."""
+    built = []
+
+    class Counted(Generator):
+        def __post_init__(self):
+            built.append(self.name)
+            super().__post_init__()
+
+    monkeypatch.setattr(scalability, "Generator", Counted)
+    assert main(["scalable", "S400000", "--machine"]) == 0
+    assert "verdict = Scalable\n" in capsys.readouterr().out
+    assert built == []
+    assert len(exterior_algebra(3).gens) == 3 and built == ["dx1", "dx2", "dx3"]
 
 
 def test_scalable_sphere_cost_is_linear_in_the_dimension(capsys):
