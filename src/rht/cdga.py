@@ -13,7 +13,9 @@ Every stored coefficient is a nonzero ``int`` or ``Fraction``.  The intakes
 (the ``Element`` constructor, ``FreeCdga`` differentials and scalars) store
 a whole value as an ``int`` through ``exact``, as ``linalg`` rows do, so most
 arithmetic runs on ints; the algebra's own arithmetic keeps the invariant
-without re-checking it (see ``Element``).
+without re-checking it (see ``Element``).  Every sum of term dicts goes
+through ``linalg.accumulate``; the shared signs ``_ONE`` and ``_MINUS_ONE``
+live there too.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import _MINUS_ONE, _ONE, accumulate
+
 Scalar = int | Fraction
 Monomial = tuple
 UNIT: Monomial = ()
 
 _ZERO = 0
-_ONE = 1
-_MINUS_ONE = -1
 
 
 def exact(c):
@@ -88,24 +90,6 @@ def _check_monomial(key, odd, what):
             last = i
             continue
         raise ValueError(f"{what} key {key!r} is not a monomial: {problem}")
-
-
-def accumulate(out, terms, c=_ONE):
-    """Add ``c * terms`` into the term dict ``out`` in place.
-
-    ``c`` and the values of ``terms`` are nonzero.  A new key takes its value
-    as is; a key whose sum cancels is dropped.
-    """
-    for k, x in terms.items():
-        if c is not _ONE:
-            x = x * c
-        v = out.get(k)
-        if v is None:
-            out[k] = x
-        elif v := v + x:
-            out[k] = v
-        else:
-            del out[k]
 
 
 class Element:
@@ -311,44 +295,21 @@ class GradedAlgebra:
 
     # -- term arithmetic -----------------------------------------------------
 
-    # The two loops below are the hot path of every product and differential:
-    # a new key takes its value as is, signs +-1 negate instead of
-    # multiplying, and c1 * c2 is formed only for products that survive
-    # (most exterior-algebra products vanish).
-
     def mul_terms(self, t1, t2):
         out = {}
         mul_keys = self.mul_keys
         for k1, c1 in t1.items():
             for k2, c2 in t2.items():
-                prod = mul_keys(k1, k2)
-                if not prod:
-                    continue
-                p = c1 * c2
-                for k, s in prod.items():
-                    x = p if s is _ONE else -p if s is _MINUS_ONE else p * s
-                    v = out.get(k)
-                    if v is None:
-                        out[k] = x
-                    elif v := v + x:
-                        out[k] = v
-                    else:
-                        del out[k]
+                if prod := mul_keys(k1, k2):
+                    accumulate(out, prod, c1 * c2)
         return out
 
     def d_terms(self, t):
         out = {}
         d_key = self.d_key
         for k, c in t.items():
-            for dk, dc in d_key(k).items():
-                x = c if dc is _ONE else -c if dc is _MINUS_ONE else c * dc
-                v = out.get(dk)
-                if v is None:
-                    out[dk] = x
-                elif v := v + x:
-                    out[dk] = v
-                else:
-                    del out[dk]
+            if dk := d_key(k):
+                accumulate(out, dk, c)
         return out
 
     # -- display -------------------------------------------------------------
@@ -359,9 +320,10 @@ class GradedAlgebra:
     def format_terms(self, terms):
         if not terms:
             return "0"
-        items = sorted(terms.items(),
-                       key=lambda kv: (self.key_degree(kv[0]),
-                                       self.key_sort_token(kv[0])))
+        items = terms.items()
+        if len(terms) > 1:
+            items = sorted(items, key=lambda kv: (self.key_degree(kv[0]),
+                                                  self.key_sort_token(kv[0])))
         parts = []
         for k, c in items:
             mono = self.format_key(k)

@@ -25,7 +25,8 @@ would be a lie rather than a zero.  The cap is not recorded on the result.
 from __future__ import annotations
 
 from . import linalg
-from .cdga import _ONE, Element, GradedAlgebra
+from .cdga import Element, GradedAlgebra
+from .linalg import _ONE
 
 
 # -- degreewise linear algebra ---------------------------------------------------

@@ -180,16 +180,24 @@ def rational(text, line=None):
 
 # -- expression parser --------------------------------------------------------
 
-# One match per token: a number, a name, an operator, or any other
-# non-space character.  \w also admits numerals that are no decimal digit,
-# such as "²"; a name may not start with one.
-_TOKEN = re.compile(r"(\d+(?:/\d*)?)|([^\W\d]\w*)|([-+*^()])|(\S)")
+# A generator name, and one match per token: a number, a name, an operator,
+# or any other non-space character.
+_NAME = r"[^\W\d]\w*"
+_TOKEN = re.compile(rf"(\d+(?:/\d*)?)|({_NAME})|([-+*^()])|(\S)")
+
+
+def _is_name(text):
+    """Whether ``text`` is a name an expression can spell: a match of
+    ``_NAME`` with a letter or ``_`` first.  \\w also admits numerals that are
+    no decimal digit, such as "²"; a name may not start with one."""
+    return (re.fullmatch(_NAME, text) is not None
+            and (text[0].isalpha() or text[0] == "_"))
 
 
 def _tokenize(text, line):
     tokens = []
     for num, name, op, other in _TOKEN.findall(text):
-        if name and not (name[0].isalpha() or name[0] == "_"):
+        if name and not _is_name(name):
             other = name
         if other:
             raise PresentationError(
@@ -306,6 +314,10 @@ def loads(text: str):
             if len(bits) != 2:
                 raise PresentationError("gen needs a name and a degree", lineno)
             gname, text = bits
+            if not _is_name(gname):
+                raise PresentationError(
+                    f"generator name {excerpt(gname)} must start with a letter "
+                    "or '_' and go on with letters, digits or '_'", lineno)
             deg = whole(text, lineno)
             if not deg:
                 raise PresentationError("generator degree must be a positive "

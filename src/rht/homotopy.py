@@ -4,8 +4,7 @@ B (x) Q<t, dt> is itself a graded algebra, ``interval_algebra(B)``: its key
 (i, e, k) stands for k (x) t^i dt^e, with t of degree 0, dt of degree 1
 squaring to zero, d(t) = dt, and dt written to the right of the coefficient.
 A homotopy element is an ordinary ``Element`` of it, and a homotopy of
-algebra maps is a ``DgaMorphism`` into it.  The t-degree is capped at T_CAP;
-overflow raises instead of truncating.  The two integration operators
+algebra maps is a ``DgaMorphism`` into it.  The two integration operators
 annihilate the terms without dt and act on the others by
 
     int_0^t  c (x) t^i dt = (-1)^deg(c) c (x) t^(i+1)/(i+1)
@@ -32,17 +31,8 @@ from . import linalg
 from .cdga import _ZERO, DgaMorphism, Element, GradedAlgebra, exact
 from .cohomology import DegreeCohomology, MappingCone, primitive
 from .fileformat import check_nesting, excerpt, rational, split_top
+from .linalg import accumulate
 from .models import require_minimal
-
-# Largest power of t an interval element may carry.
-T_CAP = 16
-
-
-def _capped(i):
-    if i > T_CAP:
-        raise ValueError(f"t-degree {i} exceeds the cap {T_CAP}")
-    return i
-
 
 class IntervalAlgebra(GradedAlgebra):
     """B (x) Q<t, dt> over a graded algebra B; build it with interval_algebra.
@@ -62,7 +52,7 @@ class IntervalAlgebra(GradedAlgebra):
         """element (x) t^i, times dt when ``dt`` is set."""
         if element.alg is not self.base:
             raise ValueError("element does not belong to the interval base")
-        i, e = _capped(i), int(dt)
+        e = int(dt)
         return Element._wrap(self, {(i, e, k): c for k, c in element.terms.items()})
 
     def key_degree(self, key):
@@ -76,7 +66,7 @@ class IntervalAlgebra(GradedAlgebra):
         prod = self.base.mul_keys(b1, b2)
         if not prod:
             return {}
-        i, e = _capped(i1 + i2), e1 + e2
+        i, e = i1 + i2, e1 + e2
         if e1 and self.base.key_degree(b2) % 2:
             return {(i, e, k): -s for k, s in prod.items()}
         return {(i, e, k): s for k, s in prod.items()}
@@ -124,16 +114,13 @@ def at(u: Element, t_value) -> Element:
     out = {}
     for (i, e, k), c in u.terms.items():
         if not e and (t_value or not i):
-            if v := out.get(k, _ZERO) + c:
-                out[k] = v
-            else:
-                del out[k]
+            accumulate(out, {k: c})
     return Element._wrap(u.alg.base, out)
 
 
 def integrate_0_t(u: Element) -> Element:
     """Formal fiberwise integral from 0 to t; terms without dt vanish."""
-    return Element._wrap(u.alg, {(_capped(i + 1), 0, k): _integral(u, k, i, c)
+    return Element._wrap(u.alg, {(i + 1, 0, k): _integral(u, k, i, c)
                                  for (i, e, k), c in u.terms.items() if e})
 
 
@@ -143,10 +130,7 @@ def integrate_0_1(u: Element) -> Element:
     out = {}
     for (i, e, k), c in u.terms.items():
         if e:
-            if v := out.get(k, _ZERO) + _integral(u, k, i, c):
-                out[k] = v
-            else:
-                del out[k]
+            accumulate(out, {k: _integral(u, k, i, c)})
     return Element(u.alg.base, out)
 
 

@@ -27,6 +27,9 @@ representatives and golden reports depend on it.  ``reduce_against`` reduces
 one vector against such rows and stores each whole result as an ``int``, so
 every row out enters term dicts as it is.
 
+``accumulate``, the package's one sparse add, adds a multiple of one sparse
+row into another and drops what cancels; a term dict is a sparse row over
+monomial keys, so products, differentials and integrals sum through it too.
 ``rref``, ``rank``, ``reduce_against``, ``kernel_of_columns`` and
 ``solve_columns`` take and return sparse rows.  Column ids fed to ``rref``
 or ``rank`` pick the pivots, so they must be mutually orderable.  A matrix
@@ -46,18 +49,28 @@ from math import gcd, lcm
 
 # -- sparse core ---------------------------------------------------------------
 
-def _subtract(v, f, row):
-    """v -= f * row in place, dropping entries that cancel."""
-    for c, x in row.items():
-        y = v.get(c)
-        if y is None:
-            v[c] = -f * x
+_ONE = 1
+_MINUS_ONE = -1
+
+
+def accumulate(out, terms, c=_ONE):
+    """Add ``c * terms`` into the sparse row ``out`` in place, dropping the
+    entries that cancel; ``c`` and the values of ``terms`` are nonzero.
+
+    A value that is the shared sign ``_ONE`` or ``_MINUS_ONE``, as most values
+    of ``mul_keys`` and ``d_key`` are, becomes ``c`` or ``-c`` without the
+    multiplication, which costs gcds when ``c`` is a ``Fraction``.
+    """
+    for k, x in terms.items():
+        if c is not _ONE:
+            x = c if x is _ONE else -c if x is _MINUS_ONE else x * c
+        v = out.get(k)
+        if v is None:
+            out[k] = x
+        elif v := v + x:
+            out[k] = v
         else:
-            y -= f * x
-            if y:
-                v[c] = y
-            else:
-                del v[c]
+            del out[k]
 
 
 def _divide_content(v):
@@ -96,16 +109,7 @@ def _clear(v, p, prow):
     if b != 1:
         for c in v:
             v[c] *= b
-    for c, x in prow.items():
-        y = v.get(c)
-        if y is None:
-            v[c] = -a * x
-        else:
-            y -= a * x
-            if y:
-                v[c] = y
-            else:
-                del v[c]
+    accumulate(v, prow, -a)
     if v:
         _divide_content(v)
 
@@ -172,7 +176,7 @@ def reduce_against(vec, red_rows, pivots):
     for row, p in zip(red_rows, pivots):
         f = v.get(p)
         if f:
-            _subtract(v, f, row)
+            accumulate(v, row, -f)
     for c, x in v.items():
         if type(x) is not int and x.denominator == 1:
             v[c] = x.numerator

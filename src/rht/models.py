@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .cdga import (_ONE, _ZERO, UNIT, DgaMorphism, Element, FreeCdga, Generator,
-                   OverFreeCdga, exact)
+from .cdga import (UNIT, DgaMorphism, Element, FreeCdga, Generator, OverFreeCdga,
+                   exact)
 from .cohomology import (DegreeCohomology, MappingCone, cycles_mod_boundaries,
                          d_columns, induced_map_on_cohomology,
                          is_quasi_isomorphism)
+from .linalg import _ONE
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +349,8 @@ class CellAttachmentModel(OverFreeCdga):
         if len(key) == 1 and key[0][1] == 1:
             gname = self.base.gens[key[0][0]].name
             c = self.pairing.get(gname)
-            if c:
-                out[self.cell_name] = out.get(self.cell_name, _ZERO) + c
+            if c:  # base keys are tuples, never the cell's name
+                out[self.cell_name] = c
         return out
 
     def format_key(self, key):

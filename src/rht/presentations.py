@@ -15,9 +15,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import linalg
-from .cdga import (_ONE, Element, FreeCdga, OverFreeCdga, _check_monomial,
-                   accumulate, exact)
+from .cdga import Element, FreeCdga, OverFreeCdga, _check_monomial, exact
 from .cohomology import coords
+from .linalg import _ONE, accumulate
 
 
 class RingPresentation(OverFreeCdga):

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import linalg
-from .cdga import (_MINUS_ONE, _ONE, _ZERO, DgaMorphism, Element, FreeCdga,
-                   Generator, GradedAlgebra)
+from .cdga import _ZERO, DgaMorphism, Element, FreeCdga, Generator, GradedAlgebra
 from .fileformat import check_nesting, excerpt, split_top, whole
+from .linalg import _MINUS_ONE, _ONE
 from .presentations import RingPresentation, projective_ring, sphere_ring
 
 

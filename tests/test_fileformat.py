@@ -186,12 +186,33 @@ def test_literals_in_any_script_read_alike():
 
 def test_names_start_with_a_letter_or_underscore():
     """A numeral that is no decimal digit (such as '²') may continue a name
-    but not start one, even when a generator carries that name."""
-    ring = loads("ring r\ngen x² 2\ngen ²x 2\ngen _1 2\nrel x²*_1\n")
+    but not start one: not in an expression, and not at a gen line."""
+    ring = loads("ring r\ngen x² 2\ngen _1 2\nrel x²*_1\n")
     assert [ring.base.format_terms(r) for r in ring.relations] == ["x²*_1"]
     with pytest.raises(PresentationError,
                        match=r"line 2: unexpected character '²' in expression"):
-        loads("ring r\nrel ²x\ngen ²x 2\n")
+        loads("ring r\nrel ²x\ngen x 2\n")
+    with pytest.raises(PresentationError,
+                       match=r"line 3: generator name '²x' must start"):
+        loads("ring r\ngen x² 2\ngen ²x 2\n")
+
+
+@pytest.mark.parametrize("name", ["2x", "x*y", "x-1", "²x"])
+@pytest.mark.parametrize("kind", ["cdga", "ring"])
+def test_generator_names_no_expression_can_spell_are_refused(
+        kind, name, tmp_path, capsys):
+    """A gen name must read back as one name token: '2x' would print as
+    2*x in every report, and 'x*y' as a product."""
+    text = f"{kind} bad\ngen y 3\ngen {name} 2\n"
+    message = (f"line 3: generator name {name!r} must start with a letter "
+               "or '_' and go on with letters, digits or '_'")
+    with pytest.raises(PresentationError, match=re.escape(message)):
+        loads(text)
+    p = tmp_path / f"bad.{kind}"
+    p.write_text(text, encoding="utf-8")
+    assert main(["cohomology", str(p), "--through", "4", "--machine"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_whole_numbers_are_plain_decimal_digits():

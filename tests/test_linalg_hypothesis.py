@@ -126,3 +126,50 @@ def test_rank_does_not_depend_on_column_ids(case, rnd):
     rnd.shuffle(perm)
     relabelled = [{(perm[j], "c"): x for j, x in enumerate(row)} for row in rows]
     assert linalg.rank(relabelled) == linalg.rank([sparse(r) for r in rows])
+
+
+# -- the one sparse add ---------------------------------------------------------
+
+NONZERO = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=4)).filter(bool)
+
+# c = 1 adds values as they are; -1, another int and a Fraction that is not
+# whole scale them, with no multiplication where a value is the sign 1 or -1
+MULTIPLIER = st.one_of(st.just(1), st.just(-1),
+                       st.integers(-5, 5).filter(lambda c: abs(c) > 1),
+                       st.fractions(min_value=-5, max_value=5,
+                                    max_denominator=6).filter(
+                           lambda c: c.denominator != 1))
+
+
+@st.composite
+def accumulations(draw):
+    """(out, terms, c) over a few keys, where some entries of ``terms`` are
+    drawn to cancel the entries of ``out`` exactly."""
+    keys = st.integers(0, 6)
+    out = draw(st.dictionaries(keys, NONZERO, max_size=6))
+    terms = draw(st.dictionaries(keys, NONZERO, max_size=6))
+    c = draw(MULTIPLIER)
+    for k in draw(st.sets(st.sampled_from(sorted(out)))) if out else ():
+        x = -Fraction(out[k]) / c
+        terms[k] = x.numerator if x.denominator == 1 else x
+    return out, terms, c
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(accumulations())
+def test_accumulate_matches_adding_from_zero(case):
+    out, terms, c = case
+    sums = {}
+    for row, f in ((out, 1), (terms, c)):
+        for k, x in row.items():
+            sums[k] = sums.get(k, 0) + f * x
+    expected = {k: x for k, x in sums.items() if x}
+    whole = {k for k in expected
+             if type(out.get(k, 0)) is int and type(terms.get(k, 0)) is int}
+    linalg.accumulate(out, terms, c)
+    assert out == expected
+    assert all(out.values())
+    if type(c) is int:
+        assert all(type(out[k]) is int for k in whole), out
