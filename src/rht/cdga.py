@@ -620,10 +620,6 @@ class OverFreeCdga(GradedAlgebra):
     def gens(self):
         return self.base.gens
 
-    @property
-    def index(self):
-        return self.base.index
-
     def gen_key(self, name):
         return self.base.gen_key(name)
 

@@ -3,14 +3,13 @@
 Subcommands: cohomology, model, distortion, scalable, pair, verify-paper.
 Exit codes: 0 for a clean pass, 1 for a computational fail/refuted verdict
 or a failed internal self-check, 2 for usage or parse errors.  ``--machine``
-switches every command to the stable key-value report; the RHT_CAP
-environment variable supplies a default truncation cap.
+switches every command to the stable key-value report; ``--through``
+gives the truncation cap, DEFAULT_CAP when it is left out.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import fileformat, verify
@@ -23,20 +22,6 @@ from .report import Report
 from .scalability import classify, SCALABLE
 
 DEFAULT_CAP = 12
-
-
-def _cap_default():
-    raw = os.environ.get("RHT_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = fileformat.whole(raw.strip())
-    except PresentationError as exc:
-        raise PresentationError(f"RHT_CAP: {exc}") from None
-    if cap is None or cap < 2:
-        raise PresentationError(
-            f"RHT_CAP must be a whole number of at least 2, got {raw!r}")
-    return cap
 
 
 def _emit(report: Report, machine: bool):
@@ -61,7 +46,7 @@ def _model_of(obj, cap, bigraded):
 def cmd_cohomology(args) -> int:
     obj = _load(args.file)
     cap = args.through if args.through is not None else \
-        (args.degree if args.degree is not None else _cap_default())
+        (args.degree if args.degree is not None else DEFAULT_CAP)
     degrees = [args.degree] if args.degree is not None else list(range(0, cap + 1))
     report = Report("cohomology")
     report.add("input", args.file)
@@ -81,13 +66,12 @@ def cmd_cohomology(args) -> int:
 
 def cmd_model(args) -> int:
     obj = _load(args.file)
-    cap = args.through if args.through is not None else _cap_default()
-    model = _model_of(obj, cap, args.bigraded)
+    model = _model_of(obj, args.through, args.bigraded)
     depths = model.depths()
     report = Report("model")
     report.add("input", args.file)
     report.add("target", obj.name)
-    report.add("cap", cap)
+    report.add("cap", args.through)
     report.add("bigraded", model.bigraded)
     report.add("generators", len(model.algebra.gens))
     if model.trivial_warning:
@@ -112,8 +96,7 @@ def _check_class(alg, cls):
 def cmd_distortion(args) -> int:
     alg = _load(args.file)
     if isinstance(alg, RingPresentation):
-        cap = args.through if args.through is not None else _cap_default()
-        alg = bigraded_model(alg, cap).algebra
+        alg = bigraded_model(alg, args.through).algebra
     _check_class(alg, args.cls)
     rep = distortion_exponent(alg, args.cls)
     report = Report("distortion")
@@ -199,13 +182,14 @@ def build_parser():
     p.add_argument("file")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--degree", type=int)
+    # no default: argparse skips the exclusion check for the default value
     group.add_argument("--through", type=int)
     p.add_argument("--machine", action="store_true")
     p.set_defaults(fn=cmd_cohomology)
 
     p = sub.add_parser("model", help="minimal model of a cdga or ring file")
     p.add_argument("file")
-    p.add_argument("--through", type=int)
+    p.add_argument("--through", type=int, default=DEFAULT_CAP)
     p.add_argument("--bigraded", action="store_true")
     p.add_argument("--machine", action="store_true")
     p.set_defaults(fn=cmd_model)
@@ -213,7 +197,7 @@ def build_parser():
     p = sub.add_parser("distortion", help="predicted distortion exponent")
     p.add_argument("file")
     p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--through", type=int)
+    p.add_argument("--through", type=int, default=DEFAULT_CAP)
     p.add_argument("--machine", action="store_true")
     p.set_defaults(fn=cmd_distortion)
 

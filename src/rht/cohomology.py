@@ -1,8 +1,8 @@
 """Exact cohomology of graded differential algebras and of morphisms.
 
 Everything here is degreewise linear algebra over the rationals on the basis
-provided by the algebra object (free, truncated, ring presentation, cell
-attachment, or mapping cone).  The helpers are ``coords`` (a term dict as a
+of an algebra (free, truncated, ring presentation, cell attachment) or of a
+mapping cone's chain complex.  The helpers are ``coords`` (a term dict as a
 sparse row over basis positions), ``d_columns`` (d from one degree to the
 next, as sparse columns over the next basis), ``cycles_mod_boundaries``
 (kernel modulo image, in reduced form) and ``primitive`` (solve dx = y).
@@ -25,7 +25,7 @@ would be a lie rather than a zero.  The cap is not recorded on the result.
 from __future__ import annotations
 
 from . import linalg
-from .cdga import Element, GradedAlgebra
+from .cdga import Element
 from .linalg import _ONE
 
 
@@ -95,7 +95,7 @@ class DegreeCohomology:
 
     @property
     def classes(self):
-        """The representatives as closed elements of the complex."""
+        """The representatives as closed elements (of an algebra, not a cone)."""
         return [Element(self.complex, terms) for terms in self.representatives()]
 
     def class_coords(self, terms):
@@ -127,17 +127,16 @@ def cohomology(algebra, degree, cap) -> DegreeCohomology:
     return DegreeCohomology(algebra, degree)
 
 
-class MappingCone(GradedAlgebra):
+class MappingCone:
     """Cone complex of a morphism phi: C^n = source^n + target^(n-1).
 
     Differential d(a, b) = (da, phi(a) - db).  Keys are tagged pairs
-    ('s', key) and ('t', key); only the chain-complex part of the
-    GradedAlgebra interface is meaningful (there is no product).
+    ('s', key) and ('t', key).  A cone is a chain complex, not an algebra:
+    ``DegreeCohomology`` and ``primitive`` read its ``basis`` and ``d_key``.
     """
 
     def __init__(self, phi):
         self.phi = phi
-        self.name = f"Cone({phi.source.name})"
 
     def basis(self, degree):
         if degree < 0:
@@ -145,11 +144,6 @@ class MappingCone(GradedAlgebra):
         out = [("s", k) for k in self.phi.source.basis(degree)]
         out.extend(("t", k) for k in self.phi.target.basis(degree - 1))
         return tuple(out)
-
-    def key_degree(self, key):
-        side, k = key
-        base = self.phi.source if side == "s" else self.phi.target
-        return base.key_degree(k) + (0 if side == "s" else 1)
 
     def d_key(self, key):
         side, k = key
@@ -163,14 +157,6 @@ class MappingCone(GradedAlgebra):
             for k2, c in self.phi.target.d_key(k).items():
                 out[("t", k2)] = -c
         return out
-
-    def mul_keys(self, k1, k2):
-        raise TypeError("a mapping cone has no product")
-
-    def format_key(self, key):
-        side, k = key
-        base = self.phi.source if side == "s" else self.phi.target
-        return f"({base.format_key(k)}, {side})"
 
     def pair_of(self, terms):
         """Split cone terms into (source element, target element)."""

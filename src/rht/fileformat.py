@@ -12,8 +12,8 @@ literals in decimal digits.  Loading validates homogeneity and d*d = 0;
 parse and validation errors carry the 1-based line number.
 
 The readers every text grammar shares live here: ``whole`` reads a whole
-number (a degree, an exponent, a descriptor dimension or multiplicity,
-RHT_CAP), ``rational`` a coefficient or multiplier (in files, brackets and
+number (a degree, an exponent, a descriptor dimension or multiplicity),
+``rational`` a coefficient or multiplier (in files, brackets and
 ``--scale``), ``split_top`` splits a descriptor's or bracket's arguments at
 their top-level commas, and ``check_nesting`` bounds the nesting of
 expressions, descriptors and brackets.

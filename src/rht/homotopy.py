@@ -49,9 +49,11 @@ class IntervalAlgebra(GradedAlgebra):
         self._d_cache = {}
 
     def lift(self, element: Element, i=0, *, dt=False) -> Element:
-        """element (x) t^i, times dt when ``dt`` is set."""
+        """element (x) t^i, times dt when ``dt`` is set; i is at least 0."""
         if element.alg is not self.base:
             raise ValueError("element does not belong to the interval base")
+        if i < 0:
+            raise ValueError(f"power of t must be nonnegative, got {i}")
         e = int(dt)
         return Element._wrap(self, {(i, e, k): c for k, c in element.terms.items()})
 
@@ -208,26 +210,25 @@ class ObstructionClass:
 
 
 def _extension_generators(f: DgaMorphism, g: DgaMorphism):
-    base_names = set(f.source.generator_names())
-    v_names = [n for n in g.source.generator_names() if n not in base_names]
-    if not v_names:
+    """Names and common degree of V in A<V>, which must list A's generators
+    first, in A's order, so that a term dict of d(v) is one of A as well."""
+    base = [(gen.name, gen.degree) for gen in f.source.gens]
+    if [(gen.name, gen.degree) for gen in g.source.gens[:len(base)]] != base:
+        raise ValueError("A<V> must list the generators of A first, with the "
+                         "same names and degrees in the same order")
+    new = g.source.gens[len(base):]
+    if not new:
         raise ValueError("the extension adds no generators")
-    degs = {g.source.degree_of(n) for n in v_names}
+    degs = {gen.degree for gen in new}
     if len(degs) != 1:
         raise ValueError("elementary extension generators must share one degree")
-    n = degs.pop()
-    for name in v_names:
-        dv = g.source.differential_of(name)
-        for mon, _c in dv.terms.items():
-            for i, _e in mon:
-                if g.source.gens[i].name in v_names:
-                    raise ValueError(
-                        f"d({name}) leaves the base algebra; extension is "
-                        "not elementary")
-    for gen in f.source.gens:
-        if g.source.degree_of(gen.name) != gen.degree:
-            raise ValueError(f"generator {gen.name!r} changes degree in A<V>")
-    return tuple(v_names), n
+    for gen in new:
+        for mon in g.source.differential_of(gen.name).terms:
+            if any(i >= len(base) for i, _e in mon):
+                raise ValueError(
+                    f"d({gen.name}) leaves the base algebra; extension is "
+                    "not elementary")
+    return tuple(gen.name for gen in new), degs.pop()
 
 
 def obstruction_class(f: DgaMorphism, g: DgaMorphism, h: DgaMorphism,
@@ -236,7 +237,8 @@ def obstruction_class(f: DgaMorphism, g: DgaMorphism, h: DgaMorphism,
 
     The square is f: A -> B, h: B -> C, g: A<V> -> C, with H a homotopy from
     g|_A (at t = 0) to h o f (at t = 1) over C.  Passing no homotopy uses the
-    constant one, which requires g|_A = h o f exactly.
+    constant one, which requires g|_A = h o f exactly.  A<V> lists A's
+    generators first, in A's order, and ValueError is raised otherwise.
     """
     if h.source is not f.target:
         raise ValueError("h must start at the target of f")
@@ -483,14 +485,12 @@ def massey_triple(algebra, x, y, z) -> MasseyResult:
 # Hopf invariants from cup squares
 
 
-def hopf_invariant(ring, generator=None):
+def hopf_invariant(ring, generator):
     """Cup-square coefficient of a degree-n generator against the top class.
 
     The presentation must have a rank-1 top degree; the result is the exact
     coefficient of w^2 over the deterministic top basis vector.
     """
-    if generator is None:
-        generator = ring.gens[0].name
     n = ring.degree_of(generator)
     top = ring.top_basis_key()
     top_degree = ring.fundamental_degree

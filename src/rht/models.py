@@ -295,14 +295,16 @@ class CellAttachmentModel(OverFreeCdga):
     ``self[cell_name]``, but ``gens`` lists only the base's generators.
     """
 
-    def __init__(self, base, pairing, cell_degree, cell_name="y"):
+    cell_name = "y"
+
+    def __init__(self, base, pairing, cell_degree):
         self.base = base
-        self.cell_name = cell_name
         self.cell_degree = cell_degree
         self.pairing = {k: exact(v) for k, v in pairing.items()}
         self.name = f"{base.name}+cell{cell_degree}"
-        if cell_name in base.index:
-            raise ValueError(f"cell name {cell_name!r} collides with a generator")
+        if self.cell_name in base.index:
+            raise ValueError(
+                f"cell name {self.cell_name!r} collides with a generator")
         for gname in self.pairing:
             if base.degree_of(gname) != cell_degree - 1:
                 raise ValueError(
@@ -364,7 +366,7 @@ class CellAttachmentModel(OverFreeCdga):
         return (0, key)
 
 
-def attach_cell_model(base: FreeCdga, pairing, *, cell_name="y") -> CellAttachmentModel:
+def attach_cell_model(base: FreeCdga, pairing) -> CellAttachmentModel:
     """Non-minimal model of a cell attachment to a free CDGA along a
     prescribed pairing.
 
@@ -376,7 +378,7 @@ def attach_cell_model(base: FreeCdga, pairing, *, cell_name="y") -> CellAttachme
     degrees = {base.degree_of(g) for g in pairing}
     if len(degrees) != 1:
         raise ValueError("pairing must be supported on a single degree")
-    return CellAttachmentModel(base, pairing, degrees.pop() + 1, cell_name)
+    return CellAttachmentModel(base, pairing, degrees.pop() + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -30,20 +30,11 @@ class Report:
         self.fields.append((key, text))
         return self
 
-    def get(self, key, default=None):
-        for k, v in self.fields:
-            if k == key:
-                return v
-        return default
-
     def render_machine(self) -> str:
         return "".join(f"{k} = {v}\n" for k, v in self.fields)
 
     def render_human(self) -> str:
-        body = [f"[{self.get('command')}]"]
-        width = max((len(k) for k, _v in self.fields), default=0)
-        for k, v in self.fields:
-            if k in ("schema", "command"):
-                continue
-            body.append(f"  {k.ljust(width)}  {v}")
+        _schema, (_key, command), *added = self.fields
+        width = max(len(k) for k, _v in self.fields)
+        body = [f"[{command}]"] + [f"  {k.ljust(width)}  {v}" for k, v in added]
         return "\n".join(body) + "\n"

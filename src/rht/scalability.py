@@ -174,7 +174,6 @@ class EmbeddingWitness:
     ring: RingPresentation
     target: ExteriorAlgebra
     images: dict
-    note: str | None = None
 
     def __post_init__(self):
         if not isinstance(self.target, ExteriorAlgebra):
@@ -239,10 +238,10 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
     return WitnessReport(True, message="relations and degreewise independence verified")
 
 
-def _verified(ring, ext, images, what, note=None) -> EmbeddingWitness:
+def _verified(ring, ext, images, what) -> EmbeddingWitness:
     """The witness sending generators to ``images``, checked by
     verify_witness; a witness that fails is an internal error and raises."""
-    witness = EmbeddingWitness(ring, ext, images, note=note)
+    witness = EmbeddingWitness(ring, ext, images)
     report = verify_witness(ring, witness)
     if not report.passed:
         raise AssertionError(f"{what} witness failed verification: "
@@ -728,7 +727,7 @@ def family_local_forms(family: SetFamily) -> FamilyForms:
             first, second = second, first
         images[f"a{i}"], images[f"b{i}"] = first, second
     ring = connected_sum_ring(atoms, name=f"X({family.ground};{len(atoms)})")
-    witness = _verified(ring, ext, images, "family", note=caveat)
+    witness = _verified(ring, ext, images, "family")
     return FamilyForms(family, ring, witness, caveat)
 
 

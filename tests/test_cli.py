@@ -95,6 +95,28 @@ def test_distortion_unknown_class(capsys):
     assert "unknown class" in err
 
 
+def test_distortion_depth_sweep_stall_exits_2(capsys, tmp_path):
+    cyclic = tmp_path / "cyclic.cdga"
+    cyclic.write_text("cdga cyclic\ngen x 1\ngen v 3\ngen w 3\n"
+                      "d v = w*x\nd w = v*x\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "distortion", str(cyclic), "--class", "v")
+    assert (code, out) == (2, "")
+    assert err == "error: depth filtration does not stabilize on: v, w\n"
+
+
+def test_distortion_depth_resolves_on_a_later_sweep(capsys, tmp_path):
+    # v is declared before the a its differential reads, so the first sweep
+    # leaves it pending and the second gives it depth 1
+    late = tmp_path / "late.cdga"
+    late.write_text("cdga late\ngen v 3\ngen a 2\nd v = a^2\n",
+                    encoding="utf-8")
+    code, out, _ = run_cli(capsys, "distortion", str(late), "--class", "v",
+                           "--machine")
+    assert code == 0
+    report = machine_report(out)
+    assert (report["depth"], report["exponent"]) == ("1", "4")
+
+
 def test_pair_unknown_class_exits_2(capsys, tmp_path):
     """The class is checked against the generators before a model is built,
     also on a cdga without generators."""
@@ -395,23 +417,22 @@ def test_machine_reports_are_deterministic(capsys):
     assert "".join(lines) == out1
 
 
-def test_env_variable_sets_default_cap(capsys, monkeypatch):
-    monkeypatch.setenv("RHT_CAP", "4")
-    code, out, _ = run_cli(capsys, "cohomology", data_path("s2_model.cdga"),
-                           "--machine")
-    assert code == 0
-    assert machine_report(out).get("ranks") == "1,0,1,0,0"
-    for raw in ("zero", "1_2", "+5", "1", "-3"):
-        monkeypatch.setenv("RHT_CAP", raw)
-        code, _out, err = run_cli(capsys, "cohomology",
-                                  data_path("s2_model.cdga"))
-        assert code == 2 and "RHT_CAP must be a whole number" in err, raw
-    limit = sys.get_int_max_str_digits()
-    if limit:
-        monkeypatch.setenv("RHT_CAP", "7" * (limit + 1))
-        code, _out, err = run_cli(capsys, "cohomology",
-                                  data_path("s2_model.cdga"))
-        assert code == 2 and err.startswith("error: RHT_CAP: numeric literal")
+def test_cap_defaults_to_twelve(capsys):
+    for command in ("cohomology", "model"):
+        code, out, _ = run_cli(capsys, command, data_path("s2_model.cdga"),
+                               "--machine")
+        assert code == 0 and machine_report(out)["cap"] == "12", command
+
+
+def test_degree_and_through_exclude_each_other(capsys):
+    # 12 is the default cap: argparse skips the exclusion check for a value
+    # that is the option's default, so --through must have none
+    for cap in ("12", "13"):
+        code, out, err = run_cli(capsys, "cohomology",
+                                 data_path("s2_model.cdga"), "--degree", "3",
+                                 "--through", cap)
+        assert code == 2 and out == "", cap
+        assert "not allowed with argument" in err, cap
 
 
 def test_distortion_of_a_ring_file_uses_its_bigraded_model(capsys):

@@ -105,7 +105,7 @@ def _linear_ring():
 def _cell():
     B = FreeCdga.define([("x", 2), ("v", 3)], d=lambda X: {"v": X["x"] ** 2},
                         name="B")
-    return attach_cell_model(B, {"v": 2}, cell_name="y")
+    return attach_cell_model(B, {"v": 2})
 
 
 ALGEBRAS = {

@@ -49,6 +49,14 @@ def test_integral_0_1_values(wedge_table):
     assert integrate_0_1(lifted) == a * F(-1, 4)
 
 
+def test_lift_refuses_a_negative_power_of_t():
+    A = FreeCdga([("x", 2)])
+    interval = interval_algebra(A)
+    for dt in (False, True):
+        with pytest.raises(ValueError, match="power of t must be nonnegative"):
+            interval.lift(A["x"], -1, dt=dt)
+
+
 def _random_homotopy_element(alg, rng):
     interval = interval_algebra(alg)
     u = interval.zero()
@@ -166,6 +174,48 @@ def test_obstruction_model_map_fixture():
     # at t = 0 the extension homotopy restricts to g
     assert at(H_ext.images["v"], 0) == g.images["v"]
     assert at(H_ext.images["v"], 1) == h.apply(B["b"])
+
+
+def _two_generator_square(order):
+    """A = <a, c> in degree 2 into B = <a, c, s> with ds = a^2, and
+    A<V> with dv = a^2 listing its generators in ``order``."""
+    A = FreeCdga([("a", 2), ("c", 2)], name="A")
+    degrees = {"a": 2, "c": 2, "v": 3}
+    AV = FreeCdga.define([(n, degrees[n]) for n in order],
+                         d=lambda X: {"v": X["a"] ** 2}, name="AV")
+    B = FreeCdga.define([("a", 2), ("c", 2), ("s", 3)],
+                        d=lambda X: {"s": X["a"] ** 2}, name="B")
+    f = DgaMorphism(A, B, {"a": B["a"], "c": B["c"]})
+    g = DgaMorphism(AV, B, {"a": B["a"], "c": B["c"], "v": B["s"]})
+    return f, g, DgaMorphism.identity(B)
+
+
+def test_extension_must_list_the_base_generators_first_in_order():
+    ob = obstruction_class(*_two_generator_square("acv"))
+    assert ob.vanishes and ob.primitives["v"][0] == ob.f.target["s"]
+    # a term dict of A<c, a, v> read as one of A would turn a^2 into c^2
+    for order in ("cav", "avc"):
+        with pytest.raises(ValueError, match="must list the generators of A "
+                                             "first"):
+            obstruction_class(*_two_generator_square(order))
+
+
+def test_extension_generators_must_be_new_of_one_degree_over_the_base():
+    A = FreeCdga([("a", 2)], name="A")
+    f = DgaMorphism.identity(A)
+    with pytest.raises(ValueError, match="adds no generators"):
+        obstruction_class(f, f, f)
+    AV = FreeCdga([("a", 2), ("v", 3), ("w", 5)], name="AV")
+    g = DgaMorphism(AV, A, {"a": A["a"], "v": A.zero(), "w": A.zero()})
+    with pytest.raises(ValueError, match="share one degree"):
+        obstruction_class(f, g, f)
+    X = FreeCdga([("x", 1)], name="X")
+    XV = FreeCdga.define([("x", 1), ("v", 3), ("w", 3)],
+                         d=lambda G: {"v": G["w"] * G["x"]}, name="XV")
+    e = DgaMorphism.identity(X)
+    g = DgaMorphism(XV, X, {"x": X["x"], "v": X.zero(), "w": X.zero()})
+    with pytest.raises(ValueError, match=r"d\(v\) leaves the base algebra"):
+        obstruction_class(e, g, e)
 
 
 def test_obstruction_cocycle_property():

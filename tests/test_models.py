@@ -291,6 +291,12 @@ def test_attach_cell_rejects_mixed_degrees(wedge_table):
         attach_cell_model(wedge_table, {"u_c": 1, "a": 1})
 
 
+def test_attach_cell_rejects_a_base_generator_named_like_the_cell():
+    base = FreeCdga([("x", 2), ("y", 3)])
+    with pytest.raises(ValueError, match="'y' collides with a generator"):
+        attach_cell_model(base, {"y": 1})
+
+
 def test_attach_cell_rejects_inconsistent_pairing():
     # non-minimal base with a linear differential: d(w) = p makes
     # d'(d'(w)) = pairing(p) * y nonzero

@@ -36,12 +36,6 @@ ALLOWED = {
     "cdga.GradedAlgebra.scalar": "parse_expression calls it for every numeric "
                                  "literal; no golden input file has one",
     "cdga.OverFreeCdga.format_key": INTERFACE,
-    "cdga.OverFreeCdga.index": INTERFACE,
-    "cli._cap_default": "reads RHT_CAP for a command given no cap; every "
-                        "golden command that needs a cap gives --through",
-    "cohomology.MappingCone.format_key": INTERFACE,
-    "cohomology.MappingCone.key_degree": INTERFACE,
-    "cohomology.MappingCone.mul_keys": INTERFACE,
     "fileformat.PresentationError.__init__": BAD_INPUT,
     "fileformat.excerpt": BAD_INPUT,
     "homotopy.IntervalAlgebra.format_key": INTERFACE,
