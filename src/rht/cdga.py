@@ -20,7 +20,6 @@ live there too.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -583,14 +582,13 @@ class FreeCdga(GradedAlgebra):
         algebra's ``d_key`` and ``mul_keys`` tables, and it validates only the
         new generators; the old ones were checked when this algebra was
         built.  Bases are recomputed, since new generators add monomials in
-        old degrees.
+        old degrees.  Nothing else is carried over, so no cache kept on this
+        algebra (such as its interval algebra) reaches the extension.
         """
-        out = copy.copy(self)
-        # the interval algebra cached by homotopy.interval_algebra is over self
-        out.__dict__.pop("_interval", None)
+        out = FreeCdga([], name=self.name)
+        out.gens, out._degrees, out._odd = self.gens, self._degrees, self._odd
         out.index, out._diff = dict(self.index), dict(self._diff)
         out._d_cache, out._mul_cache = dict(self._d_cache), dict(self._mul_cache)
-        out._basis_cache = {}
         out._append(new_generators, new_differential)
         return out
 

@@ -81,11 +81,10 @@ class DegreeCohomology:
         self.degree = degree
         self.keys = list(complex_like.basis(degree))
         self.pos = {k: i for i, k in enumerate(self.keys)}
-        d = complex_like.d_key
         (self.boundary_rows, self.boundary_pivots,
          self.rep_rows, self.rep_pivots) = cycles_mod_boundaries(
-            [d(k) for k in self.keys],
-            [coords(d(k), self.pos) for k in complex_like.basis(degree - 1)])
+            [complex_like.d_key(k) for k in self.keys],
+            d_columns(complex_like, complex_like.basis(degree - 1), self.keys))
         self.rank = len(self.rep_rows)
 
     def representatives(self):

@@ -444,8 +444,8 @@ class MasseyResult:
 
 
 def massey_triple(algebra, x, y, z) -> MasseyResult:
-    """Triple product <x, y, z> of closed elements of ``algebra``, with its
-    indeterminacy subspace.
+    """Triple product <x, y, z> of homogeneous closed elements of ``algebra``,
+    with its indeterminacy subspace.
 
     Requires [x][y] = 0 and [y][z] = 0; with dxi = x y and deta = y z the
     class is [xi z - (-1)^deg(x) x eta], reported together with the subspace
@@ -454,6 +454,8 @@ def massey_triple(algebra, x, y, z) -> MasseyResult:
     for e in (x, y, z):
         if e.alg is not algebra:
             raise ValueError("element lives over a different algebra")
+        if not e.is_homogeneous():
+            raise ValueError("representative is not homogeneous")
         if e.d():
             raise ValueError("representative is not closed")
     if x.is_zero() or y.is_zero() or z.is_zero():

@@ -5,11 +5,11 @@ and its ``depths()`` is the one depth table.  The other entry points take
 the free algebra itself; ``require_minimal`` is the one check that its
 differentials are decomposable.
 
-The construction adjoins, for each degree k from 2 up to the cap, generators
-that kill the (k+1)st cohomology of the mapping cone of the current stage
-map.  Every differential produced this way is decomposable because it lives
-in the subalgebra generated below degree k+1, so minimality holds by
-construction and is re-checked anyway.
+One stagewise loop builds both models: for each degree k from 2 up to the
+cap, it adjoins in one extension the generators of a per-degree rule, which
+for ``minimal_model`` kill H^(k+1) of the mapping cone of the stage map.
+Each differential is decomposable, as it lies in the subalgebra generated
+below degree k+1; minimality holds by construction and is re-checked.
 
 The bigraded variant (for zero-differential ring targets) assigns stage tags
 so that each generator's differential is pure: every monomial of d(v) has
@@ -150,17 +150,46 @@ def distortion_exponent(algebra: FreeCdga, generator: str) -> DistortionReport:
 # stagewise construction
 
 
-def _check_target_connectivity(target, what):
+def _stagewise(target, cap, what, adjoin, check=None, bigraded=False):
+    """Model of ``target`` through ``cap`` from the empty stage map.
+
+    ``check(target, cap)`` runs after the cap check.  For each degree k,
+    ``adjoin(rho, k)`` gives the degree-k generators as (generator, d terms,
+    image) triples, adjoined by one ``extend`` and one chain-map-checked
+    ``DgaMorphism``.
+    """
+    if cap < 2:
+        raise ValueError("cap must be at least 2")
+    if check is not None:
+        check(target, cap)
     if DegreeCohomology(target, 0).rank != 1:
         raise ValueError(f"{what} must be connected (H^0 of rank 1)")
     if DegreeCohomology(target, 1).rank != 0:
         raise ValueError(f"{what} must be simply connected (H^1 = 0)")
+    model = FreeCdga([], None, name=f"M({getattr(target, 'name', '?')})")
+    rho = DgaMorphism(model, target, {})
+    for k in range(2, cap + 1):
+        new = adjoin(rho, k)
+        if new:
+            model = model.extend([g for g, _d, _w in new],
+                                 {g.name: d for g, d, _w in new})
+            rho = DgaMorphism(model, target, {
+                **rho.images, **{g.name: w for g, _d, w in new}})
+    out = MinimalModel(model, cap, rho, target, bigraded)
+    if not is_quasi_isomorphism(rho, cap):
+        label = "bigraded" if bigraded else "stagewise"
+        raise AssertionError(f"{label} construction failed its own "
+                             "quasi-isomorphism audit")
+    return out
 
 
-def _extended(rho, new_gens, new_diff, new_images):
-    """Stage map ``rho`` extended by new generators, re-checked as a chain map."""
-    model = rho.source.extend(new_gens, new_diff)
-    return DgaMorphism(model, rho.target, {**rho.images, **new_images})
+def _cone_generators(rho, k):
+    """One generator v per class (z, w) of H^(k+1) of the mapping cone of
+    ``rho``, with dv = z and rho(v) = w."""
+    cone = MappingCone(rho)
+    pairs = map(cone.pair_of, DegreeCohomology(cone, k + 1).representatives())
+    return [(Generator(f"v{k}_{i}", k), z.terms, w)
+            for i, (z, w) in enumerate(pairs)]
 
 
 def minimal_model(target, cap) -> MinimalModel:
@@ -169,31 +198,48 @@ def minimal_model(target, cap) -> MinimalModel:
     ``target`` may be a free CDGA, a truncated CDGA, or a ring presentation
     viewed with zero differential.  Generators are named v<degree>_<index>.
     """
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
-    _check_target_connectivity(target, "minimal_model target")
-    model = FreeCdga([], None, name=f"M({getattr(target, 'name', '?')})")
-    rho = DgaMorphism(model, target, {})
-    for k in range(2, cap + 1):
-        cone = MappingCone(rho)
-        dc = DegreeCohomology(cone, k + 1)
-        if dc.rank == 0:
-            continue
-        new_gens = []
-        new_diff = {}
-        new_images = {}
-        for i, terms in enumerate(dc.representatives()):
-            z, w = cone.pair_of(terms)
-            gname = f"v{k}_{i}"
-            new_gens.append(Generator(gname, k))
-            new_diff[gname] = z.terms
-            new_images[gname] = w
-        rho = _extended(rho, new_gens, new_diff, new_images)
-    model = rho.source
-    out = MinimalModel(model, cap, rho, target)
-    if not is_quasi_isomorphism(rho, cap):
-        raise AssertionError("stagewise construction failed its own "
-                             "quasi-isomorphism audit")
+    return _stagewise(target, cap, "minimal_model target", _cone_generators)
+
+
+def _require_formal_ring(ring, cap):
+    for k in range(0, cap + 2):
+        if any(ring.d_key(key) for key in ring.basis(k)):
+            raise ValueError("bigraded_model needs a zero-differential ring")
+        if k == 1 and ring.basis(1):
+            raise ValueError("ring is not simply connected (nonzero degree 1)")
+
+
+def _bigraded_generators(rho, k):
+    """Cokernel step: closed stage-0 generators hit the classes of H^k that
+    rho misses.  Kernel step: per stage s of M^(k+1), stage-(s+1) generators
+    kill the cone cycles on source keys (closed, mapping to zero) modulo d of
+    the stage-(s+1) part of M^k.  With no degree-1 generator, a degree-k
+    generator lies in no monomial of M^(k+1), so both steps read one rho.
+    """
+    model, ring = rho.source, rho.target
+    rows, _src, tgt = induced_map_on_cohomology(rho, k)
+    hit = set(linalg.rref(rows)[1])
+    missed = [t for j, t in enumerate(tgt.representatives()) if j not in hit]
+    out = [(Generator(f"v{k}_0_{i}", k, 0), {}, Element(ring, terms))
+           for i, terms in enumerate(missed)]
+    stages = [g.stage for g in model.gens]
+    comp, down_by_stage = {}, {}
+    for groups, degree in ((comp, k + 1), (down_by_stage, k)):
+        for mon in model.basis(degree):
+            groups.setdefault(sum(e * stages[i] for i, e in mon), []).append(mon)
+    cone = MappingCone(rho)
+    for s, keys in sorted(comp.items()):
+        down = down_by_stage.get(s + 1, ())
+        key_set = set(keys)
+        if any(not model.d_key(mon).keys() <= key_set for mon in down):
+            raise AssertionError("stage purity broken in boundaries")
+        _b, _p, rep_rows, _r = cycles_mod_boundaries(
+            [cone.d_key(("s", m)) for m in keys],
+            d_columns(model, down, keys))
+        for idx, row in enumerate(rep_rows):
+            out.append((Generator(f"v{k}_{s + 1}_{idx}", k, s + 1),
+                        {keys[i]: row[i] for i in sorted(row)},
+                        ring.element({})))
     return out
 
 
@@ -204,76 +250,10 @@ def bigraded_model(ring, cap) -> MinimalModel:
     differential is a pure stage-s polynomial in earlier generators and its
     image is zero.  Generators are named v<degree>_<stage>_<index>.
     """
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
-    for k in range(0, cap + 2):
-        for key in ring.basis(k):
-            if ring.d_key(key):
-                raise ValueError("bigraded_model needs a zero-differential ring")
-        if k == 1 and ring.basis(1):
-            raise ValueError("ring is not simply connected (nonzero degree 1)")
-    _check_target_connectivity(ring, "bigraded_model ring")
-
-    model = FreeCdga([], None, name=f"M({getattr(ring, 'name', '?')})")
-    rho = DgaMorphism(model, ring, {})
-
-    def monomial_stage(mon):
-        return sum(e * model.gens[i].stage for i, e in mon)
-
-    for k in range(2, cap + 1):
-        # cokernel step: closed stage-0 generators hitting missing classes
-        rows, _src, tgt = induced_map_on_cohomology(rho, k)
-        hit = set(linalg.rref(rows)[1])
-        new_gens = []
-        new_images = {}
-        for j, terms in enumerate(tgt.representatives()):
-            if j in hit:
-                continue
-            gname = f"v{k}_0_{len(new_gens)}"
-            new_gens.append(Generator(gname, k, 0))
-            new_images[gname] = Element(ring, terms)
-        if new_gens:
-            rho = _extended(rho, new_gens, {}, new_images)
-            model = rho.source
-
-        # kernel step: per lower-degree component, kill closed elements of
-        # M^(k+1) that map to zero in the ring.  A cycle of the cone of rho
-        # on a source key is closed in M and maps to zero in the ring.
-        comp = {}
-        for mon in model.basis(k + 1):
-            comp.setdefault(monomial_stage(mon), []).append(mon)
-        down_by_stage = {}
-        for mon in model.basis(k):
-            down_by_stage.setdefault(monomial_stage(mon), []).append(mon)
-        cone = MappingCone(rho)
-
-        new_gens = []
-        new_diff = {}
-        new_images = {}
-        for s in sorted(comp):
-            keys = comp[s]
-            down = down_by_stage.get(s + 1, ())
-            key_set = set(keys)
-            if any(not model.d_key(mon).keys() <= key_set for mon in down):
-                raise AssertionError("stage purity broken in boundaries")
-            _b, _p, rep_rows, _r = cycles_mod_boundaries(
-                [cone.d_key(("s", m)) for m in keys],
-                d_columns(model, down, keys))
-            for idx, row in enumerate(rep_rows):
-                gname = f"v{k}_{s + 1}_{idx}"
-                new_gens.append(Generator(gname, k, s + 1))
-                new_diff[gname] = {keys[i]: row[i] for i in sorted(row)}
-                new_images[gname] = ring.element({})
-        if new_gens:
-            rho = _extended(rho, new_gens, new_diff, new_images)
-            model = rho.source
-
-    out = MinimalModel(model, cap, rho, ring, bigraded=True)
-    if not is_quasi_isomorphism(rho, cap):
-        raise AssertionError("bigraded construction failed its own "
-                             "quasi-isomorphism audit")
+    out = _stagewise(ring, cap, "bigraded_model ring", _bigraded_generators,
+                     check=_require_formal_ring, bigraded=True)
     depths = out.depths()
-    for g in model.gens:
+    for g in out.algebra.gens:
         if depths[g.name] != g.stage:
             raise AssertionError(
                 f"stage tag of {g.name} ({g.stage}) disagrees with its "

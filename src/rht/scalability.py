@@ -472,6 +472,17 @@ def decide_sigma(n, r) -> Decision:
     return Decision("sigma", n, r, True, bound, witness=witness)
 
 
+def _omega_wedge_row(ext, omega, four):
+    """The dx_four coefficient of omega ^ eta as a row over the unknowns
+    eta_ab, read off ``mul_keys`` for the six pairs ab in ``four``."""
+    full, row = sum(1 << (i - 1) for i in four), {}
+    for a, b in itertools.combinations(sorted(four), 2):
+        rest = full ^ (1 << (a - 1)) ^ (1 << (b - 1))
+        if rest in omega.terms:
+            row[a, b] = omega.terms[rest] * ext.mul_keys(rest, full ^ rest)[full]
+    return row
+
+
 def decide_pi(n, r) -> Decision:
     """Equal n-th powers of degree-2 classes with vanishing products.
 
@@ -481,12 +492,12 @@ def decide_pi(n, r) -> Decision:
     witness check is too large to run raises ValueError.  For r >= 2
     it builds the linear system for a 2-form eta killed by the standard
     symplectic omega on R^(2n): the off-pair coefficients vanish and the
-    pair coefficients u_i satisfy u_i + u_j = 0 for i != j.  For n >= 3
-    that system coincides with the full condition omega ^ eta = 0 (asserted
-    here by a direct kernel computation) and has nullspace zero, refuting
-    r > 1: the second class would be a nonzero 2-form wedging omega to
-    zero.  For n = 2 the reduced system leaves the one-dimensional line
-    dx1dx2 - dx3dx4 and the test is reported as inconclusive.
+    pair coefficients satisfy u_1 + u_j = 0 for every j and u_2 + u_3 = 0.
+    For n >= 3 every row is the omega ^ eta = 0 equation on one 4-set of
+    indices (checked here row by row), so a zero nullspace refutes r > 1:
+    the second class would be a nonzero 2-form wedging omega to zero.  For
+    n = 2 the reduced system leaves the one-dimensional line dx1dx2 - dx3dx4
+    and the test is reported as inconclusive.
     """
     if n < 2:
         raise ValueError("pi decision needs n >= 2")
@@ -496,18 +507,23 @@ def decide_pi(n, r) -> Decision:
         witness = _symplectic_witness(n, lambda: pi_ring(n, 1), "pi")
         return Decision("pi", n, 1, True, 1, witness=witness)
     pairs = list(itertools.combinations(range(1, 2 * n + 1), 2))
-    sympl = {(2 * i + 1, 2 * i + 2) for i in range(n)}
-    rows = [{p: _ONE} for p in pairs if p not in sympl]
-    diag = [p for p in pairs if p in sympl]
-    rows += [{p: _ONE, q: _ONE} for p, q in itertools.combinations(diag, 2)]
-    dim = len(pairs) - linalg.rank(rows)
+    sympl = [(2 * i + 1, 2 * i + 2) for i in range(n)]
+    off = sorted(set(pairs) - set(sympl))
+    rows = [{p: _ONE} for p in off]
+    rows += [{sympl[0]: _ONE, q: _ONE} for q in sympl[1:]]
     if n >= 3:
+        rows.append({sympl[1]: _ONE, sympl[2]: _ONE})
+        # eta_ij = 0 on {i, j} and a symplectic pair apart from it (one of
+        # the first three), u_P + u_Q = 0 on P and Q
+        fours = [p + next(q for q in sympl if not set(p) & set(q)) for p in off]
+        fours += [sympl[0] + q for q in sympl[1:]] + [sympl[1] + sympl[2]]
         ext = exterior_algebra(2 * n)
         omega = symplectic_form(ext, n)
-        cols = [(omega * subset_monomial(ext, [i, j])).terms for (i, j) in pairs]
-        wedge_dim = len(linalg.kernel_of_columns(cols))
-        if wedge_dim != dim:
-            raise AssertionError("reduced system disagrees with omega ^ eta = 0")
+        for row, four in zip(rows, fours, strict=True):
+            if _omega_wedge_row(ext, omega, four) != row:
+                raise AssertionError("reduced system disagrees with omega ^ eta = 0")
+    # the rank of the rows is their count less the relations among them
+    dim = len(pairs) - len(rows) + len(linalg.kernel_of_columns(rows))
     cert = LinearSystemRefutation(
         f"coefficient system for omega ^ eta = 0 over Lambda^2 R^{2 * n}: "
         f"{len(pairs)} unknowns, nullspace dimension {dim}", len(pairs), dim)
@@ -537,9 +553,10 @@ class ConnectedSumRing(RingPresentation):
     """Presentation of a connected sum with identified fundamental classes.
 
     Atoms are ("sphere_product", n, m) or ("projective", gen_degree, power);
-    orientations are +-1 per atom and a reversed atom's top class enters with
-    coefficient -1.  Duality holds blockwise by construction (cross products
-    vanish by relation, each atom's internal pairing is +-1-nonsingular);
+    orientations are 1 or -1 per atom (any other value raises ValueError),
+    and a reversed atom's top class enters with coefficient -1.  Duality
+    holds blockwise by construction (cross products vanish by relation,
+    each atom's internal pairing is +-1-nonsingular);
     for presentations with at most 200 ambient monomials in the top degree
     the generic determinant check is run as well, and ``duality_verified``
     records whether it ran.
@@ -559,9 +576,10 @@ class ConnectedSumRing(RingPresentation):
         atoms = [tuple(a) for a in atoms]
         if not atoms:
             raise ValueError("a connected sum needs at least one summand")
-        if orientations is None:
-            orientations = [1] * len(atoms)
-        orientations = [1 if o >= 0 else -1 for o in orientations]
+        orientations = [1] * len(atoms) if orientations is None else list(orientations)
+        if bad := [o for o in orientations if o not in (1, -1)]:
+            raise ValueError(f"orientation must be 1 or -1, not {bad[0]!r}")
+        orientations = [1 if o == 1 else -1 for o in orientations]
         if len(orientations) != len(atoms):
             raise ValueError("one orientation per summand required")
 

@@ -1,0 +1,186 @@
+"""Mutation guard: every mutant in MUTANTS must be caught by its tests.
+
+Run from anywhere with ``python tests/mutants.py``; it needs pytest and the
+packages the named tests import, and nothing else outside the standard
+library.  Each row of MUTANTS names a file of ``src/rht``, an exact source
+snippet, its replacement and the pytest node ids that must catch the change.
+For each row the package is copied to a temporary directory, the snippet is
+replaced once, and the named tests run against the copy in a subprocess;
+they must fail (pytest exit status 1).  Before any mutant, all named tests
+must pass against an unmutated copy, so a mutant is never "caught" by a
+test that fails anyway.  A snippet that no longer matches exactly once is
+an error, not a skip: a change that rewrites a mutated snippet re-points
+its row.
+
+Exit status: 0 when every mutant is caught, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rht"
+
+# (file under src/rht, exact snippet, replacement, node ids that must fail)
+MUTANTS = [
+    # the stagewise loop stops one degree short of the cap
+    ("models.py",
+     "    for k in range(2, cap + 1):\n        new = adjoin(rho, k)",
+     "    for k in range(2, cap):\n        new = adjoin(rho, k)",
+     ["tests/test_models.py::test_wedge_dimensions_match_series_oracle"]),
+    # the bigraded rule adjoins only a degree's cokernel generators
+    ("models.py",
+     "    for s, keys in sorted(comp.items()):",
+     "    for s, keys in sorted(comp.items())[:0]:",
+     ["tests/test_models.py::test_cp2_bigraded_structure",
+      "tests/test_models.py::test_wedge_ring_bigraded_stage_one"]),
+    # decide_pi stops checking its rows against omega ^ eta = 0
+    ("scalability.py",
+     "            if _omega_wedge_row(ext, omega, four) != row:",
+     "            if False:",
+     ["tests/test_scalability.py::"
+      "test_decide_pi_checks_each_row_against_the_wedge_equation"]),
+    # a generator power is multiplied out one factor short
+    ("cdga.py",
+     "                    for _ in range(e - 1):",
+     "                    for _ in range(e - 2):",
+     ["tests/test_apply_terms_hypothesis.py::"
+      "test_apply_terms_covers_powers_unit_and_vanishing_products"]),
+    # a connected sum without its cross relations
+    ("scalability.py",
+     "            rels += [{(fp, fq): _ONE}\n"
+     "                     for right in factors[i + 1:] for fp in left for fq in right]",
+     "            rels += []",
+     ["tests/test_scalability.py::"
+      "test_connected_sum_relations_match_element_products"]),
+    # a transpose that loses row 0
+    ("linalg.py",
+     "        for i, x in col.items():\n            rows.setdefault(i, {})[j] = x",
+     "        for i, x in col.items():\n            if i != 0:\n"
+     "                rows.setdefault(i, {})[j] = x",
+     ["tests/test_linalg.py::test_kernel_of_columns",
+      "tests/test_linalg.py::test_solve_columns_consistent_and_not"]),
+    # class coordinates that store zeros
+    ("cohomology.py",
+     "        out = {i: reduced[p] for i, p in enumerate(self.rep_pivots)\n"
+     "               if p in reduced}",
+     "        out = {i: reduced.get(p, 0) for i, p in enumerate(self.rep_pivots)}",
+     ["tests/test_cohomology.py::test_class_coords_are_sparse_rows"]),
+    # a Massey product of an inhomogeneous representative
+    ("homotopy.py",
+     '        if not e.is_homogeneous():\n'
+     '            raise ValueError("representative is not homogeneous")\n',
+     "",
+     ["tests/test_homotopy.py::"
+      "test_massey_rejects_an_inhomogeneous_representative"]),
+    # a connected sum that reads any orientation as a sign
+    ("scalability.py",
+     "        if bad := [o for o in orientations if o not in (1, -1)]:",
+     "        if bad := []:",
+     ["tests/test_scalability.py::"
+      "test_connected_sum_refuses_an_orientation_other_than_one_or_minus_one"]),
+    # a singular duality pairing that passes
+    ("presentations.py",
+     "            if linalg.rank(mat) != len(left):",
+     "            if False:",
+     ["tests/test_presentations.py::test_duality_verification_passes_and_fails"]),
+    # a zero denominator that reaches Fraction
+    ("fileformat.py",
+     "    if not q:\n        raise PresentationError(f\"zero denominator",
+     "    if False:\n        raise PresentationError(f\"zero denominator",
+     ["tests/test_fileformat.py::test_literals_in_any_script_read_alike"]),
+    # a verify battery that no longer compares the pi nullspace dimensions
+    ("verify.py",
+     "        _require(d.nullspace_dim == dim,",
+     "        _require(True,",
+     ["tests/test_verify_faults.py::"
+      "test_injected_fault_fails_with_pinned_detail[decide_pi]"]),
+    # a failed internal check that escapes the command as a traceback
+    ("cli.py",
+     "    except AssertionError as exc:",
+     "    except ZeroDivisionError as exc:",
+     ["tests/test_cli.py::test_failed_self_audit_exits_1"]),
+]
+
+
+def _copy_package(into: Path) -> Path:
+    """Copy src/rht to ``into``/rht, without bytecode; returns the copy."""
+    target = into / "rht"
+    shutil.copytree(PACKAGE, target,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return target
+
+
+def _run(src: Path, node_ids):
+    """Run pytest on ``node_ids`` with ``src`` first on the import path."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    probe = subprocess.run(
+        [sys.executable, "-c", "import rht; print(rht.__file__)"],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    if not probe.stdout.startswith(str(src)):
+        raise RuntimeError(f"the copy under {src} is not the rht imported: "
+                           f"{probe.stdout.strip() or probe.stderr.strip()}")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *node_ids], cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def _mutate(path: Path, snippet: str, replacement: str) -> str | None:
+    """Replace ``snippet`` in ``path``; an error message unless it occurs
+    exactly once."""
+    text = path.read_text()
+    count = text.count(snippet)
+    if count != 1:
+        return f"snippet occurs {count} times in {path.name}, not once"
+    path.write_text(text.replace(snippet, replacement))
+    return None
+
+
+def main() -> int:
+    started = time.perf_counter()
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="rht-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy_package(clean)
+        all_ids = list(dict.fromkeys(i for row in MUTANTS for i in row[3]))
+        baseline = _run(clean, all_ids)
+        if baseline.returncode != 0:
+            print(baseline.stdout[-3000:], baseline.stderr[-2000:])
+            print("error: the named tests do not all pass unmutated")
+            return 1
+        for n, row in enumerate(MUTANTS):
+            file, snippet, replacement, node_ids = row
+            src = Path(tmp) / f"mutant{n}"
+            copy = _copy_package(src)
+            error = _mutate(copy / file, snippet, replacement)
+            if error is None:
+                result = _run(src, node_ids)
+                if result.returncode != 1:
+                    error = (f"survived (pytest exit {result.returncode})"
+                             if result.returncode == 0 else
+                             f"not caught by a failing test (pytest exit "
+                             f"{result.returncode}):\n{result.stdout[-2000:]}"
+                             f"{result.stderr[-2000:]}")
+            label = f"{file}: {snippet.strip().splitlines()[0][:60]}"
+            print(f"{'caught  ' if error is None else 'ERROR   '}{label}")
+            if error is not None:
+                print(f"        {error}")
+                failures.append(row)
+            shutil.rmtree(src)
+    elapsed = time.perf_counter() - started
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants caught "
+          f"in {elapsed:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -419,6 +419,16 @@ def test_massey_rejects_open_or_foreign_elements(wedge_table):
         massey_triple(W, other["a"], W["a"], W["b"])
 
 
+def test_massey_rejects_an_inhomogeneous_representative():
+    """x = a + a^2 is closed but has no degree: a ValueError, not the
+    TypeError of adding its missing degree."""
+    A = FreeCdga([("a", 2)])
+    x = A["a"] + A["a"] * A["a"]
+    for args in ((x, A["a"], A["a"]), (A["a"], A["a"], x), (A.zero(), x, A["a"])):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            massey_triple(A, *args)
+
+
 def test_massey_rejects_nonvanishing_products():
     A = FreeCdga([("a", 3), ("b", 3), ("c", 5)])
     with pytest.raises(ValueError, match="does not vanish"):

@@ -13,6 +13,7 @@ import pytest
 from coefficients import is_exact_coefficient
 
 import rht
+from rht import linalg
 from rht import (EmbeddingWitness, FreeCdga, SetFamily, classify,
                  connected_sum_ring, decide_omega, decide_pi, decide_sigma,
                  exterior_algebra, family_local_forms, intersection_complete,
@@ -173,6 +174,61 @@ def test_one_generator_equal_powers_ring_is_truncated(build, n, model):
 @pytest.mark.parametrize("n,dim", [(2, 1), (3, 0), (4, 0), (5, 0), (6, 0)])
 def test_pi_nullspace_dimensions(n, dim):
     assert decide_pi(n, 2).nullspace_dim == dim
+
+
+def _omega_wedge_kernel_dim(n):
+    """Nullspace dimension of the whole condition omega ^ eta = 0 over the
+    C(2n, 2) coefficients of eta: one product column per unknown."""
+    ext = exterior_algebra(2 * n)
+    omega = symplectic_form(ext, n)
+    cols = [(omega * subset_monomial(ext, pair)).terms
+            for pair in itertools.combinations(range(1, 2 * n + 1), 2)]
+    return len(linalg.kernel_of_columns(cols))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_pi_reduced_system_agrees_with_the_whole_wedge_kernel(n):
+    assert decide_pi(n, 2).nullspace_dim == _omega_wedge_kernel_dim(n) == 0
+
+
+def test_pi_at_n_2_is_inconclusive_because_lambda_4_has_one_equation():
+    """On R^4, omega ^ eta = 0 is one equation on six unknowns; the reduced
+    system is no subset of it, so its nullspace line proves nothing."""
+    assert _omega_wedge_kernel_dim(2) == 5
+    decision = decide_pi(2, 2)
+    assert decision.embeddable is None and decision.nullspace_dim == 1
+
+
+def test_decide_pi_checks_each_row_against_the_wedge_equation(monkeypatch):
+    """With the last symplectic pair left out of omega, the row u_1 + u_4
+    no longer reads off omega ^ eta = 0 on {1, 2, 7, 8}."""
+    monkeypatch.setattr(scalability, "symplectic_form",
+                        lambda ext, n: symplectic_form(ext, n - 1))
+    with pytest.raises(AssertionError, match="reduced system disagrees"):
+        decide_pi(4, 2)
+
+
+def test_decide_pi_forms_quadratically_many_exterior_products(monkeypatch):
+    """decide_pi(60, 2) reads each of its C(120, 2) + 60 row entries off
+    one exterior product, and ranks those rows alone: no column of
+    omega ^ dx_i dx_j is formed."""
+    n = 60
+    products, entries = [0], []
+
+    def mul_keys(self, m1, m2, _original=ExteriorAlgebra.mul_keys):
+        products[0] += 1
+        return _original(self, m1, m2)
+
+    def kernel(cols, _original=linalg.kernel_of_columns):
+        entries.append(sum(len(col) for col in cols))
+        return _original(cols)
+
+    monkeypatch.setattr(ExteriorAlgebra, "mul_keys", mul_keys)
+    monkeypatch.setattr(linalg, "kernel_of_columns", kernel)
+    decision = decide_pi(n, 2)
+    assert decision.embeddable is False and decision.nullspace_dim == 0
+    assert products[0] == entries[0] == comb(2 * n, 2) + n
+    assert len(entries) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -336,6 +392,20 @@ def test_orientation_reversal_flips_top_sign():
     x1, x2 = ring.base["x1"], ring.base["x2"]
     assert not ring.reduce_terms((x1 ** 2 + x2 ** 2).terms)
     assert ring.reduce_terms((x1 ** 2 - x2 ** 2).terms)
+
+
+@pytest.mark.parametrize("orientation", [0, 5, -3, 2, F(1, 2), "1"])
+def test_connected_sum_refuses_an_orientation_other_than_one_or_minus_one(
+        orientation):
+    with pytest.raises(ValueError, match=re.escape(
+            f"orientation must be 1 or -1, not {orientation!r}")):
+        connected_sum_ring([("sphere_product", 2, 2)] * 2, [1, orientation])
+
+
+def test_connected_sum_orientations_are_stored_as_ints():
+    ring = connected_sum_ring([("projective", 2, 2)] * 3, (F(1), -1.0, True))
+    assert ring.name == "CP2#rev(CP2)#CP2"
+    assert all(type(c) is int for r in ring.relations for c in r.values())
 
 
 def test_mixed_fundamental_degree_rejected():
