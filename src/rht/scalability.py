@@ -21,19 +21,23 @@ Witness targets are ``ExteriorAlgebra`` instances, each only its dimension
 and first index: a monomial is a set of generator positions, kept as an int
 bitmask, so a product (the one sign rule) is a disjointness test and an
 inversion count, and a name is its position by arithmetic.  verify_witness
-maps relations through the witness's DgaMorphism, as every morphism does.
+maps relations through the witness's DgaMorphism, as every morphism does,
+except a connected sum's cross products: those it checks in one pass over
+the images indexed by mask, since exterior monomials multiply to zero
+unless their masks are disjoint.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 from . import linalg
 from .cdga import _ZERO, DgaMorphism, Element, FreeCdga, Generator, GradedAlgebra
 from .fileformat import check_nesting, excerpt, split_top, whole
-from .linalg import _MINUS_ONE, _ONE
+from .linalg import _MINUS_ONE, _ONE, accumulate
 from .presentations import RingPresentation, projective_ring, sphere_ring
 
 
@@ -198,7 +202,10 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
 
     ``witness.morphism()`` was checked as a chain map when the witness was
     built.  Every relation is then mapped through it and tested for zero;
-    the first one whose image is nonzero is reported.
+    the first one whose image is nonzero is reported.  A connected sum's
+    cross products are the exception: they are checked by mask in one pass
+    (``_first_live_cross_product``) and mapped only when one fails, so the
+    report is the same and in the same relation order.
 
     With the duality flag set, independence reduces to nonvanishing of the
     image of the fundamental class: multiplicativity plus a nonsingular
@@ -207,13 +214,14 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
     if ring.base is not witness.ring.base:
         raise ValueError("the witness belongs to another presentation")
     phi = witness.morphism()
-    for rel in ring.relations:
-        img = phi.apply_terms(rel)
-        if img:
-            shown = ring.base.format_terms(rel)
-            return WitnessReport(False, failing_relation=shown,
-                                 message=f"relation {shown} maps to "
-                                         f"{phi.target.format_terms(img)}")
+    if isinstance(ring, ConnectedSumRing):
+        failure = (_first_failure(ring, phi, ring.power_relations)
+                   or _first_failure(ring, phi, _first_live_cross_product(ring, phi))
+                   or _first_failure(ring, phi, ring.top_relations))
+    else:
+        failure = _first_failure(ring, phi, ring.relations)
+    if failure is not None:
+        return failure
     if ring.duality:
         mu = ring.fundamental_monomial
         if mu is None:
@@ -236,6 +244,59 @@ def verify_witness(ring: RingPresentation, witness: EmbeddingWitness) -> Witness
                                  message=f"images of the degree-{k} basis are "
                                          "linearly dependent")
     return WitnessReport(True, message="relations and degreewise independence verified")
+
+
+def _first_failure(ring, phi, relations):
+    """The report on the first of ``relations`` that ``phi`` does not map to
+    zero, or None."""
+    for rel in relations:
+        img = phi.apply_terms(rel)
+        if img:
+            shown = ring.base.format_terms(rel)
+            return WitnessReport(False, failing_relation=shown,
+                                 message=f"relation {shown} maps to "
+                                         f"{phi.target.format_terms(img)}")
+    return None
+
+
+def _first_live_cross_product(ring, phi):
+    """The first cross product g_p * g_q of a connected sum that ``phi``
+    does not kill, in the order of ``ring.relations``, as a one-relation
+    list; empty when every one vanishes.
+
+    An exterior product of two monomials is nonzero only on disjoint masks.
+    So the image terms are indexed by mask, and each term of phi(g_p) of
+    degree d1 looks up only the masks of each degree d2 inside its
+    complement: C(N - d1, d2) lookups, one when d1 + d2 = N.  The products
+    phi(g_p) phi(g_q), p < q in different summands, are summed over those
+    hits; a pair with no hit, or whose terms cancel, vanishes.
+    """
+    ext, summand = phi.target, ring.summand_of
+    images = [e.terms for e in phi.images.values()]
+    by_degree = {}                      # degree -> mask -> [(q, coefficient)]
+    for q, terms in enumerate(images):
+        for mask, c in terms.items():
+            by_mask = by_degree.setdefault(mask.bit_count(), {})
+            by_mask.setdefault(mask, []).append((q, c))
+    degrees = sorted(by_degree)
+    full = (1 << ext.n) - 1
+    products = {}                       # (p, q) -> image terms
+    for p, terms in enumerate(images):
+        for m1, c1 in terms.items():
+            free = ext._indices(full ^ m1)
+            for d2 in degrees:
+                by_mask = by_degree[d2]
+                for subset in itertools.combinations(free, d2):
+                    m2 = sum(1 << i for i in subset)
+                    for q, c2 in by_mask.get(m2, ()):
+                        if q > p and summand[q] != summand[p]:
+                            accumulate(products.setdefault((p, q), {}),
+                                       ext.mul_keys(m1, m2), c1 * c2)
+    live = [(summand[p], summand[q], p, q) for (p, q), img in products.items() if img]
+    if not live:
+        return []
+    *_, p, q = min(live)
+    return [{((p, 1), (q, 1)): _ONE}]
 
 
 def _verified(ring, ext, images, what) -> EmbeddingWitness:
@@ -542,10 +603,12 @@ def decide_pi(n, r) -> Decision:
 # generic duality check; above it the blockwise argument stands alone.
 _DUALITY_CHECK_MONOMIALS = 200
 
-# Most relations a connected sum may have: each is built and then mapped
-# through a witness.  csum(1412*OP2), the largest admitted sum of OP2s with
-# 998,989 relations, classifies in about 4 s and 310 MiB (CPython 3.11.7,
-# 2 vCPUs).
+# Most relations a connected sum may have, counted from its atoms before any
+# is built.  The witness path builds only the power and top relations and
+# checks the cross products by mask, but ``relations`` builds them all when
+# asked.  csum(1412*OP2), the largest admitted sum of OP2s with 998,989
+# relations, classifies in about 0.1 s and 24 MiB in process (CPython
+# 3.11.7, 2 vCPUs).
 _MAX_CONNECTED_SUM_RELATIONS = 10 ** 6
 
 
@@ -561,13 +624,20 @@ class ConnectedSumRing(RingPresentation):
     the generic determinant check is run as well, and ``duality_verified``
     records whether it ran.
 
-    Relations are written directly as term dicts over the generators declared
-    here, which are the ambient's generators in the same order: every key is
-    a single power or a product g_p * g_q with p < q, so no Koszul sign
-    arises.  The factors (p, 1) of the cross products and top classes are
-    built once per generator and shared by every key that holds them.  Each
-    dict is built clean and homogeneous, so it is stored as it is, not
-    copied by the public intake.
+    The relations are, in this order, ``power_relations`` (a power of each
+    even generator), the cross products g_p * g_q of generators p < q in
+    different summands (summand pair by summand pair), and
+    ``top_relations`` (one identification of top classes per summand after
+    the first).  The cross products are kept structurally, as the summand
+    number of each generator in ``summand_of``: verify_witness checks them
+    from that alone, and the ``relations`` tuple is built on first access
+    (for the quotient slices and duality).  Every relation is a term dict
+    over the generators declared here, which are the ambient's generators
+    in the same order: every key is a single power or a product g_p * g_q
+    with p < q, so no Koszul sign arises.  The cross products' factors
+    (p, 1) are built once per generator and shared by every key that holds
+    them.  Each dict is built clean and homogeneous, so it is stored as it
+    is, not copied by the public intake.
     A sum with more than _MAX_CONNECTED_SUM_RELATIONS relations raises
     ValueError before any relation is built.
     """
@@ -619,35 +689,44 @@ class ConnectedSumRing(RingPresentation):
                 f"connected sum is too large to verify: it has {count} "
                 f"relations; at most {_MAX_CONNECTED_SUM_RELATIONS} are supported")
 
-        factors = [[(p, 1) for p in idx] for idx in atom_index]
-        rels = []
+        powers = []
         tops = []
-        for atom, idx, own in zip(atoms, atom_index, factors):
+        for atom, idx in zip(atoms, atom_index):
             if atom[0] == "sphere_product":
-                rels.extend({((p, 2),): _ONE} for p in idx if even[p])
-                tops.append(tuple(own))
+                powers.extend({((p, 2),): _ONE} for p in idx if even[p])
+                tops.append(tuple((p, 1) for p in idx))
             else:
                 (p,) = idx
                 if even[p]:
-                    rels.append({((p, atom[2] + 1),): _ONE})
+                    powers.append({((p, atom[2] + 1),): _ONE})
                 tops.append(((p, atom[2]),))
-        for i, left in enumerate(factors):
-            rels += [{(fp, fq): _ONE}
-                     for right in factors[i + 1:] for fp in left for fq in right]
         mu, sign = tops[0], orientations[0]
-        for top, o in zip(tops[1:], orientations[1:]):
-            rels.append({top: o, mu: -sign})
 
         super().__init__(gens, (),
                          name=name or "#".join(_atom_label(a, o)
                                                for a, o in zip(atoms, orientations)),
                          fundamental_degree=fund, duality=True)
-        self.relations = tuple(rels)
+        del self.relations      # the base's empty tuple; built on first access
+        self.summand_of = tuple(i for i, idx in enumerate(atom_index) for _p in idx)
+        self.power_relations = tuple(powers)
+        self.top_relations = tuple({top: o, mu: -sign}
+                                   for top, o in zip(tops[1:], orientations[1:]))
         self.fundamental_monomial = mu
         self.fundamental_monomial_sign = sign
         self.duality_verified = False
         if self.base.basis_size(fund) <= _DUALITY_CHECK_MONOMIALS:
             self.duality_verified = self.verify_duality()
+
+    @cached_property
+    def relations(self):
+        """The power relations, the cross products and the top relations,
+        built once, on first access."""
+        factors = [[] for _ in range(self.summand_of[-1] + 1)]
+        for p, i in enumerate(self.summand_of):
+            factors[i].append((p, 1))
+        cross = [{(fp, fq): _ONE} for i, left in enumerate(factors)
+                 for right in factors[i + 1:] for fp in left for fq in right]
+        return self.power_relations + tuple(cross) + self.top_relations
 
 
 def _atom_label(atom, orientation):
@@ -858,6 +937,12 @@ def _parse_summand(text: str) -> Atom:
 # classification
 
 
+# Largest n for which classify refutes a sum of CP^n through decide_pi,
+# whose system has C(2n, 2) unknowns: decide_pi(100, 2) takes about 0.25 s
+# and 36 MiB, decide_pi(150, 2) 0.56 s and 61 MiB (CPython 3.11.7, 2 vCPUs),
+# and the cost grows as n^2.
+_MAX_PI_SUM_POWER = 100
+
 SCALABLE = "Scalable"
 NOT_SCALABLE = "NotScalable"
 UNKNOWN = "Unknown"
@@ -980,6 +1065,11 @@ def _classify_csum(node: CSum, text) -> Classification:
             return Classification(text, SCALABLE,
                                   "projective space (verified symplectic-power "
                                   "witness)", witness=_projective_witness(gd, power))
+        if power > _MAX_PI_SUM_POWER:
+            raise ValueError(
+                f"a sum of CP{power}s is too large to refute: its linear "
+                f"system has C({2 * power}, 2) unknowns; sums of CP^n are "
+                f"supported up to n = {_MAX_PI_SUM_POWER}")
         decision = decide_pi(power, total)
         return Classification(text, NOT_SCALABLE,
                               f"two degree-2 classes with equal {power}-th "

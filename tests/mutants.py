@@ -55,11 +55,23 @@ MUTANTS = [
       "test_apply_terms_covers_powers_unit_and_vanishing_products"]),
     # a connected sum without its cross relations
     ("scalability.py",
-     "            rels += [{(fp, fq): _ONE}\n"
-     "                     for right in factors[i + 1:] for fp in left for fq in right]",
-     "            rels += []",
+     "        cross = [{(fp, fq): _ONE} for i, left in enumerate(factors)\n"
+     "                 for right in factors[i + 1:] for fp in left for fq in right]",
+     "        cross = []",
      ["tests/test_scalability.py::"
       "test_connected_sum_relations_match_element_products"]),
+    # the indexed cross-product pass skips one degree of candidate masks
+    ("scalability.py",
+     "            for d2 in degrees:",
+     "            for d2 in degrees[1:]:",
+     ["tests/test_scalability.py::"
+      "test_broken_witness_reports_are_pinned[csum_3_S2xS4]"]),
+    # the indexed pass reports the last failing cross product, not the first
+    ("scalability.py",
+     "    *_, p, q = min(live)",
+     "    *_, p, q = max(live)",
+     ["tests/test_scalability.py::"
+      "test_broken_witness_reports_are_pinned[omega_3_10]"]),
     # a transpose that loses row 0
     ("linalg.py",
      "        for i, x in col.items():\n            rows.setdefault(i, {})[j] = x",

@@ -209,7 +209,8 @@ def test_scalable_command_names_bad_input(capsys):
     for descriptor, message in (
             ("S", "bad space descriptor 'S'"),
             ("S2xS", "bad space descriptor 'S'"),
-            ("csum(2*CP1)", "connected sums of bare spheres (CP1 is S2)")):
+            ("csum(2*CP1)", "connected sums of bare spheres (CP1 is S2)"),
+            ("csum(CP101,rev(CP101))", "sums of CP^n are supported up to n = 100")):
         code, out, err = run_cli(capsys, "scalable", descriptor, "--machine")
         assert code == 2
         assert out == ""

@@ -4,7 +4,8 @@
 them through the public ``RingPresentation`` intake; on random small sums the
 two routes must give the same relations, those relations must be the Element
 products of the construction that preceded them, key for key and in order,
-and witnesses must get the same verdicts on either ring.
+and witnesses must get the same verdicts on either ring, the same reports
+as relation-by-relation mapping in the free-algebra form of the target.
 """
 
 import pytest
@@ -12,11 +13,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from fractions import Fraction  # noqa: E402
+
 from rht import (EmbeddingWitness, SetFamily, connected_sum_ring,  # noqa: E402
-                 family_local_forms, intersection_complete, verify_witness)
+                 exterior_algebra, family_local_forms, intersection_complete,
+                 verify_witness)
 from rht.presentations import RingPresentation  # noqa: E402
 from coefficients import is_exact_coefficient  # noqa: E402
-from test_scalability import _element_product_relations  # noqa: E402
+from test_scalability import (_element_product_relations,  # noqa: E402
+                              oracle_report)
 
 
 def atoms_of_degree(f):
@@ -104,3 +109,45 @@ def test_family_witness_verdicts_match_on_the_copied_ring(family, scale):
     assert report == verify_witness(
         copy, EmbeddingWitness(copy, witness.target, images))
     assert report.passed is (scale == 1 or len(family.members) == 1)
+
+
+@st.composite
+def candidate_witnesses(draw):
+    """A random sum and a candidate witness into Lambda R^N, N its dimension
+    or one more.  Each image is 2 to 5 monomials with int or Fraction
+    coefficients, drawn from a pool of at most three monomials and their
+    complements per degree, so that products often hit; or it is an earlier
+    image of its degree with some signs flipped, as the plane-sum witnesses
+    pair dx_I + dx_(I^c) with dx_I - dx_(I^c), so that products cancel."""
+    ring = connected_sum_ring(*draw(connected_sums()))
+    ext = exterior_algebra(ring.fundamental_degree + draw(st.integers(0, 1)))
+    full = (1 << ext.n) - 1
+    pools = {}
+    for d in sorted({g.degree for g in ring.gens}):
+        basis = ext.basis(d)
+        seeds = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3))
+        pools[d] = sorted({m for s in seeds for m in (s, full ^ s)
+                           if m.bit_count() == d} | set(basis[:2]))
+    coefficient = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)])
+    images = {}
+    for g in ring.gens:
+        earlier = [e.terms for e in images.values() if e.degree == g.degree]
+        if earlier and draw(st.booleans()):
+            terms = draw(st.sampled_from(earlier))
+            terms = {m: draw(st.sampled_from([c, -c])) for m, c in terms.items()}
+        else:
+            pool = pools[g.degree]
+            mons = draw(st.lists(st.sampled_from(pool), min_size=min(2, len(pool)),
+                                 max_size=min(5, len(pool)), unique=True))
+            terms = {m: draw(coefficient) for m in mons}
+        images[g.name] = ext.element(terms)
+    return ring, EmbeddingWitness(ring, ext, images)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(candidate_witnesses())
+def test_indexed_cross_products_report_as_the_relation_oracle(case):
+    """verify_witness checks a sum's cross products by mask; its report is
+    the one that mapping every relation in order gives."""
+    ring, witness = case
+    assert verify_witness(ring, witness) == oracle_report(ring, witness)

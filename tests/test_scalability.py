@@ -253,6 +253,17 @@ def test_cp_n_witness_is_bounded():
             call()
 
 
+def test_cp_n_sum_is_bounded():
+    """A sum of CP^n is refuted through a system on C(2n, 2) unknowns, so
+    classify takes it up to n = 100 and refuses a larger n before building
+    anything."""
+    assert classify("csum(2*CP100)").verdict == NOT_SCALABLE
+    with pytest.raises(ValueError, match=re.escape(
+            "a sum of CP101s is too large to refute: its linear system has "
+            "C(202, 2) unknowns; sums of CP^n are supported up to n = 100")):
+        classify("csum(2*CP101)")
+
+
 def test_connected_sum_size_is_bounded_before_any_relation(monkeypatch):
     """csum(6435*OP2) lies within the inertia bound but has 20,714,264
     relations; it is refused from the atoms alone, before one is built."""
@@ -897,6 +908,22 @@ def oracle_failure(ring, images):
     return None
 
 
+def oracle_report(ring, witness):
+    """The report of verify_witness on a ring with the duality flag, worked
+    out relation by relation in the free-algebra form of the target."""
+    failure = oracle_failure(ring, oracle_relation_images(ring, witness))
+    if failure is not None:
+        return WitnessReport(False, failing_relation=failure[0],
+                             message=failure[1])
+    mu = ring.fundamental_monomial
+    if mu is None:
+        mu = ring.top_basis_key()
+    if oracle_morphism(ring, witness).apply(Element(ring.base, {mu: 1})).is_zero():
+        return WitnessReport(False, failing_degree=ring.fundamental_degree,
+                             message="fundamental class maps to zero")
+    return WitnessReport(True, message="relations verified; duality shortcut")
+
+
 def kernel_relation_images(ring, witness):
     """Each relation's image through the witness's own morphism."""
     phi = witness.morphism()
@@ -1012,6 +1039,22 @@ def _broken_sigma():
     return witness.ring, witness.target, images
 
 
+def _broken_plane_sum():
+    """CP2#CP2#rev(CP2) with x3 sent where x2 goes: x1 * x3 still cancels,
+    x2 * x3 = x2^2 does not."""
+    witness = _plane_sum_witness(2, 2, 1)
+    images = dict(witness.images, x3=witness.images["x2"])
+    return witness.ring, witness.target, images
+
+
+def _broken_s2xs4_sum():
+    """csum(3*(S2xS4)) into Lambda R^6 with a2 sent to dx2*dx3, disjoint from
+    a1's dx0*dx1: a product of degree 2 + 2 < 6 that survives."""
+    witness = classify("csum(3*(S2xS4))").witness
+    images = dict(witness.images, a2=subset_monomial(witness.target, [2, 3]))
+    return witness.ring, witness.target, images
+
+
 @pytest.mark.parametrize("build,relation,message", [
     (lambda: _broken_omega(2, 3, "a1", "a2"), "a1*b2",
      "relation a1*b2 maps to dx1*dx2*dx3*dx4"),
@@ -1019,7 +1062,10 @@ def _broken_sigma():
      "relation a3*b7 maps to dx1*dx2*dx3*dx4*dx5*dx6"),
     (_broken_sigma, "-a1^2 + a2^2",
      "relation -a1^2 + a2^2 maps to -4*dx1*dx2*dx3*dx4"),
-], ids=["omega_2_3", "omega_3_10", "sigma_2_3"])
+    (_broken_plane_sum, "x2*x3", "relation x2*x3 maps to 2*dx1*dx2*dx3*dx4"),
+    (_broken_s2xs4_sum, "a1*a2", "relation a1*a2 maps to dx0*dx1*dx2*dx3"),
+], ids=["omega_2_3", "omega_3_10", "sigma_2_3", "plane_sum_CP2_2_1",
+        "csum_3_S2xS4"])
 def test_broken_witness_reports_are_pinned(build, relation, message):
     ring, ext, images = build()
     witness = EmbeddingWitness(ring, ext, images)
@@ -1115,6 +1161,44 @@ def test_connected_sum_copies_no_relation(monkeypatch):
     sizes = {name: len(value) for name, value in vars(phi).items()
              if isinstance(value, (dict, list, tuple, set))}
     assert sizes == {"images": 252, "_gen_terms": 252}
+
+
+def apply_terms_calls(monkeypatch):
+    """Spy on DgaMorphism.apply_terms: a one-item list counting its calls."""
+    count = [0]
+
+    def spied(self, terms, _original=DgaMorphism.apply_terms):
+        count[0] += 1
+        return _original(self, terms)
+
+    monkeypatch.setattr(DgaMorphism, "apply_terms", spied)
+    return count
+
+
+@pytest.mark.parametrize("verdict", [
+    lambda: decide_omega(5, 126), lambda: classify("csum(1412*OP2)")],
+    ids=["omega_5_126", "csum_1412_OP2"])
+def test_witness_path_builds_no_cross_product_relation(monkeypatch, verdict):
+    """The cross products are checked by mask: the witness path never builds
+    the relations tuple, and maps only the power and top relations and the
+    fundamental class through apply_terms."""
+    calls = apply_terms_calls(monkeypatch)
+    ring = verdict().witness.ring
+    assert "relations" not in vars(ring)
+    assert calls[0] <= len(ring.power_relations) + len(ring.top_relations) + 1
+
+
+def test_connected_sum_relations_on_demand_keep_their_order():
+    """omega_ring(5, 126).relations, asked for after the witness path, is the
+    31,625 relations in the order the sum always had: every product of
+    generators from summands i < j, then a_i*b_i - a1*b1 for i >= 2."""
+    witness = decide_omega(5, 126).witness
+    ring = witness.ring
+    want = [f"{g}{i}*{h}{j}" for i in range(1, 127) for j in range(i + 1, 127)
+            for g in "ab" for h in "ab"]
+    want += [f"-a1*b1 + a{i}*b{i}" for i in range(2, 127)]
+    assert [ring.base.format_terms(r) for r in ring.relations] == want
+    assert ring.relations is ring.relations
 
 
 def test_decide_pi_enumerates_no_exterior_4_forms(monkeypatch):
