@@ -60,18 +60,6 @@ MUTANTS = [
      "        cross = []",
      ["tests/test_scalability.py::"
       "test_connected_sum_relations_match_element_products"]),
-    # the indexed cross-product pass skips one degree of candidate masks
-    ("scalability.py",
-     "            for d2 in degrees:",
-     "            for d2 in degrees[1:]:",
-     ["tests/test_scalability.py::"
-      "test_broken_witness_reports_are_pinned[csum_3_S2xS4]"]),
-    # the indexed pass reports the last failing cross product, not the first
-    ("scalability.py",
-     "    *_, p, q = min(live)",
-     "    *_, p, q = max(live)",
-     ["tests/test_scalability.py::"
-      "test_broken_witness_reports_are_pinned[omega_3_10]"]),
     # a transpose that loses row 0
     ("linalg.py",
      "        for i, x in col.items():\n            rows.setdefault(i, {})[j] = x",
@@ -119,6 +107,18 @@ MUTANTS = [
      "    except AssertionError as exc:",
      "    except ZeroDivisionError as exc:",
      ["tests/test_cli.py::test_failed_self_audit_exits_1"]),
+    # the indexed cross-product pass skips one degree of candidate masks
+    ("scalability.py",
+     "            for d2 in degrees:",
+     "            for d2 in degrees[1:]:",
+     ["tests/test_scalability.py::"
+      "test_broken_witness_reports_are_pinned[csum_3_S2xS4]"]),
+    # the indexed pass reports the last failing cross product, not the first
+    ("scalability.py",
+     "    *_, p, q = min(live)",
+     "    *_, p, q = max(live)",
+     ["tests/test_scalability.py::"
+      "test_broken_witness_reports_are_pinned[omega_3_10]"]),
 ]
 
 
