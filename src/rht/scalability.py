@@ -261,15 +261,15 @@ def _first_failure(ring, phi, relations):
 
 def _first_live_cross_product(ring, phi):
     """The first cross product g_p * g_q of a connected sum that ``phi``
-    does not kill, in the order of ``ring.relations``, as a one-relation
-    list; empty when every one vanishes.
+    does not kill, in the order of ``ring.cross_pairs()``, as a
+    one-relation list; empty when every one vanishes.
 
     An exterior product of two monomials is nonzero only on disjoint masks.
-    So the image terms are indexed by mask, and each term of phi(g_p) of
-    degree d1 looks up only the masks of each degree d2 inside its
-    complement: C(N - d1, d2) lookups, one when d1 + d2 = N.  The products
-    phi(g_p) phi(g_q), p < q in different summands, are summed over those
-    hits; a pair with no hit, or whose terms cancel, vanishes.
+    So the image terms are indexed by degree and mask, and each term of
+    phi(g_p) finds the image terms on masks disjoint from it by
+    ``_disjoint_masks``.  The products phi(g_p) phi(g_q), p < q in
+    different summands, are summed over those hits; a pair with no hit, or
+    whose terms cancel, vanishes.
     """
     ext, summand = phi.target, ring.summand_of
     images = [e.terms for e in phi.images.values()]
@@ -286,17 +286,33 @@ def _first_live_cross_product(ring, phi):
             free = ext._indices(full ^ m1)
             for d2 in degrees:
                 by_mask = by_degree[d2]
-                for subset in itertools.combinations(free, d2):
-                    m2 = sum(1 << i for i in subset)
-                    for q, c2 in by_mask.get(m2, ()):
+                for m2 in _disjoint_masks(m1, free, d2, by_mask):
+                    for q, c2 in by_mask[m2]:
                         if q > p and summand[q] != summand[p]:
                             accumulate(products.setdefault((p, q), {}),
                                        ext.mul_keys(m1, m2), c1 * c2)
-    live = [(summand[p], summand[q], p, q) for (p, q), img in products.items() if img]
-    if not live:
+    if not any(products.values()):
         return []
-    *_, p, q = min(live)
+    p, q = next(pq for pq in ring.cross_pairs() if products.get(pq))
     return [{((p, 1), (q, 1)): _ONE}]
+
+
+def _disjoint_masks(m1, free, d2, by_mask):
+    """The masks of ``by_mask``, all of degree ``d2``, disjoint from ``m1``,
+    whose complement has the indices ``free``.  Enumerating the d2-subsets
+    of ``free`` takes C(len(free), d2) lookups, one when the degrees fill
+    the target; scanning ``by_mask`` takes one test per mask.  The cheaper
+    way is taken, so a lookup never costs more than one test per image
+    term of degree d2, as multiplying the images out pairwise would."""
+    if comb(len(free), d2) <= len(by_mask):
+        for subset in itertools.combinations(free, d2):
+            m2 = sum(1 << i for i in subset)
+            if m2 in by_mask:
+                yield m2
+    else:
+        for m2 in by_mask:
+            if not m1 & m2:
+                yield m2
 
 
 def _verified(ring, ext, images, what) -> EmbeddingWitness:
@@ -629,15 +645,16 @@ class ConnectedSumRing(RingPresentation):
     different summands (summand pair by summand pair), and
     ``top_relations`` (one identification of top classes per summand after
     the first).  The cross products are kept structurally, as the summand
-    number of each generator in ``summand_of``: verify_witness checks them
-    from that alone, and the ``relations`` tuple is built on first access
-    (for the quotient slices and duality).  Every relation is a term dict
-    over the generators declared here, which are the ambient's generators
-    in the same order: every key is a single power or a product g_p * g_q
-    with p < q, so no Koszul sign arises.  The cross products' factors
-    (p, 1) are built once per generator and shared by every key that holds
-    them.  Each dict is built clean and homogeneous, so it is stored as it
-    is, not copied by the public intake.
+    number of each generator in ``summand_of``, and ``cross_pairs`` yields
+    their generator pairs in relation order: verify_witness checks them
+    from that alone, and the ``relations`` tuple is built from it on first
+    access (for the quotient slices and duality).  Every relation is a term
+    dict over the generators declared here, which are the ambient's
+    generators in the same order: every key is a single power or a
+    product g_p * g_q with p < q, so no Koszul sign arises.  The cross
+    products' factors (p, 1) are built once per generator and shared by
+    every key that holds them.  Each dict is built clean and homogeneous,
+    so it is stored as it is, not copied by the public intake.
     A sum with more than _MAX_CONNECTED_SUM_RELATIONS relations raises
     ValueError before any relation is built.
     """
@@ -717,16 +734,25 @@ class ConnectedSumRing(RingPresentation):
         if self.base.basis_size(fund) <= _DUALITY_CHECK_MONOMIALS:
             self.duality_verified = self.verify_duality()
 
+    def cross_pairs(self):
+        """The generator pairs (p, q) of the cross products g_p * g_q, p < q
+        in different summands, in relation order: summand pair by summand
+        pair, then generators."""
+        members = [[] for _ in range(self.summand_of[-1] + 1)]
+        for p, i in enumerate(self.summand_of):
+            members[i].append(p)
+        for i, left in enumerate(members):
+            for right in members[i + 1:]:
+                for p in left:
+                    yield from ((p, q) for q in right)
+
     @cached_property
     def relations(self):
         """The power relations, the cross products and the top relations,
         built once, on first access."""
-        factors = [[] for _ in range(self.summand_of[-1] + 1)]
-        for p, i in enumerate(self.summand_of):
-            factors[i].append((p, 1))
-        cross = [{(fp, fq): _ONE} for i, left in enumerate(factors)
-                 for right in factors[i + 1:] for fp in left for fq in right]
-        return self.power_relations + tuple(cross) + self.top_relations
+        factor = [(p, 1) for p in range(len(self.summand_of))]
+        cross = tuple({(factor[p], factor[q]): _ONE} for p, q in self.cross_pairs())
+        return self.power_relations + cross + self.top_relations
 
 
 def _atom_label(atom, orientation):

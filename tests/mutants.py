@@ -55,9 +55,9 @@ MUTANTS = [
       "test_apply_terms_covers_powers_unit_and_vanishing_products"]),
     # a connected sum without its cross relations
     ("scalability.py",
-     "        cross = [{(fp, fq): _ONE} for i, left in enumerate(factors)\n"
-     "                 for right in factors[i + 1:] for fp in left for fq in right]",
-     "        cross = []",
+     "        cross = tuple({(factor[p], factor[q]): _ONE}"
+     " for p, q in self.cross_pairs())",
+     "        cross = ()",
      ["tests/test_scalability.py::"
       "test_connected_sum_relations_match_element_products"]),
     # a transpose that loses row 0
@@ -115,10 +115,16 @@ MUTANTS = [
       "test_broken_witness_reports_are_pinned[csum_3_S2xS4]"]),
     # the indexed pass reports the last failing cross product, not the first
     ("scalability.py",
-     "    *_, p, q = min(live)",
-     "    *_, p, q = max(live)",
+     "    p, q = next(pq for pq in ring.cross_pairs() if products.get(pq))",
+     "    p, q = [pq for pq in ring.cross_pairs() if products.get(pq)][-1]",
      ["tests/test_scalability.py::"
       "test_broken_witness_reports_are_pinned[omega_3_10]"]),
+    # the indexed pass always enumerates the subsets disjoint from a term
+    ("scalability.py",
+     "    if comb(len(free), d2) <= len(by_mask):",
+     "    if True:",
+     ["tests/test_scalability.py::"
+      "test_cross_product_lookups_are_bounded_by_the_pairwise_count"]),
 ]
 
 

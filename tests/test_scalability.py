@@ -1188,6 +1188,35 @@ def test_witness_path_builds_no_cross_product_relation(monkeypatch, verdict):
     assert calls[0] <= len(ring.power_relations) + len(ring.top_relations) + 1
 
 
+@pytest.mark.parametrize("descriptor", ["csum(2*(S12xS24))", "csum(2*(S15xS30))"])
+def test_cross_product_lookups_are_bounded_by_the_pairwise_count(monkeypatch,
+                                                                 descriptor):
+    """In a sum of unequal sphere products the degrees d1 + d2 of a cross
+    product fall short of N, and the masks disjoint from a term of a_i are
+    C(N - d1, d2) subsets (C(24, 12), about 2.7 million, for S12xS24).  The
+    pass scans the few image masks instead, so checking the witness draws
+    no more subsets than multiplying the images out pairwise takes
+    products.  The spy is in place while classify builds and checks the
+    witness too, and stops any run that draws a thousand subsets."""
+    drawn = [0]
+
+    def spied(iterable, r, _original=itertools.combinations):
+        for subset in _original(iterable, r):
+            drawn[0] += 1
+            if drawn[0] > 1000:
+                raise AssertionError("more than 1000 subsets drawn")
+            yield subset
+
+    monkeypatch.setattr(itertools, "combinations", spied)
+    witness = classify(descriptor).witness
+    ring = witness.ring
+    images = [e.terms for e in witness.morphism().images.values()]
+    bound = sum(len(images[p]) * len(images[q]) for p, q in ring.cross_pairs())
+    drawn[0] = 0
+    assert verify_witness(ring, witness).passed
+    assert drawn[0] <= bound
+
+
 def test_connected_sum_relations_on_demand_keep_their_order():
     """omega_ring(5, 126).relations, asked for after the witness path, is the
     31,625 relations in the order the sum always had: every product of
