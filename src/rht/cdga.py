@@ -545,10 +545,6 @@ class FreeCdga(GradedAlgebra):
         self._basis_cache[degree] = out
         return out
 
-    def basis_size(self, degree):
-        """len(basis(degree)), counted from the generator degrees alone."""
-        return self.basis_sizes(degree)[degree] if degree >= 0 else 0
-
     def basis_sizes(self, top):
         """[len(basis(n)) for n in range(top + 1)], in one pass costing
         about len(gens) * top steps.

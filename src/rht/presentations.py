@@ -36,9 +36,9 @@ class RingPresentation(OverFreeCdga):
     ``duality=True`` promises that the quotient vanishes above
     ``fundamental_degree`` n and pairs nonsingularly into its one-dimensional
     degree n; ``verify_witness`` trusts it and skips its independence check.
-    Neither the constructor nor ``verify_duality()`` checks that degrees
-    above n vanish: x of degree 2 with x^3 = 0, flagged with n = 2, passes
-    although x^2 survives in degree 4.
+    The constructor does not check the flag: x of degree 2 with x^3 = 0,
+    flagged with n = 2, is built although x^2 survives in degree 4, and only
+    ``verify_duality()`` refuses it.
     ``fundamental_monomial`` is an ambient monomial known to represent the
     fundamental class, set by builders that know one (connected sums, the
     equal-powers rings) and None otherwise; ``top_basis_key()`` finds one by
@@ -148,9 +148,10 @@ class RingPresentation(OverFreeCdga):
         """Nonsingularity of the pairing H^k x H^(n-k) -> H^n, all k.
 
         Exact check: for each degree the pairing matrix on the presented
-        bases must have full rank.  Raises on failure.  Only degrees 0..n
-        are looked at: nonzero classes above n, which the duality flag rules
-        out, are not detected.
+        bases must have full rank.  Raises on failure.  Degrees n+1 .. n + D,
+        D the largest generator degree, must vanish as well: a monomial above
+        n + D has a divisor in that range (peel off one generator at a
+        time), so no higher degree survives either.
         """
         n = self.fundamental_degree
         self.top_basis_key()
@@ -166,6 +167,12 @@ class RingPresentation(OverFreeCdga):
                     if (prod := self.mul_keys(kl, kr))} for kl in left]
             if linalg.rank(mat) != len(left):
                 raise ValueError(f"duality pairing is singular in degree {k}")
+        top = max((g.degree for g in self.gens), default=0)
+        for k in range(n + 1, n + top + 1):
+            if survivors := len(self.basis(k)):
+                raise ValueError(
+                    f"duality fails: dim H^{k} = {survivors} above the "
+                    f"fundamental degree {n}")
         return True
 
 

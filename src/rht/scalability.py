@@ -30,6 +30,7 @@ unless their masks are disjoint.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -511,11 +512,12 @@ def decide_omega(n, r) -> Decision:
             f"dim Lambda^{n} R^{2 * n} = {comb(2 * n, n)}",
             2 * r, comb(2 * n, n))
         return Decision("omega", n, r, False, bound, refutation=cert)
+    ring = omega_ring(n, r)
     ext = exterior_algebra(2 * n)
     images = {}
     for i, (first, second) in enumerate(_middle_pairs(ext, n, r), start=1):
         images[f"a{i}"], images[f"b{i}"] = first, second
-    witness = _verified(omega_ring(n, r), ext, images, "omega")
+    witness = _verified(ring, ext, images, "omega")
     return Decision("omega", n, r, True, bound, witness=witness)
 
 
@@ -615,17 +617,71 @@ def decide_pi(n, r) -> Decision:
 # connected sums
 
 
-# Largest top-degree ambient basis on which ConnectedSumRing also runs the
-# generic duality check; above it the blockwise argument stands alone.
-_DUALITY_CHECK_MONOMIALS = 200
-
-# Most relations a connected sum may have, counted from its atoms before any
-# is built.  The witness path builds only the power and top relations and
-# checks the cross products by mask, but ``relations`` builds them all when
-# asked.  csum(1412*OP2), the largest admitted sum of OP2s with 998,989
-# relations, classifies in about 0.1 s and 24 MiB in process (CPython
-# 3.11.7, 2 vCPUs).
+# Most relations the ``relations`` tuple of a connected sum may hold, counted
+# from its summand blocks before any is built.  Only the quotient slices
+# read that tuple; the witness path and the duality certificate never build
+# it.  csum(1412*OP2), with 998,989 relations, is the largest sum of OP2s
+# whose relations are built.
 _MAX_CONNECTED_SUM_RELATIONS = 10 ** 6
+
+# Most generators a connected sum may have, counted from its atoms before
+# anything is built.  Construction and the duality certificate cost a few
+# steps per generator, and so does the witness check, except where images
+# of low degree find their disjoint partners by scanning, as in sums of
+# S5xS30.  Near the bound, csum(6435*OP2,6435*rev(OP2)) (12,870
+# generators) classifies in about 0.9 s in process and csum(7500*(S5xS30))
+# in about 3 s (CPython 3.11.7, 2 vCPUs).
+_MAX_CONNECTED_SUM_GENERATORS = 15000
+
+
+def _summand(atom):
+    """(generator degrees, power relations, top monomial) of one summand,
+    in its own generator indices 0, 1, ...  A sphere product S^n x S^m has
+    generators of degrees min(n, m) and max(n, m), each even one squaring
+    to zero, and their product on top; a projective space on x of degree d
+    has x^(power+1) = 0 (for even d) and x^power on top."""
+    kind = atom[0]
+    if kind == "sphere_product":
+        _k, n, m = atom
+        degrees, exponent, top = (min(n, m), max(n, m)), 2, ((0, 1), (1, 1))
+    elif kind == "projective":
+        _k, d, power = atom
+        if d % 2 and power > 1:
+            raise ValueError(f"projective summand {atom} has an odd "
+                             f"generator, so its powers vanish")
+        degrees, exponent, top = (d,), power + 1, ((0, power),)
+    else:
+        raise ValueError(f"unknown summand kind {kind!r}")
+    powers = tuple({((p, exponent),): _ONE}
+                   for p, d in enumerate(degrees) if d % 2 == 0)
+    return degrees, powers, top
+
+
+def _check_sum_size(generators):
+    """Refuse a connected sum of more than _MAX_CONNECTED_SUM_GENERATORS
+    generators, before anything of it is built."""
+    if generators > _MAX_CONNECTED_SUM_GENERATORS:
+        raise ValueError(
+            f"connected sum is too large to verify: it has {generators} "
+            f"generators; at most {_MAX_CONNECTED_SUM_GENERATORS} are supported")
+
+
+def _shifted(key, offset):
+    """A monomial of a summand moved into the block starting at ``offset``."""
+    return tuple([(p + offset, e) for p, e in key])
+
+
+def _blocks(summands):
+    """The layout of a sum of ``summands``, each as ``_summand`` gives it,
+    in consecutive generator blocks: the summand number of each generator,
+    the power relations and the top monomials, shifted into the blocks."""
+    summand_of, powers, tops = [], [], []
+    for i, (degs, pows, top) in enumerate(summands):
+        offset = len(summand_of)
+        summand_of += [i] * len(degs)
+        powers += [{_shifted(k, offset): c for k, c in rel.items()} for rel in pows]
+        tops.append(_shifted(top, offset))
+    return tuple(summand_of), tuple(powers), tops
 
 
 class ConnectedSumRing(RingPresentation):
@@ -633,12 +689,8 @@ class ConnectedSumRing(RingPresentation):
 
     Atoms are ("sphere_product", n, m) or ("projective", gen_degree, power);
     orientations are 1 or -1 per atom (any other value raises ValueError),
-    and a reversed atom's top class enters with coefficient -1.  Duality
-    holds blockwise by construction (cross products vanish by relation,
-    each atom's internal pairing is +-1-nonsingular);
-    for presentations with at most 200 ambient monomials in the top degree
-    the generic determinant check is run as well, and ``duality_verified``
-    records whether it ran.
+    and a reversed atom's top class enters with coefficient -1.  Each
+    summand's generators form one contiguous block, in atom order.
 
     The relations are, in this order, ``power_relations`` (a power of each
     even generator), the cross products g_p * g_q of generators p < q in
@@ -648,15 +700,19 @@ class ConnectedSumRing(RingPresentation):
     number of each generator in ``summand_of``, and ``cross_pairs`` yields
     their generator pairs in relation order: verify_witness checks them
     from that alone, and the ``relations`` tuple is built from it on first
-    access (for the quotient slices and duality).  Every relation is a term
-    dict over the generators declared here, which are the ambient's
-    generators in the same order: every key is a single power or a
-    product g_p * g_q with p < q, so no Koszul sign arises.  The cross
-    products' factors (p, 1) are built once per generator and shared by
-    every key that holds them.  Each dict is built clean and homogeneous,
-    so it is stored as it is, not copied by the public intake.
-    A sum with more than _MAX_CONNECTED_SUM_RELATIONS relations raises
-    ValueError before any relation is built.
+    access, for the quotient slices.  Every relation is a term dict over
+    the generators declared here, which are the ambient's generators in the
+    same order: every key is a single power or a product g_p * g_q with
+    p < q, so no Koszul sign arises.  Each dict is built clean and
+    homogeneous, so it is stored as it is, not copied by the public intake.
+
+    Duality is checked at construction by ``verify_blockwise_duality``, a
+    certificate read off the summand blocks with no elimination over the
+    sum, and ``duality_verified`` records its result for every sum.  A sum
+    with more than _MAX_CONNECTED_SUM_GENERATORS generators raises
+    ValueError before anything is built; the ``relations`` tuple raises
+    ValueError before it is built when it would hold more than
+    _MAX_CONNECTED_SUM_RELATIONS relations.
     """
 
     def __init__(self, atoms, orientations=None, *, name=None):
@@ -669,70 +725,78 @@ class ConnectedSumRing(RingPresentation):
         orientations = [1 if o == 1 else -1 for o in orientations]
         if len(orientations) != len(atoms):
             raise ValueError("one orientation per summand required")
-
-        def fundamental(atom):
-            kind = atom[0]
-            if kind == "sphere_product":
-                return atom[1] + atom[2]
-            if kind == "projective":
-                if atom[1] % 2 and atom[2] > 1:
-                    raise ValueError(f"projective summand {atom} has an odd "
-                                     f"generator, so its powers vanish")
-                return atom[1] * atom[2]
-            raise ValueError(f"unknown summand kind {kind!r}")
-
-        degrees = {fundamental(a) for a in atoms}
+        kinds = {a: _summand(a) for a in dict.fromkeys(atoms)}
+        degrees = {sum(degs[p] * e for p, e in top) for degs, _r, top in kinds.values()}
         if len(degrees) != 1:
             raise ValueError(f"summands have mixed fundamental degrees {sorted(degrees)}")
-        fund = degrees.pop()
+        summands = [kinds[a] for a in atoms]
+        _check_sum_size(sum(len(degs) for degs, _r, _t in summands))
 
-        gens = []
-        atom_index = []          # ambient indices of each summand's generators
-        for i, atom in enumerate(atoms, start=1):
-            if atom[0] == "sphere_product":
-                _k, n, m = atom
-                names = [(f"a{i}", min(n, m)), (f"b{i}", max(n, m))]
-            else:
-                names = [(f"x{i}", atom[1])]
-            atom_index.append(tuple(range(len(gens), len(gens) + len(names))))
-            gens.extend(names)
-        even = [d % 2 == 0 for _nm, d in gens]
-        # cross products, one power relation per even generator, and one
-        # identification of top classes per summand after the first
-        count = ((len(gens) ** 2 - sum(len(idx) ** 2 for idx in atom_index)) // 2
-                 + sum(even) + len(atoms) - 1)
-        if count > _MAX_CONNECTED_SUM_RELATIONS:
-            raise ValueError(
-                f"connected sum is too large to verify: it has {count} "
-                f"relations; at most {_MAX_CONNECTED_SUM_RELATIONS} are supported")
-
-        powers = []
-        tops = []
-        for atom, idx in zip(atoms, atom_index):
-            if atom[0] == "sphere_product":
-                powers.extend({((p, 2),): _ONE} for p in idx if even[p])
-                tops.append(tuple((p, 1) for p in idx))
-            else:
-                (p,) = idx
-                if even[p]:
-                    powers.append({((p, atom[2] + 1),): _ONE})
-                tops.append(((p, atom[2]),))
+        gens = [(f"{nm}{i}", d) for i, (atom, (degs, _r, _t))
+                in enumerate(zip(atoms, summands), start=1)
+                for nm, d in zip("ab" if atom[0] == "sphere_product" else "x", degs)]
+        summand_of, powers, tops = _blocks(summands)
         mu, sign = tops[0], orientations[0]
-
         super().__init__(gens, (),
                          name=name or "#".join(_atom_label(a, o)
                                                for a, o in zip(atoms, orientations)),
-                         fundamental_degree=fund, duality=True)
+                         fundamental_degree=degrees.pop(), duality=True)
         del self.relations      # the base's empty tuple; built on first access
-        self.summand_of = tuple(i for i, idx in enumerate(atom_index) for _p in idx)
-        self.power_relations = tuple(powers)
+        self.atoms = tuple(atoms)
+        self.summand_of = summand_of
+        self.power_relations = powers
         self.top_relations = tuple({top: o, mu: -sign}
                                    for top, o in zip(tops[1:], orientations[1:]))
         self.fundamental_monomial = mu
         self.fundamental_monomial_sign = sign
-        self.duality_verified = False
-        if self.base.basis_size(fund) <= _DUALITY_CHECK_MONOMIALS:
-            self.duality_verified = self.verify_duality()
+        self.duality_verified = self.verify_blockwise_duality()
+
+    def verify_blockwise_duality(self):
+        """Poincare duality of the sum from its summands; True, or raises
+        ValueError naming the first fault.
+
+        (a) Each distinct atom's one-summand ring passes the generic
+        ``verify_duality`` (degrees above n included), with its top
+        monomial as its degree-n basis.  (b) ``summand_of`` cuts the
+        generators into contiguous blocks, one per atom in order, with the
+        atom's generator degrees, so ``cross_pairs()`` holds every pair of
+        generators of different summands; each block's power relations are
+        its atom's, shifted into the block.  (c) One top relation per
+        summand after the first identifies its block's top monomial with
+        the fundamental monomial (the first block's), both coefficients
+        +-1.  Then every product across summands vanishes, the quotient
+        below degree n is the direct sum of the atoms' and degree n is one
+        class, so the pairing is nonsingular block by block.  No
+        elimination runs over the sum: the cost is the distinct atoms'
+        checks and a few steps per generator and summand.
+        """
+        n = self.fundamental_degree
+        kinds = {a: _summand(a) for a in dict.fromkeys(self.atoms)}
+        for atom, (degs, pows, top) in kinds.items():
+            ring = RingPresentation([(f"g{p}", d) for p, d in enumerate(degs)],
+                                    pows, name=_atom_label(atom, 1),
+                                    fundamental_degree=n)
+            ring.verify_duality()
+            if ring.basis(n) != (top,):
+                raise ValueError(f"the top class of {ring.name} is not its "
+                                 f"top monomial")
+        summands = [kinds[a] for a in self.atoms]
+        summand_of, powers, tops = _blocks(summands)
+        if (self.summand_of != summand_of or [g.degree for g in self.gens]
+                != [d for degs, _r, _t in summands for d in degs]):
+            raise ValueError("the generators are not one block per summand, "
+                             "in summand order")
+        if self.power_relations != powers:
+            raise ValueError("the power relations are not the summands' "
+                             "power relations")
+        mu = tops[0]
+        if (self.fundamental_monomial != mu or [rel.keys() for rel in self.top_relations]
+                != [{top, mu} for top in tops[1:]]):
+            raise ValueError("the top relations do not identify each summand's "
+                             "top class with the first one's")
+        if not all(c in (1, -1) for rel in self.top_relations for c in rel.values()):
+            raise ValueError("a top relation has a coefficient other than +-1")
+        return True
 
     def cross_pairs(self):
         """The generator pairs (p, q) of the cross products g_p * g_q, p < q
@@ -749,7 +813,15 @@ class ConnectedSumRing(RingPresentation):
     @cached_property
     def relations(self):
         """The power relations, the cross products and the top relations,
-        built once, on first access."""
+        built once, on first access; more than _MAX_CONNECTED_SUM_RELATIONS
+        of them raise ValueError before any cross product is built."""
+        sizes = Counter(self.summand_of).values()
+        count = ((len(self.summand_of) ** 2 - sum(s * s for s in sizes)) // 2
+                 + len(self.power_relations) + len(self.top_relations))
+        if count > _MAX_CONNECTED_SUM_RELATIONS:
+            raise ValueError(
+                f"connected sum is too large to present: it has {count} "
+                f"relations; at most {_MAX_CONNECTED_SUM_RELATIONS} are built")
         factor = [(p, 1) for p in range(len(self.summand_of))]
         cross = tuple({(factor[p], factor[q]): _ONE} for p, q in self.cross_pairs())
         return self.power_relations + cross + self.top_relations
@@ -801,13 +873,32 @@ class SetFamily:
 def intersection_complete(family: SetFamily):
     """All four intersections of I or I^c with J or J^c are nonempty,
     for every pair of distinct members.  Returns (ok, violation) where the
-    violation names the pair and the empty quadrant."""
-    full = frozenset(range(family.ground))
-    for I, J in itertools.combinations(family.members, 2):
-        for (left, lname) in ((I, "I"), (full - I, "I^c")):
-            for (right, rname) in ((J, "J"), (full - J, "J^c")):
-                if not (left & right):
-                    return False, (sorted(I), sorted(J), f"{lname} * {rname}")
+    violation names the pair and the empty quadrant.
+
+    A quadrant that no pair can leave empty is settled for the whole family
+    in one pass, and only the others are tested pair by pair: I * J when
+    every member holds a common index or each is larger than half the
+    ground set, I * J^c and I^c * J when all members have one size
+    (distinct sets of one size never contain each other), and I^c * J^c
+    when some index lies in no member or each is smaller than half.
+    """
+    members, ground = family.members, family.ground
+    full = frozenset(range(ground))
+    sizes = {len(m) for m in members}
+    quadrants = []
+    if not (full.intersection(*members) or 2 * min(sizes, default=0) > ground):
+        quadrants.append(("I", "J"))
+    if len(sizes) > 1:
+        quadrants += [("I", "J^c"), ("I^c", "J")]
+    if full == full.union(*members) and 2 * max(sizes, default=0) >= ground:
+        quadrants.append(("I^c", "J^c"))
+    if not quadrants:
+        return True, None
+    for I, J in itertools.combinations(members, 2):
+        sides = {"I": I, "I^c": full - I, "J": J, "J^c": full - J}
+        for lname, rname in quadrants:
+            if not sides[lname] & sides[rname]:
+                return False, (sorted(I), sorted(J), f"{lname} * {rname}")
     return True, None
 
 
@@ -834,22 +925,20 @@ def family_local_forms(family: SetFamily) -> FamilyForms:
         raise ValueError(f"family is not intersection-complete: members {I} "
                          f"and {J} have empty {quadrant}")
     k1 = family.ground
+    sizes = [len(m) for m in family.members]
+    ring = connected_sum_ring([("sphere_product", size, k1 - size) for size in sizes],
+                              name=f"X({family.ground};{len(sizes)})")
     ext = exterior_algebra(k1, first_index=0)
     pairs = _complementary_pairs(ext, [sorted(m) for m in family.members])
-    atoms = []
     images = {}
     caveat = None
-    for i, (member, (first, second)) in enumerate(zip(family.members, pairs),
-                                                  start=1):
-        size = len(member)
-        atoms.append(("sphere_product", size, k1 - size))
+    for i, (size, (first, second)) in enumerate(zip(sizes, pairs), start=1):
         if min(size, k1 - size) == 1:
             caveat = ("some summands have circle factors; the ring witness "
                       "ignores the simple-connectivity hypothesis")
         if size > k1 - size:
             first, second = second, first
         images[f"a{i}"], images[f"b{i}"] = first, second
-    ring = connected_sum_ring(atoms, name=f"X({family.ground};{len(atoms)})")
     witness = _verified(ring, ext, images, "family")
     return FamilyForms(family, ring, witness, caveat)
 
@@ -1120,6 +1209,7 @@ def _classify_csum(node: CSum, text) -> Classification:
             lower = comb(n + m - 1, n - 1)
             upper = comb(n + m, n)
             if total <= lower:
+                _check_sum_size(2 * total)
                 members = [frozenset(s) for s in
                            _subsets_containing_first(n, total, n + m, 0)]
                 forms = family_local_forms(SetFamily(n + m, tuple(members)))

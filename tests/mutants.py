@@ -125,6 +125,20 @@ MUTANTS = [
      "    if True:",
      ["tests/test_scalability.py::"
       "test_cross_product_lookups_are_bounded_by_the_pairwise_count"]),
+    # the duality certificate takes any coefficient in a top relation
+    ("scalability.py",
+     "        if not all(c in (1, -1) for rel in self.top_relations "
+     "for c in rel.values()):",
+     "        if False:",
+     ["tests/test_scalability.py::"
+      "test_connected_sum_duality_certificate_catches_a_fault"
+      "[top_coefficient_2]"]),
+    # the generic duality check stops at the fundamental degree
+    ("presentations.py",
+     "        for k in range(n + 1, n + top + 1):",
+     "        for k in range(n + 1, n + 1):",
+     ["tests/test_presentations.py::"
+      "test_duality_verification_sees_degrees_above_the_fundamental_class"]),
 ]
 
 

@@ -159,17 +159,27 @@ def test_scalable_refuses_cp_beyond_the_witness_bound():
 
 
 def test_scalable_refuses_connected_sum_beyond_the_size_bound():
-    """csum(6435*OP2) is within the inertia bound, but its 20,714,264
-    relations would take minutes and gigabytes to build and check; it exits
-    2 at once, naming the count and the bound."""
+    """csum(7501*(S9xS9)) is within the bound C(18, 9)/2, but its witness
+    would need 15,002 generators; it exits 2 at once, naming the count and
+    the bound."""
     proc = subprocess.run(
-        [sys.executable, "-m", "rht.cli", "scalable", "csum(6435*OP2)"],
+        [sys.executable, "-m", "rht.cli", "scalable", "csum(7501*(S9xS9))"],
         capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == ("error: connected sum is too large to verify: it "
-                           "has 20714264 relations; at most 1000000 are "
+                           "has 15002 generators; at most 15000 are "
                            "supported\n")
+
+
+def test_scalable_admits_every_plane_sum_within_the_inertia_bound():
+    """csum(6435*OP2) has 20,714,264 relations, but its witness is checked
+    from the summand blocks and the images' masks, so it is Scalable."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "rht.cli", "scalable", "csum(6435*OP2)",
+         "--machine"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict = Scalable" in proc.stdout.splitlines()
 
 
 def test_literals_in_any_script_on_the_command_line(capsys):

@@ -13,6 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+import itertools  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
 from rht import (EmbeddingWitness, SetFamily, connected_sum_ring,  # noqa: E402
@@ -151,3 +152,90 @@ def test_indexed_cross_products_report_as_the_relation_oracle(case):
     the one that mapping every relation in order gives."""
     ring, witness = case
     assert verify_witness(ring, witness) == oracle_report(ring, witness)
+
+
+@st.composite
+def larger_sums(draw):
+    """Mixed-atom sums of up to 80 summands, the atoms of a small sum
+    repeated in turn, with random orientations, whose generic duality check
+    stays affordable: at most 3,000 ambient monomials in degree n and
+    8,000 in each degree it looks at above n, up to n + (largest
+    generator degree)."""
+    kinds, _ = draw(connected_sums())
+    count = draw(st.integers(1, 80))
+    atoms = [kinds[i % len(kinds)] for i in range(count)]
+    orientations = draw(st.lists(st.sampled_from([1, -1]),
+                                 min_size=count, max_size=count))
+    ring = connected_sum_ring(atoms, orientations)
+    n = ring.fundamental_degree
+    sizes = ring.base.basis_sizes(n + max(g.degree for g in ring.gens))
+    hypothesis.assume(sizes[n] <= 3000 and max(sizes) <= 8000)
+    return ring
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(larger_sums(), st.booleans())
+@hypothesis.example(  # 1,770 top-degree monomials, 34,220 in degree 9
+    connected_sum_ring([("sphere_product", 3, 3)] * 30, [1, -1, -1] * 10), False)
+@hypothesis.example(
+    connected_sum_ring([("sphere_product", 2, 4), ("projective", 2, 3),
+                        ("sphere_product", 1, 5)] * 3, [-1, 1, 1] * 3), True)
+def test_blockwise_certificate_agrees_with_the_generic_check(ring, fault):
+    """The blockwise certificate, which every sum runs at construction,
+    agrees with the generic elimination over the whole sum; with a fault,
+    one summand's top class left unidentified (a summand that has classes
+    below the top, so that they pair to zero), both fail."""
+    assert ring.duality_verified is True
+    hittable = [i for i, atom in enumerate(ring.atoms[1:])
+                if atom[0] == "sphere_product" or atom[2] > 1]
+    if fault and hittable:
+        i = hittable[0]
+        rel = ring.top_relations[i]
+        ring.top_relations = (ring.top_relations[:i]
+                              + ({k: c for k, c in rel.items()
+                                  if k != ring.fundamental_monomial},)
+                              + ring.top_relations[i + 1:])
+    certified = generic = True
+    try:
+        ring.verify_blockwise_duality()
+    except ValueError:
+        certified = False
+    try:
+        RingPresentation.verify_duality(ring)
+    except ValueError:
+        generic = False
+    assert certified is generic is not (fault and bool(hittable))
+
+
+def pairwise_completeness(family):
+    """intersection_complete's answer from every pair and every quadrant."""
+    full = frozenset(range(family.ground))
+    for I, J in itertools.combinations(family.members, 2):
+        for left, lname in ((I, "I"), (full - I, "I^c")):
+            for right, rname in ((J, "J"), (full - J, "J^c")):
+                if not left & right:
+                    return False, (sorted(I), sorted(J), f"{lname} * {rname}")
+    return True, None
+
+
+@st.composite
+def any_families(draw):
+    """Families with no completeness filter, often of one member size or
+    with a shared index, so that quadrants get settled for the family."""
+    ground = draw(st.integers(2, 7))
+    size = draw(st.one_of(st.none(), st.integers(1, ground - 1)))
+    subsets = st.frozensets(st.integers(0, ground - 1), min_size=size or 1,
+                            max_size=size or ground - 1)
+    if draw(st.booleans()):
+        subsets = subsets.map(lambda m: m | {0}).filter(
+            lambda m: len(m) < ground and (size is None or len(m) == size))
+    members = draw(st.lists(subsets, max_size=8, unique=True))
+    return SetFamily(ground, tuple(members))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.one_of(any_families(), families()))
+def test_settled_quadrants_report_as_the_pairwise_scan(family):
+    """intersection_complete settles some quadrants for the whole family;
+    its verdict and first violation are those of the scan of every pair."""
+    assert intersection_complete(family) == pairwise_completeness(family)

@@ -82,8 +82,21 @@ def test_duality_verification_passes_and_fails():
     bad = RingPresentation([("x", 2), ("u", 2)],
                            [amb["x"] * amb["u"], amb["u"] ** 2],
                            fundamental_degree=4, duality=True)
-    with pytest.raises(ValueError, match="duality"):
+    with pytest.raises(ValueError, match="duality pairing is singular in degree 2"):
         bad.verify_duality()
+
+
+def test_duality_verification_sees_degrees_above_the_fundamental_class():
+    """x^2 survives in degree 4 although x^3 = 0 is flagged with n = 2: the
+    check looks at degrees n+1 .. n + 2 (the generator degree) as well."""
+    ring = RingPresentation([("x", 2)], [{((0, 3),): 1}],
+                            fundamental_degree=2, duality=True)
+    assert ring.basis(4) == (((0, 2),),)
+    with pytest.raises(ValueError, match=re.escape(
+            "duality fails: dim H^4 = 1 above the fundamental degree 2")):
+        ring.verify_duality()
+    for n in (2, 3, 5):
+        assert projective_ring(2, n).verify_duality()
 
 
 def test_reduction_is_linear_over_degrees():

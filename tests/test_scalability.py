@@ -265,32 +265,46 @@ def test_cp_n_sum_is_bounded():
 
 
 def test_connected_sum_size_is_bounded_before_any_relation(monkeypatch):
-    """csum(6435*OP2) lies within the inertia bound but has 20,714,264
-    relations; it is refused from the atoms alone, before one is built."""
-    def refuse(*args):
-        raise AssertionError("a relation was built")
+    """csum(6435*OP2) lies within the inertia bound, so it classifies as
+    Scalable with a checked witness and duality certificate, and its
+    20,714,264 relations are never built: the ``relations`` tuple refuses
+    them from the summand blocks before building one.  A sum of more than
+    _MAX_CONNECTED_SUM_GENERATORS generators is refused from its atoms."""
+    got = classify("csum(6435*OP2)")
+    ring = got.witness.ring
+    assert got.verdict == SCALABLE and ring.duality_verified
+    assert verify_witness(ring, got.witness).passed
+    assert "relations" not in vars(ring)
 
-    monkeypatch.setattr(Element, "_wrap", refuse)
+    def refuse(*args):
+        raise AssertionError("built before the size was checked")
+
+    monkeypatch.setattr(scalability.ConnectedSumRing, "cross_pairs", refuse)
     with pytest.raises(ValueError, match=r"20714264 relations; at most 1000000"):
-        connected_sum_ring([("projective", 8, 2)] * 6435)
-    with pytest.raises(ValueError, match="too large to verify"):
-        classify("csum(6435*OP2)")
+        ring.relations
+    monkeypatch.setattr(RingPresentation, "__init__", refuse)
+    monkeypatch.setattr(scalability, "_complementary_pairs", refuse)
+    with pytest.raises(ValueError, match=re.escape(
+            "connected sum is too large to verify: it has 15002 generators; "
+            "at most 15000 are supported")):
+        classify("csum(7501*(S9xS9))")
 
 
 def test_connected_sum_size_bound_counts_every_relation(monkeypatch):
-    """The count taken from the atoms is the number of relations built: a
-    bound equal to it admits the sum, one less refuses it."""
-    import rht.scalability as sc
+    """The count taken from the summand blocks is the number of relations
+    built: a bound equal to it admits the tuple, one less refuses it."""
     atoms = ([("sphere_product", 2, 2)] * 3 + [("projective", 2, 2)] * 2
              + [("sphere_product", 1, 3)] * 2)
     built = len(connected_sum_ring(atoms).relations)
     # 12 generators, 61 cross products, 8 even generators, 6 identifications
     assert built == (12 ** 2 - (3 * 4 + 2 * 1 + 2 * 4)) // 2 + 8 + 6
-    monkeypatch.setattr(sc, "_MAX_CONNECTED_SUM_RELATIONS", built)
-    connected_sum_ring(atoms)
-    monkeypatch.setattr(sc, "_MAX_CONNECTED_SUM_RELATIONS", built - 1)
+    monkeypatch.setattr(scalability, "_MAX_CONNECTED_SUM_RELATIONS", built)
+    assert len(connected_sum_ring(atoms).relations) == built
+    monkeypatch.setattr(scalability, "_MAX_CONNECTED_SUM_RELATIONS", built - 1)
+    ring = connected_sum_ring(atoms)
+    assert ring.duality_verified
     with pytest.raises(ValueError, match=f"{built} relations"):
-        connected_sum_ring(atoms)
+        ring.relations
 
 
 def test_pi_verdicts():
@@ -444,18 +458,23 @@ def test_same_dimension_mixed_sums_are_unknown(descriptor, reason):
 
 
 def test_connected_sum_duality_verified_structurally():
+    """Every sum carries the blockwise certificate, whatever its size; the
+    generic check agrees with it where it can run."""
     big = connected_sum_ring([("projective", 4, 2)] * 36)
     assert big.duality
     assert big.fundamental_monomial is not None
-    assert not big.duality_verified
+    assert big.duality_verified is True
+    assert big.verify_blockwise_duality()
     small = connected_sum_ring([("projective", 2, 2)] * 3)
     assert small.duality_verified
     assert small.verify_duality()
 
 
-@pytest.mark.parametrize("r,monomials,checked", [(10, 190, True),
-                                                 (11, 231, False)])
-def test_connected_sum_duality_check_limit(monkeypatch, r, monomials, checked):
+@pytest.mark.parametrize("r,monomials", [(10, 190), (11, 231)])
+def test_connected_sum_duality_checks_atoms_not_the_sum(monkeypatch, r,
+                                                       monomials):
+    """On either side of the old 200-monomial limit the generic check runs
+    once, on the one-summand ring of S3xS3, and never on the sum."""
     ran = []
     real = RingPresentation.verify_duality
 
@@ -466,8 +485,56 @@ def test_connected_sum_duality_check_limit(monkeypatch, r, monomials, checked):
     monkeypatch.setattr(RingPresentation, "verify_duality", spy)
     ring = omega_ring(3, r)
     assert len(ring.base.basis(6)) == monomials
-    assert ring.duality_verified is checked
-    assert ran == ([ring] if checked else [])
+    assert ring.duality_verified is True
+    (atom,) = ran
+    assert atom is not ring and atom.name == "S3xS3"
+    assert [g.degree for g in atom.gens] == [3, 3]
+
+
+def _corrupt_top_coefficient(ring):
+    rel = dict(ring.top_relations[0])
+    top = next(k for k in rel if k != ring.fundamental_monomial)
+    rel[top] = 2
+    ring.top_relations = (rel,) + ring.top_relations[1:]
+
+
+def _drop_power_relation(ring):
+    ring.power_relations = ring.power_relations[1:]
+
+
+def _shift_summand_entry(ring):
+    summand_of = list(ring.summand_of)
+    summand_of[1] += 1
+    ring.summand_of = tuple(summand_of)
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_corrupt_top_coefficient, "a top relation has a coefficient other than +-1"),
+    (_drop_power_relation, "power relations are not the summands'"),
+    (_shift_summand_entry, "not one block per summand")],
+    ids=["top_coefficient_2", "power_relation_dropped", "summand_shifted"])
+def test_connected_sum_duality_certificate_catches_a_fault(corrupt, message):
+    """One corrupted entry of a sum's structure fails the certificate."""
+    ring = connected_sum_ring([("sphere_product", 2, 2), ("projective", 2, 2),
+                               ("sphere_product", 1, 3)], [1, -1, 1])
+    assert ring.verify_blockwise_duality()
+    corrupt(ring)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ring.verify_blockwise_duality()
+
+
+def test_connected_sum_duality_certificate_checks_each_atom(monkeypatch):
+    """An atom whose one-summand ring fails the generic check fails the
+    certificate: here S2xS2 without the square of its first generator."""
+    real = scalability._summand
+
+    def short(atom):
+        degrees, powers, top = real(atom)
+        return degrees, powers[1:], top
+
+    monkeypatch.setattr(scalability, "_summand", short)
+    with pytest.raises(ValueError, match="top degree 4 has rank 2, expected 1"):
+        connected_sum_ring([("sphere_product", 2, 2)] * 2)
 
 
 def _element_product_relations(atoms, orientations):
@@ -1305,3 +1372,17 @@ def test_witness_for_another_presentation_rejected():
     witness = decide_sigma(2, 3).witness
     with pytest.raises(ValueError, match="another presentation"):
         verify_witness(sigma_ring(2, 3), witness)
+
+
+def test_classifier_families_are_complete_without_a_pair_scan(monkeypatch):
+    """The classifier's families share index 0, have one member size n and
+    lie in a ground set larger than 2n, so every quadrant is settled for
+    the whole family and no pair is looked at."""
+    members = [frozenset(s) for s in _subsets_containing_first(6, 1287, 14, 0)]
+    family = SetFamily(14, tuple(members))
+
+    def refuse(*args):
+        raise AssertionError("a pair was scanned")
+
+    monkeypatch.setattr(scalability.itertools, "combinations", refuse)
+    assert intersection_complete(family) == (True, None)
