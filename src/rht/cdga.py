@@ -7,7 +7,9 @@ degree by one, and extends by the graded Leibniz rule; d(d(v)) = 0 is checked
 once per generator, when it is added: at construction, or by ``extend`` for
 the appended generators only.  All values are immutable after construction
 and every operation is a pure function, so instances are safe to share across
-threads.
+threads.  A free algebra memoizes, per algebra, the degree, differential and
+products of the monomial keys it is asked about; ``extend`` starts the
+extension from copies of those tables, never from the tables themselves.
 
 Every stored coefficient is a nonzero ``int`` or ``Fraction``.  The intakes
 (the ``Element`` constructor, ``FreeCdga`` differentials and scalars) store
@@ -100,9 +102,10 @@ class Element:
     (a whole value as an ``int``) and drops zeros.  ``Element._wrap`` takes a
     dict as it is; use it only for a dict just built from clean coefficients
     (sums with zeros dropped, negations, products of nonzero values) that the
-    caller hands over and does not keep, as the arithmetic and
-    ``FreeCdga.adopt`` do.  A product with a ``Fraction`` may be a whole
-    ``Fraction``; it equals the ``int``, so term dicts compare by value.
+    caller hands over and does not keep, as ``FreeCdga.adopt`` does (the
+    arithmetic builds its results the same way, inline).  A product with a
+    ``Fraction`` may be a whole ``Fraction``; it equals the ``int``, so term
+    dicts compare by value.
     """
 
     __slots__ = ("alg", "terms")
@@ -147,33 +150,42 @@ class Element:
         return len({self.alg.key_degree(k) for k in self.terms}) <= 1
 
     # -- arithmetic --------------------------------------------------------
-
-    def _check_same(self, other):
-        if other.alg is not self.alg:
-            raise ValueError("elements belong to different algebras")
+    # The hot paths of the law batteries: each result is built inline, with
+    # no call through ``_wrap``.
 
     def __add__(self, other):
         if isinstance(other, Element):
-            self._check_same(other)
-            out = dict(self.terms)
-            accumulate(out, other.terms)
-            return Element._wrap(self.alg, out)
+            alg = self.alg
+            if other.alg is not alg:
+                raise ValueError("elements belong to different algebras")
+            terms = dict(self.terms)
+            accumulate(terms, other.terms)
+            e = object.__new__(Element)
+            e.alg = alg
+            e.terms = terms
+            return e
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, Element):
-            self._check_same(other)
-            out = dict(self.terms)
-            accumulate(out, other.terms, _MINUS_ONE)
-            return Element._wrap(self.alg, out)
+            alg = self.alg
+            if other.alg is not alg:
+                raise ValueError("elements belong to different algebras")
+            terms = dict(self.terms)
+            accumulate(terms, other.terms, _MINUS_ONE)
+            e = object.__new__(Element)
+            e.alg = alg
+            e.terms = terms
+            return e
         return NotImplemented
 
     def __neg__(self):
-        return Element._wrap(self.alg, {k: -c for k, c in self.terms.items()})
+        e = object.__new__(Element)
+        e.alg = self.alg
+        e.terms = {k: -c for k, c in self.terms.items()}
+        return e
 
     def __mul__(self, other):
-        # The hot path of the law batteries: no call through ``_check_same``
-        # or ``_wrap``.
         alg = self.alg
         if isinstance(other, Element):
             if other.alg is not alg:
@@ -358,8 +370,10 @@ class FreeCdga(GradedAlgebra):
         self._odd = ()
         self._diff = {}
         self._basis_cache = {}
+        self._degree_cache = {}
         self._d_cache = {}
         self._mul_cache = {}
+        self._adopted = None
         self._append(generators, differential)
 
     @classmethod
@@ -424,7 +438,11 @@ class FreeCdga(GradedAlgebra):
         return ((self.index[name], 1),)
 
     def key_degree(self, mon) -> int:
-        return sum(self._degrees[i] * e for i, e in mon)
+        deg = self._degree_cache.get(mon)
+        if deg is None:
+            deg = self._degree_cache[mon] = sum(self._degrees[i] * e
+                                                for i, e in mon)
+        return deg
 
     def monomial(self, factors):
         """Normalize an arbitrarily ordered factor list.
@@ -575,35 +593,62 @@ class FreeCdga(GradedAlgebra):
         are kept as they are.  Existing monomial keys stay valid (indices are
         preserved), so term dicts of old elements can be reused directly.
         For the same reason the extension starts from copies of this
-        algebra's ``d_key`` and ``mul_keys`` tables, and it validates only the
-        new generators; the old ones were checked when this algebra was
-        built.  Bases are recomputed, since new generators add monomials in
-        old degrees.  Nothing else is carried over, so no cache kept on this
-        algebra (such as its interval algebra) reaches the extension.
+        algebra's ``key_degree``, ``d_key`` and ``mul_keys`` tables (copies,
+        so an entry first computed on the extension never reaches this
+        algebra), and it validates only the new generators; the old ones were
+        checked when this algebra was built.  Bases are recomputed, since new
+        generators add monomials in old degrees.  Nothing else is carried
+        over, so no cache kept on this algebra (such as its interval algebra
+        or its ``adopt`` decision) reaches the extension.
         """
         out = FreeCdga([], name=self.name)
         out.gens, out._degrees, out._odd = self.gens, self._degrees, self._odd
         out.index, out._diff = dict(self.index), dict(self._diff)
+        out._degree_cache = dict(self._degree_cache)
         out._d_cache, out._mul_cache = dict(self._d_cache), dict(self._mul_cache)
         out._append(new_generators, new_differential)
         return out
 
     def adopt(self, element: Element) -> Element:
         """Re-home an element over generators this one has (same names and
-        degrees), with the Koszul sign of any reordered odd generators."""
-        other = element.alg
-        remap = {}
-        for i, g in enumerate(other.gens):
-            mine = self.index.get(g.name)
-            if mine is None or self._degrees[mine] != g.degree:
-                raise ValueError(f"generator {g.name!r} of degree {g.degree} "
-                                 f"is not a generator of {self.name}")
-            remap[i] = mine
+        degrees), with the Koszul sign of any reordered odd generators.
+
+        When the element's generators are this algebra's leading generators,
+        with the same names and degrees in the same order, its monomial keys
+        are keys here as they stand, and the term dict is copied unchanged.
+        Otherwise each monomial is mapped by name and normalized through
+        ``monomial``.  Which of the two applies is decided once per source
+        generator tuple (the last one is remembered), not per element.
+        """
+        gens = element.alg.gens
+        adopted = self._adopted
+        if adopted is None or adopted[0] is not gens:
+            adopted = self._adopted = (gens, self._remap(gens))
+        remap = adopted[1]
+        if remap is None:
+            return Element._wrap(self, dict(element.terms))
         out = {}
         for mon, c in element.terms.items():
             sign, key = self.monomial((remap[i], e) for i, e in mon)
             out[key] = c if sign is _ONE else -c
         return Element._wrap(self, out)
+
+    def _remap(self, gens):
+        """None when ``gens`` are this algebra's leading generators (same
+        names and degrees, same order); otherwise the index here of each."""
+        mine = self.gens
+        if len(gens) <= len(mine) and all(
+                g.name == h.name and g.degree == h.degree
+                for g, h in zip(gens, mine)):
+            return None
+        remap = []
+        for g in gens:
+            i = self.index.get(g.name)
+            if i is None or self._degrees[i] != g.degree:
+                raise ValueError(f"generator {g.name!r} of degree {g.degree} "
+                                 f"is not a generator of {self.name}")
+            remap.append(i)
+        return remap
 
 
 class OverFreeCdga(GradedAlgebra):

@@ -138,9 +138,12 @@ def integrate_0_1(u: Element) -> Element:
 
 def _integral(u, k, i, c):
     """(-1)^deg(k) c / (i+1): the integral of c k (x) t^i dt, an int when
-    whole."""
+    whole (with no ``Fraction`` built when i + 1 divides an int c)."""
     if i:
-        c = exact(Fraction(c, i + 1))
+        if type(c) is int and not c % (i + 1):
+            c //= i + 1
+        else:
+            c = exact(Fraction(c, i + 1))
     return -c if u.alg.base.key_degree(k) % 2 else c
 
 

@@ -11,10 +11,11 @@ operator) and watch the corresponding battery fail by name.
 
 The randomized batteries (``cdga-laws``, ``integration``) are seeded: each
 draws from a ``random.Random(seed)``, so a seed names one run and reproduces
-any failure it shows.  Their elements come from ``random_homogeneous``,
-which draws only through ``random()``, the one method whose sequence Python
-promises to keep across versions; the few other draws use ``randrange``,
-``randint`` and ``shuffle``, unchanged in CPython since 3.2.
+any failure it shows.  Their elements come from ``random_homogeneous``
+(``cdga-laws`` keeps its draw routine, ``homogeneous_sampler``, per
+algebra), which draws only through ``random()``, the one method whose
+sequence Python promises to keep across versions; the few other draws use
+``randrange``, ``randint`` and ``shuffle``, unchanged in CPython since 3.2.
 
 A battery is a function decorated with ``@_battery(name, criterion)``.  Its
 body returns the detail reported on a pass and fails through
@@ -117,20 +118,36 @@ def random_homogeneous(alg, rng, degrees):
     its coefficient.  A draw with no basis or a zero sum is retried, up to 8
     tries; after that the unit is returned.  ``random.Random.random`` is the
     same on every supported interpreter, so a seed names one sequence of
-    elements.
+    elements.  The draw is one call of ``homogeneous_sampler(alg, degrees)``;
+    ``cdga-laws`` keeps one sampler per algebra for all its draws.
     """
-    draw = rng.random
-    for _ in range(8):
-        basis = alg.basis(degrees[int(draw() * len(degrees))])
-        if basis:
-            terms = {}
-            for _ in range(1 + int(draw() * 3)):
-                mon = basis[int(draw() * len(basis))]
-                terms[mon] = terms.get(mon, 0) + int(draw() * 9) - 4
-            e = alg.element(terms)
-            if e:
-                return e
-    return alg.unit()
+    return homogeneous_sampler(alg, degrees)(rng)
+
+
+def homogeneous_sampler(alg, degrees):
+    """The draw of ``random_homogeneous`` on ``alg`` and ``degrees``, as a
+    function of the rng: each degree's basis is looked up once, at its first
+    draw, and kept for the later ones."""
+    bases = [None] * len(degrees)
+
+    def sample(rng):
+        draw = rng.random
+        for _ in range(8):
+            j = int(draw() * len(degrees))
+            basis = bases[j]
+            if basis is None:
+                basis = bases[j] = alg.basis(degrees[j])
+            if basis:
+                terms = {}
+                for _ in range(1 + int(draw() * 3)):
+                    mon = basis[int(draw() * len(basis))]
+                    terms[mon] = terms.get(mon, 0) + int(draw() * 9) - 4
+                e = alg.element(terms)
+                if e:
+                    return e
+        return alg.unit()
+
+    return sample
 
 
 def free_lie_generator_counts(loop_degrees, top):
@@ -169,9 +186,10 @@ def run_cdga_laws(iterations=1000, seed=0xC0F1):
     algebras = fixture_algebras()
     degrees = list(range(1, 13))
     for alg in algebras:
+        sample = homogeneous_sampler(alg, degrees)
         for _ in range(iterations):
-            x = random_homogeneous(alg, rng, degrees)
-            y = random_homogeneous(alg, rng, degrees)
+            x = sample(rng)
+            y = sample(rng)
             x_odd = (x.degree or 0) % 2
             xy, yx, dx = x * y, y * x, x.d()
             _require(xy == (-yx if x_odd and (y.degree or 0) % 2 else yx),
@@ -223,10 +241,11 @@ def run_integration(iterations=1000, seed=0xC0F2):
             i = rng.randint(0, 5)
             u = u + interval.lift(e, i, dt=rng.random() >= 0.5)
         at0, at1 = homotopy_mod.at(u, 0), homotopy_mod.at(u, 1)
-        lhs = homotopy_mod.integrate_0_t(u).d() + homotopy_mod.integrate_0_t(u.d())
+        du = u.d()
+        lhs = homotopy_mod.integrate_0_t(u).d() + homotopy_mod.integrate_0_t(du)
         _require(lhs == u - interval.lift(at0),
                  "interval integration identity (0..t) fails")
-        lhs1 = homotopy_mod.integrate_0_1(u).d() + homotopy_mod.integrate_0_1(u.d())
+        lhs1 = homotopy_mod.integrate_0_1(u).d() + homotopy_mod.integrate_0_1(du)
         _require(lhs1 == at1 - at0, "endpoint integration identity (0..1) fails")
     return f"{iterations} randomized homotopy elements, both identities exact"
 

@@ -139,6 +139,22 @@ MUTANTS = [
      "        for k in range(n + 1, n + 1):",
      ["tests/test_presentations.py::"
       "test_duality_verification_sees_degrees_above_the_fundamental_class"]),
+    # the leading-generator path of adopt compares names but not degrees
+    ("cdga.py",
+     "                g.name == h.name and g.degree == h.degree\n",
+     "                g.name == h.name\n",
+     ["tests/test_cdga.py::test_adopt_names_a_generator_it_lacks"]),
+    # a whole-int integral divides without checking that i + 1 divides c
+    ("homotopy.py",
+     "        if type(c) is int and not c % (i + 1):",
+     "        if type(c) is int:",
+     ["tests/test_homotopy.py::test_integral_keeps_whole_quotients_as_ints"]),
+    # an extension shares its parent's key-degree table instead of a copy
+    ("cdga.py",
+     "        out._degree_cache = dict(self._degree_cache)",
+     "        out._degree_cache = self._degree_cache",
+     ["tests/test_algebra_tables_hypothesis.py::"
+      "test_key_degree_table_is_copied_by_extend"]),
 ]
 
 

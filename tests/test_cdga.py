@@ -285,6 +285,7 @@ def test_adopt_carries_the_koszul_sign_of_reordered_odd_generators():
 @pytest.mark.parametrize("gens,name", [
     ([("a", 1), ("z", 2)], "'z'"),
     ([("a", 1), ("b", 3)], "'b'"),
+    ([("b", 1), ("a", 3)], "'a'"),   # the leading names, one degree off
 ])
 def test_adopt_names_a_generator_it_lacks(gens, name):
     source = FreeCdga(gens)

@@ -39,6 +39,24 @@ def test_integral_0_t_divides_by_exponent():
     assert out == interval.lift(A["x"] * Fraction(1, 2), 2)
 
 
+@pytest.mark.parametrize("c,i,expected", [
+    (3, 2, 1), (-4, 1, -2), (6, 0, 6), (1, 1, F(1, 2)), (5, 3, F(5, 4)),
+    (-7, 2, F(-7, 3)), (F(3, 2), 2, F(1, 2)), (F(4, 3), 3, F(1, 3)),
+])
+def test_integral_keeps_whole_quotients_as_ints(c, i, expected):
+    """c/(i+1) is an int exactly when whole, for int and Fraction c, and
+    the odd generator's sign applies on either path."""
+    A = FreeCdga([("x", 2), ("y", 3)])
+    interval = interval_algebra(A)
+    for name, sign in (("x", 1), ("y", -1)):
+        u = interval.lift(A[name] * c, i, dt=True)
+        (value,) = integrate_0_t(u).terms.values()
+        assert value == sign * expected
+        assert (type(value) is int) == (F(expected).denominator == 1)
+        (value,) = integrate_0_1(u).terms.values()
+        assert value == sign * expected
+
+
 def test_integral_0_1_values(wedge_table):
     A = FreeCdga([("x", 2)])
     interval = interval_algebra(A)
