@@ -20,6 +20,11 @@ class is handed out as its representative: a closed ``Element``.
 ``cohomology`` checks a truncation cap before it computes, and rejects
 queries above it: a free CDGA has no top degree, so silence above the cap
 would be a lie rather than a zero.  The cap is not recorded on the result.
+
+``is_quasi_isomorphism``, the audit of every model, builds no H^k: it reads
+only ranks of d on the mapping cone, which is acyclic in degrees 0..cap+1
+exactly when the morphism is an isomorphism on H^k for k <= cap and
+injective on H^(cap+1).
 """
 
 from __future__ import annotations
@@ -174,23 +179,30 @@ class MappingCone:
         return out
 
 
-def induced_map_on_cohomology(phi, degree):
-    """Matrix of H^degree(phi) over the deterministic class bases.
-
-    Returns (rows, source H^degree, target H^degree): the rows are the
-    target class coordinates of the images of the source representatives.
-    """
-    src = DegreeCohomology(phi.source, degree)
-    tgt = DegreeCohomology(phi.target, degree)
-    rows = [tgt.class_coords(phi.apply_terms(terms))
-            for terms in src.representatives()]
-    return rows, src, tgt
-
-
 def is_quasi_isomorphism(phi, cap) -> bool:
-    """True iff H^k(phi) is an isomorphism for every k <= cap."""
-    for k in range(0, cap + 1):
-        rows, src, tgt = induced_map_on_cohomology(phi, k)
-        if src.rank != tgt.rank or linalg.rank(rows) != src.rank:
+    """True iff H^k(phi) is an isomorphism for every k <= cap and injective
+    for k = cap + 1, that is, iff the mapping cone of phi is acyclic in
+    degrees 0..cap+1.
+
+    Ranks alone decide it, by forward elimination one degree at a time.  The
+    echelon rows of the image of d in C^j, with the unit vectors off their
+    pivots, are a basis of C^j, and d kills the echelon rows (d d = 0 on the
+    cone).  So only d of the keys off those pivots is eliminated: H^j is zero
+    exactly when these images are independent, and their pivots are those of
+    the image of d in C^(j+1).  Keys reach ``linalg`` as first-seen integer
+    ids, since a cone's keys need not be mutually orderable: a cell
+    attachment mixes tuple keys with the name of its cell.
+    """
+    cone = MappingCone(phi)
+    pivots = set()
+    for j in range(0, cap + 2):
+        free = [key for key in cone.basis(j) if key not in pivots]
+        ids = {}
+        rows = [{ids.setdefault(k, len(ids)): c
+                 for k, c in cone.d_key(key).items()} for key in free]
+        found = linalg.echelon(rows)
+        if len(found) != len(free):
             return False
+        up = list(ids)
+        pivots = {up[i] for i in found}
     return True

@@ -30,14 +30,16 @@ every row out enters term dicts as it is.
 ``accumulate``, the package's one sparse add, adds a multiple of one sparse
 row into another and drops what cancels; a term dict is a sparse row over
 monomial keys, so products, differentials and integrals sum through it too.
-``rref``, ``rank``, ``reduce_against``, ``kernel_of_columns`` and
-``solve_columns`` take and return sparse rows.  Column ids fed to ``rref``
-or ``rank`` pick the pivots, so they must be mutually orderable.  A matrix
-given by its columns (``kernel_of_columns``, ``solve_columns``) is a list
-of sparse columns ``{row id: entry}`` whose row ids may be any hashable
-keys, such as the keys of a term dict: its rows only ever pivot on column
-indices, and the reduced form is unique, so kernels and solutions do not
-depend on the row ids or on the order of entries.  ``symmetric_inertia``
+``echelon``, ``rref``, ``rank``, ``reduce_against``, ``kernel_of_columns``
+and ``solve_columns`` take and return sparse rows; ``echelon`` is the
+forward elimination alone, for a caller that reads only pivots.  Column ids
+fed to ``echelon``, ``rref`` or ``rank`` pick the pivots, so they must be
+mutually orderable.  A matrix given by its columns (``kernel_of_columns``,
+``solve_columns``) is a list of sparse columns ``{row id: entry}`` whose
+row ids may be any hashable keys, such as the keys of a term dict: its rows
+only ever pivot on column indices, and the reduced form is unique, so
+kernels and solutions do not depend on the row ids or on the order of
+entries.  ``symmetric_inertia``
 works by congruence, not row reduction, and stays dense.
 """
 
@@ -114,9 +116,13 @@ def _clear(v, p, prow):
         _divide_content(v)
 
 
-def _echelon(rows):
+def echelon(rows):
     """Forward elimination: {pivot column: integer row with its leading
-    nonzero entry there}."""
+    nonzero entry there}.
+
+    The pivot columns are those of ``rref`` on the same rows, and the number
+    of pivots is the rank; the rows are not reduced above their pivots.
+    """
     piv = {}
     for row in rows:
         v = _integers(row)
@@ -166,7 +172,7 @@ def rref(rows):
     Returns (reduced_rows, pivot_columns) with zero rows dropped.  The input
     is not modified.
     """
-    return _reduced(_echelon(rows))
+    return _reduced(echelon(rows))
 
 
 def reduce_against(vec, red_rows, pivots):
@@ -184,7 +190,7 @@ def reduce_against(vec, red_rows, pivots):
 
 
 def rank(rows):
-    return len(_echelon(rows))
+    return len(echelon(rows))
 
 
 def kernel_of_columns(cols):
@@ -193,7 +199,7 @@ def kernel_of_columns(cols):
     One sparse vector over the column indices per free column, ordered by
     free column index ascending.
     """
-    red, pivots = _reduced(_echelon(_transpose(cols).values()))
+    red, pivots = _reduced(echelon(_transpose(cols).values()))
     pivot_set = set(pivots)
     basis = {f: {f: 1} for f in range(len(cols)) if f not in pivot_set}
     for row, p in zip(red, pivots):
@@ -214,7 +220,7 @@ def solve_columns(cols, target):
     for i, t in target.items():
         if t:
             rows.setdefault(i, {})[ncols] = t
-    red, pivots = _reduced(_echelon(rows.values()))
+    red, pivots = _reduced(echelon(rows.values()))
     if pivots and pivots[-1] == ncols:
         return None
     return {p: row[ncols] for row, p in zip(red, pivots) if ncols in row}

@@ -25,8 +25,7 @@ from . import linalg
 from .cdga import (UNIT, DgaMorphism, Element, FreeCdga, Generator, OverFreeCdga,
                    exact)
 from .cohomology import (DegreeCohomology, MappingCone, cycles_mod_boundaries,
-                         d_columns, induced_map_on_cohomology,
-                         is_quasi_isomorphism)
+                         d_columns, is_quasi_isomorphism)
 from .linalg import _ONE
 
 
@@ -48,7 +47,9 @@ def require_minimal(algebra: FreeCdga):
 @dataclass
 class MinimalModel:
     """A free CDGA with decomposable differentials and its quasi-isomorphism
-    to the target, verified through ``cap``.
+    to the target, verified through ``cap``: the mapping cone of
+    ``quasi_iso`` is acyclic in degrees 0..cap+1, so H^k(quasi_iso) is an
+    isomorphism for k <= cap and injective for k = cap + 1.
 
     Built by ``minimal_model`` and ``bigraded_model``.  ``depths()`` is the
     depth filtration: the depth of each generator, from which U_i is the
@@ -215,18 +216,23 @@ def _bigraded_generators(rho, k):
     kill the cone cycles on source keys (closed, mapping to zero) modulo d of
     the stage-(s+1) part of M^k.  With no degree-1 generator, a degree-k
     generator lies in no monomial of M^(k+1), so both steps read one rho.
+
+    rho kills every monomial of positive stage, and the stage-0 monomials
+    are closed, so the image of H^k(rho) is spanned by the classes of rho of
+    the stage-0 monomials of degree k: no elimination on M^k finds it.
     """
     model, ring = rho.source, rho.target
-    rows, _src, tgt = induced_map_on_cohomology(rho, k)
-    hit = set(linalg.rref(rows)[1])
-    missed = [t for j, t in enumerate(tgt.representatives()) if j not in hit]
-    out = [(Generator(f"v{k}_0_{i}", k, 0), {}, Element(ring, terms))
-           for i, terms in enumerate(missed)]
     stages = [g.stage for g in model.gens]
     comp, down_by_stage = {}, {}
     for groups, degree in ((comp, k + 1), (down_by_stage, k)):
         for mon in model.basis(degree):
             groups.setdefault(sum(e * stages[i] for i, e in mon), []).append(mon)
+    tgt = DegreeCohomology(ring, k)
+    hit = linalg.echelon([tgt.class_coords(rho.apply_terms({mon: _ONE}))
+                          for mon in down_by_stage.get(0, ())])
+    missed = [t for j, t in enumerate(tgt.representatives()) if j not in hit]
+    out = [(Generator(f"v{k}_0_{i}", k, 0), {}, Element(ring, terms))
+           for i, terms in enumerate(missed)]
     cone = MappingCone(rho)
     for s, keys in sorted(comp.items()):
         down = down_by_stage.get(s + 1, ())

@@ -116,6 +116,15 @@ def test_relative_cohomology_detects_missing_generator():
     assert z == M2["x"] ** 3 and w.is_zero()
 
 
+def test_quasi_isomorphism_audit_is_injective_one_degree_above_the_cap():
+    # x^3 is a class of degree 6 that the inclusion sends to zero, so the
+    # cone has a class in degree 6: iso through 5, not injective at 6
+    cp2 = projective_ring(2, 2, name="CP2")
+    M2 = FreeCdga([("x", 2)])
+    incl = DgaMorphism(M2, cp2, {"x": cp2["x"]})
+    assert [is_quasi_isomorphism(incl, c) for c in range(6)] == [True] * 5 + [False]
+
+
 def test_is_quasi_isomorphism_examples(s2):
     assert is_quasi_isomorphism(DgaMorphism.identity(s2), 7)
     zero = DgaMorphism(s2, s2, {"a": s2.zero(), "b": s2.zero()})

@@ -252,6 +252,13 @@ def test_attach_cell_wedge_table(wedge_table):
     assert dv == lift(cell, wedge_table["a"] * wedge_table["u_b"]) + cell["y"]
 
 
+def test_minimal_model_of_a_cell_attachment(wedge_table):
+    # the cone mixes tuple keys with the cell's name "y", which do not order
+    cell = attach_cell_model(wedge_table, {"v_b": 1})
+    model = minimal_model(cell, 9)
+    assert [g.degree for g in model.algebra.gens] == [3, 3, 5, 5, 7, 9]
+
+
 def test_attach_cell_zero_pairing_gives_closed_top(w33_model):
     alg = w33_model.algebra
     v7 = next(g.name for g in alg.gens if g.degree == 7)
