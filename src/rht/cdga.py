@@ -8,8 +8,12 @@ once per generator, when it is added: at construction, or by ``extend`` for
 the appended generators only.  All values are immutable after construction
 and every operation is a pure function, so instances are safe to share across
 threads.  A free algebra memoizes, per algebra, the degree, differential and
-products of the monomial keys it is asked about; ``extend`` starts the
-extension from copies of those tables, never from the tables themselves.
+products of the monomial keys it is asked about, and its bases; ``extend``
+starts the extension from copies of those key tables, never from the tables
+themselves, and keeps each cached basis that the new generators leave
+unchanged or only append to.  A ``DgaMorphism`` is checked as a chain map at
+construction, and ``DgaMorphism.extend`` carries it to an extension of its
+source, checking the appended generators only.
 
 Every stored coefficient is a nonzero ``int`` or ``Fraction``.  The intakes
 (the ``Element`` constructor, ``FreeCdga`` differentials and scalars) store
@@ -596,8 +600,16 @@ class FreeCdga(GradedAlgebra):
         algebra's ``key_degree``, ``d_key`` and ``mul_keys`` tables (copies,
         so an entry first computed on the extension never reaches this
         algebra), and it validates only the new generators; the old ones were
-        checked when this algebra was built.  Bases are recomputed, since new
-        generators add monomials in old degrees.  Nothing else is carried
+        checked when this algebra was built.
+
+        Cached bases are carried where the new generators only append to
+        them.  With d the least degree of a new generator and m the least
+        degree of any generator of the extension, a monomial holding a new
+        generator is that generator alone or has degree at least d + m.  So
+        for a cached degree n < d + m, basis(n) here is this algebra's
+        basis(n) followed by the new generators of degree n, in declaration
+        order: the basis walk lists the monomials with no old factor last.
+        Other degrees are enumerated on demand.  Nothing else is carried
         over, so no cache kept on this algebra (such as its interval algebra
         or its ``adopt`` decision) reaches the extension.
         """
@@ -606,7 +618,16 @@ class FreeCdga(GradedAlgebra):
         out.index, out._diff = dict(self.index), dict(self._diff)
         out._degree_cache = dict(self._degree_cache)
         out._d_cache, out._mul_cache = dict(self._d_cache), dict(self._mul_cache)
+        start = len(self.gens)
         out._append(new_generators, new_differential)
+        new_degrees = out._degrees[start:]
+        bound = (min(new_degrees) + min(out._degrees) if new_degrees
+                 else float("inf"))
+        for n, keys in self._basis_cache.items():
+            if n < bound:
+                out._basis_cache[n] = keys + tuple(
+                    ((i, 1),) for i, deg in enumerate(new_degrees, start)
+                    if deg == n)
         return out
 
     def adopt(self, element: Element) -> Element:
@@ -705,7 +726,8 @@ class DgaMorphism:
     The source is a free CDGA; the target may be any key-indexed graded
     algebra (free, truncated, exterior, ring presentation, cell attachment,
     or the interval algebra of a homotopy).  Both the degree-preservation and the
-    chain-map condition phi(dv) = d(phi(v)) are checked at construction.
+    chain-map condition phi(dv) = d(phi(v)) are checked at construction;
+    ``extend`` checks them on the appended generators only.
     Key images are multiplied out from the generator images on every call,
     with no per-key cache: a morphism holds nothing but its images.
     """
@@ -713,28 +735,34 @@ class DgaMorphism:
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
-        imgs = {}
-        for g in source.gens:
+        self.images = {}
+        self._gen_terms = []   # by position
+        self._add_images(source.gens, images)
+        self._check(0)
+
+    def _add_images(self, gens, images):
+        target = self.target
+        for g in gens:
             if g.name not in images:
                 raise ValueError(f"no image given for generator {g.name!r}")
             e = images[g.name]
             if e.alg is not target:
                 raise ValueError(f"image of {g.name!r} lives in the wrong algebra")
-            imgs[g.name] = e
-        self.images = imgs
-        self._gen_terms = [e.terms for e in imgs.values()]   # by position
-        self._check()
+            self.images[g.name] = e
+            self._gen_terms.append(e.terms)
 
-    def _check(self):
-        key_degree = self.target.key_degree
-        for g, terms in zip(self.source.gens, self._gen_terms):
+    def _check(self, start):
+        """Check the source generators from position ``start`` on."""
+        source, target = self.source, self.target
+        gens = source.gens[start:]
+        key_degree = target.key_degree
+        for g, terms in zip(gens, self._gen_terms[start:]):
             # a zero image has no term, so it passes
             for k in terms:
                 if key_degree(k) != g.degree:
                     raise ValueError(
                         f"image of {g.name!r} is not homogeneous of degree {g.degree}")
-        source, target = self.source, self.target
-        for g in source.gens:
+        for g in gens:
             dv = source.d_key(source.gen_key(g.name))
             lhs = self.apply_terms(dv) if dv else {}
             rhs = target.d_terms(self.images[g.name].terms)
@@ -743,6 +771,38 @@ class DgaMorphism:
                 raise ValueError(
                     f"not a chain map on {g.name!r}: phi(d {g.name}) = {lhs} "
                     f"but d(phi {g.name}) = {rhs}")
+
+    def extend(self, source, new_images):
+        """The same map on ``source``, an extension of this map's source,
+        sending each appended generator to its image in ``new_images``.
+
+        ``source`` must lead with this map's source generators (same names,
+        degrees and stages, same order) and keep their differentials; then
+        their images and chain-map conditions are unchanged, so only the
+        appended generators are checked, as the constructor checks every
+        generator (same errors).  An image given for an existing generator
+        is refused, as an extension cannot change it.
+        """
+        old = self.source
+        start = len(old.gens)
+        if source.gens[:start] != old.gens:
+            raise ValueError(f"{source.name} does not lead with the generators "
+                             f"of {old.name}")
+        for g in old.gens:
+            key = old.gen_key(g.name)
+            if source.d_key(key) != old.d_key(key):
+                raise ValueError(f"{source.name} changes the differential of "
+                                 f"{g.name!r}")
+        for name in new_images:
+            if name in self.images:
+                raise ValueError(f"image given for existing generator {name!r}; "
+                                 "an extension cannot change it")
+        out = object.__new__(DgaMorphism)
+        out.source, out.target = source, self.target
+        out.images, out._gen_terms = dict(self.images), list(self._gen_terms)
+        out._add_images(source.gens[start:], new_images)
+        out._check(start)
+        return out
 
     @classmethod
     def identity(cls, alg):

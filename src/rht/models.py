@@ -8,8 +8,10 @@ differentials are decomposable.
 One stagewise loop builds both models: for each degree k from 2 up to the
 cap, it adjoins in one extension the generators of a per-degree rule, which
 for ``minimal_model`` kill H^(k+1) of the mapping cone of the stage map.
-Each differential is decomposable, as it lies in the subalgebra generated
-below degree k+1; minimality holds by construction and is re-checked.
+The stage map grows with the model, and each step checks only its new
+generators: their differentials, and the chain-map condition on them.  Each
+differential is decomposable, as it lies in the subalgebra generated below
+degree k+1; minimality holds by construction and is re-checked.
 
 The bigraded variant (for zero-differential ring targets) assigns stage tags
 so that each generator's differential is pure: every monomial of d(v) has
@@ -156,8 +158,10 @@ def _stagewise(target, cap, what, adjoin, check=None, bigraded=False):
 
     ``check(target, cap)`` runs after the cap check.  For each degree k,
     ``adjoin(rho, k)`` gives the degree-k generators as (generator, d terms,
-    image) triples, adjoined by one ``extend`` and one chain-map-checked
-    ``DgaMorphism``.
+    image) triples, adjoined by one ``FreeCdga.extend`` and one
+    ``DgaMorphism.extend``: each checks only the generators it appends, and
+    the extension keeps each cached basis that the new generators only
+    append to (with no degree-1 generator, every one up to degree k + 1).
     """
     if cap < 2:
         raise ValueError("cap must be at least 2")
@@ -174,8 +178,7 @@ def _stagewise(target, cap, what, adjoin, check=None, bigraded=False):
         if new:
             model = model.extend([g for g, _d, _w in new],
                                  {g.name: d for g, d, _w in new})
-            rho = DgaMorphism(model, target, {
-                **rho.images, **{g.name: w for g, _d, w in new}})
+            rho = rho.extend(model, {g.name: w for g, _d, w in new})
     out = MinimalModel(model, cap, rho, target, bigraded)
     if not is_quasi_isomorphism(rho, cap):
         label = "bigraded" if bigraded else "stagewise"

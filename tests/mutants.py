@@ -169,6 +169,38 @@ MUTANTS = [
      "                          for mon in down_by_stage.get(0, ())])",
      "                          for mon in down_by_stage.get(0, ())[1:]])",
      ["tests/test_models.py::test_cp2_bigraded_structure"]),
+    # an extension carries the basis of degree d + m, where products of a
+    # new generator begin
+    ("cdga.py",
+     "            if n < bound:",
+     "            if n <= bound:",
+     ["tests/test_algebra_tables_hypothesis.py::"
+      "test_extend_carries_bases_below_the_first_product_degree",
+      "tests/test_algebra_tables_hypothesis.py::"
+      "test_extension_bases_equal_a_fresh_enumeration"]),
+    # DgaMorphism.extend checks none of the generators it appends
+    ("cdga.py",
+     "        out._check(start)",
+     "        out._check(len(source.gens))",
+     ["tests/test_algebra_tables_hypothesis.py::"
+      "test_morphism_extend_refuses_what_the_constructor_refuses",
+      "tests/test_homotopy.py::test_every_morphism_is_checked_at_construction"]),
+    # the basis walk pops the exponent-0 branch first, so a basis no longer
+    # lists the monomials without an old factor last, where extend puts them
+    ("cdga.py",
+     "            stack.append((start + 1, remaining, acc))\n"
+     "            for e in range(1, top + 1):\n"
+     "                stack.append((start + 1, remaining - e * deg,"
+     " acc + ((start, e),)))\n",
+     "            for e in range(1, top + 1):\n"
+     "                stack.append((start + 1, remaining - e * deg,"
+     " acc + ((start, e),)))\n"
+     "            stack.append((start + 1, remaining, acc))\n",
+     ["tests/test_cdga.py::test_basis_matches_recursive_order_on_fixtures",
+      "tests/test_algebra_tables_hypothesis.py::"
+      "test_extend_carries_bases_below_the_first_product_degree",
+      "tests/test_algebra_tables_hypothesis.py::"
+      "test_extension_bases_equal_a_fresh_enumeration"]),
 ]
 
 

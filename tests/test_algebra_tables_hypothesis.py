@@ -5,7 +5,11 @@ target's leading generators (same names and degrees, same order) and maps
 and normalizes every monomial otherwise; either way it must agree with the
 by-name map through ``monomial``, Koszul sign included.  ``key_degree``
 reads a per-algebra table that ``extend`` copies, so an extension's entries
-never reach its parent.
+never reach its parent.  ``extend`` carries the cached bases that its new
+generators only append to, and every basis an extension holds must equal a
+fresh algebra's enumeration.  ``DgaMorphism.extend`` checks only the
+generators it appends, and must give the morphism, and refuse the images,
+that the full constructor gives and refuses.
 """
 
 import pytest
@@ -13,8 +17,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from rht.cdga import FreeCdga  # noqa: E402
+from rht.cdga import DgaMorphism, FreeCdga  # noqa: E402
 from rht.linalg import _ONE  # noqa: E402
+from rht.models import bigraded_model, minimal_model  # noqa: E402
+from rht.presentations import (projective_ring,  # noqa: E402
+                               wedge_of_spheres_ring)
 from rht.scalability import sigma_ring  # noqa: E402
 
 COEFFS = st.sampled_from([1, -1, 2, -3, 5])
@@ -141,3 +148,153 @@ def test_key_degree_table_is_copied_by_extend(case):
             assert mon not in alg._degree_cache
     for mon in asked:
         assert alg.key_degree(mon) == direct_degree(gens, mon)
+
+
+# -- bases carried by extend ---------------------------------------------------
+
+
+def assert_held_bases_are_fresh(alg, gens):
+    fresh = FreeCdga(gens)
+    for n, keys in alg._basis_cache.items():
+        assert keys == fresh.basis(n), (gens, n)
+
+
+def test_extend_carries_bases_below_the_first_product_degree():
+    """New generators of degrees 2, 3 and 5 over x (2) and a (3): a monomial
+    with a new factor is one generator or has degree at least 2 + 2, so
+    bases 0..3 are carried, the new generators appended, and 4 on is not."""
+    alg = FreeCdga([("x", 2), ("a", 3)])
+    held = {n: alg.basis(n) for n in range(7)}
+    ext = alg.extend([("y", 2), ("z", 3), ("w", 5)], {})
+    assert ext.basis(2) == held[2] + (((2, 1),),)
+    assert ext.basis(3) == held[3] + (((3, 1),),)
+    assert ext._basis_cache.keys() == {0, 1, 2, 3}
+    assert ext.basis(0) is held[0] and ext.basis(1) is held[1]
+    gens = [("x", 2), ("a", 3), ("y", 2), ("z", 3), ("w", 5)]
+    for n in range(12):
+        ext.basis(n)
+    assert_held_bases_are_fresh(ext, gens)
+    assert {n: alg.basis(n) for n in range(7)} == held
+    assert alg._basis_cache.keys() == set(range(7))
+    # an extension by nothing keeps every basis
+    same = ext.extend([], {})
+    assert same._basis_cache == ext._basis_cache
+
+
+@st.composite
+def extension_chains(draw):
+    """Generator lists for a base and one to three extensions (degrees 1 to
+    5, so degree-1, odd and even generators, new degrees below old ones),
+    each with the degrees whose bases are asked before the next step."""
+    chain, count = [], 0
+    for _ in range(draw(st.integers(2, 4))):
+        degrees = draw(st.lists(st.integers(1, 5), max_size=4))
+        chain.append(([(f"g{count + i}", d) for i, d in enumerate(degrees)],
+                      draw(st.lists(st.integers(0, 11), max_size=6))))
+        count += len(degrees)
+    return chain
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(extension_chains())
+def test_extension_bases_equal_a_fresh_enumeration(chain):
+    (gens, asked), *steps = chain
+    alg = FreeCdga(gens)
+    for n in asked:
+        alg.basis(n)
+    for new, asked in steps:
+        parent_bases = dict(alg._basis_cache)
+        ext = alg.extend(new, {})
+        gens = gens + new
+        assert_held_bases_are_fresh(ext, gens)
+        assert alg._basis_cache == parent_bases
+        for n in asked:
+            ext.basis(n)
+        assert_held_bases_are_fresh(ext, gens)
+        alg = ext
+
+
+# -- morphisms grown by extend -------------------------------------------------
+
+
+@st.composite
+def model_targets(draw):
+    """A wedge of two or three spheres or a truncated polynomial ring, a
+    cap, and which stagewise construction runs on it."""
+    if draw(st.booleans()):
+        ring = wedge_of_spheres_ring(
+            draw(st.lists(st.integers(2, 4), min_size=2, max_size=3)))
+    else:
+        ring = projective_ring(draw(st.sampled_from([2, 4])),
+                               draw(st.integers(1, 3)))
+    build = draw(st.sampled_from([minimal_model, bigraded_model]))
+    return ring, draw(st.integers(4, 7)), build
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(model_targets())
+def test_morphism_extend_matches_the_full_constructor(case):
+    ring, cap, build = case
+    extend = DgaMorphism.extend
+    seen = []
+
+    def compared(self, source, new_images):
+        out = extend(self, source, new_images)
+        full = DgaMorphism(source, self.target, {**self.images, **new_images})
+        assert out.source is source and out.target is self.target
+        assert out.images == full.images
+        assert out._gen_terms == full._gen_terms
+        # the morphism extended is left as it was
+        assert len(self.images) == len(self._gen_terms) < len(out.images)
+        seen.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DgaMorphism, "extend", compared)
+        model = build(ring, cap)
+    assert seen and model.quasi_iso is seen[-1]
+
+
+def _stage_map():
+    """x -> a, y -> b from the model of S^2 into an algebra with one more
+    pair, d(c) = e, and the source extended by a closed w of degree 4."""
+    source = FreeCdga.define([("x", 2), ("y", 3)], lambda A: {"y": A["x"] ** 2})
+    target = FreeCdga.define([("a", 2), ("b", 3), ("c", 4), ("e", 5)],
+                             lambda B: {"b": B["a"] ** 2, "c": B["e"]})
+    rho = DgaMorphism(source, target, {"x": target["a"], "y": target["b"]})
+    return rho, source.extend([("w", 4)], {})
+
+
+@pytest.mark.parametrize("fault", ["not a chain map", "wrong degree",
+                                   "missing", "wrong algebra"])
+def test_morphism_extend_refuses_what_the_constructor_refuses(fault):
+    rho, ext = _stage_map()
+    target = rho.target
+    images = {"not a chain map": {"w": target["c"]},
+              "wrong degree": {"w": target["b"]},
+              "missing": {},
+              "wrong algebra": {"w": ext["w"]}}[fault]
+    with pytest.raises(ValueError) as full:
+        DgaMorphism(ext, target, {**rho.images, **images})
+    with pytest.raises(ValueError) as grown:
+        rho.extend(ext, images)
+    assert str(grown.value) == str(full.value)
+    # a closed image is taken
+    assert rho.extend(ext, {"w": target["a"] ** 2}).images["w"] == target["a"] ** 2
+
+
+def test_morphism_extend_refuses_a_source_that_changes_an_old_generator():
+    rho, ext = _stage_map()
+    changed = FreeCdga([("x", 2), ("y", 3), ("w", 4)],
+                       {"y": {((0, 2),): 2}})
+    with pytest.raises(ValueError, match="changes the differential of 'y'"):
+        rho.extend(changed, {"w": rho.target.zero()})
+    renamed = FreeCdga([("x", 2), ("u", 3), ("w", 4)], {"u": {((0, 2),): 1}})
+    with pytest.raises(ValueError, match="does not lead with the generators"):
+        rho.extend(renamed, {"w": rho.target.zero()})
+    with pytest.raises(ValueError, match="existing generator 'x'"):
+        rho.extend(ext, {"x": rho.target["a"], "w": rho.target.zero()})
+    # an equal differential on a separately built source is accepted
+    rebuilt = FreeCdga([("x", 2), ("y", 3), ("w", 4)], {"y": {((0, 2),): 1}})
+    grown = rho.extend(rebuilt, {"w": rho.target.zero()})
+    assert grown.source is rebuilt and grown.images["x"] == rho.images["x"]

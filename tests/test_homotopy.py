@@ -300,19 +300,30 @@ def test_extension_rejects_an_invalid_primitive(part):
 
 
 def test_every_morphism_is_checked_at_construction(monkeypatch):
-    """Each morphism and homotopy that the library builds runs its checks."""
-    built, checked = [], []
-    init, check = DgaMorphism.__init__, DgaMorphism._check
+    """Each morphism and homotopy that the library builds runs its checks:
+    the constructor on every generator, ``DgaMorphism.extend`` on every
+    generator that the extension appends."""
+    built, checked, extended = [], [], []
+    init, extend = DgaMorphism.__init__, DgaMorphism.extend
+    check = DgaMorphism._check
 
     def recording_init(self, *args):
-        built.append(self)
+        built.append((self, 0))
         init(self, *args)
 
-    def recording_check(self):
-        checked.append(self)
-        check(self)
+    def recording_extend(self, *args):
+        old_count = len(self.source.gens)
+        out = extend(self, *args)
+        built.append((out, old_count))
+        extended.append(out)
+        return out
+
+    def recording_check(self, start):
+        checked.append((self, start))
+        check(self, start)
 
     monkeypatch.setattr(DgaMorphism, "__init__", recording_init)
+    monkeypatch.setattr(DgaMorphism, "extend", recording_extend)
     monkeypatch.setattr(DgaMorphism, "_check", recording_check)
     _A, _AV, B, _C, f, g, h = _square()
     results = [DgaMorphism.identity(B), h.compose(f)]
@@ -322,8 +333,12 @@ def test_every_morphism_is_checked_at_construction(monkeypatch):
     ring = projective_ring(2, 2, name="CP2")
     results += [minimal_model(ring, 4).quasi_iso,
                 bigraded_model(ring, 4).quasi_iso]
-    assert built and [id(m) for m in checked] == [id(m) for m in built]
-    assert all(any(m is c for c in checked) for m in results)
+    assert built and [(id(m), s) for m, s in checked] == [
+        (id(m), s) for m, s in built]
+    assert all(any(m is c for c, _s in checked) for m in results)
+    # the stage maps are grown by extend, which checks no old generator
+    assert any(m is results[-1] for m in extended)
+    assert any(m is results[-2] for m in extended)
 
 
 def test_constant_extension_keeps_constant_homotopy():
