@@ -105,11 +105,11 @@ class Element:
     establishes it: it copies ``terms``, stores each value through ``exact``
     (a whole value as an ``int``) and drops zeros.  ``Element._wrap`` takes a
     dict as it is; use it only for a dict just built from clean coefficients
-    (sums with zeros dropped, negations, products of nonzero values) that the
-    caller hands over and does not keep, as ``FreeCdga.adopt`` does (the
-    arithmetic builds its results the same way, inline).  A product with a
-    ``Fraction`` may be a whole ``Fraction``; it equals the ``int``, so term
-    dicts compare by value.
+    (sums with zeros dropped, negations, products of nonzero values, or a
+    copy of another element's terms, as ``FreeCdga.adopt`` hands over) that
+    the caller does not keep; the arithmetic builds its results the same
+    way, inline.  A product with a ``Fraction`` may be a whole ``Fraction``;
+    it equals the ``int``, so term dicts compare by value.
     """
 
     __slots__ = ("alg", "terms")
@@ -611,7 +611,7 @@ class FreeCdga(GradedAlgebra):
         order: the basis walk lists the monomials with no old factor last.
         Other degrees are enumerated on demand.  Nothing else is carried
         over, so no cache kept on this algebra (such as its interval algebra
-        or its ``adopt`` decision) reaches the extension.
+        or the source its ``adopt`` last accepted) reaches the extension.
         """
         out = FreeCdga([], name=self.name)
         out.gens, out._degrees, out._odd = self.gens, self._degrees, self._odd
@@ -631,45 +631,21 @@ class FreeCdga(GradedAlgebra):
         return out
 
     def adopt(self, element: Element) -> Element:
-        """Re-home an element over generators this one has (same names and
-        degrees), with the Koszul sign of any reordered odd generators.
-
-        When the element's generators are this algebra's leading generators,
-        with the same names and degrees in the same order, its monomial keys
-        are keys here as they stand, and the term dict is copied unchanged.
-        Otherwise each monomial is mapped by name and normalized through
-        ``monomial``.  Which of the two applies is decided once per source
-        generator tuple (the last one is remembered), not per element.
-        """
+        """The element re-homed here, its term dict copied unchanged: its
+        algebra's generators must be this one's first generators (names,
+        degrees and order), or ValueError names the first that differs.  The
+        check runs once per source generator tuple (the last one that passed
+        is remembered), not per element."""
         gens = element.alg.gens
-        adopted = self._adopted
-        if adopted is None or adopted[0] is not gens:
-            adopted = self._adopted = (gens, self._remap(gens))
-        remap = adopted[1]
-        if remap is None:
-            return Element._wrap(self, dict(element.terms))
-        out = {}
-        for mon, c in element.terms.items():
-            sign, key = self.monomial((remap[i], e) for i, e in mon)
-            out[key] = c if sign is _ONE else -c
-        return Element._wrap(self, out)
-
-    def _remap(self, gens):
-        """None when ``gens`` are this algebra's leading generators (same
-        names and degrees, same order); otherwise the index here of each."""
-        mine = self.gens
-        if len(gens) <= len(mine) and all(
-                g.name == h.name and g.degree == h.degree
-                for g, h in zip(gens, mine)):
-            return None
-        remap = []
-        for g in gens:
-            i = self.index.get(g.name)
-            if i is None or self._degrees[i] != g.degree:
-                raise ValueError(f"generator {g.name!r} of degree {g.degree} "
-                                 f"is not a generator of {self.name}")
-            remap.append(i)
-        return remap
+        if gens is not self._adopted:
+            mine = self.gens
+            for i, g in enumerate(gens):
+                if (i >= len(mine) or g.name != mine[i].name
+                        or g.degree != mine[i].degree):
+                    raise ValueError(f"generator {g.name!r} of degree {g.degree} "
+                                     f"is not generator {i + 1} of {self.name}")
+            self._adopted = gens
+        return Element._wrap(self, dict(element.terms))
 
 
 class OverFreeCdga(GradedAlgebra):

@@ -44,6 +44,8 @@ def _model_of(obj, cap, bigraded):
 
 
 def cmd_cohomology(args) -> int:
+    if args.through is not None and args.through < 0:
+        raise PresentationError(f"--through must be at least 0, got {args.through}")
     obj = _load(args.file)
     cap = args.through if args.through is not None else \
         (args.degree if args.degree is not None else DEFAULT_CAP)

@@ -28,8 +28,9 @@ class RingPresentation(OverFreeCdga):
     tuple of (generator index, exponent) pairs in increasing index order,
     with exponent 1 for odd generators, so ``{((0, 2),): 1}`` is the square
     of the first generator.  The intake takes such dicts, with a malformed
-    key raising ValueError, or Elements of any free algebra on generators of
-    the same names and degrees, re-homed by ``adopt``.
+    key raising ValueError, or Elements of a free algebra whose generators
+    lead these (names, degrees, order), re-homed by ``adopt``, which refuses
+    an Element of any other algebra with ValueError.
     ``fundamental_degree`` marks the top degree of a Poincare-duality
     presentation; ``verify_duality()`` checks nonsingularity of the induced
     pairing by exact determinant ranks.

@@ -327,20 +327,6 @@ def _verified(ring, ext, images, what) -> EmbeddingWitness:
     return witness
 
 
-def _symplectic_witness(n, ring_of, what) -> EmbeddingWitness:
-    """CP^n: the one generator of ``ring_of()`` goes to the symplectic form
-    of R^(2n).  The check expands 2^n terms (2^12 take under a second), so
-    a larger n raises ValueError before the ring is built."""
-    if n > 12:
-        raise ValueError(
-            f"CP{n} is too large to verify: its symplectic witness check "
-            f"expands 2^{n} terms; CP^n is supported up to n = 12")
-    ring = ring_of()
-    ext = exterior_algebra(2 * n)
-    (name,) = ring.generator_names()
-    return _verified(ring, ext, {name: symplectic_form(ext, n)}, what)
-
-
 # ---------------------------------------------------------------------------
 # the wedge pairing on middle forms
 
@@ -433,8 +419,8 @@ def omega_ring(n, r) -> RingPresentation:
 def _equal_powers_ring(r, degree, power, name) -> RingPresentation:
     """r generators a_i of one even degree with zero cross products and
     a_i^power = a_1^power; a_1^power is the fundamental monomial, so
-    a_1^(power+1) = 0 (a relation of its own only when r = 1).  The
-    relations live in a free algebra that RingPresentation re-homes."""
+    a_1^(power+1) = 0 (a relation of its own only when r = 1).  Relations
+    are written in a free algebra on the same generators, adopted as is."""
     if r < 1:
         raise ValueError("r must be positive")
     amb = FreeCdga([(f"a{i}", degree) for i in range(1, r + 1)])
@@ -493,6 +479,17 @@ def _middle_pairs(ext, n, r):
     return _complementary_pairs(ext, _subsets_containing_first(n, r, 2 * n, 1))
 
 
+def _equal_square_images(ext, n, names, minus=0):
+    """{name: dx_I + s_I dx_(I^c)} over the pairs of ``_middle_pairs``, in
+    order, but dx_I - s_I dx_(I^c) for the last ``minus`` names, whose pairs
+    start again at the first: squares +-2 * volume, cross products zero."""
+    plus = len(names) - minus
+    pairs = _middle_pairs(ext, n, max(plus, minus))
+    images = [first + second for first, second in pairs[:plus]]
+    images += [first - second for first, second in pairs[:minus]]
+    return dict(zip(names, images, strict=True))
+
+
 def decide_omega(n, r) -> Decision:
     """Embeddability of the #r(S^n x S^n) ring in an exterior algebra.
 
@@ -544,10 +541,9 @@ def decide_sigma(n, r) -> Decision:
             f"({sig.positive}, {sig.negative})",
             sig.positive, sig.negative, r)
         return Decision("sigma", n, r, False, bound, refutation=cert)
-    ext = exterior_algebra(2 * n)
-    images = {f"a{i}": first + second
-              for i, (first, second) in enumerate(_middle_pairs(ext, n, r), start=1)}
-    witness = _verified(sigma_ring(n, r), ext, images, "sigma")
+    ring, ext = sigma_ring(n, r), exterior_algebra(2 * n)
+    images = _equal_square_images(ext, n, ring.generator_names())
+    witness = _verified(ring, ext, images, "sigma")
     return Decision("sigma", n, r, True, bound, witness=witness)
 
 
@@ -565,10 +561,10 @@ def _omega_wedge_row(ext, omega, four):
 def decide_pi(n, r) -> Decision:
     """Equal n-th powers of degree-2 classes with vanishing products.
 
-    At r = 1 the ring is CP^n, which embeds: a1 goes to the standard
-    symplectic form omega on R^(2n) (omega^n != 0, omega^(n+1) = 0), a
-    verified witness returned before any linear system is built; an n whose
-    witness check is too large to run raises ValueError.  For r >= 2
+    At r = 1 the space is CP^n, which embeds: the decision carries the
+    classifier's CP^n witness, x of ``projective_ring(2, n)`` to the
+    symplectic form omega on R^(2n), built before any linear system; an n
+    whose witness check is too large to run raises ValueError.  For r >= 2
     it builds the linear system for a 2-form eta killed by the standard
     symplectic omega on R^(2n): the off-pair coefficients vanish and the
     pair coefficients satisfy u_1 + u_j = 0 for every j and u_2 + u_3 = 0.
@@ -583,8 +579,7 @@ def decide_pi(n, r) -> Decision:
     if r < 1:
         raise ValueError("r must be positive")
     if r == 1:
-        witness = _symplectic_witness(n, lambda: pi_ring(n, 1), "pi")
-        return Decision("pi", n, 1, True, 1, witness=witness)
+        return Decision("pi", n, 1, True, 1, witness=_projective_witness(2, n))
     pairs = list(itertools.combinations(range(1, 2 * n + 1), 2))
     sympl = [(2 * i + 1, 2 * i + 2) for i in range(n)]
     off = sorted(set(pairs) - set(sympl))
@@ -1114,15 +1109,22 @@ def _sphere_witness(k):
 
 
 def _projective_witness(gen_degree, power):
-    """CP^power: the symplectic form of R^(2 power); a projective plane on
-    a generator of degree d > 2: dx_(1..d) + dx_(d+1..2d)."""
+    """CP^n (generator degree 2, power n): x goes to the symplectic form of
+    R^(2n).  The check expands 2^n terms (2^12 take under a second), so an
+    n above 12 raises ValueError before the ring is built.  A projective
+    plane on a generator of degree d > 2: dx_(1..d) + dx_(d+1..2d)."""
     if gen_degree == 2:
-        return _symplectic_witness(
-            power, lambda: projective_ring(2, power), "projective")
-    ext = exterior_algebra(2 * gen_degree)
-    ((first, second),) = _middle_pairs(ext, gen_degree, 1)
-    return _verified(projective_ring(gen_degree, power), ext,
-                     {"x": first + second}, "projective")
+        if power > 12:
+            raise ValueError(f"CP{power} is too large to verify: its symplectic "
+                             f"witness check expands 2^{power} terms; CP^n is "
+                             f"supported up to n = 12")
+        ext = exterior_algebra(2 * power)
+        images = {"x": symplectic_form(ext, power)}
+    else:
+        ext = exterior_algebra(2 * gen_degree)
+        images = _equal_square_images(ext, gen_degree, ["x"])
+    return _verified(projective_ring(gen_degree, power), ext, images,
+                     "projective")
 
 
 def _classify_csum(node: CSum, text) -> Classification:
@@ -1153,12 +1155,13 @@ def _classify_csum(node: CSum, text) -> Classification:
         (gd, power) = params.pop()
         plus = sum(c for c, a in node.parts if not a.reversed)
         minus = total - plus
+        if total == 1:
+            reason = ("projective plane (verified witness)" if power == 2 else
+                      "projective space (verified symplectic-power witness)")
+            return Classification(text, SCALABLE, reason,
+                                  witness=_projective_witness(gd, power))
         if power == 2:
             threshold = comb(2 * gd, gd) // 2
-            if total == 1:
-                return Classification(text, SCALABLE,
-                                      "projective plane (verified witness)",
-                                      witness=_projective_witness(gd, power))
             if plus <= threshold and minus <= threshold:
                 witness = _plane_sum_witness(gd, plus, minus)
                 return Classification(text, SCALABLE,
@@ -1175,11 +1178,7 @@ def _classify_csum(node: CSum, text) -> Classification:
                                   f"equal-square family of size {bad} cannot "
                                   f"embed (threshold {threshold})",
                                   refutation=cert)
-        # complex projective space of complex dimension >= 3
-        if total == 1:
-            return Classification(text, SCALABLE,
-                                  "projective space (verified symplectic-power "
-                                  "witness)", witness=_projective_witness(gd, power))
+        # sums of complex projective spaces of complex dimension >= 3
         if power > _MAX_PI_SUM_POWER:
             raise ValueError(
                 f"a sum of CP{power}s is too large to refute: its linear "
@@ -1241,9 +1240,5 @@ def _plane_sum_witness(gd, plus, minus):
     ring = connected_sum_ring([("projective", gd, 2)] * (plus + minus),
                               [1] * plus + [-1] * minus)
     ext = exterior_algebra(2 * gd)
-    pairs = _middle_pairs(ext, gd, max(plus, minus))
-    images = {f"x{i}": first + second
-              for i, (first, second) in enumerate(pairs[:plus], start=1)}
-    images.update({f"x{plus + j}": first - second
-                   for j, (first, second) in enumerate(pairs[:minus], start=1)})
+    images = _equal_square_images(ext, gd, ring.generator_names(), minus)
     return _verified(ring, ext, images, "plane-sum")

@@ -1,9 +1,9 @@
 """Per-algebra tables of ``FreeCdga`` against direct computation.
 
 ``adopt`` copies a term dict unchanged when the source's generators are the
-target's leading generators (same names and degrees, same order) and maps
-and normalizes every monomial otherwise; either way it must agree with the
-by-name map through ``monomial``, Koszul sign included.  ``key_degree``
+target's leading generators (same names and degrees, same order) and
+refuses every other source, naming its first generator out of place.
+``key_degree``
 reads a per-algebra table that ``extend`` copies, so an extension's entries
 never reach its parent.  ``extend`` carries the cached bases that its new
 generators only append to, and every basis an extension holds must equal a
@@ -18,26 +18,12 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from rht.cdga import DgaMorphism, FreeCdga  # noqa: E402
-from rht.linalg import _ONE  # noqa: E402
 from rht.models import bigraded_model, minimal_model  # noqa: E402
 from rht.presentations import (projective_ring,  # noqa: E402
                                wedge_of_spheres_ring)
 from rht.scalability import sigma_ring  # noqa: E402
 
 COEFFS = st.sampled_from([1, -1, 2, -3, 5])
-
-
-def oracle_adopt(target, element):
-    """The by-name map: each monomial's factors renamed into ``target`` and
-    normalized by ``monomial``, with its Koszul sign."""
-    index = {g.name: target.generator_names().index(g.name)
-             for g in element.alg.gens}
-    out = {}
-    for mon, c in element.terms.items():
-        sign, key = target.monomial(
-            (index[element.alg.gens[i].name], e) for i, e in mon)
-        out[key] = c if sign is _ONE else -c
-    return out
 
 
 @st.composite
@@ -68,7 +54,7 @@ def elements(draw, alg, gens):
 def adopt_cases(draw):
     """(target, source element, whether the source is a leading prefix):
     the source is a leading prefix, strict or whole, or a reordering of a
-    subset of the target's generators."""
+    subset of the target's generators, perhaps with one of them regraded."""
     gens = draw(generator_lists())
     if draw(st.booleans()):
         source_gens = gens[:draw(st.integers(1, len(gens)))]
@@ -76,8 +62,12 @@ def adopt_cases(draw):
     else:
         subset = draw(st.lists(st.sampled_from(gens), min_size=1,
                                max_size=len(gens), unique=True))
-        source_gens = draw(st.permutations(subset))
-        prefix = list(source_gens) == gens[:len(source_gens)]
+        source_gens = list(draw(st.permutations(subset)))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(source_gens) - 1))
+            name, degree = source_gens[i]
+            source_gens[i] = (name, degree + 1)
+        prefix = source_gens == gens[:len(source_gens)]
     source = FreeCdga(source_gens, name="S")
     target = FreeCdga(gens, name="T")
     return target, draw(elements(source, source_gens)), prefix
@@ -85,16 +75,21 @@ def adopt_cases(draw):
 
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(adopt_cases())
-def test_adopt_matches_the_by_name_map(case):
+def test_adopt_copies_a_leading_source_and_refuses_any_other(case):
     target, x, prefix = case
+    if not prefix:
+        gens = target.gens
+        first = next(g for i, g in enumerate(x.alg.gens)
+                     if i >= len(gens) or g != gens[i])
+        for _ in range(2):  # a refused source is not remembered
+            with pytest.raises(ValueError, match=f"^generator '{first.name}' "):
+                target.adopt(x)
+        return
     got = target.adopt(x)
     assert got.alg is target
-    assert got.terms == oracle_adopt(target, x)
-    assert got.terms is not x.terms
-    if prefix:
-        assert got.terms == x.terms
-    # a second element of the same source takes the remembered decision
-    assert target.adopt(-x).terms == oracle_adopt(target, -x)
+    assert got.terms == x.terms and got.terms is not x.terms
+    # a second element of the same source takes the remembered check
+    assert target.adopt(-x).terms == (-x).terms
 
 
 def test_sigma_ring_relations_take_the_leading_generator_path(monkeypatch):
@@ -109,10 +104,12 @@ def test_sigma_ring_relations_take_the_leading_generator_path(monkeypatch):
     ring = sigma_ring(4, 35)
     assert calls == []
     assert len(ring.relations) == 35 * 34 // 2 + 34
-    # a reordered source still normalizes through monomial
+    # a reordered source is refused, not normalized through monomial
     source = FreeCdga([("a2", 4), ("a1", 4)])
-    ring.base.adopt(source["a2"] * source["a1"])
-    assert calls == [ring.base]
+    with pytest.raises(ValueError, match="^generator 'a2' of degree 4 is "
+                                         "not generator 1 of "):
+        ring.base.adopt(source["a2"] * source["a1"])
+    assert calls == []
 
 
 @st.composite

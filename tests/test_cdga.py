@@ -273,24 +273,35 @@ def test_extend_preserves_existing_monomials(wedge_table):
     assert bigger.adopt(W["u_b"].d()) == bigger["a"] * bigger["b"]
 
 
-def test_adopt_carries_the_koszul_sign_of_reordered_odd_generators():
+def test_adopt_refuses_a_reordered_source():
+    """adopt copies the keys of a source whose generators lead the target's;
+    a reordered source is refused, not re-signed, and a refused source is
+    not remembered as a passing one."""
     A = FreeCdga([("a", 1), ("b", 1), ("c", 2)])
-    B = FreeCdga([("b", 1), ("a", 1), ("c", 2)])
-    x = A["a"] * A["b"] * A["c"] + A["c"] ** 2
-    assert B.adopt(A["a"] * A["b"] + A["c"]) == -B["b"] * B["a"] + B["c"]
-    assert B.adopt(x) == B["a"] * B["b"] * B["c"] + B["c"] ** 2
-    assert A.adopt(B.adopt(x)) == x
+    B = FreeCdga([("b", 1), ("a", 1), ("c", 2)], name="B")
+    lead = FreeCdga([("b", 1), ("a", 1)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^generator 'a' of degree 1 is "
+                                             "not generator 1 of B$"):
+            B.adopt(A["a"] * A["b"] + A["c"])
+    assert B.adopt(lead["b"] * lead["a"]) == B["b"] * B["a"]
 
 
 @pytest.mark.parametrize("gens,name", [
-    ([("a", 1), ("z", 2)], "'z'"),
-    ([("a", 1), ("b", 3)], "'b'"),
-    ([("b", 1), ("a", 3)], "'a'"),   # the leading names, one degree off
+    ([("b", 1), ("z", 2)], "'z'"),
+    ([("b", 3), ("a", 1)], "'b'"),   # the leading names, one degree off
+    ([("b", 1), ("a", 3)], "'a'"),
+    ([("a", 1), ("b", 1)], "'a'"),   # the target's generators, reordered
+    ([("b", 1), ("a", 1), ("c", 2)], "'c'"),   # one generator too many
 ])
 def test_adopt_names_a_generator_it_lacks(gens, name):
+    """The error names the source's first generator that is not the
+    target's generator in the same place, by name and degree."""
     source = FreeCdga(gens)
     target = FreeCdga([("b", 1), ("a", 1)], name="T")
-    with pytest.raises(ValueError, match=f"generator {name} .* not a generator of T"):
+    place = [g for g, _d in gens].index(name.strip("'")) + 1
+    with pytest.raises(ValueError, match=f"generator {name} of degree "
+                                         f"\\d+ is not generator {place} of T"):
         target.adopt(source[gens[0][0]] * source[gens[1][0]])
 
 

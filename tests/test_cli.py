@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+import golden_errors
 import rht.homotopy
 import rht.models
 from rht.cli import main
@@ -54,6 +55,22 @@ def test_cohomology_malformed_file_names_line(capsys, tmp_path):
     code, _out, err = run_cli(capsys, "cohomology", str(bad), "--degree", "2")
     assert code == 2
     assert "line 4" in err
+
+
+def test_cohomology_refuses_a_negative_through(capsys):
+    """A negative cap has no degrees to report; it exits 2 naming the
+    value instead of printing an empty rank list."""
+    code, out, err = run_cli(capsys, "cohomology", data_path("s2_model.cdga"),
+                             "--through", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: --through must be at least 0, got -3\n"
+
+
+@pytest.mark.parametrize("name", golden_errors.ERRORS)
+def test_bad_input_fails_as_recorded(name):
+    """Each row of the bad-input table exits with its recorded code and
+    prints its recorded stderr, and nothing on stdout."""
+    assert golden_errors.mismatch(name) is None
 
 
 def test_model_command_bigraded(capsys):

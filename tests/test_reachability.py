@@ -55,8 +55,8 @@ ALLOWED = {
                                               "checked from the summands",
     "scalability.ExteriorAlgebra.gen_key": INTERFACE,
     "scalability.ExteriorAlgebra.gens": INTERFACE,
-    "scalability.pi_ring": "decide_pi(n, 1) calls it, and bench/tracer.py "
-                           "patches it by name",
+    "scalability.pi_ring": "a public family builder that tests and "
+                           "bench/tracer.py name",
     "verify._battery": IMPORT,
     "verify._battery.register": IMPORT,
 }

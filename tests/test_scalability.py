@@ -233,15 +233,27 @@ def test_decide_pi_forms_quadratically_many_exterior_products(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_pi_one_generator_is_cp_n_and_embeds(n):
-    """Pi(n, 1) is CP^n: a1 goes to the symplectic form of R^(2n)."""
+    """At r = 1 the space is CP^n = P(2, n): x goes to the symplectic form
+    of R^(2n)."""
     d = decide_pi(n, 1)
     assert d.embeddable is True and d.boundary == 1
     assert d.refutation is None and d.nullspace_dim is None
     ext = d.witness.target
     assert ext.name == f"Ext{2 * n}"
-    assert d.witness.images == {"a1": symplectic_form(ext, n)}
-    assert d.witness.ring.name == f"Pi({n},1)"
+    assert d.witness.images == {"x": symplectic_form(ext, n)}
+    assert d.witness.ring.name == f"P(2,{n})"
     assert verify_witness(d.witness.ring, d.witness).passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pi_one_generator_carries_the_classifier_witness(n):
+    """decide_pi(n, 1) and classify("CPn") build one witness: the same
+    images on a ring of the same name."""
+    mine, theirs = decide_pi(n, 1).witness, classify(f"CP{n}").witness
+    assert mine.ring.name == theirs.ring.name == f"P(2,{n})"
+    assert mine.target.name == theirs.target.name
+    assert ({k: v.terms for k, v in mine.images.items()}
+            == {k: v.terms for k, v in theirs.images.items()})
 
 
 def test_cp_n_witness_is_bounded():
