@@ -44,8 +44,10 @@ def _model_of(obj, cap, bigraded):
 
 
 def cmd_cohomology(args) -> int:
-    if args.through is not None and args.through < 0:
-        raise PresentationError(f"--through must be at least 0, got {args.through}")
+    for option in ("degree", "through"):
+        value = getattr(args, option)
+        if value is not None and value < 0:
+            raise PresentationError(f"--{option} must be at least 0, got {value}")
     obj = _load(args.file)
     cap = args.through if args.through is not None else \
         (args.degree if args.degree is not None else DEFAULT_CAP)
@@ -98,7 +100,11 @@ def _check_class(alg, cls):
 def cmd_distortion(args) -> int:
     alg = _load(args.file)
     if isinstance(alg, RingPresentation):
-        alg = bigraded_model(alg, args.through).algebra
+        cap = args.through if args.through is not None else DEFAULT_CAP
+        alg = bigraded_model(alg, cap).algebra
+    elif args.through is not None:
+        raise PresentationError("--through applies to ring files only, "
+                                "not to a cdga file")
     _check_class(alg, args.cls)
     rep = distortion_exponent(alg, args.cls)
     report = Report("distortion")
@@ -199,7 +205,7 @@ def build_parser():
     p = sub.add_parser("distortion", help="predicted distortion exponent")
     p.add_argument("file")
     p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--through", type=int, default=DEFAULT_CAP)
+    p.add_argument("--through", type=int)
     p.add_argument("--machine", action="store_true")
     p.set_defaults(fn=cmd_distortion)
 

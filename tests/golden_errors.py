@@ -58,6 +58,17 @@ ERRORS = {
         ["cohomology", "$DATA/s2_model.cdga", "--through", "-3"],
         None,
         2, "error: --through must be at least 0, got -3\n"),
+    "negative-degree": (
+        ["cohomology", "$DATA/s2_model.cdga", "--degree", "-3"],
+        None,
+        2, "error: --degree must be at least 0, got -3\n"),
+    # a cdga file is its own model, so no cap applies to it
+    "distortion-through-on-cdga": (
+        ["distortion", "$DATA/cp2_model.cdga", "--class", "y",
+         "--through", "-3"],
+        None,
+        2, "error: --through applies to ring files only, not to a cdga "
+           "file\n"),
     # a sum of CP^n past n = 100 is refused before its linear system on
     # C(2n, 2) unknowns is built
     "cp-sum-past-the-bound": (

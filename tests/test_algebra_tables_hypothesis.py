@@ -93,16 +93,24 @@ def test_adopt_copies_a_leading_source_and_refuses_any_other(case):
 
 
 def test_sigma_ring_relations_take_the_leading_generator_path(monkeypatch):
-    calls = []
-    good = FreeCdga.monomial
+    """The 34 power differences of sigma_ring(4, 35) are adopted, each once;
+    its 595 cross products are written as keys and adopt none."""
+    calls, adopted = [], []
+    good, adopt = FreeCdga.monomial, FreeCdga.adopt
 
     def spy(self, factors):
         calls.append(self)
         return good(self, factors)
 
+    def adopt_spy(self, element):
+        adopted.append(element)
+        return adopt(self, element)
+
     monkeypatch.setattr(FreeCdga, "monomial", spy)
+    monkeypatch.setattr(FreeCdga, "adopt", adopt_spy)
     ring = sigma_ring(4, 35)
     assert calls == []
+    assert len(adopted) == 34
     assert len(ring.relations) == 35 * 34 // 2 + 34
     # a reordered source is refused, not normalized through monomial
     source = FreeCdga([("a2", 4), ("a1", 4)])

@@ -159,6 +159,58 @@ def test_equal_powers_witness_and_relations_are_pinned():
     assert pi.fundamental_monomial == ((0, 3),)
 
 
+def _element_equal_powers_ring(r, degree, power):
+    """(relations, fundamental monomial) of the equal-powers ring with every
+    relation an Element product in a free algebra on the same generators
+    (the construction that preceded the cross products written as keys)."""
+    amb = FreeCdga([(f"a{i}", degree) for i in range(1, r + 1)])
+    gens = [amb[g.name] for g in amb.gens]
+    top = gens[0] ** power
+    rels = [x * y for x, y in itertools.combinations(gens, 2)]
+    rels += [x ** power - top for x in gens[1:]]
+    if r == 1:
+        rels.append(gens[0] * top)
+    return rels, next(iter(top.terms))
+
+
+@pytest.mark.parametrize("degree,power", [(2, 2), (2, 3), (4, 2), (4, 3)])
+@pytest.mark.parametrize("r", range(1, 9))
+def test_equal_powers_ring_matches_element_products(r, degree, power):
+    """The cross products written as keys give the relations, in order, the
+    fundamental monomial and every quotient basis up to the top that the
+    Element products give."""
+    ring = scalability._equal_powers_ring(r, degree, power, "R")
+    rels, top = _element_equal_powers_ring(r, degree, power)
+    assert [list(rel.items()) for rel in ring.relations] == \
+        [list(e.terms.items()) for e in rels]
+    assert ring.fundamental_monomial == top
+    want = RingPresentation([(f"a{i}", degree) for i in range(1, r + 1)],
+                            rels, fundamental_degree=degree * power)
+    for k in range(degree * power + 1):
+        assert ring.basis(k) == want.basis(k), k
+
+
+def test_equal_powers_size_bound_counts_every_relation(monkeypatch):
+    """The count taken from r is the number of relations built: a bound one
+    below the count of r + 1 generators admits r and refuses r + 1 before
+    anything is built, and decide_sigma passes the refusal on."""
+    with pytest.raises(ValueError, match=re.escape(
+            "Sigma(8,1414) is too large to present: it has 1000404 "
+            "relations; at most 1000000 are built")):
+        decide_sigma(8, 1414)
+    for build, r in [(sigma_ring, 1), (sigma_ring, 5), (pi_ring, 3)]:
+        built, more = (len(build(4, s).relations) for s in (r, r + 1))
+        assert built == r * (r - 1) // 2 + r - 1 + (r == 1)
+        monkeypatch.setattr(scalability, "_MAX_CONNECTED_SUM_RELATIONS", more - 1)
+        assert len(build(4, r).relations) == built
+        monkeypatch.setattr(scalability, "FreeCdga", None)
+        with pytest.raises(ValueError, match=re.escape(
+                f"(4,{r + 1}) is too large to present: it has {more} "
+                f"relations; at most {more - 1} are built")):
+            build(4, r + 1)
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("build,n,model", [
     (sigma_ring, 2, (2, 2)), (sigma_ring, 4, (4, 2)),
     (pi_ring, 2, (2, 2)), (pi_ring, 3, (2, 3)), (pi_ring, 4, (2, 4))])
