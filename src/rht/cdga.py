@@ -8,8 +8,9 @@ once per generator, when it is added: at construction, or by ``extend`` for
 the appended generators only.  All values are immutable after construction
 and every operation is a pure function, so instances are safe to share across
 threads.  A free algebra memoizes, per algebra, the degree, differential and
-products of the monomial keys it is asked about, and its bases; ``extend``
-starts the extension from copies of those key tables, never from the tables
+products of the monomial keys it is asked about (and the differential of
+their suffixes, which it is computed from), and its bases; ``extend`` starts
+the extension from copies of those key tables, never from the tables
 themselves, and keeps each cached basis that the new generators leave
 unchanged or only append to.  A ``DgaMorphism`` is checked as a chain map at
 construction, and ``DgaMorphism.extend`` carries it to an extension of its
@@ -508,22 +509,50 @@ class FreeCdga(GradedAlgebra):
         return out
 
     def d_key(self, mon):
-        cached = self._d_cache.get(mon)
-        if cached is not None:
-            return cached
-        out = {}
-        prefix_deg = 0
-        for pos, (i, e) in enumerate(mon):
+        """d of a monomial, by one Leibniz step on its cached suffix.
+
+        With mon = x^e * rest, x its first factor,
+
+            d(mon) = e * x^(e-1) * dx * rest + (-1)^(e|x|) * x^e * d(rest).
+
+        x^(e-1) is even (x is even, or e = 1), so the first part is
+        dx * (x^(e-1) * rest) with the key x^(e-1) * rest written directly:
+        one ``mul_keys`` call per term of dx, and one per term of d(rest).
+        The uncached suffixes are filled shortest first, in a loop, so a
+        monomial of any length stays within the recursion limit.  On an
+        algebra whose differential is zero every answer is {}, stored without
+        the suffix walk: that is only for speed, since the exterior targets
+        of ``decide_omega`` ask for each generator once and the walk would
+        cost more than the answer.
+        """
+        cache = self._d_cache
+        out = cache.get(mon)
+        if out is not None:
+            return out
+        if not (mon and self._diff):
+            cache[mon] = out = {}
+            return out
+        # the suffixes that the table lacks, longest first; d(1) = 0
+        todo = [mon]
+        rest = mon[1:]
+        while rest and rest not in cache:
+            todo.append(rest)
+            rest = rest[1:]
+        d_rest = cache[rest] if rest else {}
+        for suffix in reversed(todo):
+            (i, e), rest = suffix[0], suffix[1:]
+            out = {}
             dgen = self._diff.get(i)
             if dgen:
-                left = mon[:pos] + (((i, e - 1),) if e > 1 else ())
-                right = mon[pos + 1:]
-                coeff = e if prefix_deg % 2 == 0 else -e
+                left = ((i, e - 1),) + rest if e > 1 else rest
                 for dm, dc in dgen.items():
-                    for k1, c1 in self.mul_keys(left, dm).items():
-                        accumulate(out, self.mul_keys(k1, right), coeff * dc * c1)
-            prefix_deg += self._degrees[i] * e
-        self._d_cache[mon] = out
+                    accumulate(out, self.mul_keys(dm, left), e * dc)
+            if d_rest:
+                head = ((i, e),)
+                odd = e * self._degrees[i] % 2
+                for k, c in d_rest.items():
+                    accumulate(out, self.mul_keys(head, k), -c if odd else c)
+            cache[suffix] = d_rest = out
         return out
 
     # -- basis ----------------------------------------------------------------

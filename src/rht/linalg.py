@@ -4,10 +4,14 @@ A sparse row is a dict ``{column: entry}`` that holds only nonzero entries,
 in the coefficient domain of term dicts: an entry is an ``int`` exactly when
 it is whole, otherwise a ``Fraction``.  The differential matrices of this
 package are about 2 % nonzero, so one sparse elimination core does all the
-row reduction: forward elimination takes the input rows top down and reduces
+row reduction: forward elimination takes the input rows sparsest first (the
+Markowitz heuristic, Management Science 1957: a short row brings little fill
+into the rows cleared against it; ties keep their input order) and reduces
 each against the pivot rows found so far, pivoting on its leftmost nonzero
 column; back-substitution then clears every pivot column above its pivot.
-The core accepts any rational entries and skips zero ones.
+The order of the rows moves no output: the reduced row echelon form is
+unique, and ``echelon``'s pivots are ``rref``'s, the rank profile of the
+matrix.  The core accepts any rational entries and skips zero ones.
 
 The core runs on integers, fraction-free (Bareiss, Math. Comp. 1968): each
 input row is scaled to coprime integers; a column is cleared by
@@ -22,10 +26,12 @@ gcd that every Fraction addition and product pays.
 
 Pivoting is deterministic, and the reduced row echelon form of a matrix is
 unique, so ``rref`` gives exactly the rows and pivots of any exact dense
-elimination, entry for entry, by value.  That is load-bearing: cohomology
-representatives and golden reports depend on it.  ``reduce_against`` reduces
-one vector against such rows and stores each whole result as an ``int``, so
-every row out enters term dicts as it is.
+elimination, entry for entry, by value; each row lists its entries by
+column, so neither the order of the input rows nor that of their entries
+reaches the output.  That is load-bearing: cohomology representatives and
+golden reports depend on it.  ``reduce_against`` reduces one vector against
+such rows and stores each whole result as an ``int``, so every row out
+enters term dicts as it is.
 
 ``accumulate``, the package's one sparse add, adds a multiple of one sparse
 row into another and drops what cancels; a term dict is a sparse row over
@@ -120,11 +126,14 @@ def echelon(rows):
     """Forward elimination: {pivot column: integer row with its leading
     nonzero entry there}.
 
-    The pivot columns are those of ``rref`` on the same rows, and the number
-    of pivots is the rank; the rows are not reduced above their pivots.
+    The rows are taken sparsest first, ties in input order.  Whatever the
+    order, the pivot columns are those of ``rref`` on the same rows (the
+    rank profile, which the reduced form fixes), and the number of pivots is
+    the rank; the rows are not reduced above their pivots, so which row
+    holds a pivot may depend on the order.
     """
     piv = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         v = _integers(row)
         while v:
             lead = min(v)
@@ -138,7 +147,7 @@ def echelon(rows):
 
 def _reduced(piv):
     """Back-substitution on an echelon form: (rows, pivot columns), each row
-    an exact row with a one at its pivot."""
+    an exact row with a one at its pivot and its entries in column order."""
     pivots = sorted(piv)
     for p in reversed(pivots):
         row = piv[p]
@@ -146,12 +155,11 @@ def _reduced(piv):
             _clear(row, c, piv[c])
     rows = []
     for p in pivots:
-        row = piv[p]
-        lead = row[p]
-        if lead != 1:
-            row = {c: x // lead if x % lead == 0 else Fraction(x, lead)
-                   for c, x in row.items()}
-        rows.append(row)
+        items = sorted(piv[p].items())
+        lead = piv[p][p]
+        rows.append(dict(items) if lead == 1 else
+                    {c: x // lead if x % lead == 0 else Fraction(x, lead)
+                     for c, x in items})
     return rows, pivots
 
 

@@ -1,11 +1,12 @@
 """Dense Gaussian elimination over the rationals: a test-only oracle.
 
-This is plain row reduction on lists of Fractions, with the same pivoting
-rule as ``rht.linalg`` (leftmost nonzero column, rows scanned top down).
-Every vector it returns is mapped through ``exact``, the engine's rule that
-an entry is an ``int`` exactly when it is whole, so the sparse engine must
-agree with it exactly, in value and in type; ``sparse`` and ``dense`` carry
-vectors between the two.
+This is plain row reduction on lists of Fractions, pivoting on the leftmost
+nonzero column with the rows scanned top down; ``rht.linalg`` takes its rows
+sparsest first, and the reduced row echelon form is unique, so the two
+reach the same rows and pivots.  Every vector it returns is mapped through
+``exact``, the engine's rule that an entry is an ``int`` exactly when it is
+whole, so the sparse engine must agree with it exactly, in value and in
+type; ``sparse`` and ``dense`` carry vectors between the two.
 """
 
 from fractions import Fraction

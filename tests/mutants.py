@@ -231,6 +231,18 @@ MUTANTS = [
      "    if relations > _MAX_CONNECTED_SUM_RELATIONS + 1:",
      ["tests/test_scalability.py::"
       "test_equal_powers_size_bound_counts_every_relation"]),
+    # d_key's suffix step drops the sign (-1)^(e|x|) of x^e * d(rest)
+    ("cdga.py",
+     "accumulate(out, self.mul_keys(head, k), -c if odd else c)",
+     "accumulate(out, self.mul_keys(head, k), c)",
+     ["tests/test_d_key_oracle.py::"
+      "test_d_key_matches_oracle_on_random_extend_chains"]),
+    # d_key's suffix step drops the factor e of e * x^(e-1) * dx
+    ("cdga.py",
+     "accumulate(out, self.mul_keys(dm, left), e * dc)",
+     "accumulate(out, self.mul_keys(dm, left), dc)",
+     ["tests/test_d_key_oracle.py::"
+      "test_d_key_matches_oracle_on_random_extend_chains"]),
 ]
 
 

@@ -1,5 +1,6 @@
 """Property-based variant of the sparse/dense cross-route check, and the
-contract that results do not depend on how rows and columns are labelled."""
+contract that results do not depend on how rows and columns are labelled
+or ordered."""
 
 from fractions import Fraction
 
@@ -116,6 +117,35 @@ def test_results_do_not_depend_on_row_ids(case, rnd):
     assert repr(linalg.solve_columns(
         relabelled, _relabelled(sparse(target), label, rnd))) == \
         repr(linalg.solve_columns(cols, sparse(target)))
+
+
+ZERO_ROW = st.sampled_from([{}, {0: 0}, {1: Fraction(0), 0: 0}])
+
+
+@st.composite
+def row_lists(draw):
+    """Sparse rows of a drawn matrix, some with their explicit zeros and
+    some without, so that they differ in length, plus zero rows; the drawn
+    matrices repeat some rows and mix ints with Fractions."""
+    rows, _ncols, _vec, _target = draw(matrices())
+    out = [sparse(r) if draw(st.booleans()) else
+           {j: x for j, x in enumerate(r) if x} for r in rows]
+    return out + draw(st.lists(ZERO_ROW, max_size=3))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(row_lists(), st.randoms(use_true_random=False))
+def test_results_do_not_depend_on_row_order(rows, rnd):
+    """echelon takes its rows sparsest first, ties in input order; any
+    other order of the rows, or of their entries, gives the same reduced
+    rows (repr compares their entries' order and types), pivots and rank."""
+    shuffled = [_relabelled(row, {j: j for j in row}, rnd) for row in rows]
+    rnd.shuffle(shuffled)
+    red, piv = linalg.rref(rows)
+    assert repr(linalg.rref(shuffled)) == repr((red, piv))
+    assert set(linalg.echelon(shuffled)) == set(linalg.echelon(rows)) \
+        == set(piv)
+    assert linalg.rank(shuffled) == linalg.rank(rows) == len(piv)
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
