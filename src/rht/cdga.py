@@ -521,9 +521,10 @@ class FreeCdga(GradedAlgebra):
         The uncached suffixes are filled shortest first, in a loop, so a
         monomial of any length stays within the recursion limit.  On an
         algebra whose differential is zero every answer is {}, stored without
-        the suffix walk: that is only for speed, since the exterior targets
-        of ``decide_omega`` ask for each generator once and the walk would
-        cost more than the answer.
+        the suffix walk: that is only for speed, since ``DgaMorphism._check``
+        asks for d of each generator of a witness's source, the ambient free
+        algebra of a scalability ring, once, and the walk would cost more
+        than the answer.
         """
         cache = self._d_cache
         out = cache.get(mon)

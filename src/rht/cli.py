@@ -94,7 +94,9 @@ def cmd_model(args) -> int:
 def _check_class(alg, cls):
     if cls not in alg.index:
         known = ", ".join(alg.generator_names())
-        raise PresentationError(f"unknown class {cls!r}; generators are: {known}")
+        listed = (f"generators are: {known}" if known
+                  else "the model has no generators")
+        raise PresentationError(f"unknown class {cls!r}; {listed}")
 
 
 def cmd_distortion(args) -> int:

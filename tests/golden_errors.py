@@ -77,6 +77,25 @@ ERRORS = {
         2, "error: a sum of CP101s is too large to refute: its linear system "
            "has C(202, 2) unknowns; sums of CP^n are supported up to "
            "n = 100\n"),
+    # checking the CP^n witness expands 2^n terms, so n = 13 is refused at
+    # once, naming the largest n supported
+    "cp-past-the-witness-bound": (
+        ["scalable", "CP13"],
+        None,
+        2, "error: CP13 is too large to verify: its symplectic witness check "
+           "expands 2^13 terms; CP^n is supported up to n = 12\n"),
+    # within the bound C(18, 9)/2, but its witness would need 15,002
+    # generators
+    "csum-past-the-generator-bound": (
+        ["scalable", "csum(7501*(S9xS9))"],
+        None,
+        2, "error: connected sum is too large to verify: it has 15002 "
+           "generators; at most 15000 are supported\n"),
+    # the bigraded model of a ring without generators has none to name
+    "class-of-a-model-without-generators": (
+        ["distortion", "$FILE", "--class", "x"],
+        "ring r\n",
+        2, "error: unknown class 'x'; the model has no generators\n"),
 }
 
 
@@ -94,7 +113,7 @@ def run(argv, text):
                 for a in argv]
         proc = subprocess.run([sys.executable, "-m", "rht.cli", *argv],
                               cwd=ROOT, env=env, capture_output=True,
-                              text=True, timeout=60)
+                              text=True, timeout=30)
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -243,6 +243,32 @@ MUTANTS = [
      "accumulate(out, self.mul_keys(dm, left), dc)",
      ["tests/test_d_key_oracle.py::"
       "test_d_key_matches_oracle_on_random_extend_chains"]),
+    # primitive answers {} (x = 0) where dx = terms has no solution
+    ("cohomology.py",
+     "    if sol is None:\n        return None\n",
+     "    if sol is None:\n        return {}\n",
+     ["tests/test_degreewise.py::test_primitive_is_none_exactly_when_not_exact"]),
+    # coords drops the sign of each coefficient
+    ("cohomology.py",
+     "    return {pos[k]: c for k, c in terms.items()}",
+     "    return {pos[k]: abs(c) for k, c in terms.items()}",
+     ["tests/test_degreewise.py::test_coords_places_each_term_at_its_position"]),
+    # the interval product moves dt past an odd base factor without a sign
+    ("homotopy.py",
+     "        if e1 and self.base.key_degree(b2) % 2:",
+     "        if False:",
+     ["tests/test_element_arithmetic.py::"
+      "test_interval_arithmetic_matches_oracle"]),
+    # the integral of an odd k (x) t^i dt loses its sign (-1)^deg(k)
+    ("homotopy.py",
+     "    return -c if u.alg.base.key_degree(k) % 2 else c",
+     "    return c",
+     ["tests/test_homotopy.py::test_integral_0_t_odd_coefficient"]),
+    # a space descriptor read without its nesting guard
+    ("scalability.py",
+     '    check_nesting(s, "space descriptor")\n',
+     "",
+     ["tests/test_cli.py::test_deeply_nested_input_exits_2"]),
 ]
 
 

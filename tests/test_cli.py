@@ -139,13 +139,13 @@ def test_pair_unknown_class_exits_2(capsys, tmp_path):
     also on a cdga without generators."""
     empty = tmp_path / "empty.cdga"
     empty.write_text("cdga empty\n", encoding="utf-8")
-    for path, known in ((str(empty), ""),
-                        (data_path("s2_model.cdga"), "a, b")):
+    for path, known in ((str(empty), "the model has no generators"),
+                        (data_path("s2_model.cdga"), "generators are: a, b")):
         code, out, err = run_cli(capsys, "pair", path, "--class", "nope",
                                  "--bracket", "x")
         assert code == 2
         assert out == ""
-        assert err == f"error: unknown class 'nope'; generators are: {known}\n"
+        assert err == f"error: unknown class 'nope'; {known}\n"
 
 
 def test_non_minimal_cdga_exits_2(capsys, tmp_path):
@@ -161,32 +161,6 @@ def test_non_minimal_cdga_exits_2(capsys, tmp_path):
         assert out == ""
         assert err == ("error: model is not minimal: d(w) has the linear "
                        "term p\n")
-
-
-def test_scalable_refuses_cp_beyond_the_witness_bound():
-    """Checking the CP^n witness expands 2^n terms, so a large n exits 2
-    at once and names the largest n supported."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "rht.cli", "scalable", "CP40", "--machine"],
-        capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: CP40 is too large to verify")
-    assert "supported up to n = 12" in proc.stderr
-
-
-def test_scalable_refuses_connected_sum_beyond_the_size_bound():
-    """csum(7501*(S9xS9)) is within the bound C(18, 9)/2, but its witness
-    would need 15,002 generators; it exits 2 at once, naming the count and
-    the bound."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "rht.cli", "scalable", "csum(7501*(S9xS9))"],
-        capture_output=True, text=True, timeout=30)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == ("error: connected sum is too large to verify: it "
-                           "has 15002 generators; at most 15000 are "
-                           "supported\n")
 
 
 def test_scalable_admits_every_plane_sum_within_the_inertia_bound():
@@ -469,6 +443,22 @@ def test_distortion_of_a_ring_file_uses_its_bigraded_model(capsys):
     assert code == 0
     report = machine_report(out)
     assert (report.get("degree"), report.get("exponent")) == ("5", "6")
+
+
+def test_a_whole_ratio_coefficient_reports_as_its_integer(capsys, tmp_path):
+    """Whole coefficients are stored as ints and mix exactly with
+    Fractions: a file's 2/2*x^2 gives the pair report, which reads its
+    coefficient, and the cohomology report that x^2 gives, byte for byte."""
+    path = tmp_path / "s2.cdga"
+    runs = []
+    for dy in ("x^2", "2/2*x^2"):
+        path.write_text(f"cdga s2\ngen x 2\ngen y 3\nd y = {dy}\n",
+                        encoding="utf-8")
+        runs.append([run_cli(capsys, *argv, "--machine") for argv in (
+            ["pair", str(path), "--class", "y", "--bracket", "[x,x]"],
+            ["cohomology", str(path), "--through", "7"])])
+    assert [code for code, _, _ in runs[0]] == [0, 0]
+    assert runs[0] == runs[1]
 
 
 def test_bracket_multiplier_may_carry_a_plus_sign(capsys):

@@ -51,6 +51,21 @@ def test_machine_report_matches_recorded_text(argv):
     assert render(argv) == recorded()[header(argv)]
 
 
+README = {name: argv for name, argv in COMMANDS.items()
+          if name.startswith("readme-")}
+
+
+@pytest.mark.parametrize("argv", README.values(), ids=README.keys())
+def test_plain_readme_report_exits_as_recorded(argv):
+    """The README shows these commands without ``--machine``: each prints
+    a report and exits with the code that its ``--machine`` run records."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([a.replace("$DATA", DATA) for a in argv])
+    assert out.getvalue()
+    assert recorded()[header(argv)].endswith(f"exit = {code}\n")
+
+
 if __name__ == "__main__":
     for argv in COMMANDS.values():
         print(render(argv), end="")

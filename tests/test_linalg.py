@@ -69,6 +69,8 @@ def test_rref_rows_are_ints_when_whole():
     assert (repr(red), piv) == (repr([{0: 1}, {1: 1}]), [0, 1])
     red, piv = linalg.rref([{0: F(3, 2), 1: F(1, 2)}])
     assert repr(red) == repr([{0: 1, 1: F(1, 3)}])
+    red, piv = linalg.rref([{0: 3, 1: 1}])
+    assert repr(red) == repr([{0: 1, 1: F(1, 3)}])
     red, piv = linalg.rref([{1: -2, 2: 4, 3: 3}])
     assert repr(red) == repr([{1: 1, 2: -2, 3: F(-3, 2)}])
     kernel = linalg.kernel_of_columns([{0: 1}, {0: 2}])

@@ -356,3 +356,28 @@ def test_carried_tables_agree_with_a_build_from_scratch(build):
                 for other in keys[j]:
                     assert alg.mul_keys(mon, other) == \
                         fresh.mul_keys(mon, other), (mon, other)
+
+
+@pytest.mark.parametrize("build", [minimal_model, bigraded_model])
+def test_every_held_basis_is_a_fresh_enumeration(build):
+    """An extension carries the cached bases its new generators only append
+    to, so every basis a grown model holds, through the audit's cap + 1,
+    is the enumeration of an algebra built on the final generators."""
+    alg = build(wedge_of_spheres_ring([2, 2]), 9).algebra
+    fresh = FreeCdga(alg.gens)
+    held = alg._basis_cache
+    assert set(held) >= set(range(11)), sorted(held)
+    for n, keys in held.items():
+        assert keys == fresh.basis(n), n
+
+
+@pytest.mark.parametrize("build,copies,cap,total", [
+    (minimal_model, 3, 6, 1714), (bigraded_model, 2, 7, 674)],
+    ids=["minimal_3_S2xS2_cap_6", "bigraded_2_S2xS2_cap_7"])
+def test_large_sum_models_have_their_generator_totals(build, copies, cap,
+                                                      total):
+    """Models of sums of S2xS2 with hundreds of generators: the integer
+    elimination core and the d_key/mul_keys tables that extensions carry
+    over, checked by their generator totals."""
+    ring = connected_sum_ring([("sphere_product", 2, 2)] * copies)
+    assert len(build(ring, cap).algebra.gens) == total

@@ -328,6 +328,19 @@ def test_cp_n_sum_is_bounded():
         classify("csum(2*CP101)")
 
 
+def test_sigma_8_1000_embeds_within_a_minute():
+    """Sigma(8, 1000) has 500,499 relations, its cross products written as
+    keys, so it embeds well inside a minute.  It runs in a subprocess, which
+    keeps its few hundred MiB out of the test process."""
+    src = str(Path(rht.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = ("from rht.scalability import decide_sigma\n"
+              "assert decide_sigma(8, 1000).embeddable\n")
+    subprocess.run([sys.executable, "-c", script], env=env,
+                   capture_output=True, text=True, timeout=60, check=True)
+
+
 def test_connected_sum_size_is_bounded_before_any_relation(monkeypatch):
     """csum(6435*OP2) lies within the inertia bound, so it classifies as
     Scalable with a checked witness and duality certificate, and its
@@ -759,6 +772,7 @@ TABLE = [
     ("csum(4*CP2)", NOT_SCALABLE), ("csum(1*CP2,4*rev(CP2))", NOT_SCALABLE),
     ("csum(3*(S2xS2))", SCALABLE), ("csum(4*(S2xS2))", NOT_SCALABLE),
     ("csum(2*CP3)", NOT_SCALABLE), ("csum(36*HP2)", NOT_SCALABLE),
+    ("csum(30*HP2,2*rev(HP2))", SCALABLE),
     ("csum(1*(S2xS2),1*CP2)", UNKNOWN),
     ("prod(S3,S5)", SCALABLE), ("wedge(S3,S3,S5)", SCALABLE),
     ("prod(CP2,wedge(S3,S3))", SCALABLE),
@@ -979,7 +993,7 @@ def test_complementary_pairs_match_the_inversion_count(n, first):
 def test_scalable_sphere_builds_no_generator_objects(monkeypatch, capsys):
     """The witness of S400000 targets Ext400000 without one Generator per
     dimension: the algebra is its two numbers, and ``gens`` is built only
-    when asked for."""
+    when asked for.  So S400000 finishes well inside 30 s."""
     built = []
 
     class Counted(Generator):
@@ -988,7 +1002,9 @@ def test_scalable_sphere_builds_no_generator_objects(monkeypatch, capsys):
             super().__post_init__()
 
     monkeypatch.setattr(scalability, "Generator", Counted)
+    start = time.perf_counter()
     assert main(["scalable", "S400000", "--machine"]) == 0
+    assert time.perf_counter() - start < 30
     assert "verdict = Scalable\n" in capsys.readouterr().out
     assert built == []
     assert len(exterior_algebra(3).gens) == 3 and built == ["dx1", "dx2", "dx3"]
@@ -1191,12 +1207,14 @@ def _broken_s2xs4_sum():
      "relation a1*b2 maps to dx1*dx2*dx3*dx4"),
     (lambda: _broken_omega(3, 10, "a3", "a7"), "a3*b7",
      "relation a3*b7 maps to dx1*dx2*dx3*dx4*dx5*dx6"),
+    (lambda: _broken_omega(5, 126, "a3", "a7"), "a3*b7",
+     "relation a3*b7 maps to dx1*dx2*dx3*dx4*dx5*dx6*dx7*dx8*dx9*dx10"),
     (_broken_sigma, "-a1^2 + a2^2",
      "relation -a1^2 + a2^2 maps to -4*dx1*dx2*dx3*dx4"),
     (_broken_plane_sum, "x2*x3", "relation x2*x3 maps to 2*dx1*dx2*dx3*dx4"),
     (_broken_s2xs4_sum, "a1*a2", "relation a1*a2 maps to dx0*dx1*dx2*dx3"),
-], ids=["omega_2_3", "omega_3_10", "sigma_2_3", "plane_sum_CP2_2_1",
-        "csum_3_S2xS4"])
+], ids=["omega_2_3", "omega_3_10", "omega_5_126", "sigma_2_3",
+        "plane_sum_CP2_2_1", "csum_3_S2xS4"])
 def test_broken_witness_reports_are_pinned(build, relation, message):
     ring, ext, images = build()
     witness = EmbeddingWitness(ring, ext, images)
@@ -1312,11 +1330,17 @@ def apply_terms_calls(monkeypatch):
 def test_witness_path_builds_no_cross_product_relation(monkeypatch, verdict):
     """The cross products are checked by mask: the witness path never builds
     the relations tuple, and maps only the power and top relations and the
-    fundamental class through apply_terms."""
+    fundamental class through apply_terms.  csum(1412*OP2) is the largest
+    sum of OP2s whose 998,989 relations the quotient slices may build; none
+    is built, and its verdict takes well under 15 s."""
     calls = apply_terms_calls(monkeypatch)
-    ring = verdict().witness.ring
+    start = time.perf_counter()
+    witness = verdict().witness
+    assert time.perf_counter() - start < 15
+    ring = witness.ring
     assert "relations" not in vars(ring)
     assert calls[0] <= len(ring.power_relations) + len(ring.top_relations) + 1
+    assert verify_witness(ring, witness).passed
 
 
 @pytest.mark.parametrize("descriptor", ["csum(2*(S12xS24))", "csum(2*(S15xS30))"])

@@ -121,6 +121,7 @@ def test_intakes_store_whole_values_as_ints():
         assert stored == want and type(stored) is int
     half = Element(alg, {key: 0.5}).terms[key]
     assert half == Fraction(1, 2) and type(half) is Fraction
+    assert (alg["x"] * Fraction(1, 2)) * 2 == alg["x"]
     assert type(alg.differential_of("y").terms[((0, 2),)]) is int
     assert_ints(alg.scalar(Fraction(-8, 4)))
     assert_ints(alg.unit())
